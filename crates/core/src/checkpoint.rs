@@ -154,12 +154,13 @@ pub(crate) fn resume_study(opts: &RunOptions) -> Result<StudyOutcome, StudyError
     let (_header, records) = read_records(file.take(cp.log_bytes))?;
     let mut world = OsnWorld::new();
     likelab_obs::metrics::timed("log.replay.ns", || {
-        for (_seq, record) in &records {
-            if let StudyRecord::World(ev) = record {
-                world.apply_event(ev);
-            }
-        }
-    });
+        records.iter().try_for_each(|(seq, record)| match record {
+            StudyRecord::World(ev) => world
+                .apply_event(ev)
+                .map_err(|e| StudyError::bad_event(*seq, e)),
+            _ => Ok(()),
+        })
+    })?;
     likelab_obs::metrics::counter("log.replay", records.len() as u64);
     world.set_recording(true);
 

@@ -18,7 +18,7 @@
 
 use likelab_graph::PageId;
 use likelab_honeypot::{BaselineRecord, CrawlCoverage, LikerRecord, Observation};
-use likelab_osn::WorldEvent;
+use likelab_osn::{EventError, WorldEvent};
 use likelab_sim::event::{encode_binary, FrameWriter, LogError, LogHeader, LogRecord};
 use likelab_sim::tail::TailReader;
 use likelab_sim::SimTime;
@@ -105,11 +105,12 @@ pub enum StudyError {
         /// The underlying error.
         error: String,
     },
-    /// A record decoded but does not parse as a [`StudyRecord`].
+    /// A record decoded but does not parse as a [`StudyRecord`], or names
+    /// an account or page the world being rebuilt does not have.
     BadRecord {
         /// The record's sequence number.
         seq: u64,
-        /// Why it failed to parse.
+        /// Why it was rejected.
         reason: String,
     },
     /// A checkpoint or cache does not match the current run.
@@ -121,13 +122,25 @@ pub enum StudyError {
     },
 }
 
+impl StudyError {
+    /// The world event at `seq` failed [`OsnWorld::check_event`].
+    ///
+    /// [`OsnWorld::check_event`]: likelab_osn::OsnWorld::check_event
+    pub(crate) fn bad_event(seq: u64, e: EventError) -> Self {
+        StudyError::BadRecord {
+            seq,
+            reason: e.to_string(),
+        }
+    }
+}
+
 impl fmt::Display for StudyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StudyError::Log(e) => write!(f, "study log: {e}"),
             StudyError::Io { path, error } => write!(f, "{}: {error}", path.display()),
             StudyError::BadRecord { seq, reason } => {
-                write!(f, "record seq {seq} is not a study record: {reason}")
+                write!(f, "record seq {seq} rejected: {reason}")
             }
             StudyError::Mismatch(why) => write!(f, "mismatch: {why}"),
             StudyError::SimulatedCrash { checkpoints } => {

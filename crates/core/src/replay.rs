@@ -82,7 +82,9 @@ pub fn replay_records(
     let result: Result<(), StudyError> = likelab_obs::metrics::timed("log.replay.ns", || {
         for (seq, record) in records {
             match record {
-                StudyRecord::World(ev) => world.apply_event(&ev),
+                StudyRecord::World(ev) => world
+                    .apply_event(&ev)
+                    .map_err(|e| StudyError::bad_event(seq, e))?,
                 StudyRecord::RngFork { .. } => {}
                 StudyRecord::CampaignLaunched { campaign, page, at } => {
                     slot(&mut slots, campaign, seq)?.page = Some(page);

@@ -144,7 +144,9 @@ impl ServeEngine {
         match record {
             StudyRecord::World(ev) => {
                 let detectors = &mut self.detectors;
-                self.fanout.apply(&ev, |update| detectors.apply(update));
+                self.fanout
+                    .apply(&ev, |update| detectors.apply(update))
+                    .map_err(|e| StudyError::bad_event(seq, e))?;
             }
             StudyRecord::RngFork { .. } => {}
             StudyRecord::CampaignLaunched { campaign, page, at } => {

@@ -204,13 +204,6 @@ pub struct RunOptions {
     /// many checkpoints have been written. Lets CI exercise the
     /// kill-and-resume path deterministically.
     pub crash_after_checkpoints: Option<u64>,
-    /// Drain consecutive like events as one columnar batch instead of
-    /// dispatching them one at a time (default on). Likes draw no RNG and
-    /// a run of them is broken only by polls/sweeps, so the batched loop
-    /// produces a byte-identical world; the invariance tier pins the
-    /// equivalence. Off = the historical per-event loop, kept for that
-    /// differential test.
-    pub coalesce_likes: bool,
 }
 
 impl Default for RunOptions {
@@ -223,7 +216,6 @@ impl Default for RunOptions {
             checkpoint_every: 5_000,
             resume: false,
             crash_after_checkpoints: None,
-            coalesce_likes: true,
         }
     }
 }
@@ -595,14 +587,14 @@ pub(crate) fn event_loop(
     let event_loop_span = likelab_obs::span::enter("study.event_loop");
     let mut checkpoints = 0u64;
     // Checkpoint on bucket crossings of the fired counter rather than exact
-    // multiples: a coalesced batch advances `fired` by its whole length, so
+    // multiples: a like run advances `fired` by its whole length, so
     // the counter may step over a multiple without landing on it. For
     // single-event steps this is the same cadence as the historical
     // `fired % every == 0` check (a resume never re-checkpoints its own
     // resume point — the bucket starts at the resumed counter).
     let every = opts.checkpoint_every;
     let mut cp_bucket = state.engine.fired().checked_div(every).unwrap_or(0);
-    // Reused columnar buffer for coalesced like runs. Runs are capped so a
+    // Reused columnar buffer for like runs. Runs are capped so a
     // quiet stretch of millions of likes neither starves the checkpoint
     // cadence nor holds an unbounded batch in memory.
     const LIKE_RUN_CAP: usize = 8_192;
@@ -610,28 +602,23 @@ pub(crate) fn event_loop(
     while let Some((now, ev)) = state.engine.step() {
         match ev {
             Ev::Like(l) => {
-                if opts.coalesce_likes {
-                    // Drain the maximal run of consecutive like events (up
-                    // to the cap) and ingest them as one columnar batch.
-                    // Equivalent to per-event dispatch: likes draw no RNG,
-                    // account status only changes at sweep events (which end
-                    // the run), and `ingest_like_columns` documents
-                    // per-item `record_like` equivalence.
-                    like_run.clear();
-                    like_run.push(l.user, l.page, l.at);
-                    while like_run.len() < LIKE_RUN_CAP {
-                        match state.engine.step_if(|_, e| matches!(e, Ev::Like(_))) {
-                            Some((_, Ev::Like(next))) => {
-                                like_run.push(next.user, next.page, next.at);
-                            }
-                            Some(_) => unreachable!("predicate admits only likes"),
-                            None => break,
+                // Drain the maximal run of consecutive like events (up to
+                // the cap) and ingest them as one columnar batch. Likes draw
+                // no RNG and account status only changes at sweep events
+                // (which end the run), so a run ingests exactly as its likes
+                // would one by one.
+                like_run.clear();
+                like_run.push(l.user, l.page, l.at);
+                while like_run.len() < LIKE_RUN_CAP {
+                    match state.engine.step_if(|_, e| matches!(e, Ev::Like(_))) {
+                        Some((_, Ev::Like(next))) => {
+                            like_run.push(next.user, next.page, next.at);
                         }
+                        Some(_) => unreachable!("predicate admits only likes"),
+                        None => break,
                     }
-                    state.world.ingest_like_columns(&like_run, Exec::Sequential);
-                } else {
-                    state.world.record_like(l.user, l.page, l.at);
                 }
+                state.world.ingest_like_columns(&like_run, Exec::Sequential);
             }
             Ev::Poll(i) => {
                 let _poll_span = likelab_obs::span::enter("study.poll");

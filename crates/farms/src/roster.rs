@@ -13,9 +13,9 @@ use crate::region::Region;
 use crate::schedule::delivery_times;
 use crate::spec::{FarmSpec, PoolTopology};
 use likelab_graph::{generate, PageId, UserId};
-use likelab_osn::{ActorClass, OsnWorld, PageCategory, PrivacySettings};
+use likelab_osn::{ActorClass, LikeColumns, OsnWorld, PageCategory, PrivacySettings};
 use likelab_sim::dist::{log_normal_median, Zipf};
-use likelab_sim::{Rng, SimDuration, SimTime};
+use likelab_sim::{Exec, Rng, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -235,6 +235,9 @@ impl FarmRoster {
         }
 
         // --- camouflage histories for the fresh batch ----------------------
+        // The past part of every fresh account's history enters the world
+        // as one batch; the future part is scheduled like any other like.
+        let mut past_camouflage = LikeColumns::default();
         let mut future_camouflage = Vec::new();
         let job_pages = self.job_pages[&spec.operator].clone();
         for &a in &fresh {
@@ -257,12 +260,13 @@ impl FarmRoster {
             let times = camouflage_times(pages.len(), created, until, spec.bursty_camouflage, rng);
             for (page, at) in pages.into_iter().zip(times) {
                 if at <= order.placed_at {
-                    world.record_like(a, page, at);
+                    past_camouflage.push(a, page, at);
                 } else {
                     future_camouflage.push(TimedLike { user: a, page, at });
                 }
             }
         }
+        world.ingest_like_columns(&past_camouflage, Exec::Sequential);
 
         // --- the honeypot likes themselves ---------------------------------
         let times = delivery_times(spec.style, accounts.len(), order.placed_at, rng);

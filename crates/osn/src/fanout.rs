@@ -16,17 +16,20 @@
 //! an [`OsnWorld::apply_event`] fold — asserted by tests), and emits one
 //! [`DetectorUpdate`] per **accepted** mutation. Rejected mutations emit
 //! nothing, which is exactly the filtering the batch detectors get for
-//! free by reading the final ledger.
+//! free by reading the final ledger. A like batch folds as one ledger
+//! ingest; its accepted likes are the records it appended, in batch order.
+//! An event that fails [`OsnWorld::check_event`] is refused untouched.
 //!
 //! The fanout also tracks a *watermark* — the maximum event timestamp seen
 //! so far — which online feature extraction uses as "now" (the batch path
 //! is called with the study-end clock; at end-of-stream the watermark
 //! equals it).
 
-use crate::log::WorldEvent;
+use crate::likes::LikeColumns;
+use crate::log::{EventError, WorldEvent};
 use crate::world::OsnWorld;
 use likelab_graph::{PageId, UserId};
-use likelab_sim::SimTime;
+use likelab_sim::{Exec, SimTime};
 
 /// One accepted world mutation, in application order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -108,11 +111,13 @@ pub enum DetectorUpdate {
 /// let mut fanout = EventFanout::new();
 /// let mut likes = 0;
 /// for ev in &events {
-///     fanout.apply(ev, |u| {
-///         if matches!(u, DetectorUpdate::LikeAccepted { .. }) {
-///             likes += 1;
-///         }
-///     });
+///     fanout
+///         .apply(ev, |u| {
+///             if matches!(u, DetectorUpdate::LikeAccepted { .. }) {
+///                 likes += 1;
+///             }
+///         })
+///         .unwrap();
 /// }
 /// assert_eq!(likes, 1);
 /// assert_eq!(fanout.world().likes().len(), 1);
@@ -147,8 +152,14 @@ impl EventFanout {
     }
 
     /// Apply one event to the replica world and hand every accepted
-    /// mutation to `sink`, in application order.
-    pub fn apply(&mut self, ev: &WorldEvent, mut sink: impl FnMut(DetectorUpdate)) {
+    /// mutation to `sink`, in application order. An event that fails
+    /// [`OsnWorld::check_event`] changes nothing and emits nothing.
+    pub fn apply(
+        &mut self,
+        ev: &WorldEvent,
+        mut sink: impl FnMut(DetectorUpdate),
+    ) -> Result<(), EventError> {
+        self.world.check_event(ev)?;
         match ev {
             WorldEvent::AccountCreated {
                 profile,
@@ -196,25 +207,22 @@ impl EventFanout {
                 self.world.set_off_network_friends(*user, *n);
                 sink(DetectorUpdate::OffNetworkChanged { user: *user });
             }
-            WorldEvent::Like { user, page, at } => {
-                self.advance(*at);
-                if self.world.record_like(*user, *page, *at) {
-                    sink(DetectorUpdate::LikeAccepted {
-                        user: *user,
-                        page: *page,
-                        at: *at,
-                    });
-                }
-            }
             WorldEvent::LikeBatch { likes } => {
-                // The journal carries the *input* batch; re-filter per item.
-                // `ingest_likes` documents that the per-item path produces
-                // the identical ledger.
-                for &(user, page, at) in likes {
+                // The journal carries the *input* batch: every item moves
+                // the watermark, rejected ones included. The ledger appends
+                // exactly the accepted items, in batch order.
+                for &(_, _, at) in likes {
                     self.advance(at);
-                    if self.world.record_like(user, page, at) {
-                        sink(DetectorUpdate::LikeAccepted { user, page, at });
-                    }
+                }
+                let start = self.world.likes().len() as u32;
+                self.world
+                    .ingest_like_columns(&LikeColumns::from_rows(likes), Exec::Sequential);
+                for r in self.world.likes().records_from(start) {
+                    sink(DetectorUpdate::LikeAccepted {
+                        user: r.user,
+                        page: r.page,
+                        at: r.at,
+                    });
                 }
             }
             WorldEvent::Terminated { user, at } => {
@@ -229,15 +237,17 @@ impl EventFanout {
                 }
             }
         }
+        Ok(())
     }
 
-    /// Apply a whole event slice, collecting the updates.
-    pub fn apply_all(&mut self, events: &[WorldEvent]) -> Vec<DetectorUpdate> {
+    /// Apply a whole event slice, collecting the updates; stops at the
+    /// first event that fails [`OsnWorld::check_event`].
+    pub fn apply_all(&mut self, events: &[WorldEvent]) -> Result<Vec<DetectorUpdate>, EventError> {
         let mut out = Vec::new();
         for ev in events {
-            self.apply(ev, |u| out.push(u));
+            self.apply(ev, |u| out.push(u))?;
         }
-        out
+        Ok(out)
     }
 
     /// Hand the replica world out (e.g. to run a batch detector over the
@@ -314,12 +324,12 @@ mod tests {
         w.set_off_network_friends(users[3], 40);
         w.record_like(users[0], pages[0], SimTime::at_day(7));
         w.record_like(users[0], pages[0], SimTime::at_day(8)); // dup: rejected
-        w.ingest_likes(
-            &[
+        w.ingest_like_columns(
+            &LikeColumns::from_rows(&[
                 (users[1], pages[0], SimTime::at_day(7)),
                 (users[1], pages[0], SimTime::at_day(7)), // in-batch dup
                 (users[2], pages[1], SimTime::at_day(9)),
-            ],
+            ]),
             Exec::Sequential,
         );
         w.terminate_account(users[4], SimTime::at_day(10));
@@ -335,10 +345,10 @@ mod tests {
         let events = seeded_events();
         let mut folded = OsnWorld::new();
         for ev in &events {
-            folded.apply_event(ev);
+            folded.apply_event(ev).unwrap();
         }
         let mut fanout = EventFanout::new();
-        fanout.apply_all(&events);
+        fanout.apply_all(&events).unwrap();
         let replica = fanout.world();
 
         assert_eq!(replica.account_count(), folded.account_count());
@@ -361,13 +371,14 @@ mod tests {
     fn only_accepted_mutations_emit_updates() {
         let events = seeded_events();
         let mut fanout = EventFanout::new();
-        let updates = fanout.apply_all(&events);
+        let updates = fanout.apply_all(&events).unwrap();
         let count = |f: fn(&DetectorUpdate) -> bool| updates.iter().filter(|u| f(u)).count();
 
-        // The recorder already filters rejected singleton mutations out of
-        // the stream; what this asserts is that the verbatim-journaled
-        // LikeBatch (1 in-batch duplicate) is re-filtered by the fanout:
-        // 3 accepted likes from 4 batch+single attempts.
+        // The recorder already filters rejected edges, terminations and
+        // reinstatements out of the stream; likes are journaled as their
+        // input batches, so the fanout re-filters them: 3 accepted likes
+        // from 6 attempts (a duplicate of history, an in-batch duplicate,
+        // a like by a terminated account).
         assert_eq!(
             count(|u| matches!(u, DetectorUpdate::AccountAdded { .. })),
             6
@@ -400,9 +411,58 @@ mod tests {
         let events = seeded_events();
         let mut fanout = EventFanout::new();
         assert_eq!(fanout.watermark(), SimTime::EPOCH);
-        fanout.apply_all(&events);
-        // The rejected day-11/12 mutations never reached the journal, so
-        // the last recorded timestamp is the day-10 termination.
-        assert_eq!(fanout.watermark(), SimTime::at_day(10));
+        fanout.apply_all(&events).unwrap();
+        // The rejected day-11 termination never reached the journal, but
+        // the day-12 like batch did: every batch item moves the watermark,
+        // the one a terminated account sent included.
+        assert_eq!(fanout.watermark(), SimTime::at_day(12));
+    }
+
+    #[test]
+    fn events_naming_unknown_ids_are_refused_untouched() {
+        let mut fanout = EventFanout::new();
+        fanout.apply_all(&seeded_events()).unwrap();
+        let mut folded = fanout.world().clone();
+        let (likes, watermark) = (folded.likes().len(), fanout.watermark());
+        let late = SimTime::at_day(99);
+        let far = UserId(4_000_000);
+        let bad = [
+            (
+                WorldEvent::LikeBatch {
+                    likes: vec![(UserId(0), PageId(1), late), (far, PageId(0), late)],
+                },
+                EventError::UnknownUser(far),
+            ),
+            (
+                WorldEvent::LikeBatch {
+                    likes: vec![(UserId(0), PageId(2), late)],
+                },
+                EventError::UnknownPage(PageId(2)),
+            ),
+            (
+                WorldEvent::Friendship {
+                    a: UserId(3),
+                    b: UserId(3),
+                },
+                EventError::SelfFriendship(UserId(3)),
+            ),
+            (
+                WorldEvent::Terminated {
+                    user: UserId(6),
+                    at: late,
+                },
+                EventError::UnknownUser(UserId(6)),
+            ),
+        ];
+        for (ev, want) in bad {
+            assert_eq!(
+                fanout.apply(&ev, |_| panic!("no update")),
+                Err(want.clone())
+            );
+            assert_eq!(folded.apply_event(&ev), Err(want));
+        }
+        assert_eq!(fanout.world().likes().len(), likes);
+        assert_eq!(folded.likes().len(), likes);
+        assert_eq!(fanout.watermark(), watermark);
     }
 }

@@ -53,7 +53,7 @@ pub use demographics::{AgeBracket, Country, Gender, GeoBucket, Profile};
 pub use fanout::{DetectorUpdate, EventFanout};
 pub use fraudops::{FraudOps, FraudOpsConfig};
 pub use likes::{LikeColumns, LikeLedger, LikeRecord};
-pub use log::WorldEvent;
+pub use log::{EventError, WorldEvent};
 pub use page::{Page, PageCategory};
 pub use population::{Population, PopulationConfig};
 pub use posts::{simulate_engagement, EngagementModel, EngagementReport};

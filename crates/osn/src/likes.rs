@@ -8,26 +8,26 @@
 //!
 //! At million-account scale the ledger holds tens of millions of records, so
 //! storage is struct-of-arrays (`users`/`pages`/`times` columns in global
-//! insertion order) and both indexes are bit-packed
-//! [`PostingList`](crate::posting::PostingList)s of global record indices —
-//! strictly increasing by construction, so they delta-encode to a fraction
-//! of a raw `Vec<u32>` and decode through allocation-free iterators. The
-//! per-page index is **sharded by page-id range**: each shard owns
-//! [`SHARD_PAGES`] consecutive pages and its own local posting lists. Bulk
-//! ingestion ([`LikeLedger::ingest_columns`]) takes the batch as
-//! [`LikeColumns`] — the SoA twin of a row-tuple slice — dedups per user,
-//! memcpys the accepted column regions onto the ledger, and groups accepted
-//! records per shard through [`likelab_sim::parallel`]; report aggregation
-//! can walk shards independently. Nothing materializes a global
-//! intermediate `Vec` per page, and single-column accessors
-//! ([`page_users`](LikeLedger::page_users),
+//! insertion order) and both indexes are bit-packed [`PostingList`]s of
+//! global record indices — strictly increasing by construction, so they
+//! delta-encode to a fraction of a raw `Vec<u32>` and decode through
+//! allocation-free iterators. The per-page index is **sharded by page-id
+//! range**: each shard owns [`SHARD_PAGES`] consecutive pages and its own
+//! local posting lists. Ingestion ([`LikeLedger::ingest_columns`], the only
+//! write path) takes each batch as [`LikeColumns`] — the SoA twin of a
+//! row-tuple slice — dedups per user, memcpys the accepted column regions
+//! onto the ledger, and groups accepted records per shard through
+//! [`likelab_sim::parallel`]; report aggregation can walk shards
+//! independently. Nothing materializes a global intermediate `Vec` per
+//! page, and single-column accessors ([`page_users`](LikeLedger::page_users),
 //! [`users_from`](LikeLedger::users_from), …) let scan-heavy consumers read
 //! just the fields they fold.
 //!
 //! Membership (has `user` already liked `page`?) is answered by a per-user
-//! sorted page list with a small insertion overlay, merged amortized-O(1)
-//! per insert — the heavy likers the paper describes (median 600–1000 page
-//! likes) no longer pay a full-array memmove per like.
+//! sorted page list. Every like arrives in a batch, so each list is rebuilt
+//! by one sorted merge per batch that names its user — the heavy likers the
+//! paper describes (median 600–1000 page likes) never pay a memmove per
+//! like.
 //!
 //! Every accessor hands out [`LikeRecord`]s **by value** (assembled from the
 //! columns on demand), so iteration reads the same as it did when records
@@ -53,10 +53,11 @@ pub struct LikeRecord {
 /// A column batch of likes: the struct-of-arrays twin of
 /// `&[(UserId, PageId, SimTime)]`, one entry per batch position.
 ///
-/// Synthesis and the coalesced event loop build these directly so batches
-/// flow into the ledger's columns without a row-tuple detour — the accepted
-/// region of each column memcpys straight onto the ledger. The three
-/// columns always have equal lengths.
+/// Every like enters the ledger as one of these: synthesis, farm
+/// camouflage and the event loop build them directly, so batches flow into
+/// the ledger's columns without a row-tuple detour — the accepted region of
+/// each column memcpys straight onto the ledger. The three columns always
+/// have equal lengths.
 #[derive(Clone, Debug, Default)]
 pub struct LikeColumns {
     /// Who liked, per batch position.
@@ -77,8 +78,7 @@ impl LikeColumns {
         }
     }
 
-    /// Build columns from row tuples (tests and the AoS compatibility
-    /// wrapper).
+    /// Build columns from row tuples (a journaled `LikeBatch`, tests).
     pub fn from_rows(rows: &[(UserId, PageId, SimTime)]) -> Self {
         let mut cols = LikeColumns::with_capacity(rows.len());
         for &(user, page, at) in rows {
@@ -124,184 +124,59 @@ pub const SHARD_PAGES: usize = 4096;
 
 /// One page-range shard of the per-page index: packed posting lists (global
 /// record indices, in insertion order) for the pages in this shard's range.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 struct Shard {
     by_page: Vec<PostingList>,
 }
 
-/// The sorted page set of one user: a compact sorted base plus a small
-/// sorted overlay absorbing recent inserts (same shape as the friend
-/// graph's CSR+overlay). Keeps duplicate checks `O(log d)` and inserts
-/// amortized `O(1)` memmove-wise even for ten-thousand-like accounts.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-struct UserPages {
-    base: Vec<u32>,
-    overlay: Vec<u32>,
-}
-
-/// The overlay merges into the base once it holds this many entries and at
-/// least a quarter of the base's size (the floor keeps light users from
-/// merging on every insert).
-const MERGE_FLOOR: usize = 32;
-
-impl UserPages {
-    /// Insert `p`; returns false when already present.
-    fn insert(&mut self, p: u32) -> bool {
-        if self.base.binary_search(&p).is_ok() {
-            return false;
+/// Merge one user's batch candidates into their sorted page set. `cand`
+/// holds `(page, pos)` pairs sorted ascending (so equal pages are adjacent,
+/// earliest batch position first). For each page run: if the page is
+/// already in the set every occurrence is rejected; otherwise exactly the
+/// first occurrence is accepted (`accept[pos] = true`) — the decisions a
+/// positional first-wins loop would make. `merged` is reusable scratch.
+fn absorb_sorted(
+    set: &mut Vec<u32>,
+    cand: &[(u32, u32)],
+    accept: &mut [bool],
+    merged: &mut Vec<u32>,
+) {
+    merged.clear();
+    let (mut i, mut k) = (0usize, 0usize);
+    while k < cand.len() {
+        let page = cand[k].0;
+        while i < set.len() && set[i] < page {
+            merged.push(set[i]);
+            i += 1;
         }
-        match self.overlay.binary_search(&p) {
-            Ok(_) => false,
-            Err(pos) => {
-                self.overlay.insert(pos, p);
-                if self.overlay.len() >= MERGE_FLOOR && self.overlay.len() * 4 >= self.base.len() {
-                    self.merge();
-                }
-                true
-            }
+        if set.get(i) != Some(&page) {
+            accept[cand[k].1 as usize] = true;
+            merged.push(page);
+        }
+        // Skip the whole equal-page run (later occurrences are dups).
+        while k < cand.len() && cand[k].0 == page {
+            k += 1;
         }
     }
-
-    /// Fold the overlay into the base (two-pointer merge of disjoint sorted
-    /// lists).
-    fn merge(&mut self) {
-        let mut merged = Vec::with_capacity(self.base.len() + self.overlay.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.base.len() && j < self.overlay.len() {
-            if self.base[i] < self.overlay[j] {
-                merged.push(self.base[i]);
-                i += 1;
-            } else {
-                merged.push(self.overlay[j]);
-                j += 1;
-            }
-        }
-        merged.extend_from_slice(&self.base[i..]);
-        merged.extend_from_slice(&self.overlay[j..]);
-        self.base = merged;
-        self.overlay.clear();
-    }
-
-    /// Batch-absorb a sorted candidate list. `cand` holds `(page, pos)`
-    /// pairs sorted ascending (so equal pages are adjacent, earliest batch
-    /// position first). For each page run: if the page is already in the
-    /// set every occurrence is rejected; otherwise exactly the first
-    /// occurrence is accepted (`accept[pos] = true`) — the same decisions a
-    /// positional loop of [`insert`][Self::insert] calls would make. When
-    /// anything was accepted the set is rebuilt as a flat sorted base with
-    /// an empty overlay (`merged` is reusable scratch).
-    fn absorb_sorted(&mut self, cand: &[(u32, u32)], accept: &mut [bool], merged: &mut Vec<u32>) {
-        if self.base.is_empty() && self.overlay.is_empty() {
-            // Fresh set — the synthesis common case (every user's first
-            // batch). There is no history to merge against, so skip the
-            // two-pointer scaffolding: accept the first occurrence of each
-            // page run and install the deduped pages as the base directly.
-            merged.clear();
-            let mut k = 0usize;
-            while k < cand.len() {
-                let page = cand[k].0;
-                accept[cand[k].1 as usize] = true;
-                merged.push(page);
-                while k < cand.len() && cand[k].0 == page {
-                    k += 1;
-                }
-            }
-            self.base.extend_from_slice(merged);
-            return;
-        }
-        merged.clear();
-        let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
-        let mut accepted_any = false;
-        while k < cand.len() {
-            let page = cand[k].0;
-            // Drain existing entries below the candidate page.
-            loop {
-                let next_existing = match (self.base.get(i), self.overlay.get(j)) {
-                    (Some(&a), Some(&b)) => {
-                        if a < b {
-                            a
-                        } else {
-                            b
-                        }
-                    }
-                    (Some(&a), None) => a,
-                    (None, Some(&b)) => b,
-                    (None, None) => break,
-                };
-                if next_existing >= page {
-                    break;
-                }
-                merged.push(next_existing);
-                if self.base.get(i) == Some(&next_existing) {
-                    i += 1;
-                } else {
-                    j += 1;
-                }
-            }
-            let present = self.base.get(i) == Some(&page) || self.overlay.get(j) == Some(&page);
-            if !present {
-                accept[cand[k].1 as usize] = true;
-                accepted_any = true;
-                merged.push(page);
-            }
-            // Skip the whole equal-page run (later occurrences are dups).
-            while k < cand.len() && cand[k].0 == page {
-                k += 1;
-            }
-        }
-        if !accepted_any {
-            return; // nothing changed; keep the existing base/overlay split
-        }
-        // Drain the remaining existing entries.
-        while let Some(v) = match (self.base.get(i), self.overlay.get(j)) {
-            (Some(&a), Some(&b)) => Some(if a < b { a } else { b }),
-            (Some(&a), None) => Some(a),
-            (None, Some(&b)) => Some(b),
-            (None, None) => None,
-        } {
-            merged.push(v);
-            if self.base.get(i) == Some(&v) {
-                i += 1;
-            } else {
-                j += 1;
-            }
-        }
-        self.base.clear();
-        self.base.extend_from_slice(merged);
-        self.overlay.clear();
-    }
-
-    /// The pages in ascending id order.
-    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        let mut i = 0;
-        let mut j = 0;
-        std::iter::from_fn(move || match (self.base.get(i), self.overlay.get(j)) {
-            (Some(&a), Some(&b)) if a < b => {
-                i += 1;
-                Some(a)
-            }
-            (_, Some(&b)) => {
-                j += 1;
-                Some(b)
-            }
-            (Some(&a), None) => {
-                i += 1;
-                Some(a)
-            }
-            (None, None) => None,
-        })
+    // `merged` holds `set[..i]` plus the accepted pages; when nothing was
+    // accepted the set is unchanged.
+    if merged.len() > i {
+        merged.extend_from_slice(&set[i..]);
+        set.clear();
+        set.extend_from_slice(merged);
     }
 }
 
 /// The append-only like ledger with both-side indexes. See the module docs
 /// for the sharded, bit-packed struct-of-arrays layout.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct LikeLedger {
     users: Vec<UserId>,
     pages: Vec<PageId>,
     times: Vec<SimTime>,
     by_user: Vec<PostingList>,
-    user_pages: Vec<UserPages>,
+    /// Each user's liked pages as one sorted `Vec` (membership checks).
+    user_pages: Vec<Vec<u32>>,
     shards: Vec<Shard>,
     n_pages: usize,
 }
@@ -311,7 +186,7 @@ impl LikeLedger {
     pub fn new(users: usize, pages: usize) -> Self {
         let mut ledger = LikeLedger {
             by_user: vec![PostingList::new(); users],
-            user_pages: vec![UserPages::default(); users],
+            user_pages: vec![Vec::new(); users],
             ..LikeLedger::default()
         };
         ledger.grow_shards(pages);
@@ -322,7 +197,7 @@ impl LikeLedger {
     pub fn ensure_users(&mut self, n: usize) {
         if n > self.by_user.len() {
             self.by_user.resize(n, PostingList::new());
-            self.user_pages.resize(n, UserPages::default());
+            self.user_pages.resize(n, Vec::new());
         }
     }
 
@@ -348,61 +223,36 @@ impl LikeLedger {
         }
     }
 
-    /// Record a like at time `at`. Duplicate (user, page) likes are ignored.
-    /// Returns true when the like was new.
+    /// Ingest a batch of likes, indexing pages per shard in parallel, and
+    /// return how many were new. An item is accepted iff its liker has not
+    /// liked that page before — in history or earlier in the batch — so
+    /// duplicates are ignored and the first occurrence wins, exactly as a
+    /// positional one-like-at-a-time loop would decide. Accepted likes are
+    /// appended in batch order.
     ///
     /// Arrival order need not be chronological — farm accounts created
     /// mid-study backfill their camouflage histories with past timestamps.
     /// Use the `*_sorted` accessors when time order matters.
-    pub fn record(&mut self, user: UserId, page: PageId, at: SimTime) -> bool {
-        if !self.user_pages[user.idx()].insert(page.0) {
-            return false;
-        }
-        let idx = self.users.len() as u32;
-        self.users.push(user);
-        self.pages.push(page);
-        self.times.push(at);
-        self.by_user[user.idx()].push(idx);
-        self.shards[page.idx() / SHARD_PAGES].by_page[page.idx() % SHARD_PAGES].push(idx);
-        true
-    }
-
-    /// Bulk-record a batch of likes, indexing pages per shard in parallel.
-    /// Returns how many were new (duplicates — within the batch or against
-    /// history — are ignored, first occurrence wins, exactly as if each item
-    /// had gone through [`record`][Self::record] in order).
     ///
-    /// The result is byte-identical for every `exec`: acceptance and global
-    /// order are decided by a sequential dedup/append pass; the parallel
-    /// stage only counting-sorts each shard's accepted indices into per-page
-    /// groups (two flat arrays per shard, no per-page `Vec`s), and each
-    /// posting list's content is fully determined by the global order. This
-    /// is the synthesis ingestion path at scale.
-    pub fn ingest_batch(&mut self, items: &[(UserId, PageId, SimTime)], exec: Exec) -> usize {
-        self.ingest_columns(&LikeColumns::from_rows(items), exec)
-    }
-
-    /// Columnar bulk-record: the core behind
-    /// [`ingest_batch`][Self::ingest_batch], taking the batch as
-    /// [`LikeColumns`] so synthesis output lands here without assembling
-    /// row tuples. Semantics are identical to a positional
-    /// [`record`][Self::record] loop over the zipped columns, and the
-    /// resulting ledger bytes do not depend on `exec`.
+    /// The resulting ledger bytes do not depend on `exec`: acceptance and
+    /// global order are decided by sequential passes; the parallel stage
+    /// only counting-sorts each shard's accepted indices into per-page
+    /// groups, and each posting list's content is fully determined by the
+    /// global order.
     pub fn ingest_columns(&mut self, batch: &LikeColumns, exec: Exec) -> usize {
-        // A positional `record` loop pays several random-memory touches per
-        // item (membership probe, overlay memmove, posting push into a cold
+        // A positional loop would pay several random-memory touches per
+        // item (membership probe, set insert, posting push into a cold
         // list) — the dominant cost of synthesis at scale. Instead, group
-        // the batch by user once, make the same accept/reject decisions
-        // per user via a sort-merge against the existing page set, then
-        // assign global indices in one linear pass over the original order.
+        // the batch by user once, make the accept/reject decisions per user
+        // via a sort-merge against the existing page set, then assign
+        // global indices in one linear pass over the original order.
         //
-        // Decision equivalence: `record` accepts an item iff its (user,
-        // page) pair is not in history and no earlier batch item claimed
-        // it. Grouping by user partitions the problem; within a user,
-        // sorting (page, batch position) makes duplicates adjacent with the
-        // earliest position first, which is exactly the occurrence the
-        // positional loop would have accepted. Global record order is
-        // decided by the final positional pass, so it is byte-identical.
+        // Decision equivalence: grouping by user partitions the problem;
+        // within a user, sorting (page, batch position) makes duplicates
+        // adjacent with the earliest position first, which is exactly the
+        // occurrence the positional loop would have accepted. Global record
+        // order is decided by the final positional pass, so it is
+        // byte-identical.
         let (b_users, b_pages, b_times) = (&batch.users, &batch.pages, &batch.times);
         assert_eq!(b_users.len(), b_pages.len(), "ragged like columns");
         assert_eq!(b_users.len(), b_times.len(), "ragged like columns");
@@ -413,7 +263,7 @@ impl LikeLedger {
         let n_users = self.by_user.len();
         if n < n_users / 8 {
             // Batches far smaller than the account table (the event loop's
-            // coalesced runs) pay for the dense kernel's O(accounts)
+            // like runs, single likes) pay for the dense kernel's O(accounts)
             // counting arrays and full shard walk; route them through the
             // sparse twin, whose work scales with the batch.
             return self.ingest_columns_sparse(batch);
@@ -451,7 +301,7 @@ impl LikeLedger {
                     .map(|&pos| (b_pages[pos as usize].0, pos)),
             );
             cand.sort_unstable();
-            self.user_pages[u].absorb_sorted(&cand, &mut accept, &mut merged);
+            absorb_sorted(&mut self.user_pages[u], &cand, &mut accept, &mut merged);
         }
         // Positional pass: append accepted records to the columns in batch
         // order. When nothing was rejected — the overwhelming synthesis
@@ -591,7 +441,12 @@ impl LikeLedger {
             }
             cand.clear();
             cand.extend(triples[lo..k].iter().map(|&(_, page, pos)| (page, pos)));
-            self.user_pages[user as usize].absorb_sorted(&cand, &mut accept, &mut merged);
+            absorb_sorted(
+                &mut self.user_pages[user as usize],
+                &cand,
+                &mut accept,
+                &mut merged,
+            );
         }
         // Positional pass: append accepted records in batch order.
         let start = self.users.len() as u32;
@@ -665,15 +520,12 @@ impl LikeLedger {
     pub fn likes_page(&self, user: UserId, page: PageId) -> bool {
         self.user_pages
             .get(user.idx())
-            .map(|up| {
-                up.base.binary_search(&page.0).is_ok() || up.overlay.binary_search(&page.0).is_ok()
-            })
-            .unwrap_or(false)
+            .is_some_and(|set| set.binary_search(&page.0).is_ok())
     }
 
     /// The pages `user` likes, in ascending page-id order (allocation-free).
     pub fn user_pages(&self, user: UserId) -> impl Iterator<Item = PageId> + '_ {
-        self.user_pages[user.idx()].iter().map(PageId)
+        self.user_pages[user.idx()].iter().map(|&p| PageId(p))
     }
 
     /// Number of page-range index shards.
@@ -808,12 +660,16 @@ mod tests {
         SimTime::at_day(d)
     }
 
+    /// Ingest `rows` as one batch; returns how many were new.
+    fn ingest(l: &mut LikeLedger, rows: &[(UserId, PageId, SimTime)]) -> usize {
+        l.ingest_columns(&LikeColumns::from_rows(rows), Exec::Sequential)
+    }
+
     #[test]
-    fn record_and_query_both_sides() {
+    fn ingest_and_query_both_sides() {
         let mut l = LikeLedger::new(3, 2);
-        assert!(l.record(u(0), p(1), t(1)));
-        assert!(l.record(u(2), p(1), t(2)));
-        assert!(l.record(u(0), p(0), t(3)));
+        let rows = [(u(0), p(1), t(1)), (u(2), p(1), t(2)), (u(0), p(0), t(3))];
+        assert_eq!(ingest(&mut l, &rows), 3);
         assert_eq!(l.len(), 3);
         let page1: Vec<UserId> = l.of_page(p(1)).map(|r| r.user).collect();
         assert_eq!(page1, vec![u(0), u(2)]);
@@ -827,20 +683,22 @@ mod tests {
     }
 
     #[test]
-    fn duplicates_ignored() {
+    fn duplicates_ignored_first_occurrence_wins() {
         let mut l = LikeLedger::new(1, 1);
-        assert!(l.record(u(0), p(0), t(0)));
-        assert!(!l.record(u(0), p(0), t(5)));
+        assert_eq!(ingest(&mut l, &[(u(0), p(0), t(0)), (u(0), p(0), t(5))]), 1);
+        assert_eq!(ingest(&mut l, &[(u(0), p(0), t(7))]), 0, "dup of history");
         assert_eq!(l.len(), 1);
-        assert_eq!(l.of_page(p(0)).count(), 1);
+        assert_eq!(
+            l.of_page(p(0)).map(|r| r.at).collect::<Vec<_>>(),
+            vec![t(0)]
+        );
     }
 
     #[test]
     fn chronological_page_stream() {
         let mut l = LikeLedger::new(10, 1);
-        for i in 0..10 {
-            l.record(u(i), p(0), t(u64::from(i)));
-        }
+        let rows: Vec<_> = (0..10).map(|i| (u(i), p(0), t(u64::from(i)))).collect();
+        ingest(&mut l, &rows);
         let times: Vec<u64> = l.of_page(p(0)).map(|r| r.at.day()).collect();
         assert_eq!(times, (0..10).collect::<Vec<_>>());
     }
@@ -848,9 +706,14 @@ mod tests {
     #[test]
     fn sorted_accessors_handle_backfill() {
         let mut l = LikeLedger::new(3, 2);
-        l.record(u(0), p(0), t(9));
-        l.record(u(0), p(1), t(2)); // backfilled history
-        l.record(u(1), p(0), t(1)); // backfilled on same page
+        ingest(
+            &mut l,
+            &[
+                (u(0), p(0), t(9)),
+                (u(0), p(1), t(2)), // backfilled history
+                (u(1), p(0), t(1)), // backfilled on same page
+            ],
+        );
         let page0: Vec<u64> = l.of_page_sorted(p(0)).iter().map(|r| r.at.day()).collect();
         assert_eq!(page0, vec![1, 9]);
         let user0: Vec<u64> = l.of_user_sorted(u(0)).iter().map(|r| r.at.day()).collect();
@@ -862,10 +725,10 @@ mod tests {
     #[test]
     fn growth_preserves_history() {
         let mut l = LikeLedger::new(1, 1);
-        l.record(u(0), p(0), t(0));
+        ingest(&mut l, &[(u(0), p(0), t(0))]);
         l.ensure_users(5);
         l.ensure_pages(5);
-        l.record(u(4), p(4), t(1));
+        ingest(&mut l, &[(u(4), p(4), t(1))]);
         assert_eq!(l.len(), 2);
         assert_eq!(l.user_like_count(u(0)), 1);
         assert_eq!(l.user_like_count(u(4)), 1);
@@ -888,111 +751,27 @@ mod tests {
         assert_eq!(l.shard_pages(0), 0..SHARD_PAGES as u32);
         assert_eq!(l.shard_pages(2), (2 * SHARD_PAGES) as u32..n as u32);
         let far = p(n as u32 - 1);
-        assert!(l.record(u(2), far, t(4)));
+        assert_eq!(ingest(&mut l, &[(u(2), far, t(4))]), 1);
         assert_eq!(l.page_like_count(far), 1);
         assert_eq!(l.of_page(far).next().unwrap().user, u(2));
     }
 
     #[test]
-    fn heavy_user_membership_survives_overlay_merges() {
-        // Enough inserts to trigger several overlay merges, in a scrambled
-        // page order like the time-sorted synthesis batch produces.
+    fn heavy_user_membership_survives_batch_merges() {
+        // A scrambled page order like the time-sorted synthesis batch
+        // produces, split into batches so each one merges against history.
         let n = 500u32;
         let mut l = LikeLedger::new(1, n as usize);
-        for i in 0..n {
-            let page = (i * 193) % n; // permutation of 0..n
-            assert!(l.record(u(0), p(page), t(u64::from(i))));
+        let rows: Vec<_> = (0..n)
+            .map(|i| (u(0), p((i * 193) % n), t(u64::from(i)))) // permutation of 0..n
+            .collect();
+        for chunk in rows.chunks(37) {
+            assert_eq!(ingest(&mut l, chunk), chunk.len());
         }
         assert_eq!(l.user_like_count(u(0)), n as usize);
-        for page in 0..n {
-            assert!(l.likes_page(u(0), p(page)));
-            assert!(!l.record(u(0), p(page), t(999)), "dup accepted");
-        }
+        assert!((0..n).all(|page| l.likes_page(u(0), p(page))));
+        assert_eq!(ingest(&mut l, &rows), 0, "every like is a dup now");
         let pages: Vec<u32> = l.user_pages(u(0)).map(|p| p.0).collect();
         assert_eq!(pages, (0..n).collect::<Vec<_>>(), "sorted and complete");
-    }
-
-    #[test]
-    fn sparse_small_batch_matches_sequential_record() {
-        // Enough accounts that a small batch routes through the sparse
-        // kernel (n < n_users / 8), with in-batch and historical dups.
-        let n_users = 5_000;
-        let n_pages = SHARD_PAGES + 50;
-        let mut batch: Vec<(UserId, PageId, SimTime)> = Vec::new();
-        for i in 0..200u32 {
-            let page = (i * 91) % n_pages as u32;
-            batch.push((u(i % 40), p(page), t(u64::from(i % 23))));
-        }
-        batch.push(batch[5]); // in-batch duplicate
-        let mut by_record = LikeLedger::new(n_users, n_pages);
-        by_record.record(u(3), p(17), t(1)); // pre-existing history
-        let mut expected_new = 0usize;
-        for &(user, page, at) in &batch {
-            if by_record.record(user, page, at) {
-                expected_new += 1;
-            }
-        }
-        let mut by_batch = LikeLedger::new(n_users, n_pages);
-        by_batch.record(u(3), p(17), t(1));
-        let accepted = by_batch.ingest_batch(&batch, Exec::Sequential);
-        assert_eq!(accepted, expected_new);
-        let a: Vec<LikeRecord> = by_batch.records().collect();
-        let b: Vec<LikeRecord> = by_record.records().collect();
-        assert_eq!(a, b, "global order differs");
-        for page in 0..n_pages as u32 {
-            let x: Vec<LikeRecord> = by_batch.of_page(p(page)).collect();
-            let y: Vec<LikeRecord> = by_record.of_page(p(page)).collect();
-            assert_eq!(x, y, "page {page} postings differ");
-        }
-        for user in 0..40 {
-            let x: Vec<LikeRecord> = by_batch.of_user(u(user)).collect();
-            let y: Vec<LikeRecord> = by_record.of_user(u(user)).collect();
-            assert_eq!(x, y, "user {user} postings differ");
-        }
-    }
-
-    #[test]
-    fn ingest_batch_matches_sequential_record() {
-        // Batch ingestion over several shards, with duplicates both inside
-        // the batch and against pre-existing history.
-        let n_pages = SHARD_PAGES + 50;
-        let mut batch: Vec<(UserId, PageId, SimTime)> = Vec::new();
-        for i in 0..400u32 {
-            let page = (i * 37) % n_pages as u32;
-            batch.push((u(i % 90), p(page), t(u64::from(i) % 40)));
-        }
-        batch.push(batch[3]); // in-batch duplicate
-        batch.push((u(0), p(0), t(99)));
-
-        let mut by_record = LikeLedger::new(90, n_pages);
-        by_record.record(u(0), p(0), t(7)); // pre-existing like, dup below
-        let mut expected_new = 0usize;
-        for &(user, page, at) in &batch {
-            if by_record.record(user, page, at) {
-                expected_new += 1;
-            }
-        }
-
-        for workers in [1usize, 3] {
-            let mut by_batch = LikeLedger::new(90, n_pages);
-            by_batch.record(u(0), p(0), t(7));
-            let accepted = by_batch.ingest_batch(&batch, Exec::workers(workers));
-            assert_eq!(accepted, expected_new, "workers={workers}");
-            assert_eq!(by_batch.len(), by_record.len());
-            let a: Vec<LikeRecord> = by_batch.records().collect();
-            let b: Vec<LikeRecord> = by_record.records().collect();
-            assert_eq!(a, b, "global order differs (workers={workers})");
-            for page in 0..n_pages as u32 {
-                let x: Vec<LikeRecord> = by_batch.of_page(p(page)).collect();
-                let y: Vec<LikeRecord> = by_record.of_page(p(page)).collect();
-                assert_eq!(x, y, "page {page} postings differ");
-            }
-            for user in 0..90 {
-                assert_eq!(
-                    by_batch.user_like_count(u(user)),
-                    by_record.user_like_count(u(user))
-                );
-            }
-        }
     }
 }

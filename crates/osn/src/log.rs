@@ -11,18 +11,25 @@
 //! Two deliberate asymmetries keep the log compact without breaking
 //! identity:
 //!
-//! - rejected mutations (duplicate edges, likes by terminated accounts,
-//!   double terminations) are *not* logged — replay applies the same
-//!   validation, so the outcomes match;
-//! - bulk like ingestion logs the *input* batch verbatim
-//!   ([`WorldEvent::LikeBatch`]); replay re-filters it against the replayed
-//!   account state, which is identical at that point in the stream.
+//! - rejected singleton mutations (duplicate edges, double terminations)
+//!   are *not* logged — replay applies the same validation, so the
+//!   outcomes match;
+//! - every like enters the world as a batch, and a batch is logged as its
+//!   *input* ([`WorldEvent::LikeBatch`]), duplicates and likes by
+//!   terminated accounts included; replay re-filters it against the
+//!   replayed account state, which is identical at that point in the
+//!   stream.
+//!
+//! A log comes from outside the process, so replay checks each event
+//! against the world first: one naming an account or page the world does
+//! not have is an [`EventError`], not an out-of-bounds panic.
 
 use crate::account::{ActorClass, PrivacySettings};
 use crate::demographics::Profile;
 use crate::page::PageCategory;
 use likelab_graph::{PageId, UserId};
 use likelab_sim::SimTime;
+use std::fmt;
 
 /// One accepted world mutation, in a form that can be serialized, stored,
 /// and replayed. Events are self-contained: replay needs no RNG and no
@@ -73,21 +80,12 @@ pub enum WorldEvent {
         /// New off-network friend count.
         n: u32,
     },
-    /// A single accepted like.
-    Like {
-        /// Who liked.
-        user: UserId,
-        /// What they liked.
-        page: PageId,
-        /// When.
-        at: SimTime,
-    },
-    /// A bulk like ingestion — the *input* batch, before filtering.
-    /// Replay re-applies the same active-account filter and duplicate
-    /// rejection, which produce identical results against the replayed
-    /// state.
+    /// A like ingestion — the *input* batch, before filtering; the only
+    /// like event. Replay re-applies the same active-account filter and
+    /// duplicate rejection, which produce identical results against the
+    /// replayed state.
     LikeBatch {
-        /// The batch as handed to `ingest_likes`.
+        /// The batch as handed to `ingest_like_columns`, as rows.
         likes: Vec<(UserId, PageId, SimTime)>,
     },
     /// An active account was terminated.
@@ -103,6 +101,29 @@ pub enum WorldEvent {
         user: UserId,
     },
 }
+
+/// Why a [`WorldEvent`] cannot apply to a world.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum EventError {
+    /// It names a user id at or past the world's account count.
+    UnknownUser(UserId),
+    /// It names a page id at or past the world's page count.
+    UnknownPage(PageId),
+    /// It befriends an account with itself.
+    SelfFriendship(UserId),
+}
+
+impl fmt::Display for EventError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EventError::UnknownUser(user) => write!(f, "unknown user {user}"),
+            EventError::UnknownPage(page) => write!(f, "unknown page {page}"),
+            EventError::SelfFriendship(user) => write!(f, "self-friendship of user {user}"),
+        }
+    }
+}
+
+impl std::error::Error for EventError {}
 
 /// The world's embedded event recorder: a buffer of accepted mutations,
 /// filled only while recording is enabled (off by default, so untraced
@@ -143,6 +164,7 @@ mod tests {
     use super::*;
     use crate::account::AccountStatus;
     use crate::demographics::{Country, Gender};
+    use crate::likes::LikeColumns;
     use crate::world::OsnWorld;
     use likelab_sim::parallel::Exec;
 
@@ -193,15 +215,15 @@ mod tests {
         });
         w.set_off_network_friends(UserId(2), 77);
         w.record_like(UserId(0), p, SimTime::at_day(2));
-        w.record_like(UserId(0), p, SimTime::at_day(3)); // dup: rejected
+        w.record_like(UserId(0), p, SimTime::at_day(3)); // dup: re-filtered on replay
         w.terminate_account(UserId(4), SimTime::at_day(3));
         w.terminate_account(UserId(4), SimTime::at_day(4)); // idempotent: not logged
-        w.ingest_likes(
-            &[
+        w.ingest_like_columns(
+            &LikeColumns::from_rows(&[
                 (UserId(1), p, SimTime::at_day(4)),
                 (UserId(4), p, SimTime::at_day(4)), // terminated at replay time too
                 (UserId(2), p, SimTime::at_day(5)),
-            ],
+            ]),
             Exec::Sequential,
         );
         w.reinstate_account(UserId(4));
@@ -214,7 +236,7 @@ mod tests {
 
         let mut replayed = OsnWorld::new();
         for ev in &events {
-            replayed.apply_event(ev);
+            replayed.apply_event(ev).unwrap();
         }
         assert_eq!(replayed.account_count(), w.account_count());
         assert_eq!(replayed.page_count(), w.page_count());
@@ -239,7 +261,7 @@ mod tests {
     }
 
     #[test]
-    fn rejected_mutations_are_not_logged() {
+    fn rejected_singleton_mutations_are_not_logged() {
         let mut w = OsnWorld::new();
         w.set_recording(true);
         w.create_account(profile(), ActorClass::Organic, privacy(), SimTime::EPOCH);
@@ -252,10 +274,20 @@ mod tests {
         let p = w.create_page("x", "", None, PageCategory::Background, SimTime::EPOCH);
         w.drain_events();
         w.terminate_account(UserId(0), SimTime::at_day(1));
-        w.record_like(UserId(0), p, SimTime::at_day(2)); // rejected
+        w.terminate_account(UserId(0), SimTime::at_day(2)); // rejected
         let evs = w.drain_events();
-        assert_eq!(evs.len(), 1, "only the termination is logged: {evs:?}");
+        assert_eq!(
+            evs.len(),
+            1,
+            "only the first termination is logged: {evs:?}"
+        );
         assert!(matches!(evs[0], WorldEvent::Terminated { .. }));
+        // A like is journaled as its input batch, even when rejected.
+        assert!(!w.record_like(UserId(0), p, SimTime::at_day(2)));
+        assert!(matches!(
+            &w.drain_events()[..],
+            [WorldEvent::LikeBatch { likes }] if likes.len() == 1
+        ));
     }
 
     #[test]

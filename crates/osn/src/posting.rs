@@ -22,9 +22,10 @@
 //! sixty-four values in one header byte. `width` is the bit width of the
 //! largest gap in the block, at most 32.
 //!
-//! The format is versioned alongside the event-log schema (see DESIGN.md):
-//! checkpoints embed these buffers, so any layout change must bump
-//! [`FORMAT_VERSION`] and keep a decoder for the old layout.
+//! The format is versioned alongside the event-log schema (see DESIGN.md).
+//! Nothing persists these buffers today — checkpoints hold everything but
+//! the world, which resume rebuilds from the log — but any layout change
+//! bumps [`FORMAT_VERSION`] so a serialized form can tell layouts apart.
 //!
 //! Decoding is allocation-free: [`PostingList::iter`] walks blocks through a
 //! fixed 64-slot buffer, so consumers (report aggregation, fanout, the
@@ -35,7 +36,7 @@ use serde::{Deserialize, Serialize};
 /// Values per packed block.
 pub const BLOCK: usize = 64;
 
-/// On-disk/in-checkpoint format version of the block layout.
+/// Format version of the block layout.
 pub const FORMAT_VERSION: u32 = 1;
 
 /// A compressed list of strictly increasing `u32` values.

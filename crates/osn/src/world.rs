@@ -13,7 +13,7 @@
 use crate::account::{Account, ActorClass, PrivacySettings};
 use crate::demographics::Profile;
 use crate::likes::{LikeColumns, LikeLedger};
-use crate::log::{Recorder, WorldEvent};
+use crate::log::{EventError, Recorder, WorldEvent};
 use crate::page::{Page, PageCategory};
 use crate::store::AccountStore;
 use likelab_graph::{FriendGraph, PageId, UserId};
@@ -60,11 +60,49 @@ impl OsnWorld {
         self.recorder.drain()
     }
 
-    /// Apply a replayed event to this world. Applies the same validation
-    /// the original mutation did (so rejected duplicates stay rejected) and
-    /// never records, even when recording is on — replaying a log must not
-    /// re-log it.
-    pub fn apply_event(&mut self, ev: &WorldEvent) {
+    /// Check that every account and page `ev` names exists in this world
+    /// (and that no friendship is a self-loop), so applying it cannot index
+    /// out of bounds. Replay and the serve fanout call this before applying
+    /// an event read from a log.
+    pub fn check_event(&self, ev: &WorldEvent) -> Result<(), EventError> {
+        let (accounts, pages) = (self.accounts.len(), self.pages.len());
+        let user = |u: UserId| {
+            (u.idx() < accounts)
+                .then_some(())
+                .ok_or(EventError::UnknownUser(u))
+        };
+        let page = |p: PageId| {
+            (p.idx() < pages)
+                .then_some(())
+                .ok_or(EventError::UnknownPage(p))
+        };
+        let edge = |a: UserId, b: UserId| {
+            user(a).and(user(b))?;
+            (a != b).then_some(()).ok_or(EventError::SelfFriendship(a))
+        };
+        match ev {
+            WorldEvent::AccountCreated { .. } => Ok(()),
+            WorldEvent::PageCreated { owner, .. } => owner.map_or(Ok(()), user),
+            WorldEvent::Friendship { a, b } => edge(*a, *b),
+            WorldEvent::FriendshipBatch { edges } => {
+                edges.iter().try_for_each(|&(a, b)| edge(a, b))
+            }
+            WorldEvent::OffNetworkFriends { user: u, .. }
+            | WorldEvent::Terminated { user: u, .. }
+            | WorldEvent::Reinstated { user: u } => user(*u),
+            WorldEvent::LikeBatch { likes } => {
+                likes.iter().try_for_each(|&(u, p, _)| user(u).and(page(p)))
+            }
+        }
+    }
+
+    /// Apply a replayed event to this world. Checks it first
+    /// ([`check_event`][Self::check_event]) and leaves the world untouched
+    /// when it fails; otherwise applies the same validation the original
+    /// mutation did (so rejected duplicates stay rejected). Never records,
+    /// even when recording is on — replaying a log must not re-log it.
+    pub fn apply_event(&mut self, ev: &WorldEvent) -> Result<(), EventError> {
+        self.check_event(ev)?;
         let was_recording = self.recorder.enabled();
         self.recorder.set_enabled(false);
         match ev {
@@ -96,11 +134,8 @@ impl OsnWorld {
             WorldEvent::OffNetworkFriends { user, n } => {
                 self.set_off_network_friends(*user, *n);
             }
-            WorldEvent::Like { user, page, at } => {
-                self.record_like(*user, *page, *at);
-            }
             WorldEvent::LikeBatch { likes } => {
-                self.ingest_likes(likes, Exec::Sequential);
+                self.ingest_like_columns(&LikeColumns::from_rows(likes), Exec::Sequential);
             }
             WorldEvent::Terminated { user, at } => {
                 self.terminate_account(*user, *at);
@@ -110,6 +145,7 @@ impl OsnWorld {
             }
         }
         self.recorder.set_enabled(was_recording);
+        Ok(())
     }
 
     // ----- accounts -----------------------------------------------------
@@ -305,56 +341,44 @@ impl OsnWorld {
 
     // ----- likes -----------------------------------------------------------
 
-    /// Record a like. Likes by terminated accounts are rejected.
-    /// Returns true when the like was new and accepted.
+    /// Record one like: a one-like batch through
+    /// [`ingest_like_columns`][Self::ingest_like_columns], journaled as
+    /// such. Returns true when the like was new and its liker active.
     pub fn record_like(&mut self, user: UserId, page: PageId, at: SimTime) -> bool {
-        if !self.accounts.is_active(user) {
-            return false;
-        }
-        let accepted = self.ledger.record(user, page, at);
-        if accepted {
-            self.recorder
-                .push_with(|| WorldEvent::Like { user, page, at });
-        }
-        accepted
+        let mut one = LikeColumns::with_capacity(1);
+        one.push(user, page, at);
+        self.ingest_like_columns(&one, Exec::Sequential) == 1
     }
 
-    /// Bulk-record likes through the ledger's sharded batch path (see
-    /// [`LikeLedger::ingest_batch`]). Likes by terminated accounts are
-    /// rejected, duplicates ignored; returns how many were new and accepted.
-    /// Byte-identical outcome for every `exec`, and identical to calling
-    /// [`record_like`][Self::record_like] per item in order.
-    pub fn ingest_likes(&mut self, items: &[(UserId, PageId, SimTime)], exec: Exec) -> usize {
-        self.ingest_like_columns(&LikeColumns::from_rows(items), exec)
-    }
-
-    /// Columnar twin of [`ingest_likes`][Self::ingest_likes]: the batch
-    /// arrives as [`LikeColumns`] and flows into the ledger's SoA storage
-    /// without assembling row tuples (synthesis and the coalesced event
-    /// loop call this directly). Journals the identical
-    /// [`WorldEvent::LikeBatch`] row form, so logs do not depend on which
-    /// entry point produced them.
+    /// Ingest a batch of likes — the one way likes enter the world. Likes
+    /// by terminated accounts are rejected and duplicates ignored (first
+    /// occurrence wins, see [`LikeLedger::ingest_columns`]); returns how
+    /// many were new and accepted. Byte-identical outcome for every `exec`.
+    /// Journals the *input* batch as one [`WorldEvent::LikeBatch`]; replay
+    /// re-applies the same filter against identical state.
     pub fn ingest_like_columns(&mut self, batch: &LikeColumns, exec: Exec) -> usize {
-        // The *input* batch is journaled verbatim; replay re-applies the
-        // same active-account filter against identical state.
         if !batch.is_empty() {
             self.recorder.push_with(|| WorldEvent::LikeBatch {
                 likes: batch.rows().collect(),
             });
         }
-        if batch.users.iter().all(|&u| self.accounts.is_active(u)) {
+        let alive;
+        let batch = if batch.users.iter().all(|&u| self.accounts.is_active(u)) {
             // Synthesis-time fast path: nobody is terminated yet, ingest the
             // batch without copying it.
-            self.ledger.ingest_columns(batch, exec)
+            batch
         } else {
-            let mut alive = LikeColumns::with_capacity(batch.len());
+            let mut kept = LikeColumns::with_capacity(batch.len());
             for (user, page, at) in batch.rows() {
                 if self.accounts.is_active(user) {
-                    alive.push(user, page, at);
+                    kept.push(user, page, at);
                 }
             }
-            self.ledger.ingest_columns(&alive, exec)
-        }
+            alive = kept;
+            &alive
+        };
+        // lint:allow(log-bypass): the world's own appender; the batch was journaled above.
+        self.ledger.ingest_columns(batch, exec)
     }
 
     /// The like ledger (read-only).
@@ -458,13 +482,13 @@ mod tests {
         let mut w = world_with(3);
         let p = w.create_page("h", "", None, PageCategory::Honeypot, SimTime::EPOCH);
         w.terminate_account(UserId(2), SimTime::at_day(1));
-        let batch = vec![
+        let batch = LikeColumns::from_rows(&[
             (UserId(0), p, SimTime::at_day(2)),
             (UserId(2), p, SimTime::at_day(2)), // terminated: dropped
             (UserId(1), p, SimTime::at_day(3)),
             (UserId(0), p, SimTime::at_day(4)), // dup: dropped
-        ];
-        assert_eq!(w.ingest_likes(&batch, Exec::Sequential), 2);
+        ]);
+        assert_eq!(w.ingest_like_columns(&batch, Exec::Sequential), 2);
         assert_eq!(w.visible_likers(p), vec![UserId(0), UserId(1)]);
         assert_eq!(w.likes().user_like_count(UserId(2)), 0);
     }

@@ -1,13 +1,47 @@
 //! Property-based tests of the platform substrate's invariants.
 
+use std::collections::BTreeSet;
+
 use likelab_graph::{PageId, UserId};
 use likelab_osn::demographics::{AgeBracket, Blueprint, Country};
 use likelab_osn::{
-    ActorClass, AudienceReport, Gender, LikeLedger, OsnWorld, PageCategory, PrivacySettings,
-    Profile,
+    ActorClass, AudienceReport, DetectorUpdate, EventFanout, Gender, LikeColumns, LikeLedger,
+    OsnWorld, PageCategory, PrivacySettings, Profile, WorldEvent,
 };
-use likelab_sim::{Rng, SimTime};
+use likelab_sim::{Exec, Rng, SimTime};
 use proptest::prelude::*;
+
+/// Ingest `(user, page, secs)` draws in batches of `chunk`; returns how
+/// many were new.
+fn ingest_chunks(ledger: &mut LikeLedger, likes: &[(u32, u32, u64)], chunk: usize) -> usize {
+    likes
+        .chunks(chunk)
+        .map(|c| {
+            let mut cols = LikeColumns::with_capacity(c.len());
+            for &(u, p, t) in c {
+                cols.push(UserId(u), PageId(p), SimTime::from_secs(t));
+            }
+            ledger.ingest_columns(&cols, Exec::Sequential)
+        })
+        .sum()
+}
+
+fn profile() -> Profile {
+    Profile {
+        gender: Gender::Male,
+        age: 30,
+        country: Country::Usa,
+        home_region: 0,
+    }
+}
+
+fn public() -> PrivacySettings {
+    PrivacySettings {
+        friend_list_public: true,
+        likes_public: true,
+        searchable: true,
+    }
+}
 
 proptest! {
     /// Age bracketing is total over the platform's age domain and sampling
@@ -43,14 +77,12 @@ proptest! {
     /// structural graph, whatever the (possibly duplicated, unordered)
     /// record stream.
     #[test]
-    fn ledger_indexes_agree(likes in prop::collection::vec((0u32..15, 0u32..15, 0u64..1_000), 0..120)) {
+    fn ledger_indexes_agree(
+        likes in prop::collection::vec((0u32..15, 0u32..15, 0u64..1_000), 0..120),
+        chunk in 1usize..40,
+    ) {
         let mut ledger = LikeLedger::new(15, 15);
-        let mut accepted = 0usize;
-        for (u, p, t) in &likes {
-            if ledger.record(UserId(*u), PageId(*p), SimTime::from_secs(*t)) {
-                accepted += 1;
-            }
-        }
+        let accepted = ingest_chunks(&mut ledger, &likes, chunk);
         prop_assert_eq!(ledger.len(), accepted);
         let user_total: usize = (0..15).map(|u| ledger.user_like_count(UserId(u))).sum();
         let page_total: usize = (0..15).map(|p| ledger.page_like_count(PageId(p))).sum();
@@ -74,11 +106,10 @@ proptest! {
     #[test]
     fn ledger_streams_project_global_order(
         likes in prop::collection::vec((0u32..12, 0u32..12, 0u64..500), 0..150),
+        chunk in 1usize..40,
     ) {
         let mut ledger = LikeLedger::new(12, 12);
-        for (u, p, t) in &likes {
-            ledger.record(UserId(*u), PageId(*p), SimTime::from_secs(*t));
-        }
+        ingest_chunks(&mut ledger, &likes, chunk);
         let all: Vec<_> = ledger.records().collect();
         prop_assert_eq!(all.len(), ledger.len());
         for u in 0..12 {
@@ -96,44 +127,69 @@ proptest! {
         }
     }
 
-    /// Batch ingestion is equivalent to recording each like in order — for
-    /// any worker count — and the page-range shards stay consistent with
-    /// the per-user index.
+    /// The fanout folds each journaled like batch as one ledger ingest and
+    /// emits `LikeAccepted` for exactly the likes a positional first-wins
+    /// model accepts, in order — whatever the mix of duplicates inside a
+    /// batch, duplicates of history, and accounts terminated between
+    /// batches. Every batch item moves the watermark, rejected ones
+    /// included.
     #[test]
-    fn ledger_ingest_matches_record(
-        likes in prop::collection::vec((0u32..10, 0u32..9000, 0u64..500), 0..200),
-        workers in 1usize..5,
+    fn fanout_like_batches_emit_the_positional_model(
+        batches in prop::collection::vec(
+            (prop::collection::vec((0u32..8, 0u32..6, 0u64..1_000), 0..40), 0u32..24),
+            1..8,
+        ),
     ) {
-        use likelab_sim::Exec;
-        let n_pages = 9_000; // spans three page-range shards
-        let batch: Vec<_> = likes
-            .iter()
-            .map(|(u, p, t)| (UserId(*u), PageId(*p), SimTime::from_secs(*t)))
-            .collect();
-        let mut by_record = LikeLedger::new(10, n_pages);
-        for &(u, p, t) in &batch {
-            by_record.record(u, p, t);
+        let mut fanout = EventFanout::new();
+        for _ in 0..8 {
+            let ev = WorldEvent::AccountCreated {
+                profile: profile(),
+                class: ActorClass::Organic,
+                privacy: public(),
+                at: SimTime::EPOCH,
+            };
+            fanout.apply(&ev, |_| {}).unwrap();
         }
-        let mut by_batch = LikeLedger::new(10, n_pages);
-        let accepted = by_batch.ingest_batch(&batch, Exec::workers(workers));
-        prop_assert_eq!(accepted, by_record.len());
-        prop_assert_eq!(
-            by_batch.records().collect::<Vec<_>>(),
-            by_record.records().collect::<Vec<_>>()
-        );
-        for u in 0..10 {
-            prop_assert_eq!(
-                by_batch.of_user(UserId(u)).collect::<Vec<_>>(),
-                by_record.of_user(UserId(u)).collect::<Vec<_>>()
-            );
+        for i in 0..6 {
+            let ev = WorldEvent::PageCreated {
+                name: format!("p{i}"),
+                description: String::new(),
+                owner: None,
+                category: PageCategory::Background,
+                at: SimTime::EPOCH,
+            };
+            fanout.apply(&ev, |_| {}).unwrap();
         }
-        // Spot-check per-page postings on the pages actually touched.
-        for &(_, p, _) in &batch {
-            prop_assert_eq!(
-                by_batch.of_page(p).collect::<Vec<_>>(),
-                by_record.of_page(p).collect::<Vec<_>>()
-            );
+        let (mut seen, mut dead) = (BTreeSet::new(), BTreeSet::new());
+        let (mut expected, mut emitted) = (Vec::new(), Vec::new());
+        let mut max_at = SimTime::EPOCH;
+        for (likes, kill) in &batches {
+            if *kill < 8 {
+                // Terminate one account before this batch (idempotently).
+                let ev = WorldEvent::Terminated { user: UserId(*kill), at: SimTime::EPOCH };
+                fanout.apply(&ev, |_| {}).unwrap();
+                dead.insert(*kill);
+            }
+            let rows: Vec<_> = likes
+                .iter()
+                .map(|&(u, p, t)| (UserId(u), PageId(p), SimTime::from_secs(t)))
+                .collect();
+            for &(user, page, at) in &rows {
+                max_at = max_at.max(at);
+                if !dead.contains(&user.0) && seen.insert((user, page)) {
+                    expected.push((user, page, at));
+                }
+            }
+            fanout
+                .apply(&WorldEvent::LikeBatch { likes: rows }, |update| {
+                    if let DetectorUpdate::LikeAccepted { user, page, at } = update {
+                        emitted.push((user, page, at));
+                    }
+                })
+                .unwrap();
         }
+        prop_assert_eq!(emitted, expected);
+        prop_assert_eq!(fanout.watermark(), max_at);
     }
 
     /// Audience reports conserve mass: gender and age marginals both sum to
@@ -178,21 +234,7 @@ proptest! {
     fn termination_is_permanent_and_hides(order in prop::collection::vec(0usize..6, 1..12)) {
         let mut world = OsnWorld::new();
         for _ in 0..6 {
-            world.create_account(
-                Profile {
-                    gender: Gender::Male,
-                    age: 30,
-                    country: Country::Usa,
-                    home_region: 0,
-                },
-                ActorClass::Bot(1),
-                PrivacySettings {
-                    friend_list_public: true,
-                    likes_public: true,
-                    searchable: true,
-                },
-                SimTime::EPOCH,
-            );
+            world.create_account(profile(), ActorClass::Bot(1), public(), SimTime::EPOCH);
         }
         let page = world.create_page("p", "", None, PageCategory::Honeypot, SimTime::EPOCH);
         for u in 0..6u32 {

@@ -27,8 +27,9 @@ use std::io;
 pub const MAGIC: [u8; 4] = *b"LLOG";
 
 /// Current format version (bump on any framing or vocabulary change; see
-/// DESIGN.md for the versioning policy).
-pub const FORMAT_VERSION: u16 = 1;
+/// DESIGN.md for the versioning policy). Version 2 dropped the single-like
+/// world event: every like is journaled as a batch.
+pub const FORMAT_VERSION: u16 = 2;
 
 /// Log header: format version plus caller metadata.
 #[derive(Clone, Debug, PartialEq)]

@@ -9,9 +9,11 @@
 //!    lengths, duplicates collapsed by the reference) and require the decoded
 //!    stream to equal the reference vector element-for-element.
 //! 2. **Ledger differential** — a naive reference ledger built on `Vec` and
-//!    linear scans answers every public [`LikeLedger`] query on a generated
-//!    world; the packed ledger must agree exactly, including iteration order,
-//!    across shard boundaries and for both `record` and `ingest_batch` paths.
+//!    linear scans (the positional first-wins model) answers every public
+//!    [`LikeLedger`] query on a generated world; the packed ledger, fed
+//!    through `ingest_columns`, must agree exactly, including iteration
+//!    order, across shard boundaries, for both ingest kernels and for any
+//!    batch size down to one like.
 
 use std::collections::BTreeSet;
 
@@ -236,75 +238,27 @@ fn band_page(raw: u32) -> u32 {
 }
 
 proptest! {
-    /// Differential: sequential `record` on the packed ledger matches the
-    /// naive reference on every query. Pages span the 4096-page shard
-    /// boundary so cross-shard posting lists are exercised.
-    #[test]
-    fn ledger_record_matches_vec_reference(
-        likes in prop::collection::vec((0u32..24, 0u32..120, 0u64..50_000), 0..250),
-    ) {
-        let n_users = 24;
-        let mut ledger = LikeLedger::new(n_users as usize, 8200);
-        let mut reference = RefLedger::default();
-        for &(u, raw, t) in &likes {
-            let p = band_page(raw);
-            let got = ledger.record(UserId(u), PageId(p), SimTime::from_secs(t));
-            let want = reference.record(u, p, t);
-            prop_assert_eq!(got, want, "accept/reject diverged at ({}, {}, {})", u, p, t);
-        }
-        prop_assert!(ledger.shard_count() >= 3, "world must span shards");
-        assert_ledgers_agree(&ledger, &reference, n_users)?;
-    }
-
-    /// Differential: batched ingest (any worker count) is observationally the
-    /// same ledger as the reference built by sequential first-wins replay.
-    #[test]
-    fn ledger_ingest_batch_matches_vec_reference(
-        likes in prop::collection::vec((0u32..24, 0u32..120, 0u64..50_000), 0..250),
-        workers in 1usize..5,
-        split_frac in 0.0f64..1.0,
-    ) {
-        let n_users = 24;
-        let mut ledger = LikeLedger::new(n_users as usize, 8200);
-        let mut reference = RefLedger::default();
-
-        // Two batches so the second one dedups against already-packed state.
-        let split = ((likes.len() as f64) * split_frac) as usize;
-        for chunk in [&likes[..split], &likes[split..]] {
-            let batch: Vec<_> = chunk
-                .iter()
-                .map(|&(u, raw, t)| (UserId(u), PageId(band_page(raw)), SimTime::from_secs(t)))
-                .collect();
-            let accepted = ledger.ingest_batch(&batch, Exec::workers(workers));
-            let want: usize = chunk
-                .iter()
-                .map(|&(u, raw, t)| reference.record(u, band_page(raw), t) as usize)
-                .sum();
-            prop_assert_eq!(accepted, want);
-        }
-        assert_ledgers_agree(&ledger, &reference, n_users)?;
-    }
-
-    /// Differential: the columnar ingest path (what the event loop and the
-    /// population synthesizer feed) is observationally the same ledger as the
-    /// reference. `sparse` flips the account count so the same draws route
-    /// through either the dense counting-sort kernel (24 accounts: every
-    /// batch is "large") or the sparse sorted-triples kernel (4096 accounts:
-    /// every batch stays under the `n_users / 8` threshold).
+    /// Differential: the packed ledger fed through `ingest_columns` answers
+    /// every query exactly as the reference does. The draws arrive in
+    /// batches of `1 << batch_log2` likes: size 1 is the positional
+    /// one-at-a-time case, larger batches dedup inside themselves and
+    /// against already-packed state. `sparse` flips the account count so
+    /// the same draws route through either the dense counting-sort kernel
+    /// (24 accounts: every batch of three or more likes is "large") or the
+    /// sparse sorted-triples kernel (4096 accounts: every batch stays under
+    /// the `n_users / 8` threshold). Pages span the 4096-page shard boundary
+    /// so cross-shard posting lists are exercised.
     #[test]
     fn ledger_ingest_columns_matches_vec_reference(
         likes in prop::collection::vec((0u32..24, 0u32..120, 0u64..50_000), 0..250),
+        batch_log2 in 0u32..9,
         workers in 1usize..5,
-        split_frac in 0.0f64..1.0,
         sparse in any::<bool>(),
     ) {
         let n_users = if sparse { 4096 } else { 24 };
         let mut ledger = LikeLedger::new(n_users, 8200);
         let mut reference = RefLedger::default();
-
-        // Two batches so the second one dedups against already-packed state.
-        let split = ((likes.len() as f64) * split_frac) as usize;
-        for chunk in [&likes[..split], &likes[split..]] {
+        for chunk in likes.chunks(1 << batch_log2) {
             let mut cols = LikeColumns::with_capacity(chunk.len());
             for &(u, raw, t) in chunk {
                 cols.push(UserId(u), PageId(band_page(raw)), SimTime::from_secs(t));
@@ -314,8 +268,9 @@ proptest! {
                 .iter()
                 .map(|&(u, raw, t)| reference.record(u, band_page(raw), t) as usize)
                 .sum();
-            prop_assert_eq!(accepted, want);
+            prop_assert_eq!(accepted, want, "accept/reject diverged in {:?}", chunk);
         }
+        prop_assert!(ledger.shard_count() >= 3, "world must span shards");
         // Draws never name a user past 23, so checking that range covers
         // every populated row in both ledgers.
         assert_ledgers_agree(&ledger, &reference, 24)?;

@@ -76,6 +76,13 @@ fn digest(w: &OsnWorld) -> String {
     out
 }
 
+/// A one-like batch — the smallest like event the log carries.
+fn like(user: u32, page: u32, at: SimTime) -> WorldEvent {
+    WorldEvent::LikeBatch {
+        likes: vec![(UserId(user), PageId(page), at)],
+    }
+}
+
 /// Deterministic shuffle of `items` from `seed`.
 fn permute<T>(items: &mut [T], seed: u64) {
     Rng::seed_from_u64(seed).shuffle(items);
@@ -130,16 +137,12 @@ proptest! {
         sorted.sort_unstable();
         let events: Vec<WorldEvent> = sorted
             .iter()
-            .map(|k| WorldEvent::Like {
-                user: UserId(k / PAGES),
-                page: PageId(k % PAGES),
-                at,
-            })
+            .map(|k| like(k / PAGES, k % PAGES, at))
             .collect();
 
         let mut a = base_world();
         for ev in &events {
-            a.apply_event(ev);
+            a.apply_event(ev).unwrap();
         }
         // Interleaving-valid: likes on the same page keep their relative
         // order (the page's liker list is append-ordered), pages merge in
@@ -147,14 +150,14 @@ proptest! {
         let shuffled = interleave(
             events,
             |ev| match ev {
-                WorldEvent::Like { page, .. } => page.0,
+                WorldEvent::LikeBatch { likes } => likes[0].1 .0,
                 _ => unreachable!(),
             },
             seed,
         );
         let mut b = base_world();
         for ev in &shuffled {
-            b.apply_event(ev);
+            b.apply_event(ev).unwrap();
         }
         prop_assert_eq!(digest(&a), digest(&b));
     }
@@ -168,20 +171,20 @@ proptest! {
         let mut events = vec![
             WorldEvent::Friendship { a: UserId(0), b: UserId(1) },
             WorldEvent::Friendship { a: UserId(2), b: UserId(3) },
-            WorldEvent::Like { user: UserId(4), page: PageId(0), at },
-            WorldEvent::Like { user: UserId(5), page: PageId(1), at },
+            like(4, 0, at),
+            like(5, 1, at),
             WorldEvent::OffNetworkFriends { user: UserId(6), n: 17 },
             WorldEvent::Terminated { user: UserId(7), at },
         ];
 
         let mut a = base_world();
         for ev in &events {
-            a.apply_event(ev);
+            a.apply_event(ev).unwrap();
         }
         let mut b = base_world();
         permute(&mut events, seed);
         for ev in &events {
-            b.apply_event(ev);
+            b.apply_event(ev).unwrap();
         }
         prop_assert_eq!(digest(&a), digest(&b));
     }

@@ -1,9 +1,13 @@
 //! Replay-identity guarantees: a captured study log reproduces the run's
 //! report and checklist byte-for-byte at any worker count, from memory or
-//! from a file on disk; a damaged log is a hard structured error.
+//! from a file on disk; a damaged log, or one naming an account the world
+//! never created, is a hard structured error.
 
 use likelab::core::record::read_study_log;
 use likelab::core::replay::{replay_records, replay_study, ReplayOptions};
+use likelab::core::serve::{ServeConfig, ServeEngine};
+use likelab::graph::UserId;
+use likelab::osn::WorldEvent;
 use likelab::sim::event::{encode_binary, LogError, LogHeader, LogRecord};
 use likelab::sim::Exec;
 use likelab::{
@@ -54,17 +58,19 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-fn binary_log_bytes() -> Vec<u8> {
-    let c = captured();
-    let records: Vec<LogRecord> = c
-        .records
+fn frames(records: &[(u64, StudyRecord)]) -> Vec<LogRecord> {
+    records
         .iter()
         .map(|(seq, r)| LogRecord {
             seq: *seq,
             payload: r.to_value(),
         })
-        .collect();
-    encode_binary(&c.header, &records).expect("encode")
+        .collect()
+}
+
+fn binary_log_bytes() -> Vec<u8> {
+    let c = captured();
+    encode_binary(&c.header, &frames(&c.records)).expect("encode")
 }
 
 #[test]
@@ -140,4 +146,50 @@ fn a_file_that_is_not_a_binary_log_is_a_hard_structured_error() {
         other => panic!("expected BadMagic, got {other:?}"),
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_frame_naming_an_unknown_account_is_a_structured_error() {
+    // The captured log up to its first like batch, whose first liker is
+    // swapped for an account the world never created.
+    let c = captured();
+    let last = c
+        .records
+        .iter()
+        .position(|(_, r)| matches!(r, StudyRecord::World(WorldEvent::LikeBatch { .. })))
+        .expect("a like batch");
+    let mut records = c.records[..=last].to_vec();
+    let (bad_seq, record) = &mut records[last];
+    let StudyRecord::World(WorldEvent::LikeBatch { likes }) = record else {
+        unreachable!("picked a like batch");
+    };
+    likes[0].0 = UserId(4_000_000);
+    let (bad_seq, frames) = (*bad_seq, frames(&records));
+
+    let dir = scratch("unknown-account");
+    let path = dir.join("study.log");
+    std::fs::write(&path, encode_binary(&c.header, &frames).unwrap()).unwrap();
+    match replay_study(&path, &ReplayOptions::default()) {
+        Err(StudyError::BadRecord { seq, reason }) => {
+            assert_eq!(seq, bad_seq);
+            assert!(reason.contains("u4000000"), "{reason}");
+        }
+        other => panic!("expected BadRecord, got {:?}", other.err()),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+
+    let mut engine = ServeEngine::new(&c.header, ServeConfig::default()).unwrap();
+    let (bad, good) = frames.split_last().unwrap();
+    for frame in good {
+        engine.ingest_frame(frame).expect("valid frame");
+    }
+    match engine.ingest_frame(bad) {
+        Err(StudyError::BadRecord { seq, .. }) => assert_eq!(seq, bad_seq),
+        other => panic!("expected BadRecord, got {other:?}"),
+    }
+    assert_eq!(
+        engine.records_ingested(),
+        good.len() as u64,
+        "nothing folded"
+    );
 }

@@ -5,7 +5,7 @@
 
 use likelab::osn::GeoBucket;
 use likelab::sim::Exec;
-use likelab::{run_study, run_study_opts, run_study_with, RunOptions, StudyConfig, StudyOutcome};
+use likelab::{run_study, run_study_with, StudyConfig, StudyOutcome};
 use std::sync::OnceLock;
 
 const SMALL: f64 = 0.06;
@@ -135,35 +135,6 @@ fn scale_preset_report_is_worker_invariant() {
             "scale-preset report differs between sequential and {workers} workers"
         );
     }
-}
-
-/// Draining runs of consecutive like events as one columnar batch (the
-/// default event loop) is byte-identical to the historical per-event loop:
-/// like handling draws no randomness, and account status only changes at
-/// sweep events, which terminate every coalesced run. The report JSON — the
-/// full observable output of a run — must not differ by a single byte.
-#[test]
-fn coalesced_like_ingest_matches_per_event_loop() {
-    let config = StudyConfig::scale_world(7, 0.01);
-    let json_for = |coalesce: bool| {
-        run_study_opts(
-            &config,
-            &RunOptions {
-                coalesce_likes: coalesce,
-                ..RunOptions::default()
-            },
-        )
-        .expect("study runs")
-        .report
-        .to_json()
-        .expect("report serializes")
-    };
-    let coalesced = json_for(true);
-    assert!(!coalesced.is_empty());
-    assert!(
-        coalesced == json_for(false),
-        "coalesced like ingest diverged from the per-event loop"
-    );
 }
 
 #[test]

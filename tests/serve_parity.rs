@@ -205,10 +205,10 @@ fn mid_stream_seq_regression_is_rejected() {
 }
 
 /// Packed-ledger parity: the batch world builds its bit-packed posting lists
-/// through bulk parallel `ingest_batch`, while the serve engine folds the
-/// same likes one `record` at a time from the log. Those are maximally
-/// different construction orders for the packed encoding — every observable
-/// ledger query must still agree exactly, including iteration order.
+/// with the producer's eight workers (the dense kernel groups shards in
+/// parallel), while the serve engine folds the same like batches from the
+/// log sequentially, one frame at a time, through the fanout. Every
+/// observable ledger query must agree exactly, including iteration order.
 #[test]
 fn packed_ledger_folds_identically_online_and_batch() {
     let (outcome, log) = logged_run(8);
