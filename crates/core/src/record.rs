@@ -19,7 +19,7 @@
 use likelab_graph::PageId;
 use likelab_honeypot::{BaselineRecord, CrawlCoverage, LikerRecord, Observation};
 use likelab_osn::{EventError, WorldEvent};
-use likelab_sim::event::{encode_binary, FrameWriter, LogError, LogHeader, LogRecord};
+use likelab_sim::event::{FrameWriter, LogError, LogHeader, LogRecord};
 use likelab_sim::tail::TailReader;
 use likelab_sim::SimTime;
 use serde::{Deserialize, Serialize, Value};
@@ -307,18 +307,15 @@ impl StudyLog {
 
     /// Encode the captured records through the binary framing (header,
     /// length-prefixed checksummed frames) — the same bytes a streamed
-    /// sink would hold. Used by the `world_log` bench to measure append
-    /// throughput without a disk sink in the loop.
+    /// sink would hold. Each record is lowered and framed in turn, so only
+    /// one payload tree is alive at a time. Used by the `world_log` bench to
+    /// measure append throughput without a disk sink in the loop.
     pub fn to_binary(&self) -> Result<Vec<u8>, StudyError> {
-        let records: Vec<LogRecord> = self
-            .records
-            .iter()
-            .map(|(seq, r)| LogRecord {
-                seq: *seq,
-                payload: r.to_value(),
-            })
-            .collect();
-        Ok(encode_binary(&self.header, &records)?)
+        let mut out = FrameWriter::new(Vec::new(), &self.header)?;
+        for (seq, r) in &self.records {
+            out.append(*seq, &r.to_value())?;
+        }
+        Ok(out.into_inner())
     }
 }
 

@@ -608,27 +608,24 @@ impl ServeSession {
 }
 
 fn ok_line(id: &Value, data: Value) -> String {
-    let response = Value::Object(vec![
-        ("v".into(), Value::UInt(PROTOCOL_VERSION)),
-        ("id".into(), id.clone()),
-        ("ok".into(), Value::Bool(true)),
-        ("data".into(), data),
-    ]);
-    serde_json::to_string(&response).unwrap_or_else(|e| {
-        format!("{{\"v\":1,\"ok\":false,\"error\":\"response serialization: {e}\"}}")
-    })
+    response_line(id, true, "data", data)
 }
 
 fn error_line(id: &Value, message: &str) -> String {
+    response_line(id, false, "error", Value::Str(message.into()))
+}
+
+/// One compact response line: `v`, `id` and `ok`, then `key: value`.
+fn response_line(id: &Value, ok: bool, key: &str, value: Value) -> String {
     let response = Value::Object(vec![
         ("v".into(), Value::UInt(PROTOCOL_VERSION)),
         ("id".into(), id.clone()),
-        ("ok".into(), Value::Bool(false)),
-        ("error".into(), Value::Str(message.into())),
+        ("ok".into(), Value::Bool(ok)),
+        (key.into(), value),
     ]);
-    serde_json::to_string(&response).unwrap_or_else(|e| {
-        format!("{{\"v\":1,\"ok\":false,\"error\":\"response serialization: {e}\"}}")
-    })
+    let mut line = String::new();
+    serde_json::write_compact(&mut line, &response);
+    line
 }
 
 /// Where [`serve`] listens for queries.

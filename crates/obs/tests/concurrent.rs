@@ -1,15 +1,27 @@
 //! Concurrency tests for the metrics registry: many writer threads, one
-//! merged snapshot, exact totals. These run in their own process (an
-//! integration-test binary), so they own the global observability state
-//! and don't need the unit tests' serialization lock.
+//! merged snapshot, exact totals. This binary runs apart from the unit
+//! tests, but its own tests run on parallel threads and each one resets,
+//! enables and disables the process-global observability state, so they
+//! take turns on [`SERIAL`].
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 const THREADS: usize = 8;
 const INCREMENTS: u64 = 10_000;
 
+/// Held for the whole of each test that touches the global state.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A test that panicked while holding the lock guards no data: the next
+    // test resets the registry before it reads anything.
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[test]
 fn concurrent_writers_produce_exact_totals() {
+    let _serial = serial();
     likelab_obs::reset();
     likelab_obs::enable();
     thread::scope(|scope| {
@@ -54,6 +66,7 @@ fn snapshot_merge_is_shard_order_independent() {
     // Merging is built on Histogram::merge (associative + commutative) and
     // counter addition; interleave writers with snapshot readers to check a
     // mid-flight snapshot never panics and never over-counts.
+    let _serial = serial();
     likelab_obs::reset();
     likelab_obs::enable();
     thread::scope(|scope| {

@@ -25,7 +25,6 @@
 //! is called with the study-end clock; at end-of-stream the watermark
 //! equals it).
 
-use crate::likes::LikeColumns;
 use crate::log::{EventError, WorldEvent};
 use crate::world::OsnWorld;
 use likelab_graph::{PageId, UserId};
@@ -211,12 +210,11 @@ impl EventFanout {
                 // The journal carries the *input* batch: every item moves
                 // the watermark, rejected ones included. The ledger appends
                 // exactly the accepted items, in batch order.
-                for &(_, _, at) in likes {
+                for &at in &likes.times {
                     self.advance(at);
                 }
                 let start = self.world.likes().len() as u32;
-                self.world
-                    .ingest_like_columns(&LikeColumns::from_rows(likes), Exec::Sequential);
+                self.world.ingest_like_columns(likes, Exec::Sequential);
                 for r in self.world.likes().records_from(start) {
                     sink(DetectorUpdate::LikeAccepted {
                         user: r.user,
@@ -262,6 +260,7 @@ mod tests {
     use super::*;
     use crate::account::{ActorClass, PrivacySettings};
     use crate::demographics::{Country, Gender, Profile};
+    use crate::likes::LikeColumns;
     use crate::page::PageCategory;
     use likelab_sim::Exec;
 
@@ -426,18 +425,31 @@ mod tests {
         let (likes, watermark) = (folded.likes().len(), fanout.watermark());
         let late = SimTime::at_day(99);
         let far = UserId(4_000_000);
+        let mut ragged = LikeColumns::from_rows(&[(UserId(0), PageId(1), late)]);
+        ragged.times.push(late);
         let bad = [
             (
                 WorldEvent::LikeBatch {
-                    likes: vec![(UserId(0), PageId(1), late), (far, PageId(0), late)],
+                    likes: LikeColumns::from_rows(&[
+                        (UserId(0), PageId(1), late),
+                        (far, PageId(0), late),
+                    ]),
                 },
                 EventError::UnknownUser(far),
             ),
             (
                 WorldEvent::LikeBatch {
-                    likes: vec![(UserId(0), PageId(2), late)],
+                    likes: LikeColumns::from_rows(&[(UserId(0), PageId(2), late)]),
                 },
                 EventError::UnknownPage(PageId(2)),
+            ),
+            (
+                WorldEvent::LikeBatch { likes: ragged },
+                EventError::RaggedLikeBatch {
+                    users: 1,
+                    pages: 1,
+                    times: 2,
+                },
             ),
             (
                 WorldEvent::Friendship {

@@ -56,9 +56,12 @@ pub struct LikeRecord {
 /// Every like enters the ledger as one of these: synthesis, farm
 /// camouflage and the event loop build them directly, so batches flow into
 /// the ledger's columns without a row-tuple detour — the accepted region of
-/// each column memcpys straight onto the ledger. The three columns always
-/// have equal lengths.
-#[derive(Clone, Debug, Default)]
+/// each column memcpys straight onto the ledger. The world journals a batch
+/// as it is, so it serializes as three integer arrays. The three columns
+/// always have equal lengths; a batch read from a log is checked for that
+/// ([`OsnWorld::check_event`](crate::OsnWorld::check_event)) before it is
+/// applied.
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct LikeColumns {
     /// Who liked, per batch position.
     pub users: Vec<UserId>,
@@ -78,7 +81,7 @@ impl LikeColumns {
         }
     }
 
-    /// Build columns from row tuples (a journaled `LikeBatch`, tests).
+    /// Build columns from row tuples (tests).
     pub fn from_rows(rows: &[(UserId, PageId, SimTime)]) -> Self {
         let mut cols = LikeColumns::with_capacity(rows.len());
         for &(user, page, at) in rows {
@@ -111,7 +114,7 @@ impl LikeColumns {
         self.times.push(at);
     }
 
-    /// Zip the columns back into row tuples (journaling and tests).
+    /// Zip the columns back into row tuples.
     pub fn rows(&self) -> impl Iterator<Item = (UserId, PageId, SimTime)> + '_ {
         (0..self.len()).map(move |i| (self.users[i], self.pages[i], self.times[i]))
     }

@@ -26,6 +26,7 @@
 
 use crate::account::{ActorClass, PrivacySettings};
 use crate::demographics::Profile;
+use crate::likes::LikeColumns;
 use crate::page::PageCategory;
 use likelab_graph::{PageId, UserId};
 use likelab_sim::SimTime;
@@ -83,10 +84,11 @@ pub enum WorldEvent {
     /// A like ingestion — the *input* batch, before filtering; the only
     /// like event. Replay re-applies the same active-account filter and
     /// duplicate rejection, which produce identical results against the
-    /// replayed state.
+    /// replayed state. Journaled as the columns it arrived in (three
+    /// integer arrays), which replay ingests as they are.
     LikeBatch {
-        /// The batch as handed to `ingest_like_columns`, as rows.
-        likes: Vec<(UserId, PageId, SimTime)>,
+        /// The batch exactly as handed to `ingest_like_columns`.
+        likes: LikeColumns,
     },
     /// An active account was terminated.
     Terminated {
@@ -111,6 +113,15 @@ pub enum EventError {
     UnknownPage(PageId),
     /// It befriends an account with itself.
     SelfFriendship(UserId),
+    /// It carries a like batch whose columns differ in length.
+    RaggedLikeBatch {
+        /// Length of the `users` column.
+        users: usize,
+        /// Length of the `pages` column.
+        pages: usize,
+        /// Length of the `times` column.
+        times: usize,
+    },
 }
 
 impl fmt::Display for EventError {
@@ -119,6 +130,14 @@ impl fmt::Display for EventError {
             EventError::UnknownUser(user) => write!(f, "unknown user {user}"),
             EventError::UnknownPage(page) => write!(f, "unknown page {page}"),
             EventError::SelfFriendship(user) => write!(f, "self-friendship of user {user}"),
+            EventError::RaggedLikeBatch {
+                users,
+                pages,
+                times,
+            } => write!(
+                f,
+                "like batch columns differ in length: {users} users, {pages} pages, {times} times"
+            ),
         }
     }
 }
@@ -164,7 +183,6 @@ mod tests {
     use super::*;
     use crate::account::AccountStatus;
     use crate::demographics::{Country, Gender};
-    use crate::likes::LikeColumns;
     use crate::world::OsnWorld;
     use likelab_sim::parallel::Exec;
 
@@ -311,10 +329,18 @@ mod tests {
                 edges: vec![(UserId(0), UserId(1)), (UserId(2), UserId(0))],
             },
             WorldEvent::LikeBatch {
-                likes: vec![(UserId(1), PageId(0), SimTime::at_day(9))],
+                likes: LikeColumns::from_rows(&[
+                    (UserId(1), PageId(0), SimTime::at_day(9)),
+                    (UserId(3), PageId(2), SimTime::at_day(9)),
+                ]),
             },
             WorldEvent::Reinstated { user: UserId(7) },
         ];
+        // A like batch travels as its three columns.
+        assert_eq!(
+            serde_json::to_string(&evs[2]).unwrap(),
+            r#"{"LikeBatch":{"likes":{"users":[1,3],"pages":[0,2],"times":[777600,777600]}}}"#
+        );
         for ev in &evs {
             let json = serde_json::to_string(&serde_json::to_value(ev)).unwrap();
             let back: WorldEvent =

@@ -60,10 +60,11 @@ impl OsnWorld {
         self.recorder.drain()
     }
 
-    /// Check that every account and page `ev` names exists in this world
-    /// (and that no friendship is a self-loop), so applying it cannot index
-    /// out of bounds. Replay and the serve fanout call this before applying
-    /// an event read from a log.
+    /// Check that every account and page `ev` names exists in this world,
+    /// that no friendship is a self-loop and that a like batch's columns
+    /// have equal lengths, so applying it cannot index out of bounds.
+    /// Replay and the serve fanout call this before applying an event read
+    /// from a log.
     pub fn check_event(&self, ev: &WorldEvent) -> Result<(), EventError> {
         let (accounts, pages) = (self.accounts.len(), self.pages.len());
         let user = |u: UserId| {
@@ -91,7 +92,20 @@ impl OsnWorld {
             | WorldEvent::Terminated { user: u, .. }
             | WorldEvent::Reinstated { user: u } => user(*u),
             WorldEvent::LikeBatch { likes } => {
-                likes.iter().try_for_each(|&(u, p, _)| user(u).and(page(p)))
+                let (users, pages, times) =
+                    (likes.users.len(), likes.pages.len(), likes.times.len());
+                if pages != users || times != users {
+                    return Err(EventError::RaggedLikeBatch {
+                        users,
+                        pages,
+                        times,
+                    });
+                }
+                likes
+                    .users
+                    .iter()
+                    .zip(&likes.pages)
+                    .try_for_each(|(&u, &p)| user(u).and(page(p)))
             }
         }
     }
@@ -135,7 +149,7 @@ impl OsnWorld {
                 self.set_off_network_friends(*user, *n);
             }
             WorldEvent::LikeBatch { likes } => {
-                self.ingest_like_columns(&LikeColumns::from_rows(likes), Exec::Sequential);
+                self.ingest_like_columns(likes, Exec::Sequential);
             }
             WorldEvent::Terminated { user, at } => {
                 self.terminate_account(*user, *at);
@@ -359,7 +373,7 @@ impl OsnWorld {
     pub fn ingest_like_columns(&mut self, batch: &LikeColumns, exec: Exec) -> usize {
         if !batch.is_empty() {
             self.recorder.push_with(|| WorldEvent::LikeBatch {
-                likes: batch.rows().collect(),
+                likes: batch.clone(),
             });
         }
         let alive;

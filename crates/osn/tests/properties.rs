@@ -180,8 +180,9 @@ proptest! {
                     expected.push((user, page, at));
                 }
             }
+            let batch = WorldEvent::LikeBatch { likes: LikeColumns::from_rows(&rows) };
             fanout
-                .apply(&WorldEvent::LikeBatch { likes: rows }, |update| {
+                .apply(&batch, |update| {
                     if let DetectorUpdate::LikeAccepted { user, page, at } = update {
                         emitted.push((user, page, at));
                     }

@@ -26,10 +26,19 @@ use std::io;
 /// The binary codec's magic bytes.
 pub const MAGIC: [u8; 4] = *b"LLOG";
 
+/// Fixed bytes before the header's variable-length meta document:
+/// magic (4) + version (2) + reserved (2) + meta length (4).
+pub(crate) const HEADER_FIXED: usize = 12;
+
+/// Fixed bytes before a frame's payload: len (4) + seq (8) + checksum (8).
+pub(crate) const FRAME_FIXED: usize = 20;
+
 /// Current format version (bump on any framing or vocabulary change; see
 /// DESIGN.md for the versioning policy). Version 2 dropped the single-like
-/// world event: every like is journaled as a batch.
-pub const FORMAT_VERSION: u16 = 2;
+/// world event: every like is journaled as a batch. Version 3 journals a
+/// like batch as three columns (users, pages, times), not one array per
+/// like.
+pub const FORMAT_VERSION: u16 = 3;
 
 /// Log header: format version plus caller metadata.
 #[derive(Clone, Debug, PartialEq)]
@@ -157,39 +166,56 @@ pub(crate) fn fnv1a_bytes(bytes: &[u8]) -> u64 {
     h
 }
 
-fn payload_bytes(payload: &Value) -> Result<Vec<u8>, LogError> {
-    serde_json::to_string(payload)
-        .map(String::into_bytes)
-        .map_err(|e| LogError::Io(e.to_string()))
-}
-
-fn header_bytes(header: &LogHeader) -> Result<Vec<u8>, LogError> {
-    let meta = payload_bytes(&header.meta)?;
-    let mut out = Vec::with_capacity(meta.len() + 16);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&header.version.to_le_bytes());
-    out.extend_from_slice(&[0u8; 2]); // reserved
-    out.extend_from_slice(&(meta.len() as u32).to_le_bytes());
-    out.extend_from_slice(&meta);
-    Ok(out)
+/// Write the header: magic, version, reserved, meta length, meta JSON.
+/// Returns the bytes written.
+fn write_header(sink: &mut impl io::Write, header: &LogHeader) -> Result<u64, LogError> {
+    let mut meta = String::new();
+    serde_json::write_compact(&mut meta, &header.meta);
+    let len = body_len(&meta)?;
+    sink.write_all(&MAGIC)?;
+    sink.write_all(&header.version.to_le_bytes())?;
+    sink.write_all(&[0u8; 2])?; // reserved
+    sink.write_all(&len.to_le_bytes())?;
+    sink.write_all(meta.as_bytes())?;
+    Ok((HEADER_FIXED + meta.len()) as u64)
 }
 
 /// Frame one record: `[len: u32][seq: u64][fnv1a: u64][payload bytes]`.
-fn frame_bytes(seq: u64, payload: &Value) -> Result<Vec<u8>, LogError> {
-    let body = payload_bytes(payload)?;
-    let mut out = Vec::with_capacity(body.len() + 20);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&fnv1a_bytes(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    Ok(out)
+/// The payload renders into `text`, scratch the caller reuses across
+/// frames, so a frame allocates nothing once `text` has grown to fit.
+/// Returns the bytes written.
+fn write_frame(
+    sink: &mut impl io::Write,
+    text: &mut String,
+    seq: u64,
+    payload: &Value,
+) -> Result<u64, LogError> {
+    text.clear();
+    serde_json::write_compact(text, payload);
+    let body = text.as_bytes();
+    let mut head = [0u8; FRAME_FIXED];
+    head[..4].copy_from_slice(&body_len(text)?.to_le_bytes());
+    head[4..12].copy_from_slice(&seq.to_le_bytes());
+    head[12..].copy_from_slice(&fnv1a_bytes(body).to_le_bytes());
+    sink.write_all(&head)?;
+    sink.write_all(body)?;
+    Ok((FRAME_FIXED + body.len()) as u64)
 }
 
-/// Encode a whole log to the binary format.
+/// A rendered document's length as the `u32` the framing stores.
+fn body_len(text: &str) -> Result<u32, LogError> {
+    u32::try_from(text.len())
+        .map_err(|_| LogError::Io(format!("{}-byte document overflows a frame", text.len())))
+}
+
+/// Encode a whole log to the binary format. Unlike [`FrameWriter`], it
+/// frames the records as given, without checking their order.
 pub fn encode_binary(header: &LogHeader, records: &[LogRecord]) -> Result<Vec<u8>, LogError> {
-    let mut out = header_bytes(header)?;
+    let mut out = Vec::new();
+    write_header(&mut out, header)?;
+    let mut text = String::new();
     for r in records {
-        out.extend_from_slice(&frame_bytes(r.seq, &r.payload)?);
+        write_frame(&mut out, &mut text, r.seq, &r.payload)?;
     }
     Ok(out)
 }
@@ -203,17 +229,19 @@ pub struct FrameWriter<W: io::Write> {
     sink: W,
     bytes: u64,
     last_seq: Option<u64>,
+    /// Payload rendering scratch, reused across appends.
+    text: String,
 }
 
 impl<W: io::Write> FrameWriter<W> {
     /// Start a fresh stream: writes the header immediately.
     pub fn new(mut sink: W, header: &LogHeader) -> Result<Self, LogError> {
-        let head = header_bytes(header)?;
-        sink.write_all(&head)?;
+        let bytes = write_header(&mut sink, header)?;
         Ok(FrameWriter {
             sink,
-            bytes: head.len() as u64,
+            bytes,
             last_seq: None,
+            text: String::new(),
         })
     }
 
@@ -225,6 +253,7 @@ impl<W: io::Write> FrameWriter<W> {
             sink,
             bytes,
             last_seq,
+            text: String::new(),
         }
     }
 
@@ -235,9 +264,7 @@ impl<W: io::Write> FrameWriter<W> {
                 return Err(LogError::NonMonotoneSeq { prev, next: seq });
             }
         }
-        let frame = frame_bytes(seq, payload)?;
-        self.sink.write_all(&frame)?;
-        self.bytes += frame.len() as u64;
+        self.bytes += write_frame(&mut self.sink, &mut self.text, seq, payload)?;
         self.last_seq = Some(seq);
         Ok(())
     }
@@ -256,6 +283,11 @@ impl<W: io::Write> FrameWriter<W> {
     /// The last appended sequence number, if any.
     pub fn last_seq(&self) -> Option<u64> {
         self.last_seq
+    }
+
+    /// Hand the sink back (e.g. the bytes of a log framed into a `Vec`).
+    pub fn into_inner(self) -> W {
+        self.sink
     }
 }
 

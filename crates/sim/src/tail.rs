@@ -22,17 +22,12 @@
 //! since the last poll and returns the newly completed records. This is the
 //! file-follow substrate `likelab serve` ingests from.
 
-use crate::event::{fnv1a_bytes, LogError, LogHeader, LogRecord, FORMAT_VERSION, MAGIC};
+use crate::event::{
+    fnv1a_bytes, LogError, LogHeader, LogRecord, FORMAT_VERSION, FRAME_FIXED, HEADER_FIXED, MAGIC,
+};
 use serde::Value;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-
-/// Fixed bytes before the header's variable-length meta document:
-/// magic (4) + version (2) + reserved (2) + meta length (4).
-const HEADER_FIXED: usize = 12;
-
-/// Fixed bytes before a frame's payload: len (4) + seq (8) + checksum (8).
-const FRAME_FIXED: usize = 20;
 
 /// Incremental binary-log decoder. See the module docs.
 ///
@@ -453,12 +448,12 @@ mod tests {
     fn version_skew_is_rejected() {
         let (header, _) = sample();
         let mut bytes = encode_binary(&header, &[]).unwrap();
-        bytes[4] = 1; // a version-1 log, which may carry single-like events
+        bytes[4] = 2; // a version-2 log, whose like batches are rows
         let mut tail = TailReader::new();
         tail.extend(&bytes);
         assert!(matches!(
             tail.next_record(),
-            Err(LogError::VersionMismatch { found: 1, .. })
+            Err(LogError::VersionMismatch { found: 2, .. })
         ));
     }
 

@@ -9,7 +9,7 @@
 use likelab::graph::{PageId, UserId};
 use likelab::osn::demographics::Country;
 use likelab::osn::{
-    ActorClass, Gender, OsnWorld, PageCategory, PrivacySettings, Profile, WorldEvent,
+    ActorClass, Gender, LikeColumns, OsnWorld, PageCategory, PrivacySettings, Profile, WorldEvent,
 };
 use likelab::sim::{Rng, SimTime};
 use proptest::prelude::*;
@@ -79,7 +79,7 @@ fn digest(w: &OsnWorld) -> String {
 /// A one-like batch — the smallest like event the log carries.
 fn like(user: u32, page: u32, at: SimTime) -> WorldEvent {
     WorldEvent::LikeBatch {
-        likes: vec![(UserId(user), PageId(page), at)],
+        likes: LikeColumns::from_rows(&[(UserId(user), PageId(page), at)]),
     }
 }
 
@@ -150,7 +150,7 @@ proptest! {
         let shuffled = interleave(
             events,
             |ev| match ev {
-                WorldEvent::LikeBatch { likes } => likes[0].1 .0,
+                WorldEvent::LikeBatch { likes } => likes.pages[0].0,
                 _ => unreachable!(),
             },
             seed,

@@ -1,7 +1,8 @@
 //! Replay-identity guarantees: a captured study log reproduces the run's
 //! report and checklist byte-for-byte at any worker count, from memory or
 //! from a file on disk; a damaged log, or one naming an account the world
-//! never created, is a hard structured error.
+//! never created or carrying a ragged like batch, is a hard structured
+//! error.
 
 use likelab::core::record::read_study_log;
 use likelab::core::replay::{replay_records, replay_study, ReplayOptions};
@@ -150,46 +151,59 @@ fn a_file_that_is_not_a_binary_log_is_a_hard_structured_error() {
 
 #[test]
 fn a_frame_naming_an_unknown_account_is_a_structured_error() {
-    // The captured log up to its first like batch, whose first liker is
-    // swapped for an account the world never created.
+    // The captured log up to its first like batch, tampered two ways: its
+    // first liker swapped for an account the world never created, and its
+    // time column cut one short of the other two.
     let c = captured();
     let last = c
         .records
         .iter()
         .position(|(_, r)| matches!(r, StudyRecord::World(WorldEvent::LikeBatch { .. })))
         .expect("a like batch");
-    let mut records = c.records[..=last].to_vec();
-    let (bad_seq, record) = &mut records[last];
-    let StudyRecord::World(WorldEvent::LikeBatch { likes }) = record else {
-        unreachable!("picked a like batch");
-    };
-    likes[0].0 = UserId(4_000_000);
-    let (bad_seq, frames) = (*bad_seq, frames(&records));
-
-    let dir = scratch("unknown-account");
-    let path = dir.join("study.log");
-    std::fs::write(&path, encode_binary(&c.header, &frames).unwrap()).unwrap();
-    match replay_study(&path, &ReplayOptions::default()) {
-        Err(StudyError::BadRecord { seq, reason }) => {
-            assert_eq!(seq, bad_seq);
-            assert!(reason.contains("u4000000"), "{reason}");
+    for (tag, want) in [
+        ("unknown-account", "u4000000"),
+        ("ragged-batch", "columns differ in length"),
+    ] {
+        let mut records = c.records[..=last].to_vec();
+        let (bad_seq, record) = &mut records[last];
+        let StudyRecord::World(WorldEvent::LikeBatch { likes }) = record else {
+            unreachable!("picked a like batch");
+        };
+        if tag == "ragged-batch" {
+            likes.times.pop();
+        } else {
+            likes.users[0] = UserId(4_000_000);
         }
-        other => panic!("expected BadRecord, got {:?}", other.err()),
-    }
-    std::fs::remove_dir_all(&dir).ok();
+        let (bad_seq, frames) = (*bad_seq, frames(&records));
 
-    let mut engine = ServeEngine::new(&c.header, ServeConfig::default()).unwrap();
-    let (bad, good) = frames.split_last().unwrap();
-    for frame in good {
-        engine.ingest_frame(frame).expect("valid frame");
+        let dir = scratch(tag);
+        let path = dir.join("study.log");
+        std::fs::write(&path, encode_binary(&c.header, &frames).unwrap()).unwrap();
+        match replay_study(&path, &ReplayOptions::default()) {
+            Err(StudyError::BadRecord { seq, reason }) => {
+                assert_eq!(seq, bad_seq);
+                assert!(reason.contains(want), "{reason}");
+            }
+            other => panic!("expected BadRecord, got {:?}", other.err()),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+
+        let mut engine = ServeEngine::new(&c.header, ServeConfig::default()).unwrap();
+        let (bad, good) = frames.split_last().unwrap();
+        for frame in good {
+            engine.ingest_frame(frame).expect("valid frame");
+        }
+        match engine.ingest_frame(bad) {
+            Err(StudyError::BadRecord { seq, reason }) => {
+                assert_eq!(seq, bad_seq);
+                assert!(reason.contains(want), "{reason}");
+            }
+            other => panic!("expected BadRecord, got {other:?}"),
+        }
+        assert_eq!(
+            engine.records_ingested(),
+            good.len() as u64,
+            "nothing folded"
+        );
     }
-    match engine.ingest_frame(bad) {
-        Err(StudyError::BadRecord { seq, .. }) => assert_eq!(seq, bad_seq),
-        other => panic!("expected BadRecord, got {other:?}"),
-    }
-    assert_eq!(
-        engine.records_ingested(),
-        good.len() as u64,
-        "nothing folded"
-    );
 }
