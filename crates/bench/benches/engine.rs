@@ -1,9 +1,7 @@
-//! Kernel and end-to-end performance benches: the event engine, the RNG,
-//! graph generation, and the full study at small scales — the numbers that
-//! tell you how far the world scale can be pushed.
+//! Kernel benches: the event engine, the RNG and graph generation. The
+//! full study is timed end to end by `likelab-benchmark`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use likelab_core::{run_study, StudyConfig};
 use likelab_graph::{generate, FriendGraph, UserId};
 use likelab_sim::{Engine, Rng, SimDuration, SimTime};
 use std::hint::black_box;
@@ -56,19 +54,5 @@ fn bench_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_study(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine/full_study");
-    group.sample_size(10);
-    for scale in [0.02f64, 0.05] {
-        group.bench_with_input(BenchmarkId::from_parameter(scale), &scale, |b, &scale| {
-            b.iter(|| {
-                let outcome = run_study(&StudyConfig::paper(7, scale));
-                black_box(outcome.dataset.total_likes())
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_kernel, bench_study);
+criterion_group!(benches, bench_kernel);
 criterion_main!(benches);

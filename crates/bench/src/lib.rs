@@ -1,10 +1,11 @@
-//! Shared harness for the table/figure regeneration benches.
+//! Shared helpers for the kernel benches: the ablations, detectors, crawl
+//! pipeline, event engine, sweep scaling and observability overhead.
 //!
-//! Every bench target regenerates one of the paper's artifacts: it runs the
-//! calibrated study once (cached across benches in the same process, scale
-//! from `LIKELAB_BENCH_SCALE`, default 0.2), prints the paper-vs-measured
-//! rows for EXPERIMENTS.md, and times the analysis that regenerates the
-//! artifact from the dataset.
+//! End-to-end and per-layer numbers for the whole program come from
+//! `likelab-benchmark` (`benchmark/` at the repository root), not from
+//! here. Benches that need a study run it once (cached across benches in
+//! the same process, scale from `LIKELAB_BENCH_SCALE`, default 0.2) and
+//! print their result blocks through [`print_block`].
 
 use likelab_core::{run_study, StudyConfig, StudyOutcome};
 use std::sync::OnceLock;
@@ -34,11 +35,10 @@ pub fn study() -> &'static StudyOutcome {
     })
 }
 
-/// Print a paper-vs-measured block, prefixed for easy grepping in bench
-/// logs (these blocks are the source for EXPERIMENTS.md).
+/// Print a result block, prefixed for easy grepping in bench logs.
 pub fn print_block(title: &str, body: &str) {
-    // Printing IS this harness's job: bench logs are the source for
-    // EXPERIMENTS.md, so stdout here is deliberate.
+    // Printing IS this harness's job: the blocks are the benches' result,
+    // so stdout here is deliberate.
     // lint:allow(stdout-in-library)
     println!("\n==== {title} (scale {}) ====", bench_scale());
     for line in body.lines() {
@@ -47,9 +47,4 @@ pub fn print_block(title: &str, body: &str) {
     }
     // lint:allow(stdout-in-library)
     println!();
-}
-
-/// Scale a paper count down to the bench scale for comparison.
-pub fn scaled(paper_value: usize) -> f64 {
-    paper_value as f64 * bench_scale()
 }

@@ -308,8 +308,8 @@ impl StudyLog {
     /// Encode the captured records through the binary framing (header,
     /// length-prefixed checksummed frames) — the same bytes a streamed
     /// sink would hold. Each record is lowered and framed in turn, so only
-    /// one payload tree is alive at a time. Used by the `world_log` bench to
-    /// measure append throughput without a disk sink in the loop.
+    /// one payload tree is alive at a time. Serve's parity test and the
+    /// benchmark's `serve_mixed` set-up use it to hold a log in memory.
     pub fn to_binary(&self) -> Result<Vec<u8>, StudyError> {
         let mut out = FrameWriter::new(Vec::new(), &self.header)?;
         for (seq, r) in &self.records {

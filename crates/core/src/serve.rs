@@ -30,7 +30,7 @@ use likelab_sim::event::{LogHeader, LogRecord};
 use likelab_sim::{FollowReader, SimTime};
 use serde::Value;
 use std::collections::VecDeque;
-use std::io::{BufRead, Write as _};
+use std::io::BufRead;
 use std::path::PathBuf;
 use std::sync::mpsc;
 use std::time::Duration;
@@ -689,34 +689,92 @@ struct Request {
     reply: mpsc::Sender<String>,
 }
 
-fn spawn_stdio_pump(tx: mpsc::Sender<Request>) {
-    std::thread::spawn(move || {
-        let stdin = std::io::stdin();
-        let (reply_tx, reply_rx) = mpsc::channel::<String>();
-        for line in stdin.lock().lines() {
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
-                continue;
-            }
-            if tx
-                .send(Request {
-                    line,
-                    reply: reply_tx.clone(),
-                })
-                .is_err()
-            {
-                break;
-            }
-            let Ok(response) = reply_rx.recv() else { break };
-            let mut out = std::io::stdout().lock();
-            if writeln!(out, "{response}")
-                .and_then(|()| out.flush())
-                .is_err()
-            {
-                break;
-            }
+/// The longest request line a transport accepts, in bytes, not counting
+/// the line ending (`\n` or `\r\n`). A peer that sends a longer line gets
+/// one `ok:false` reply naming the cap and is dropped; the pump never
+/// buffers past the cap and a line ending.
+pub const MAX_REQUEST_LINE: usize = 65_536;
+
+/// One read from a request stream.
+#[derive(Debug, PartialEq)]
+enum RequestLine {
+    /// A line without its line ending.
+    Line(String),
+    /// A line longer than [`MAX_REQUEST_LINE`]; reading stopped inside it.
+    TooLong,
+    /// The peer closed the stream.
+    Eof,
+}
+
+/// Read one request line, consuming at most [`MAX_REQUEST_LINE`] + 2 bytes:
+/// the cap and a CRLF.
+fn read_request_line(reader: &mut impl BufRead) -> std::io::Result<RequestLine> {
+    let mut buf = Vec::new();
+    std::io::Read::take(reader, MAX_REQUEST_LINE as u64 + 2).read_until(b'\n', &mut buf)?;
+    if buf.is_empty() {
+        return Ok(RequestLine::Eof);
+    }
+    // Without a newline, this is the stream's last line or a line cut
+    // short by the read limit.
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
         }
-    });
+    }
+    if buf.len() > MAX_REQUEST_LINE {
+        return Ok(RequestLine::TooLong);
+    }
+    String::from_utf8(buf)
+        .map(RequestLine::Line)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+}
+
+/// Forward one peer's request lines to the serve loop and write each reply
+/// back, until the peer closes, fails, or sends an over-long line. Returns
+/// false once the serve loop has stopped taking requests.
+fn pump_lines(
+    mut reader: impl BufRead,
+    mut writer: impl std::io::Write,
+    tx: &mpsc::Sender<Request>,
+) -> bool {
+    let (reply_tx, reply_rx) = mpsc::channel::<String>();
+    loop {
+        let line = match read_request_line(&mut reader) {
+            Ok(RequestLine::Line(line)) => line,
+            Ok(RequestLine::TooLong) => {
+                let msg = format!("request line longer than {MAX_REQUEST_LINE} bytes");
+                let reply = error_line(&Value::Null, &msg);
+                // The peer is dropped whether or not the reply reaches it.
+                let _ = writeln!(writer, "{reply}").and_then(|()| writer.flush());
+                return true;
+            }
+            Ok(RequestLine::Eof) | Err(_) => return true,
+        };
+        if line.trim().is_empty() {
+            continue;
+        }
+        let request = Request {
+            line,
+            reply: reply_tx.clone(),
+        };
+        if tx.send(request).is_err() {
+            return false;
+        }
+        let Ok(response) = reply_rx.recv() else {
+            return true;
+        };
+        if writeln!(writer, "{response}")
+            .and_then(|()| writer.flush())
+            .is_err()
+        {
+            return true;
+        }
+    }
+}
+
+fn spawn_stdio_pump(tx: mpsc::Sender<Request>) {
+    std::thread::spawn(move || pump_lines(std::io::stdin().lock(), std::io::stdout(), &tx));
 }
 
 fn spawn_tcp_pump(listener: std::net::TcpListener, tx: mpsc::Sender<Request>) {
@@ -726,27 +784,8 @@ fn spawn_tcp_pump(listener: std::net::TcpListener, tx: mpsc::Sender<Request>) {
             let Ok(read_half) = stream.try_clone() else {
                 continue;
             };
-            let mut write_half = stream;
-            let (reply_tx, reply_rx) = mpsc::channel::<String>();
-            let reader = std::io::BufReader::new(read_half);
-            for line in reader.lines() {
-                let Ok(line) = line else { break };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                if tx
-                    .send(Request {
-                        line,
-                        reply: reply_tx.clone(),
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-                let Ok(response) = reply_rx.recv() else { break };
-                if writeln!(write_half, "{response}").is_err() {
-                    break;
-                }
+            if !pump_lines(std::io::BufReader::new(read_half), stream, &tx) {
+                return;
             }
         }
     });
@@ -1032,5 +1071,61 @@ mod tests {
             Some(&Value::Bool(false)),
             "no graph delta between the two queries"
         );
+    }
+
+    #[test]
+    fn request_lines_are_capped_without_buffering_past_the_cap() {
+        use std::io::Cursor;
+        // At the cap, with either line ending: the ending is not counted.
+        let at_cap = "x".repeat(MAX_REQUEST_LINE);
+        for ending in ["\n", "\r\n"] {
+            let mut reader = Cursor::new(format!("{at_cap}{ending}"));
+            assert_eq!(
+                read_request_line(&mut reader).unwrap(),
+                RequestLine::Line(at_cap.clone()),
+                "{ending:?}"
+            );
+            assert_eq!(read_request_line(&mut reader).unwrap(), RequestLine::Eof);
+        }
+
+        // One byte over the cap, then a line that must never be read.
+        let over = "x".repeat(MAX_REQUEST_LINE + 1);
+        for ending in ["\n", "\r\n"] {
+            let input = format!("{over}{ending}{{\"v\":1,\"op\":\"status\"}}\n");
+            let mut reader = Cursor::new(input);
+            assert_eq!(
+                read_request_line(&mut reader).unwrap(),
+                RequestLine::TooLong,
+                "{ending:?}"
+            );
+            assert_eq!(reader.position(), MAX_REQUEST_LINE as u64 + 2);
+        }
+
+        // A fresh peer's valid line, unterminated at end of stream.
+        let status = r#"{"v":1,"id":1,"op":"status"}"#;
+        let mut reader = Cursor::new(status);
+        assert_eq!(
+            read_request_line(&mut reader).unwrap(),
+            RequestLine::Line(status.into())
+        );
+        assert_eq!(read_request_line(&mut reader).unwrap(), RequestLine::Eof);
+    }
+
+    #[test]
+    fn an_over_long_line_gets_one_error_reply_and_drops_the_peer() {
+        let input = format!(
+            "{}\n{{\"v\":1,\"id\":2,\"op\":\"status\"}}\n",
+            "x".repeat(4 * MAX_REQUEST_LINE)
+        );
+        let (tx, rx) = mpsc::channel();
+        let mut replies = Vec::new();
+        assert!(pump_lines(std::io::Cursor::new(input), &mut replies, &tx));
+        assert!(rx.try_recv().is_err(), "nothing reaches the serve loop");
+        let replies = String::from_utf8(replies).unwrap();
+        assert_eq!(replies.lines().count(), 1);
+        let v: Value = serde_json::from_str(replies.trim_end()).unwrap();
+        assert_eq!(v.get("ok"), Some(&Value::Bool(false)));
+        let error = v.get("error").and_then(Value::as_str).unwrap();
+        assert!(error.contains("65536"), "{error}");
     }
 }

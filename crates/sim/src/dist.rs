@@ -107,6 +107,8 @@ pub fn poisson(rng: &mut Rng, lambda: f64) -> u64 {
 #[derive(Clone, Debug)]
 pub struct Zipf {
     cumulative: Vec<f64>,
+    /// The last cumulative weight: the sum of all rank weights.
+    total: f64,
     /// `buckets[k]` = first index whose cumulative weight reaches
     /// `total * k / ZIPF_BUCKETS`; empty when the index is disabled.
     buckets: Vec<u32>,
@@ -148,6 +150,7 @@ impl Zipf {
         }
         Zipf {
             cumulative,
+            total,
             buckets,
             strict,
         }
@@ -165,22 +168,19 @@ impl Zipf {
 
     /// Sample a 0-based rank (0 is the most popular).
     pub fn sample(&self, rng: &mut Rng) -> usize {
-        let total = *self.cumulative.last().expect("non-empty");
-        let target = rng.f64() * total;
-        self.rank_for(target)
+        self.rank_for(rng.f64() * self.total)
     }
 
     /// The rank for an inverse-CDF target in `[0, total)`.
     fn rank_for(&self, target: f64) -> usize {
         let n = self.cumulative.len();
-        let total = *self.cumulative.last().expect("non-empty");
         // With strictly increasing weights, the historical
         // `binary_search_by(total_cmp)` + Ok/Err mapping reduces to
         // "number of weights <= target" (clamped): an exact hit at `i`
         // mapped to `i + 1`, a miss to its insertion point — both equal
         // that count.
         if !self.buckets.is_empty() {
-            let k = (((target / total) * ZIPF_BUCKETS as f64) as usize).min(ZIPF_BUCKETS - 1);
+            let k = (((target / self.total) * ZIPF_BUCKETS as f64) as usize).min(ZIPF_BUCKETS - 1);
             let (lo, hi) = (self.buckets[k] as usize, self.buckets[k + 1] as usize);
             // Guard the narrowed range against float slop at bucket
             // boundaries: everything before `lo` must be <= target and
@@ -210,6 +210,8 @@ impl Zipf {
 pub struct Categorical<T: Clone> {
     outcomes: Vec<T>,
     cumulative: Vec<f64>,
+    /// The last cumulative weight: the sum of all weights.
+    total: f64,
 }
 
 impl<T: Clone> Categorical<T> {
@@ -233,13 +235,13 @@ impl<T: Clone> Categorical<T> {
         Categorical {
             outcomes,
             cumulative,
+            total,
         }
     }
 
     /// Sample an outcome.
     pub fn sample(&self, rng: &mut Rng) -> T {
-        let total = *self.cumulative.last().expect("non-empty");
-        let target = rng.f64() * total;
+        let target = rng.f64() * self.total;
         let idx = match self.cumulative.binary_search_by(|c| c.total_cmp(&target)) {
             Ok(i) => i + 1,
             Err(i) => i,
@@ -254,10 +256,8 @@ impl<T: Clone> Categorical<T> {
 
     /// The probability of outcome `i`.
     pub fn probability(&self, i: usize) -> f64 {
-        // lint:allow(unwrap-in-library): constructor rejects empty outcome sets
-        let total = *self.cumulative.last().expect("non-empty");
         let prev = if i == 0 { 0.0 } else { self.cumulative[i - 1] };
-        (self.cumulative[i] - prev) / total
+        (self.cumulative[i] - prev) / self.total
     }
 }
 
@@ -377,6 +377,7 @@ mod tests {
         for (n, s) in [(300usize, 1.0), (1_000, 0.8), (50_000, 1.0), (255, 1.2)] {
             let z = Zipf::new(n, s);
             let total = *z.cumulative.last().unwrap();
+            assert_eq!(z.total.to_bits(), total.to_bits());
             let mut r = rng();
             let mut targets: Vec<f64> = (0..20_000).map(|_| r.f64() * total).collect();
             for k in 0..=64 {

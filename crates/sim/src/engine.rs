@@ -107,11 +107,7 @@ impl<E> Engine<E> {
         F: FnMut(&mut Engine<E>, SimTime, E),
     {
         let before = self.fired;
-        while let Some(next) = self.queue.peek_time() {
-            if next > end {
-                break;
-            }
-            let (at, ev) = self.step().expect("peeked event must pop");
+        while let Some((at, ev)) = self.step_if(|at, _| at <= end) {
             handler(self, at, ev);
         }
         // The clock still advances to `end` even if the tail was quiet, so a

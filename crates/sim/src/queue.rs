@@ -160,20 +160,6 @@ impl<E> EventQueue<E> {
         Some((e.at, e.event))
     }
 
-    /// The firing time of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        // The unsorted-bulk scan only happens before the first pop; after
-        // that `bulk` is empty and this is two O(1) peeks.
-        let bulk = self.bulk.iter().map(|e| (e.at, e.seq)).min();
-        let run = self.run.last().map(|e| (e.at, e.seq));
-        let heap = self.heap.peek().map(|e| (e.at, e.seq));
-        [bulk, run, heap]
-            .into_iter()
-            .flatten()
-            .min()
-            .map(|(at, _)| at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.bulk.len() + self.run.len() + self.heap.len()
@@ -292,23 +278,12 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, "bulk-a");
         q.push(t, "late-same-t");
         q.push(SimTime::at_day(2), "late-d2");
-        assert_eq!(q.peek_time(), Some(t));
         assert_eq!(q.len(), 4);
         assert_eq!(q.pop().unwrap().1, "bulk-c"); // earlier push wins the tie
         assert_eq!(q.pop().unwrap().1, "late-same-t");
         assert_eq!(q.pop().unwrap().1, "bulk-b");
         assert_eq!(q.pop().unwrap().1, "late-d2");
         assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
-        q.push(SimTime::EPOCH + SimDuration::hours(2), ());
-        assert_eq!(q.peek_time(), Some(SimTime::EPOCH + SimDuration::hours(2)));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
     }
 
     #[test]

@@ -352,7 +352,7 @@ fn main() {
     let _ = writeln!(
         w,
         "\nFull matrices: `report.figure5_pages` / `report.figure5_users` \
-         (also printed by `cargo bench --bench fig5`). Inactive campaigns \
+         (also printed by `likelab run`). Inactive campaigns \
          (BL-ALL, MS-ALL) have all-zero rows, as in the paper.\n"
     );
 
@@ -474,9 +474,10 @@ fn main() {
          \x20  | likelab serve live/world.log --follow\n\n\
          # Or over TCP, for many concurrent clients:\n\
          likelab serve study.log --tcp 127.0.0.1:7070\n\n\
-         # Ingest throughput, ingest lag, and p99 query latency, with the\n\
-         # online-vs-batch bitwise parity assertion at the end:\n\
-         cargo bench -p likelab-bench --bench world_serve\n\
+         # Fold time and per-op query latency, with online-vs-batch burst\n\
+         # parity checked on every run (benchmark/README.md):\n\
+         cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \\\n\
+         \x20    --workload serve_mixed --seed {seed} --seconds 15 --trace 1\n\
          ```\n"
     );
 
