@@ -139,6 +139,10 @@ pub(crate) fn resume_study(opts: &RunOptions) -> Result<StudyOutcome, StudyError
     let json = std::fs::read_to_string(&cp_path).map_err(|e| io_err(&cp_path, e))?;
     let cp: CheckpointState = serde_json::from_str(&json)
         .map_err(|e| StudyError::Mismatch(format!("{}: {e}", cp_path.display())))?;
+    // The file is outside input: refuse a queue a push could collide with
+    // before the log is touched.
+    let queue = EventQueue::from_entries(cp.queue, cp.queue_next_seq)
+        .map_err(|e| StudyError::Mismatch(format!("{}: queue: {e}", cp_path.display())))?;
 
     // Rebuild the world from the pinned log prefix.
     let log_path = dir.join("world.log");
@@ -152,25 +156,24 @@ pub(crate) fn resume_study(opts: &RunOptions) -> Result<StudyOutcome, StudyError
         )));
     }
     let (_header, records) = read_records(file.take(cp.log_bytes))?;
+    let record_count = records.len() as u64;
     let mut world = OsnWorld::new();
     likelab_obs::metrics::timed("log.replay.ns", || {
-        records.iter().try_for_each(|(seq, record)| match record {
-            StudyRecord::World(ev) => world
-                .apply_event(ev)
-                .map_err(|e| StudyError::bad_event(*seq, e)),
-            _ => Ok(()),
-        })
+        records
+            .into_iter()
+            .try_for_each(|(seq, record)| match record {
+                StudyRecord::World(ev) => world
+                    .apply_event(ev)
+                    .map_err(|e| StudyError::bad_event(seq, e)),
+                _ => Ok(()),
+            })
     })?;
-    likelab_obs::metrics::counter("log.replay", records.len() as u64);
+    likelab_obs::metrics::counter("log.replay", record_count);
     world.set_recording(true);
 
     let log = StudyLog::resume_file(&cp.config, &log_path, cp.log_bytes, cp.next_seq)?;
     let mut capture = Capture { log: Some(log) };
-    let engine = Engine::from_parts(
-        cp.now,
-        cp.fired,
-        EventQueue::from_entries(cp.queue, cp.queue_next_seq),
-    );
+    let engine = Engine::from_parts(cp.now, cp.fired, queue);
     let mut state = LoopState {
         config: cp.config,
         world,

@@ -105,8 +105,10 @@ pub enum StudyError {
         /// The underlying error.
         error: String,
     },
-    /// A record decoded but does not parse as a [`StudyRecord`], or names
-    /// an account or page the world being rebuilt does not have.
+    /// A frame passed the log's integrity checks, but its payload is not
+    /// the JSON of a [`StudyRecord`] (malformed, nested too deep, a wrong
+    /// or missing field), or it names an account or page the world being
+    /// rebuilt does not have.
     BadRecord {
         /// The record's sequence number.
         seq: u64,
@@ -131,6 +133,21 @@ impl StudyError {
             seq,
             reason: e.to_string(),
         }
+    }
+}
+
+/// The page a launch record at `seq` names, which the world being rebuilt
+/// must already have: a study journals a honeypot page before launching
+/// it, and the page's audience is read from the world later.
+pub(crate) fn launched_page(
+    world: &likelab_osn::OsnWorld,
+    seq: u64,
+    page: PageId,
+) -> Result<PageId, StudyError> {
+    if page.idx() < world.page_count() {
+        Ok(page)
+    } else {
+        Err(StudyError::bad_event(seq, EventError::UnknownPage(page)))
     }
 }
 
@@ -168,12 +185,14 @@ pub(crate) fn io_err(path: &Path, e: impl fmt::Display) -> StudyError {
 
 /// The header metadata a study log carries: enough to replay without any
 /// out-of-band knowledge.
-pub(crate) fn study_meta(config: &crate::StudyConfig) -> Value {
-    Value::Object(vec![
+fn study_meta(config: &crate::StudyConfig) -> Result<Value, StudyError> {
+    let tree = serde_json::to_value(config)
+        .map_err(|e| StudyError::Mismatch(format!("log header config: {e}")))?;
+    Ok(Value::Object(vec![
         ("kind".into(), Value::Str("likelab-study-log".into())),
         ("seed".into(), Value::UInt(config.seed)),
-        ("config".into(), config.to_value()),
-    ])
+        ("config".into(), tree),
+    ]))
 }
 
 /// Extract the [`StudyConfig`](crate::StudyConfig) embedded in a log header.
@@ -182,7 +201,7 @@ pub fn config_from_header(header: &LogHeader) -> Result<crate::StudyConfig, Stud
         .meta
         .get("config")
         .ok_or_else(|| StudyError::Mismatch("log header has no `config`".into()))?;
-    Deserialize::from_value(config)
+    serde_json::from_value(config)
         .map_err(|e| StudyError::Mismatch(format!("log header config: {e}")))
 }
 
@@ -199,19 +218,19 @@ pub struct StudyLog {
 
 impl StudyLog {
     /// An in-memory log for `config`.
-    pub fn in_memory(config: &crate::StudyConfig) -> Self {
-        StudyLog {
-            header: LogHeader::new(study_meta(config)),
+    pub fn in_memory(config: &crate::StudyConfig) -> Result<Self, StudyError> {
+        Ok(StudyLog {
+            header: LogHeader::new(study_meta(config)?),
             records: Vec::new(),
             next_seq: 0,
             sink: None,
             sink_path: None,
-        }
+        })
     }
 
     /// A log that also streams binary frames to `path` (created/truncated).
     pub fn to_file(config: &crate::StudyConfig, path: &Path) -> Result<Self, StudyError> {
-        let header = LogHeader::new(study_meta(config));
+        let header = LogHeader::new(study_meta(config)?);
         let file = File::create(path).map_err(|e| io_err(path, e))?;
         let sink = FrameWriter::new(BufWriter::new(file), &header)?;
         Ok(StudyLog {
@@ -242,7 +261,7 @@ impl StudyLog {
         file.seek(SeekFrom::End(0)).map_err(|e| io_err(path, e))?;
         let sink = FrameWriter::resume(BufWriter::new(file), bytes, next_seq.checked_sub(1));
         Ok(StudyLog {
-            header: LogHeader::new(study_meta(config)),
+            header: LogHeader::new(study_meta(config)?),
             records: Vec::new(),
             next_seq,
             sink: Some(sink),
@@ -255,7 +274,7 @@ impl StudyLog {
         let seq = self.next_seq;
         self.next_seq += 1;
         if let Some(sink) = &mut self.sink {
-            sink.append(seq, &record.to_value())?;
+            sink.append(seq, &record)?;
         }
         self.records.push((seq, record));
         likelab_obs::metrics::counter("log.append", 1);
@@ -307,22 +326,22 @@ impl StudyLog {
 
     /// Encode the captured records through the binary framing (header,
     /// length-prefixed checksummed frames) — the same bytes a streamed
-    /// sink would hold. Each record is lowered and framed in turn, so only
-    /// one payload tree is alive at a time. Serve's parity test and the
-    /// benchmark's `serve_mixed` set-up use it to hold a log in memory.
+    /// sink would hold. Serve's parity test and the benchmark's
+    /// `serve_mixed` set-up use it to hold a log in memory.
     pub fn to_binary(&self) -> Result<Vec<u8>, StudyError> {
         let mut out = FrameWriter::new(Vec::new(), &self.header)?;
         for (seq, r) in &self.records {
-            out.append(*seq, &r.to_value())?;
+            out.append(*seq, r)?;
         }
         Ok(out.into_inner())
     }
 }
 
-/// Parse a decoded log frame into a study record; a failure names the
-/// frame's sequence number.
+/// Read a decoded log frame's payload text into a study record; a failure
+/// (malformed JSON, a wrong or missing field) names the frame's sequence
+/// number.
 pub(crate) fn parse_record(frame: &LogRecord) -> Result<StudyRecord, StudyError> {
-    Deserialize::from_value(&frame.payload).map_err(|e| StudyError::BadRecord {
+    serde_json::from_str(&frame.payload).map_err(|e| StudyError::BadRecord {
         seq: frame.seq,
         reason: e.to_string(),
     })

@@ -10,7 +10,7 @@
 //! functions of the replayed world and dataset, so the rendered report and
 //! checklist match the original run byte for byte at any worker count.
 
-use crate::record::{config_from_header, read_study_log, StudyError, StudyRecord};
+use crate::record::{config_from_header, launched_page, read_study_log, StudyError, StudyRecord};
 use crate::study::StudyConfig;
 use likelab_analysis::StudyReport;
 use likelab_graph::PageId;
@@ -83,10 +83,11 @@ pub fn replay_records(
         for (seq, record) in records {
             match record {
                 StudyRecord::World(ev) => world
-                    .apply_event(&ev)
+                    .apply_event(ev)
                     .map_err(|e| StudyError::bad_event(seq, e))?,
                 StudyRecord::RngFork { .. } => {}
                 StudyRecord::CampaignLaunched { campaign, page, at } => {
+                    let page = launched_page(&world, seq, page)?;
                     slot(&mut slots, campaign, seq)?.page = Some(page);
                     launch.get_or_insert(at);
                 }

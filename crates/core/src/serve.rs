@@ -18,7 +18,7 @@
 //! semantics, and the online-vs-batch equivalence contract live in
 //! `SERVING.md` at the repository root.
 
-use crate::record::{io_err, parse_record, StudyError, StudyRecord};
+use crate::record::{io_err, launched_page, parse_record, StudyError, StudyRecord};
 use crate::study::StudyConfig;
 use likelab_detect::online::{organic_seeds, score_online, OnlineDetectors};
 use likelab_detect::{BurstConfig, LockstepConfig, ScorerWeights, SybilRankConfig};
@@ -145,11 +145,12 @@ impl ServeEngine {
             StudyRecord::World(ev) => {
                 let detectors = &mut self.detectors;
                 self.fanout
-                    .apply(&ev, |update| detectors.apply(update))
+                    .apply(ev, |update| detectors.apply(update))
                     .map_err(|e| StudyError::bad_event(seq, e))?;
             }
             StudyRecord::RngFork { .. } => {}
             StudyRecord::CampaignLaunched { campaign, page, at } => {
+                let page = launched_page(self.fanout.world(), seq, page)?;
                 let slot = self.slot(campaign, seq)?;
                 slot.page = Some(page);
                 slot.launched_at = Some(at);
@@ -1026,6 +1027,71 @@ mod tests {
         let v: Value = serde_json::from_str(&resp).unwrap();
         assert_eq!(v.get("ok"), Some(&Value::Bool(true)));
         assert_eq!(v.get("id"), Some(&Value::UInt(9)));
+    }
+
+    /// Regression: a request line of 40,000 `[`, inside the line cap, used
+    /// to overflow the stack and abort the server. Nesting past the JSON
+    /// reader's depth limit is a bad request like any other.
+    #[test]
+    fn a_deeply_nested_request_is_an_error_reply() {
+        let mut session = ServeSession::new(full_engine());
+        let line = "[".repeat(40_000);
+        assert!(line.len() <= MAX_REQUEST_LINE);
+        let (resp, stop) = session.handle_line(&line, 0);
+        assert!(!stop);
+        let v: Value = serde_json::from_str(&resp).unwrap();
+        assert_eq!(v.get("ok"), Some(&Value::Bool(false)));
+        let err = v.get("error").and_then(Value::as_str).unwrap();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        let (resp, _) = session.handle_line(r#"{"v":1,"id":2,"op":"status"}"#, 0);
+        let v: Value = serde_json::from_str(&resp).unwrap();
+        assert_eq!(v.get("ok"), Some(&Value::Bool(true)), "still serving");
+    }
+
+    /// Pieces that request lines are generated from: JSON punctuation,
+    /// protocol keys and values, and broken literals and numbers.
+    const TOKENS: [&str; 20] = [
+        "{",
+        "}",
+        "[",
+        "]",
+        ":",
+        ",",
+        "\"",
+        "\\",
+        " ",
+        "\"v\"",
+        "1",
+        "\"op\"",
+        "\"status\"",
+        "\"score\"",
+        "\"user\"",
+        "-",
+        "9e999",
+        "18446744073709551616",
+        "null",
+        "tru",
+    ];
+
+    proptest::proptest! {
+        /// Any request line, nested however deep, gets exactly one
+        /// well-formed reply, and the session keeps serving after it.
+        #[test]
+        fn any_request_line_gets_one_reply(
+            tokens in proptest::prelude::vec(0usize..TOKENS.len(), 0..64),
+            depth in 0usize..400,
+        ) {
+            let (_, log) = logged_outcome();
+            let engine = ServeEngine::new(log.header(), ServeConfig::default()).unwrap();
+            let mut session = ServeSession::new(engine);
+            let mut line = "[".repeat(depth);
+            line.extend(tokens.into_iter().map(|t| TOKENS[t]));
+            let (reply, _) = session.handle_line(&line, 0);
+            let v: Value = serde_json::from_str(&reply).unwrap();
+            proptest::prop_assert!(matches!(v.get("ok"), Some(Value::Bool(_))), "{}", reply);
+            let (reply, _) = session.handle_line(r#"{"v":1,"op":"status"}"#, 0);
+            proptest::prop_assert!(reply.contains(r#""ok":true"#), "{}", reply);
+        }
     }
 
     #[test]

@@ -241,7 +241,7 @@ impl Capture {
         } else if let Some(path) = &opts.log_out {
             Some(StudyLog::to_file(config, path)?)
         } else if opts.capture_log {
-            Some(StudyLog::in_memory(config))
+            Some(StudyLog::in_memory(config)?)
         } else {
             None
         };

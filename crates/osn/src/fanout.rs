@@ -109,7 +109,7 @@ pub enum DetectorUpdate {
 /// // Fan the recorded stream out: the duplicate emits no update.
 /// let mut fanout = EventFanout::new();
 /// let mut likes = 0;
-/// for ev in &events {
+/// for ev in events {
 ///     fanout
 ///         .apply(ev, |u| {
 ///             if matches!(u, DetectorUpdate::LikeAccepted { .. }) {
@@ -152,13 +152,14 @@ impl EventFanout {
 
     /// Apply one event to the replica world and hand every accepted
     /// mutation to `sink`, in application order. An event that fails
-    /// [`OsnWorld::check_event`] changes nothing and emits nothing.
+    /// [`OsnWorld::check_event`] changes nothing and emits nothing. Takes
+    /// the event by value: a page's strings move into the replica.
     pub fn apply(
         &mut self,
-        ev: &WorldEvent,
+        ev: WorldEvent,
         mut sink: impl FnMut(DetectorUpdate),
     ) -> Result<(), EventError> {
-        self.world.check_event(ev)?;
+        self.world.check_event(&ev)?;
         match ev {
             WorldEvent::AccountCreated {
                 profile,
@@ -166,8 +167,8 @@ impl EventFanout {
                 privacy,
                 at,
             } => {
-                let user = self.world.create_account(*profile, *class, *privacy, *at);
-                self.advance(*at);
+                let user = self.world.create_account(profile, class, privacy, at);
+                self.advance(at);
                 sink(DetectorUpdate::AccountAdded { user });
             }
             WorldEvent::PageCreated {
@@ -177,34 +178,30 @@ impl EventFanout {
                 category,
                 at,
             } => {
-                let page = self.world.create_page(
-                    name.clone(),
-                    description.clone(),
-                    *owner,
-                    *category,
-                    *at,
-                );
-                self.advance(*at);
+                let page = self
+                    .world
+                    .create_page(name, description, owner, category, at);
+                self.advance(at);
                 sink(DetectorUpdate::PageAdded { page });
             }
             WorldEvent::Friendship { a, b } => {
-                if self.world.add_friendship(*a, *b) {
-                    sink(DetectorUpdate::FriendshipAdded { a: *a, b: *b });
+                if self.world.add_friendship(a, b) {
+                    sink(DetectorUpdate::FriendshipAdded { a, b });
                 }
             }
             WorldEvent::FriendshipBatch { edges } => {
                 // `apply_event` adds batch edges straight to the graph;
                 // `add_friendship` is the same insertion plus the acceptance
                 // bool we need here.
-                for &(a, b) in edges {
+                for (a, b) in edges {
                     if self.world.add_friendship(a, b) {
                         sink(DetectorUpdate::FriendshipAdded { a, b });
                     }
                 }
             }
             WorldEvent::OffNetworkFriends { user, n } => {
-                self.world.set_off_network_friends(*user, *n);
-                sink(DetectorUpdate::OffNetworkChanged { user: *user });
+                self.world.set_off_network_friends(user, n);
+                sink(DetectorUpdate::OffNetworkChanged { user });
             }
             WorldEvent::LikeBatch { likes } => {
                 // The journal carries the *input* batch: every item moves
@@ -214,7 +211,7 @@ impl EventFanout {
                     self.advance(at);
                 }
                 let start = self.world.likes().len() as u32;
-                self.world.ingest_like_columns(likes, Exec::Sequential);
+                self.world.ingest_like_columns(&likes, Exec::Sequential);
                 for r in self.world.likes().records_from(start) {
                     sink(DetectorUpdate::LikeAccepted {
                         user: r.user,
@@ -224,23 +221,26 @@ impl EventFanout {
                 }
             }
             WorldEvent::Terminated { user, at } => {
-                self.advance(*at);
-                if self.world.terminate_account(*user, *at) {
-                    sink(DetectorUpdate::AccountTerminated { user: *user });
+                self.advance(at);
+                if self.world.terminate_account(user, at) {
+                    sink(DetectorUpdate::AccountTerminated { user });
                 }
             }
             WorldEvent::Reinstated { user } => {
-                if self.world.reinstate_account(*user) {
-                    sink(DetectorUpdate::AccountReinstated { user: *user });
+                if self.world.reinstate_account(user) {
+                    sink(DetectorUpdate::AccountReinstated { user });
                 }
             }
         }
         Ok(())
     }
 
-    /// Apply a whole event slice, collecting the updates; stops at the
+    /// Apply a whole event stream, collecting the updates; stops at the
     /// first event that fails [`OsnWorld::check_event`].
-    pub fn apply_all(&mut self, events: &[WorldEvent]) -> Result<Vec<DetectorUpdate>, EventError> {
+    pub fn apply_all(
+        &mut self,
+        events: impl IntoIterator<Item = WorldEvent>,
+    ) -> Result<Vec<DetectorUpdate>, EventError> {
         let mut out = Vec::new();
         for ev in events {
             self.apply(ev, |u| out.push(u))?;
@@ -343,11 +343,11 @@ mod tests {
     fn replica_matches_apply_event_fold() {
         let events = seeded_events();
         let mut folded = OsnWorld::new();
-        for ev in &events {
+        for ev in events.clone() {
             folded.apply_event(ev).unwrap();
         }
         let mut fanout = EventFanout::new();
-        fanout.apply_all(&events).unwrap();
+        fanout.apply_all(events).unwrap();
         let replica = fanout.world();
 
         assert_eq!(replica.account_count(), folded.account_count());
@@ -370,7 +370,7 @@ mod tests {
     fn only_accepted_mutations_emit_updates() {
         let events = seeded_events();
         let mut fanout = EventFanout::new();
-        let updates = fanout.apply_all(&events).unwrap();
+        let updates = fanout.apply_all(events).unwrap();
         let count = |f: fn(&DetectorUpdate) -> bool| updates.iter().filter(|u| f(u)).count();
 
         // The recorder already filters rejected edges, terminations and
@@ -410,7 +410,7 @@ mod tests {
         let events = seeded_events();
         let mut fanout = EventFanout::new();
         assert_eq!(fanout.watermark(), SimTime::EPOCH);
-        fanout.apply_all(&events).unwrap();
+        fanout.apply_all(events).unwrap();
         // The rejected day-11 termination never reached the journal, but
         // the day-12 like batch did: every batch item moves the watermark,
         // the one a terminated account sent included.
@@ -420,7 +420,7 @@ mod tests {
     #[test]
     fn events_naming_unknown_ids_are_refused_untouched() {
         let mut fanout = EventFanout::new();
-        fanout.apply_all(&seeded_events()).unwrap();
+        fanout.apply_all(seeded_events()).unwrap();
         let mut folded = fanout.world().clone();
         let (likes, watermark) = (folded.likes().len(), fanout.watermark());
         let late = SimTime::at_day(99);
@@ -468,10 +468,10 @@ mod tests {
         ];
         for (ev, want) in bad {
             assert_eq!(
-                fanout.apply(&ev, |_| panic!("no update")),
+                fanout.apply(ev.clone(), |_| panic!("no update")),
                 Err(want.clone())
             );
-            assert_eq!(folded.apply_event(&ev), Err(want));
+            assert_eq!(folded.apply_event(ev), Err(want));
         }
         assert_eq!(fanout.world().likes().len(), likes);
         assert_eq!(folded.likes().len(), likes);

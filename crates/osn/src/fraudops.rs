@@ -165,19 +165,29 @@ pub struct FraudOps {
 // Hand-rolled (de)serialization: checkpoints carry only `config` and `rng`,
 // never the memo — it rebuilds identically from the ledger after resume.
 impl Serialize for FraudOps {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("config".to_string(), self.config.to_value()),
-            ("rng".to_string(), self.rng.to_value()),
-        ])
+    fn serialize(&self, w: &mut serde::Writer<'_>) {
+        w.begin_object();
+        w.key("config");
+        self.config.serialize(w);
+        w.key("rng");
+        self.rng.serialize(w);
+        w.end_object();
     }
 }
 
 impl Deserialize for FraudOps {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let (mut config, mut rng) = (None, None);
+        r.begin_object()?;
+        while let Some(field) = r.next_field(&["config", "rng"])? {
+            match field {
+                0 => r.read_field(&mut config, "config")?,
+                _ => r.read_field(&mut rng, "rng")?,
+            }
+        }
         Ok(FraudOps {
-            config: serde::field(v, "config")?,
-            rng: serde::field(v, "rng")?,
+            config: r.take_field(config, "config")?,
+            rng: r.take_field(rng, "rng")?,
             burst: Vec::new(),
             seen_likes: 0,
         })

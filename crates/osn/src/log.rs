@@ -253,7 +253,7 @@ mod tests {
         );
 
         let mut replayed = OsnWorld::new();
-        for ev in &events {
+        for ev in events {
             replayed.apply_event(ev).unwrap();
         }
         assert_eq!(replayed.account_count(), w.account_count());
@@ -342,9 +342,8 @@ mod tests {
             r#"{"LikeBatch":{"likes":{"users":[1,3],"pages":[0,2],"times":[777600,777600]}}}"#
         );
         for ev in &evs {
-            let json = serde_json::to_string(&serde_json::to_value(ev)).unwrap();
-            let back: WorldEvent =
-                serde::Deserialize::from_value(&serde_json::from_str(&json).unwrap()).unwrap();
+            let json = serde_json::to_string(ev).unwrap();
+            let back: WorldEvent = serde_json::from_str(&json).unwrap();
             assert_eq!(&back, ev);
         }
     }

@@ -115,8 +115,9 @@ impl OsnWorld {
     /// when it fails; otherwise applies the same validation the original
     /// mutation did (so rejected duplicates stay rejected). Never records,
     /// even when recording is on — replaying a log must not re-log it.
-    pub fn apply_event(&mut self, ev: &WorldEvent) -> Result<(), EventError> {
-        self.check_event(ev)?;
+    /// Takes the event by value: a page's strings move into the world.
+    pub fn apply_event(&mut self, ev: WorldEvent) -> Result<(), EventError> {
+        self.check_event(&ev)?;
         let was_recording = self.recorder.enabled();
         self.recorder.set_enabled(false);
         match ev {
@@ -126,7 +127,7 @@ impl OsnWorld {
                 privacy,
                 at,
             } => {
-                self.create_account(*profile, *class, *privacy, *at);
+                self.create_account(profile, class, privacy, at);
             }
             WorldEvent::PageCreated {
                 name,
@@ -135,27 +136,27 @@ impl OsnWorld {
                 category,
                 at,
             } => {
-                self.create_page(name.clone(), description.clone(), *owner, *category, *at);
+                self.create_page(name, description, owner, category, at);
             }
             WorldEvent::Friendship { a, b } => {
-                self.add_friendship(*a, *b);
+                self.add_friendship(a, b);
             }
             WorldEvent::FriendshipBatch { edges } => {
-                for &(a, b) in edges {
+                for (a, b) in edges {
                     self.friends.add_edge(a, b);
                 }
             }
             WorldEvent::OffNetworkFriends { user, n } => {
-                self.set_off_network_friends(*user, *n);
+                self.set_off_network_friends(user, n);
             }
             WorldEvent::LikeBatch { likes } => {
-                self.ingest_like_columns(likes, Exec::Sequential);
+                self.ingest_like_columns(&likes, Exec::Sequential);
             }
             WorldEvent::Terminated { user, at } => {
-                self.terminate_account(*user, *at);
+                self.terminate_account(user, at);
             }
             WorldEvent::Reinstated { user } => {
-                self.reinstate_account(*user);
+                self.reinstate_account(user);
             }
         }
         self.recorder.set_enabled(was_recording);

@@ -148,7 +148,7 @@ proptest! {
                 privacy: public(),
                 at: SimTime::EPOCH,
             };
-            fanout.apply(&ev, |_| {}).unwrap();
+            fanout.apply(ev, |_| {}).unwrap();
         }
         for i in 0..6 {
             let ev = WorldEvent::PageCreated {
@@ -158,7 +158,7 @@ proptest! {
                 category: PageCategory::Background,
                 at: SimTime::EPOCH,
             };
-            fanout.apply(&ev, |_| {}).unwrap();
+            fanout.apply(ev, |_| {}).unwrap();
         }
         let (mut seen, mut dead) = (BTreeSet::new(), BTreeSet::new());
         let (mut expected, mut emitted) = (Vec::new(), Vec::new());
@@ -167,7 +167,7 @@ proptest! {
             if *kill < 8 {
                 // Terminate one account before this batch (idempotently).
                 let ev = WorldEvent::Terminated { user: UserId(*kill), at: SimTime::EPOCH };
-                fanout.apply(&ev, |_| {}).unwrap();
+                fanout.apply(ev, |_| {}).unwrap();
                 dead.insert(*kill);
             }
             let rows: Vec<_> = likes
@@ -182,7 +182,7 @@ proptest! {
             }
             let batch = WorldEvent::LikeBatch { likes: LikeColumns::from_rows(&rows) };
             fanout
-                .apply(&batch, |update| {
+                .apply(batch, |update| {
                     if let DetectorUpdate::LikeAccepted { user, page, at } = update {
                         emitted.push((user, page, at));
                     }

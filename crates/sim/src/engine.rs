@@ -230,7 +230,7 @@ mod tests {
             .into_iter()
             .map(|(at, seq, e)| (at, seq, *e))
             .collect();
-        let queue = EventQueue::from_entries(entries, live.queue().pushed_total());
+        let queue = EventQueue::from_entries(entries, live.queue().pushed_total()).unwrap();
         let mut resumed = Engine::from_parts(live.now(), live.fired(), queue);
         assert_eq!(resumed.fired(), 7);
         while let Some(ev) = reference.step() {

@@ -3,10 +3,12 @@
 //! A *log* is a header plus a sequence of records. The header carries a
 //! format version and a caller-defined metadata document (the study config
 //! and RNG provenance live there); each record is a monotone sequence
-//! number plus a payload lowered to the serde data model ([`Value`]).
+//! number plus a JSON payload. A writer renders any `Serialize` payload
+//! straight into its frame; the decoder hands the payload back as text.
 //! Payload *semantics* belong to higher layers (`likelab_osn::log` defines
-//! the world-mutation vocabulary, `likelab_core` the study records) — this
-//! module only guarantees framing, ordering, and integrity.
+//! the world-mutation vocabulary, `likelab_core` the study records, which
+//! read the text directly into their own types) — this module only
+//! guarantees framing, ordering, and integrity.
 //!
 //! A log has one encoding, a compact framed stream (`LLOG` magic, version,
 //! FNV-1a checksums per record), and one decoder,
@@ -19,7 +21,7 @@
 //! or a sequence number that does not strictly increase is a hard
 //! [`LogError`] — never a silent partial replay.
 
-use serde::Value;
+use serde::{Serialize, Value};
 use std::fmt;
 use std::io;
 
@@ -59,13 +61,13 @@ impl LogHeader {
     }
 }
 
-/// One log record: a monotone sequence number and a payload value.
+/// One log record: a monotone sequence number and its payload.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LogRecord {
     /// Strictly increasing within a stream (gaps allowed, repeats not).
     pub seq: u64,
-    /// The payload, lowered to the serde data model.
-    pub payload: Value,
+    /// The payload's JSON text, exactly as framed.
+    pub payload: String,
 }
 
 /// Why a log could not be decoded (or written). Every variant is a hard
@@ -86,7 +88,7 @@ pub enum LogError {
         /// Version this reader implements.
         expected: u16,
     },
-    /// A frame or payload failed validation (checksum, JSON, schema).
+    /// A frame failed validation (checksum, UTF-8, header JSON).
     Corrupt {
         /// Byte offset of the offending header or record.
         offset: u64,
@@ -181,17 +183,8 @@ fn write_header(sink: &mut impl io::Write, header: &LogHeader) -> Result<u64, Lo
 }
 
 /// Frame one record: `[len: u32][seq: u64][fnv1a: u64][payload bytes]`.
-/// The payload renders into `text`, scratch the caller reuses across
-/// frames, so a frame allocates nothing once `text` has grown to fit.
 /// Returns the bytes written.
-fn write_frame(
-    sink: &mut impl io::Write,
-    text: &mut String,
-    seq: u64,
-    payload: &Value,
-) -> Result<u64, LogError> {
-    text.clear();
-    serde_json::write_compact(text, payload);
+fn write_frame(sink: &mut impl io::Write, seq: u64, text: &str) -> Result<u64, LogError> {
     let body = text.as_bytes();
     let mut head = [0u8; FRAME_FIXED];
     head[..4].copy_from_slice(&body_len(text)?.to_le_bytes());
@@ -209,13 +202,13 @@ fn body_len(text: &str) -> Result<u32, LogError> {
 }
 
 /// Encode a whole log to the binary format. Unlike [`FrameWriter`], it
-/// frames the records as given, without checking their order.
+/// frames the records' payload text as given, without checking it or
+/// their order.
 pub fn encode_binary(header: &LogHeader, records: &[LogRecord]) -> Result<Vec<u8>, LogError> {
     let mut out = Vec::new();
     write_header(&mut out, header)?;
-    let mut text = String::new();
     for r in records {
-        write_frame(&mut out, &mut text, r.seq, &r.payload)?;
+        write_frame(&mut out, r.seq, &r.payload)?;
     }
     Ok(out)
 }
@@ -257,14 +250,18 @@ impl<W: io::Write> FrameWriter<W> {
         }
     }
 
-    /// Append one record. `seq` must strictly increase.
-    pub fn append(&mut self, seq: u64, payload: &Value) -> Result<(), LogError> {
+    /// Append one record, rendering `payload` straight into the frame
+    /// buffer this writer reuses, so a frame allocates nothing once the
+    /// buffer has grown to fit. `seq` must strictly increase.
+    pub fn append<T: Serialize + ?Sized>(&mut self, seq: u64, payload: &T) -> Result<(), LogError> {
         if let Some(prev) = self.last_seq {
             if seq <= prev {
                 return Err(LogError::NonMonotoneSeq { prev, next: seq });
             }
         }
-        self.bytes += write_frame(&mut self.sink, &mut self.text, seq, payload)?;
+        self.text.clear();
+        serde_json::write_compact(&mut self.text, payload);
+        self.bytes += write_frame(&mut self.sink, seq, &self.text)?;
         self.last_seq = Some(seq);
         Ok(())
     }
@@ -306,10 +303,7 @@ mod tests {
         (0..5)
             .map(|i| LogRecord {
                 seq: i,
-                payload: Value::Object(vec![
-                    ("kind".into(), Value::Str("like".into())),
-                    ("user".into(), Value::UInt(i * 7)),
-                ]),
+                payload: format!(r#"{{"kind":"like","user":{}}}"#, i * 7),
             })
             .collect()
     }
@@ -323,7 +317,8 @@ mod tests {
         {
             let mut w = FrameWriter::new(&mut sink, &header).unwrap();
             for r in &records {
-                w.append(r.seq, &r.payload).unwrap();
+                let payload: Value = serde_json::from_str(&r.payload).unwrap();
+                w.append(r.seq, &payload).unwrap();
             }
             assert_eq!(w.bytes_written(), batch.len() as u64);
             assert_eq!(w.last_seq(), Some(4));

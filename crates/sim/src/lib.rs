@@ -49,7 +49,7 @@ pub mod trace;
 pub use engine::Engine;
 pub use event::{LogError, LogHeader, LogRecord};
 pub use parallel::{parallel_jobs, parallel_map, Exec};
-pub use queue::EventQueue;
+pub use queue::{EventQueue, SeqCollision};
 pub use rng::{derive_stream_seed, Rng};
 pub use tail::{FollowReader, TailReader};
 pub use time::{SimDuration, SimTime};

@@ -29,6 +29,7 @@
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::fmt;
 
 struct Entry<E> {
     at: SimTime,
@@ -195,29 +196,51 @@ impl<E> EventQueue<E> {
     /// Rebuild a queue from a snapshot taken with
     /// [`entries`][Self::entries], preserving the original sequence
     /// numbers. `next_seq` must be the original queue's
-    /// [`pushed_total`][Self::pushed_total].
-    ///
-    /// # Panics
-    /// Panics when an entry's sequence number is not below `next_seq`
-    /// (which would let a future push collide with a restored entry).
-    pub fn from_entries(entries: Vec<(SimTime, u64, E)>, next_seq: u64) -> Self {
+    /// [`pushed_total`][Self::pushed_total]. A snapshot is read back from
+    /// a file, so an entry whose sequence number is not below `next_seq`
+    /// (a future push would collide with it) is an error, not a panic.
+    pub fn from_entries(
+        entries: Vec<(SimTime, u64, E)>,
+        next_seq: u64,
+    ) -> Result<Self, SeqCollision> {
         let mut bulk = Vec::with_capacity(entries.len());
         for (at, seq, event) in entries {
-            assert!(
-                seq < next_seq,
-                "restored entry seq {seq} >= next_seq {next_seq}"
-            );
+            if seq >= next_seq {
+                return Err(SeqCollision { seq, next_seq });
+            }
             bulk.push(Entry { at, seq, event });
         }
-        EventQueue {
+        Ok(EventQueue {
             bulk,
             run: Vec::new(),
             heap: BinaryHeap::new(),
             draining: false,
             next_seq,
-        }
+        })
     }
 }
+
+/// Why [`EventQueue::from_entries`] refused a snapshot: an entry's sequence
+/// number is not below the queue's next one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SeqCollision {
+    /// The entry's sequence number.
+    pub seq: u64,
+    /// The snapshot's next sequence number.
+    pub next_seq: u64,
+}
+
+impl fmt::Display for SeqCollision {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "restored entry seq {} >= next_seq {}",
+            self.seq, self.next_seq
+        )
+    }
+}
+
+impl std::error::Error for SeqCollision {}
 
 #[cfg(test)]
 mod tests {
@@ -299,7 +322,7 @@ mod tests {
             .into_iter()
             .map(|(at, seq, e)| (at, seq, *e))
             .collect();
-        let mut restored = EventQueue::from_entries(entries, q.pushed_total());
+        let mut restored = EventQueue::from_entries(entries, q.pushed_total()).unwrap();
         assert_eq!(restored.pushed_total(), q.pushed_total());
         assert_eq!(restored.pop().unwrap().1, "second");
         restored.push(t + SimDuration::hours(1), "appended");
@@ -309,9 +332,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "restored entry seq")]
     fn restore_rejects_seq_collisions() {
-        let _ = EventQueue::from_entries(vec![(SimTime::EPOCH, 3u64, ())], 2);
+        for (seq, next_seq) in [(3, 2), (2, 2), (0, 0), (1 << 63, 100)] {
+            let restored = EventQueue::from_entries(vec![(SimTime::EPOCH, seq, ())], next_seq);
+            let err = restored.err().expect("a colliding seq is refused");
+            assert_eq!(err, SeqCollision { seq, next_seq });
+            assert!(err.to_string().contains("restored entry seq"), "{err}");
+        }
+        assert!(EventQueue::from_entries(vec![(SimTime::EPOCH, 1, ())], 2).is_ok());
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! in whatever chunks the source produces, complete frames come out of
 //! [`next_record`](TailReader::next_record), and an incomplete tail means
 //! "not yet" (`Ok(None)`) instead of an error. Every *integrity* defect —
-//! bad magic, version skew, checksum mismatch, a sequence number that fails
-//! to strictly increase — is a hard error the moment the offending bytes
-//! are complete enough to judge.
+//! bad magic, version skew, checksum mismatch, a payload that is not UTF-8,
+//! a sequence number that fails to strictly increase — is a hard error the
+//! moment the offending bytes are complete enough to judge. A record's
+//! payload comes out as its JSON text: reading it is the caller's job,
+//! into whatever type the caller expects.
 //!
 //! How strict to be about the end of the stream is the caller's choice,
 //! not a second decoder. A capture file at rest is read to its end and
@@ -37,7 +39,7 @@ use std::path::{Path, PathBuf};
 /// use serde::Value;
 ///
 /// let header = LogHeader::new(Value::Null);
-/// let records = vec![LogRecord { seq: 1, payload: Value::UInt(7) }];
+/// let records = vec![LogRecord { seq: 1, payload: "7".into() }];
 /// let bytes = encode_binary(&header, &records).unwrap();
 ///
 /// // Feed the stream one byte at a time: records appear exactly when
@@ -193,8 +195,9 @@ impl TailReader {
     ///
     /// `Ok(None)` means the buffer holds no complete frame *yet* — feed
     /// more bytes and call again. Integrity errors (magic, version,
-    /// checksum, JSON, sequence ordering) are hard and sticky: after an
-    /// `Err`, every later call returns the stream-corrupt error again.
+    /// checksum, UTF-8, sequence ordering) are hard and sticky: after an
+    /// `Err`, every later call returns the stream-corrupt error again. The
+    /// payload's JSON is not read here.
     pub fn next_record(&mut self) -> Result<Option<LogRecord>, LogError> {
         if self.failed {
             return Err(LogError::Corrupt {
@@ -237,14 +240,12 @@ impl TailReader {
                 return Err(LogError::NonMonotoneSeq { prev, next: seq });
             }
         }
-        let text = std::str::from_utf8(body).map_err(|e| LogError::Corrupt {
-            offset: self.abs(at),
-            reason: format!("payload not utf-8: {e}"),
-        })?;
-        let payload: Value = serde_json::from_str(text).map_err(|e| LogError::Corrupt {
-            offset: self.abs(at),
-            reason: format!("payload not json: {e}"),
-        })?;
+        let payload = std::str::from_utf8(body)
+            .map_err(|e| LogError::Corrupt {
+                offset: self.abs(at),
+                reason: format!("payload not utf-8: {e}"),
+            })?
+            .to_owned();
         self.pos = at + FRAME_FIXED + len;
         self.last_seq = Some(seq);
         Ok(Some(LogRecord { seq, payload }))
@@ -350,7 +351,7 @@ mod tests {
         let records = (1..=20)
             .map(|i| LogRecord {
                 seq: i * 3,
-                payload: Value::Object(vec![("n".into(), Value::UInt(i))]),
+                payload: format!(r#"{{"n":{i}}}"#),
             })
             .collect();
         (header, records)
@@ -487,11 +488,11 @@ mod tests {
         let records = vec![
             LogRecord {
                 seq: 5,
-                payload: Value::Null,
+                payload: "null".into(),
             },
             LogRecord {
                 seq: 5,
-                payload: Value::Null,
+                payload: "null".into(),
             },
         ];
         let bytes = encode_binary(&header, &records).unwrap();

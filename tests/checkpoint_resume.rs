@@ -131,3 +131,78 @@ fn resume_without_a_checkpoint_is_a_hard_error() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `checkpoint.json` is read back from disk, so resume treats it as
+/// outside input: a queue whose entries could collide with a future push
+/// (the next sequence number zeroed, or one entry's pushed past it) is a
+/// structured error, and the log is left as it was.
+#[test]
+fn a_checkpoint_queue_with_colliding_seqs_is_a_structured_error() {
+    use serde::Value;
+    let dir = scratch("bad-queue");
+    let crashed = run_study_opts(
+        &StudyConfig::paper(3, 0.02),
+        &RunOptions {
+            checkpoint_dir: Some(dir.clone()),
+            checkpoint_every: 5_000,
+            crash_after_checkpoints: Some(1),
+            ..RunOptions::default()
+        },
+    );
+    assert!(matches!(crashed, Err(StudyError::SimulatedCrash { .. })));
+    let json = std::fs::read_to_string(dir.join("checkpoint.json")).unwrap();
+    let log = std::fs::read(dir.join("world.log")).unwrap();
+
+    fn field<'a>(doc: &'a mut Value, name: &str) -> &'a mut Value {
+        let Value::Object(fields) = doc else {
+            panic!("checkpoint is an object")
+        };
+        let (_, value) = fields.iter_mut().find(|(k, _)| k == name).unwrap();
+        value
+    }
+    fn zero_next_seq(doc: &mut Value) {
+        *field(doc, "queue_next_seq") = Value::UInt(0);
+    }
+    fn huge_entry_seq(doc: &mut Value) {
+        let Value::Array(entries) = field(doc, "queue") else {
+            panic!("queue is an array")
+        };
+        let Value::Array(entry) = &mut entries[0] else {
+            panic!("an entry is an [at, seq, event] array")
+        };
+        entry[1] = Value::UInt(1 << 63);
+    }
+    for (what, mutate) in [
+        ("queue_next_seq = 0", zero_next_seq as fn(&mut Value)),
+        ("entry seq = 2^63", huge_entry_seq),
+    ] {
+        let mut doc: Value = serde_json::from_str(&json).unwrap();
+        mutate(&mut doc);
+        let bad = scratch("bad-queue-copy");
+        std::fs::create_dir_all(&bad).unwrap();
+        std::fs::write(
+            bad.join("checkpoint.json"),
+            serde_json::to_string_pretty(&doc).unwrap(),
+        )
+        .unwrap();
+        std::fs::write(bad.join("world.log"), &log).unwrap();
+        let resumed = run_study_opts(
+            &StudyConfig::paper(3, 0.02),
+            &RunOptions {
+                checkpoint_dir: Some(bad.clone()),
+                resume: true,
+                ..RunOptions::default()
+            },
+        );
+        match resumed {
+            Err(StudyError::Mismatch(why)) => {
+                assert!(why.contains("restored entry seq"), "{what}: {why}");
+            }
+            Err(other) => panic!("{what}: expected Mismatch, got {other}"),
+            Ok(_) => panic!("{what}: resumed from a colliding queue"),
+        }
+        assert_eq!(std::fs::read(bad.join("world.log")).unwrap(), log, "{what}");
+        std::fs::remove_dir_all(&bad).ok();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -14,7 +14,6 @@ use likelab::sim::Exec;
 use likelab::{
     checklist, render_checklist, run_study_opts, RunOptions, StudyConfig, StudyError, StudyRecord,
 };
-use serde::Serialize;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
@@ -64,7 +63,7 @@ fn frames(records: &[(u64, StudyRecord)]) -> Vec<LogRecord> {
         .iter()
         .map(|(seq, r)| LogRecord {
             seq: *seq,
-            payload: r.to_value(),
+            payload: serde_json::to_string(r).expect("render record"),
         })
         .collect()
 }

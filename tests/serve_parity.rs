@@ -177,7 +177,7 @@ fn mid_stream_seq_regression_is_rejected() {
         .iter()
         .map(|(seq, r)| likelab::sim::event::LogRecord {
             seq: *seq,
-            payload: serde::Serialize::to_value(r),
+            payload: serde_json::to_string(r).unwrap(),
         })
         .collect();
     // Duplicate frame 5 after frame 6: seq goes 5, 6, 5.
