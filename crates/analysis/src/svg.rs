@@ -4,7 +4,7 @@
 //! Figure 3's graph drawing is exported as DOT by [`crate::social`].
 //!
 //! The emitters take the same data structures the analyses produce, so
-//! `full_study` can drop real figure files next to the JSON exports.
+//! `likelab export DIR` can drop real figure files next to the JSON exports.
 
 use crate::geo::GeoRow;
 use crate::pagelikes::LikeCountCurve;

@@ -4,8 +4,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use likelab_bench::{print_block, study};
 use likelab_detect::{
-    detect, extract, fit, roc, score, sybil_rank, BurstConfig, LockstepConfig, PositiveClass,
-    ScorerWeights, SybilRankConfig, TrainConfig,
+    detect, extract, roc, score, sybil_rank, BurstConfig, LockstepConfig, PositiveClass,
+    ScorerWeights, SybilRankConfig,
 };
 use likelab_graph::UserId;
 use likelab_osn::ActorClass;
@@ -35,27 +35,6 @@ fn print_comparison() {
         body,
         "combined scorer (hand weights): AUC {auc:.3} vs farm labels"
     );
-
-    // Trained variant.
-    let train: Vec<_> = o
-        .world
-        .user_ids()
-        .step_by(3)
-        .map(|u| {
-            (
-                extract(&o.world, u, now, &cfg),
-                o.world.account(u).class.is_farm(),
-            )
-        })
-        .collect();
-    let trained = fit(&train, &TrainConfig::default());
-    let scored_t: Vec<(UserId, f64)> = o
-        .world
-        .user_ids()
-        .map(|u| (u, score(&extract(&o.world, u, now, &cfg), &trained)))
-        .collect();
-    let auc_t = roc(&o.world, &scored_t, PositiveClass::FarmOnly).auc;
-    let _ = writeln!(body, "combined scorer (trained):      AUC {auc_t:.3}");
 
     // Lockstep.
     let report = detect(&o.world, &LockstepConfig::default());

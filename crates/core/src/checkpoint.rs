@@ -21,7 +21,8 @@
 
 use crate::record::{io_err, read_records, write_atomic, StudyError, StudyLog, StudyRecord};
 use crate::study::{
-    collect, event_loop, Capture, Ev, LoopState, RunOptions, StudyConfig, StudyOutcome,
+    collect, event_loop, study_window, Capture, Ev, LoopState, RunOptions, StudyConfig,
+    StudyOutcome,
 };
 use likelab_graph::PageId;
 use likelab_honeypot::PageMonitor;
@@ -143,6 +144,25 @@ pub(crate) fn resume_study(opts: &RunOptions) -> Result<StudyOutcome, StudyError
     // before the log is touched.
     let queue = EventQueue::from_entries(cp.queue, cp.queue_next_seq)
         .map_err(|e| StudyError::Mismatch(format!("{}: queue: {e}", cp_path.display())))?;
+    // The sweep reschedules itself every `sweep_interval` until `end`, so a
+    // window that disagrees with the config, or a zero interval, would
+    // keep the run going forever. Refuse both before the log is touched.
+    let (launch, end) = study_window(&cp.config)
+        .map_err(|why| StudyError::Mismatch(format!("{}: {why}", cp_path.display())))?;
+    for (what, got, want) in [("launch", cp.launch, launch), ("end", cp.end, end)] {
+        if got != want {
+            return Err(StudyError::Mismatch(format!(
+                "{}: study {what} {got} differs from the {want} its config implies",
+                cp_path.display()
+            )));
+        }
+    }
+    if cp.config.sweep_interval.is_zero() {
+        return Err(StudyError::Mismatch(format!(
+            "{}: config.sweep_interval is 0",
+            cp_path.display()
+        )));
+    }
 
     // Rebuild the world from the pinned log prefix.
     let log_path = dir.join("world.log");

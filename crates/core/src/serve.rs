@@ -1005,7 +1005,10 @@ mod tests {
 
     #[test]
     fn protocol_rejects_bad_requests_without_dying() {
-        let mut session = ServeSession::new(full_engine());
+        let engine = full_engine();
+        let (users, pages) = (engine.world().account_count(), engine.world().page_count());
+        let mut session = ServeSession::new(engine);
+        let past_last_page = format!(r#"{{"v":1,"op":"page","page":{pages}}}"#);
         for (line, needle) in [
             ("not json", "bad request JSON"),
             (r#"{"op":"status"}"#, "missing `v`"),
@@ -1014,6 +1017,7 @@ mod tests {
             (r#"{"v":1,"op":"frobnicate"}"#, "unknown op"),
             (r#"{"v":1,"op":"score"}"#, "missing required param `user`"),
             (r#"{"v":1,"op":"score","user":99999999}"#, "unknown user"),
+            (&past_last_page, "unknown page"),
         ] {
             let (resp, stop) = session.handle_line(line, 0);
             assert!(!stop, "{line}");
@@ -1022,11 +1026,18 @@ mod tests {
             let err = v.get("error").and_then(Value::as_str).unwrap();
             assert!(err.contains(needle), "{line}: {err}");
         }
-        // The session still works after all that abuse.
-        let (resp, _) = session.handle_line(r#"{"v":1,"id":9,"op":"lockstep"}"#, 0);
-        let v: Value = serde_json::from_str(&resp).unwrap();
-        assert_eq!(v.get("ok"), Some(&Value::Bool(true)));
-        assert_eq!(v.get("id"), Some(&Value::UInt(9)));
+        // The session still works after all that abuse, and the last user
+        // and the last page are in range.
+        for line in [
+            r#"{"v":1,"id":9,"op":"lockstep"}"#.to_string(),
+            format!(r#"{{"v":1,"id":9,"op":"score","user":{}}}"#, users - 1),
+            format!(r#"{{"v":1,"id":9,"op":"page","page":{}}}"#, pages - 1),
+        ] {
+            let (resp, _) = session.handle_line(&line, 0);
+            let v: Value = serde_json::from_str(&resp).unwrap();
+            assert_eq!(v.get("ok"), Some(&Value::Bool(true)), "{line}: {resp}");
+            assert_eq!(v.get("id"), Some(&Value::UInt(9)), "{line}");
+        }
     }
 
     /// Regression: a request line of 40,000 `[`, inside the line cap, used

@@ -295,16 +295,47 @@ pub(crate) struct LoopState {
     pub(crate) sweep_terminations: usize,
 }
 
-/// How long a campaign's paid promotion runs (drives the crawler cadence
-/// switch).
-fn campaign_days(spec: &CampaignSpec, farms: &[FarmSpec]) -> u64 {
-    match &spec.promotion {
+/// When a campaign's paid promotion ends (drives the crawler cadence
+/// switch). A campaign ordering from a farm `farms` does not have, or an
+/// end past the end of the clock, is an error saying so.
+fn campaign_end(
+    launch: SimTime,
+    spec: &CampaignSpec,
+    farms: &[FarmSpec],
+) -> Result<SimTime, String> {
+    let days = match &spec.promotion {
         Promotion::PlatformAds { duration_days, .. } => *duration_days,
-        Promotion::FarmOrder { farm, .. } => match farms[*farm].style {
-            DeliveryStyle::Burst { days, .. } => days,
-            DeliveryStyle::Trickle { days } => days,
-        },
+        Promotion::FarmOrder { farm, .. } => {
+            let farm = farms
+                .get(*farm)
+                .ok_or_else(|| format!("campaign {} orders from an unknown farm", spec.label))?;
+            match farm.style {
+                DeliveryStyle::Burst { days, .. } => days,
+                DeliveryStyle::Trickle { days } => days,
+            }
+        }
+    };
+    days.checked_mul(SimDuration::DAY.as_secs())
+        .and_then(|secs| launch.as_secs().checked_add(secs))
+        .map(SimTime::from_secs)
+        .ok_or_else(|| format!("campaign {} ends past the end of the clock", spec.label))
+}
+
+/// The study window `(launch, end)` that `config` implies: campaigns launch
+/// at the end of the population's history window, and the study ends
+/// `termination_check_after` past the last promotion. Set-up schedules by
+/// it, and a resume refuses a checkpoint whose window disagrees with it.
+pub(crate) fn study_window(config: &StudyConfig) -> Result<(SimTime, SimTime), String> {
+    let launch = SimTime::EPOCH + config.population.history;
+    let mut last = launch;
+    for spec in &config.campaigns {
+        last = last.max(campaign_end(launch, spec, &config.farms)?);
     }
+    let end = last
+        .as_secs()
+        .checked_add(config.termination_check_after.as_secs())
+        .ok_or("the study ends past the end of the clock")?;
+    Ok((launch, SimTime::from_secs(end)))
 }
 
 /// Run the study. See the module docs for the protocol.
@@ -366,6 +397,7 @@ pub fn run_study_opts(config: &StudyConfig, opts: &RunOptions) -> Result<StudyOu
 /// Phases 1–3: population, honeypots, promotions, organic plan, and the
 /// initial event queue.
 fn setup(config: &StudyConfig, exec: Exec, capture: &mut Capture) -> Result<LoopState, StudyError> {
+    let (launch, end) = study_window(config).map_err(StudyError::Mismatch)?;
     let mut rng = Rng::seed_from_u64(config.seed);
     let mut trace = Trace::with_capacity(10_000);
     let mut world = OsnWorld::new();
@@ -376,7 +408,7 @@ fn setup(config: &StudyConfig, exec: Exec, capture: &mut Capture) -> Result<Loop
     let pop_config = config.population.clone().scaled(config.scale);
     capture.rng_fork("population")?;
     let population = synthesize_with(&mut world, &pop_config, &mut rng.fork("population"), exec);
-    let launch = population.launch;
+    debug_assert_eq!(population.launch, launch, "launch ends the history window");
     trace.note(
         launch,
         format!(
@@ -405,7 +437,6 @@ fn setup(config: &StudyConfig, exec: Exec, capture: &mut Capture) -> Result<Loop
     let mut monitors: Vec<Option<PageMonitor>> = Vec::with_capacity(config.campaigns.len());
     let mut inactive: Vec<bool> = Vec::with_capacity(config.campaigns.len());
     let mut engine: Engine<Ev> = Engine::new();
-    let mut max_campaign_end = launch;
 
     // Each campaign plans its ads from `ads_rng.split(campaign_index)`: the
     // stream is a pure function of (seed, index), so adding draws to one
@@ -416,9 +447,8 @@ fn setup(config: &StudyConfig, exec: Exec, capture: &mut Capture) -> Result<Loop
     for (campaign_index, spec) in config.campaigns.iter().enumerate() {
         let (page, _owner) = deploy_honeypot(&mut world, launch);
         honeypots.push(page);
-        let days = campaign_days(spec, &config.farms);
-        let campaign_end = launch + SimDuration::days(days);
-        max_campaign_end = max_campaign_end.max(campaign_end);
+        let campaign_end =
+            campaign_end(launch, spec, &config.farms).map_err(StudyError::Mismatch)?;
         let mut is_scam = false;
         match &spec.promotion {
             Promotion::PlatformAds {
@@ -513,8 +543,6 @@ fn setup(config: &StudyConfig, exec: Exec, capture: &mut Capture) -> Result<Loop
             })?;
         }
     }
-
-    let end = max_campaign_end + config.termination_check_after;
 
     // --- organic background activity --------------------------------------
     if config.organic_activity {

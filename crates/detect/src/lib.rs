@@ -8,10 +8,8 @@
 //!
 //! - [`burst`] — densest-window share of page and account like streams;
 //! - [`lockstep`] — CopyCatch-style co-liking clusters;
-//! - [`audience`] — page-audience demographic divergence (Table 2's signal
-//!   turned into a detector);
-//! - [`features`] / [`scorer`] — a combined per-account model, with a
-//!   logistic-regression trainer in [`train`];
+//! - [`features`] / [`scorer`] — a combined per-account model with
+//!   hand-set weights, the one `likelab serve` scores with;
 //! - [`sybilrank`] — SybilRank-style trust propagation, the graph-defense
 //!   baseline family the paper's related work discusses;
 //! - [`eval`] — precision/recall/F1 and ROC/AUC against [`ActorClass`]
@@ -25,7 +23,6 @@
 //!
 //! [`ActorClass`]: likelab_osn::ActorClass
 
-pub mod audience;
 pub mod burst;
 pub mod eval;
 pub mod features;
@@ -33,9 +30,7 @@ pub mod lockstep;
 pub mod online;
 pub mod scorer;
 pub mod sybilrank;
-pub mod train;
 
-pub use audience::{judge_audience, AudienceConfig, AudienceVerdict};
 pub use burst::{judge_account, judge_page, BurstConfig, BurstVerdict};
 pub use eval::{confusion_at, roc, Confusion, PositiveClass, Roc};
 pub use features::{extract, AccountFeatures};
@@ -43,4 +38,3 @@ pub use lockstep::{detect, detect_from_buckets, LockstepConfig, LockstepReport};
 pub use online::{OnlineBurst, OnlineDetectors, OnlineLockstep, OnlineSybilRank};
 pub use scorer::{score, ScorerWeights};
 pub use sybilrank::{sybil_rank, SybilRankConfig, TrustScores};
-pub use train::{fit, TrainConfig};

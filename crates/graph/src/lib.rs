@@ -1,31 +1,27 @@
 //! # likelab-graph — social-graph substrate
 //!
-//! Storage and algorithms for the two graphs the study lives on:
+//! Storage and algorithms for the undirected **friendship graph**
+//! ([`FriendGraph`]) the study lives on — Facebook friendships are
+//! bidirectional, unlike Twitter's follower edges. Like edges live in the
+//! platform's ledger (`likelab_osn::LikeLedger`), not here.
 //!
-//! - the undirected **friendship graph** ([`FriendGraph`]) — Facebook
-//!   friendships are bidirectional, unlike Twitter's follower edges;
-//! - the bipartite **like graph** ([`LikeGraph`]) between users and pages.
-//!
-//! On top of the stores: random-graph generators for the organic population
-//! and the farm topologies ([`generate`]), connected components and the
-//! pair/triplet census of Figure 3 ([`mod@components`]), direct and 2-hop
-//! relation counting for Table 3 ([`twohop`]), structural metrics
-//! ([`metrics`]), k-core decomposition and assortativity ([`kcore`]), and
-//! DOT export ([`dot`]).
+//! On top of the store: the random-graph generators that wire the organic
+//! population and the bot-burst farms ([`generate`]), connected components
+//! and the pair/triplet census of Figure 3 ([`mod@components`]), direct and
+//! 2-hop relation counting for Table 3 ([`twohop`]), summary statistics and
+//! local clustering ([`metrics`]), degree-ordered renumbering ([`renumber`]),
+//! and DOT export ([`dot`]).
 
 pub mod adjacency;
-pub mod bipartite;
 pub mod components;
 pub mod dot;
 pub mod generate;
 pub mod ids;
-pub mod kcore;
 pub mod metrics;
 pub mod renumber;
 pub mod twohop;
 
 pub use adjacency::{FriendGraph, Neighbors};
-pub use bipartite::LikeGraph;
 pub use components::{components, ComponentCensus, UnionFind};
 pub use ids::{PageId, UserId};
 pub use metrics::SummaryStats;

@@ -1,9 +1,9 @@
-//! Structural metrics over the friendship graph.
+//! Summary statistics and local clustering.
 //!
-//! The analyses need degree statistics (Table 3's friends-per-liker columns),
-//! density and clustering (to characterize the BoostLikes blob vs. the
-//! SocialFormula archipelago), and degree histograms for the ablation
-//! benches.
+//! Table 3 reports friends per liker as mean ± standard deviation and a
+//! median ([`SummaryStats`]); the detectors' per-account features include
+//! the local clustering coefficient of the account's friend neighborhood
+//! ([`local_clustering`]).
 
 use crate::adjacency::FriendGraph;
 use crate::ids::UserId;
@@ -50,60 +50,6 @@ impl SummaryStats {
             median,
             n,
         }
-    }
-}
-
-/// Degree statistics over a member subset.
-pub fn degree_stats(graph: &FriendGraph, members: &[UserId]) -> SummaryStats {
-    let degrees: Vec<f64> = members.iter().map(|u| graph.degree(*u) as f64).collect();
-    SummaryStats::of(&degrees)
-}
-
-/// Histogram of degrees over a member subset: `hist[d]` is the number of
-/// members with degree `d`.
-pub fn degree_histogram(graph: &FriendGraph, members: &[UserId]) -> Vec<usize> {
-    let max_d = members.iter().map(|u| graph.degree(*u)).max().unwrap_or(0);
-    let mut hist = vec![0usize; max_d + 1];
-    for u in members {
-        hist[graph.degree(*u)] += 1;
-    }
-    hist
-}
-
-/// Edge density of the whole graph: edges / C(n, 2).
-pub fn density(graph: &FriendGraph) -> f64 {
-    let n = graph.node_count();
-    if n < 2 {
-        return 0.0;
-    }
-    graph.edge_count() as f64 / (n as f64 * (n as f64 - 1.0) / 2.0)
-}
-
-/// Global clustering coefficient: 3 × triangles / open-plus-closed triads.
-/// Zero when the graph has no wedge at all.
-pub fn global_clustering(graph: &FriendGraph) -> f64 {
-    let mut triangles = 0u64;
-    let mut wedges = 0u64;
-    for u in graph.nodes() {
-        let d = graph.degree(u) as u64;
-        wedges += d * d.saturating_sub(1) / 2;
-        // Count triangles where u is the smallest vertex to avoid recount.
-        let ns = graph.neighbors(u);
-        for (i, &a) in ns.iter().enumerate() {
-            if a < u {
-                continue;
-            }
-            for &b in &ns[i + 1..] {
-                if graph.has_edge(a, b) {
-                    triangles += 1;
-                }
-            }
-        }
-    }
-    if wedges == 0 {
-        0.0
-    } else {
-        3.0 * triangles as f64 / wedges as f64
     }
 }
 
@@ -166,46 +112,11 @@ mod tests {
     }
 
     #[test]
-    fn degree_stats_over_subset() {
-        let g = triangle_plus_tail();
-        let s = degree_stats(&g, &[u(2), u(3)]);
-        assert_eq!(s.n, 2);
-        assert!((s.mean - 2.0).abs() < 1e-12); // deg(2)=3, deg(3)=1
-        assert!((s.median - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn degree_histogram_shape() {
-        let g = triangle_plus_tail();
-        let ms: Vec<UserId> = (0..4).map(u).collect();
-        assert_eq!(degree_histogram(&g, &ms), vec![0, 1, 2, 1]);
-        assert_eq!(degree_histogram(&g, &[]), vec![0]);
-    }
-
-    #[test]
-    fn density_of_complete_graph_is_one() {
-        let mut g = FriendGraph::with_nodes(4);
-        for i in 0..4 {
-            for j in (i + 1)..4 {
-                g.add_edge(u(i), u(j));
-            }
-        }
-        assert!((density(&g) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn density_edge_cases() {
-        assert_eq!(density(&FriendGraph::with_nodes(0)), 0.0);
-        assert_eq!(density(&FriendGraph::with_nodes(1)), 0.0);
-    }
-
-    #[test]
     fn clustering_of_triangle_is_one() {
         let mut g = FriendGraph::with_nodes(3);
         g.add_edge(u(0), u(1));
         g.add_edge(u(1), u(2));
         g.add_edge(u(0), u(2));
-        assert!((global_clustering(&g) - 1.0).abs() < 1e-12);
         assert!((local_clustering(&g, u(0)) - 1.0).abs() < 1e-12);
     }
 
@@ -215,7 +126,6 @@ mod tests {
         for i in 1..5 {
             g.add_edge(u(0), u(i));
         }
-        assert_eq!(global_clustering(&g), 0.0);
         assert_eq!(local_clustering(&g, u(0)), 0.0);
         assert_eq!(local_clustering(&g, u(1)), 0.0, "degree-1 node");
     }
@@ -223,8 +133,6 @@ mod tests {
     #[test]
     fn clustering_mixed_graph() {
         let g = triangle_plus_tail();
-        // Triangles: 1. Wedges: deg(0)=2→1, deg(1)=2→1, deg(2)=3→3, deg(3)=1→0. Total 5.
-        assert!((global_clustering(&g) - 3.0 / 5.0).abs() < 1e-12);
         // Node 2's neighbors {0,1,3}: one link (0-1) of three possible.
         assert!((local_clustering(&g, u(2)) - 1.0 / 3.0).abs() < 1e-12);
     }

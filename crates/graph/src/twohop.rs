@@ -76,11 +76,6 @@ pub fn two_hop_pairs(
         .collect()
 }
 
-/// Count of [`two_hop_pairs`].
-pub fn two_hop_count(graph: &FriendGraph, members: &[UserId], exclude_direct: bool) -> usize {
-    two_hop_pairs(graph, members, exclude_direct).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,8 +114,8 @@ mod tests {
         g.add_edge(u(0), u(2));
         g.add_edge(u(1), u(2));
         let ms = vec![u(0), u(1)];
-        assert_eq!(two_hop_count(&g, &ms, true), 0);
-        assert_eq!(two_hop_count(&g, &ms, false), 1);
+        assert_eq!(two_hop_pairs(&g, &ms, true).len(), 0);
+        assert_eq!(two_hop_pairs(&g, &ms, false).len(), 1);
     }
 
     #[test]
@@ -141,7 +136,7 @@ mod tests {
             g.add_edge(u(0), u(i));
         }
         let ms: Vec<UserId> = (1..5).map(u).collect();
-        assert_eq!(two_hop_count(&g, &ms, true), 6); // C(4,2)
+        assert_eq!(two_hop_pairs(&g, &ms, true).len(), 6); // C(4,2)
     }
 
     #[test]
@@ -153,13 +148,13 @@ mod tests {
         g.add_edge(u(0), u(3));
         g.add_edge(u(1), u(3));
         let ms = vec![u(0), u(1)];
-        assert_eq!(two_hop_count(&g, &ms, true), 1);
+        assert_eq!(two_hop_pairs(&g, &ms, true).len(), 1);
     }
 
     #[test]
     fn empty_members_and_no_edges() {
         let g = FriendGraph::with_nodes(3);
         assert_eq!(direct_edges_within(&g, &[]), 0);
-        assert_eq!(two_hop_count(&g, &[u(0), u(1)], true), 0);
+        assert_eq!(two_hop_pairs(&g, &[u(0), u(1)], true).len(), 0);
     }
 }

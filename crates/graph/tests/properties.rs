@@ -3,7 +3,7 @@
 use likelab_graph::components::{component_sizes, components, ComponentCensus};
 use likelab_graph::metrics::SummaryStats;
 use likelab_graph::twohop::{direct_edges_within, two_hop_pairs};
-use likelab_graph::{FriendGraph, LikeGraph, PageId, UserId};
+use likelab_graph::{FriendGraph, UserId};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -118,27 +118,6 @@ proptest! {
             .filter(|(a, b)| member_set.contains(a) && member_set.contains(b))
             .count();
         prop_assert_eq!(direct, expected);
-    }
-
-    /// The like graph keeps both indexes consistent.
-    #[test]
-    fn like_graph_indexes_agree(likes in prop::collection::vec((0u32..20, 0u32..20), 0..100)) {
-        let mut g = LikeGraph::new(20, 20);
-        for (u, p) in &likes {
-            g.add_like(UserId(*u), PageId(*p));
-        }
-        let total_user_side: usize = (0..20).map(|u| g.user_like_count(UserId(u))).sum();
-        let total_page_side: usize = (0..20).map(|p| g.page_like_count(PageId(p))).sum();
-        prop_assert_eq!(total_user_side, g.like_count());
-        prop_assert_eq!(total_page_side, g.like_count());
-        for u in 0..20 {
-            for p in g.pages_of(UserId(u)) {
-                prop_assert!(g.likers_of(*p).contains(&UserId(u)));
-                prop_assert!(g.likes_page(UserId(u), *p));
-            }
-        }
-        let distinct: HashSet<(u32, u32)> = likes.iter().copied().collect();
-        prop_assert_eq!(g.like_count(), distinct.len());
     }
 
     /// The CSR adjacency round-trips against a naive Vec-of-sets reference

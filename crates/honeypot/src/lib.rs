@@ -8,14 +8,12 @@
 //! the month-later termination recheck ([`collector`]), and the resulting
 //! dataset the analysis pipeline consumes ([`dataset`]).
 
-pub mod anonymize;
 pub mod campaign;
 pub mod collector;
 pub mod crawler;
 pub mod dataset;
 pub mod page;
 
-pub use anonymize::{anonymize, suppress_small_buckets, Pseudonymizer};
 pub use campaign::{CampaignSpec, Promotion};
 pub use collector::{
     check_terminations, collect_profiles, CollectionConfig, CrawlOutcome, LikerRecord,

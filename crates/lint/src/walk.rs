@@ -132,7 +132,7 @@ mod tests {
         assert_eq!(classify("src/main.rs"), FileKind::Binary);
         assert_eq!(classify("crates/lint/src/main.rs"), FileKind::Binary);
         assert_eq!(classify("crates/sim/src/rng.rs"), FileKind::Library);
-        assert_eq!(classify("examples/quickstart.rs"), FileKind::Example);
+        assert_eq!(classify("examples/farm_forensics.rs"), FileKind::Example);
     }
 
     #[test]

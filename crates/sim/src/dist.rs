@@ -3,9 +3,9 @@
 //! The population synthesizer draws demographics from categorical marginals,
 //! page popularity follows a Zipf law, per-user like counts are log-normal
 //! (heavy-tailed, strictly positive — the paper observed 1 to 10,000 page
-//! likes per user), organic activity is Poisson, and burst jitter is
-//! exponential. Everything takes the crate [`Rng`] so seeded
-//! runs stay reproducible.
+//! likes per user), and organic activity is a Poisson process drawn as
+//! exponential gaps. Everything takes the crate [`Rng`] so seeded runs stay
+//! reproducible.
 
 use crate::rng::Rng;
 
@@ -55,40 +55,6 @@ pub fn log_normal(rng: &mut Rng, mu: f64, sigma: f64) -> f64 {
 pub fn log_normal_median(rng: &mut Rng, median: f64, sigma: f64) -> f64 {
     assert!(median > 0.0, "log-normal median must be positive");
     log_normal(rng, median.ln(), sigma)
-}
-
-/// Draw a Poisson-distributed count.
-///
-/// Uses Knuth's product method for small λ and a normal approximation with
-/// continuity correction for large λ (the tail error is irrelevant at the
-/// λ > 30 scale where it engages).
-pub fn poisson(rng: &mut Rng, lambda: f64) -> u64 {
-    assert!(
-        lambda.is_finite() && lambda >= 0.0,
-        "poisson lambda must be non-negative, got {lambda}"
-    );
-    if lambda == 0.0 {
-        return 0;
-    }
-    if lambda < 30.0 {
-        let l = (-lambda).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= rng.f64();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-        }
-    } else {
-        let x = normal(rng, lambda, lambda.sqrt());
-        if x < 0.0 {
-            0
-        } else {
-            (x + 0.5) as u64
-        }
-    }
 }
 
 /// A Zipf sampler over ranks `1..=n` with exponent `s`, built once and reused
@@ -314,30 +280,6 @@ mod tests {
             "median {median} should be ~34"
         );
         assert!(xs.iter().all(|x| *x > 0.0));
-    }
-
-    #[test]
-    fn poisson_small_lambda_moments() {
-        let mut r = rng();
-        let n = 100_000;
-        let mean = (0..n).map(|_| poisson(&mut r, 3.5)).sum::<u64>() as f64 / n as f64;
-        assert!((mean - 3.5).abs() < 0.05, "mean {mean}");
-    }
-
-    #[test]
-    fn poisson_large_lambda_moments() {
-        let mut r = rng();
-        let n = 50_000;
-        let xs: Vec<u64> = (0..n).map(|_| poisson(&mut r, 200.0)).collect();
-        let mean = xs.iter().sum::<u64>() as f64 / n as f64;
-        let var = xs.iter().map(|x| (*x as f64 - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 200.0).abs() < 1.0, "mean {mean}");
-        assert!((var / 200.0 - 1.0).abs() < 0.1, "var {var}");
-    }
-
-    #[test]
-    fn poisson_zero_lambda_is_zero() {
-        assert_eq!(poisson(&mut rng(), 0.0), 0);
     }
 
     #[test]

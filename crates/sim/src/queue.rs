@@ -28,7 +28,7 @@
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::fmt;
 
 struct Entry<E> {
@@ -132,31 +132,27 @@ impl<E> EventQueue<E> {
     pub fn pop_if(&mut self, pred: impl FnOnce(SimTime, &E) -> bool) -> Option<(SimTime, E)> {
         self.flush_bulk();
         self.draining = true;
-        let run_key = self.run.last().map(|e| (e.at, e.seq));
-        let heap_key = self.heap.peek().map(|e| (e.at, e.seq));
-        let from_run = match (run_key, heap_key) {
+        // Equal keys are impossible (seq is unique); the earlier-pushed
+        // entry — always the run's, its seq predates every heap seq — wins
+        // equal times via the smaller seq.
+        let from_run = match (self.run.last(), self.heap.peek()) {
             (None, None) => return None,
             (Some(_), None) => true,
             (None, Some(_)) => false,
-            // Equal keys are impossible (seq is unique); the earlier-pushed
-            // entry — always the run's, its seq predates every heap seq —
-            // wins equal times via the smaller seq.
-            (Some(r), Some(h)) => r < h,
+            (Some(r), Some(h)) => (r.at, r.seq) < (h.at, h.seq),
         };
         let e = if from_run {
-            // lint:allow(unwrap-in-library): run_key was Some, so the run is non-empty
-            let front = self.run.last().expect("checked non-empty");
+            let front = self.run.last()?;
             if !pred(front.at, &front.event) {
                 return None;
             }
-            self.run.pop().expect("checked non-empty")
+            self.run.pop()?
         } else {
-            // lint:allow(unwrap-in-library): heap_key was Some, so the heap is non-empty
-            let front = self.heap.peek().expect("checked non-empty");
+            let front = self.heap.peek_mut()?;
             if !pred(front.at, &front.event) {
                 return None;
             }
-            self.heap.pop().expect("checked non-empty")
+            PeekMut::pop(front)
         };
         Some((e.at, e.event))
     }

@@ -1,6 +1,6 @@
 //! Property-based tests of the simulation kernel's invariants.
 
-use likelab_sim::dist::{exponential, log_normal_median, poisson, Categorical, Zipf};
+use likelab_sim::dist::{exponential, log_normal_median, Categorical, Zipf};
 use likelab_sim::{EventQueue, Rng, SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -129,8 +129,6 @@ proptest! {
         }
         prop_assert!(exponential(&mut rng, 0.5 + s) >= 0.0);
         prop_assert!(log_normal_median(&mut rng, 34.0, 1.0) > 0.0);
-        let p = poisson(&mut rng, s * 10.0);
-        prop_assert!(p < 1_000_000);
     }
 
     /// Categorical sampling only returns configured outcomes, and never an

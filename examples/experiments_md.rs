@@ -240,7 +240,7 @@ fn main() {
         "\nPaper's reading reproduces: dense interconnected BoostLikes blob; \
          SocialFormula pairs/triplets; AL↔MS cross edges ({} measured) point \
          to the shared operator. DOT exports of the drawing itself: \
-         `target/likelab/figure3_*.dot` from `examples/full_study.rs`.\n",
+         `DIR/figure3_*.dot` from `likelab export DIR`.\n",
         obs.cross_group_pairs(Provider::AuthenticLikes, Provider::MammothSocials)
             .len(),
     );

@@ -133,9 +133,11 @@ fn resume_without_a_checkpoint_is_a_hard_error() {
 }
 
 /// `checkpoint.json` is read back from disk, so resume treats it as
-/// outside input: a queue whose entries could collide with a future push
-/// (the next sequence number zeroed, or one entry's pushed past it) is a
-/// structured error, and the log is left as it was.
+/// outside input. A queue whose entries could collide with a future push
+/// (the next sequence number zeroed, or one entry's pushed past it), a
+/// study window that disagrees with the config, and a zero sweep interval
+/// (either of the last two kept the sweep rescheduling itself forever) are
+/// each a structured error, and the log is left as it was.
 #[test]
 fn a_checkpoint_queue_with_colliding_seqs_is_a_structured_error() {
     use serde::Value;
@@ -172,9 +174,39 @@ fn a_checkpoint_queue_with_colliding_seqs_is_a_structured_error() {
         };
         entry[1] = Value::UInt(1 << 63);
     }
-    for (what, mutate) in [
-        ("queue_next_seq = 0", zero_next_seq as fn(&mut Value)),
-        ("entry seq = 2^63", huge_entry_seq),
+    fn shift(doc: &mut Value, name: &str, secs: i64) {
+        let Value::UInt(at) = field(doc, name) else {
+            panic!("{name} is a number of seconds")
+        };
+        *at = at.checked_add_signed(secs).unwrap();
+    }
+    fn endless_end(doc: &mut Value) {
+        *field(doc, "end") = Value::UInt(u64::MAX);
+    }
+    fn end_a_day_early(doc: &mut Value) {
+        shift(doc, "end", -86_400);
+    }
+    fn launch_a_day_late(doc: &mut Value) {
+        shift(doc, "launch", 86_400);
+    }
+    fn zero_sweep_interval(doc: &mut Value) {
+        *field(field(doc, "config"), "sweep_interval") = Value::UInt(0);
+    }
+    for (what, mutate, needle) in [
+        (
+            "queue_next_seq = 0",
+            zero_next_seq as fn(&mut Value),
+            "restored entry seq",
+        ),
+        ("entry seq = 2^63", huge_entry_seq, "restored entry seq"),
+        ("end = 2^64 - 1", endless_end, "study end d213503982334601"),
+        ("end one day early", end_a_day_early, "study end"),
+        ("launch one day late", launch_a_day_late, "study launch"),
+        (
+            "sweep_interval = 0",
+            zero_sweep_interval,
+            "config.sweep_interval is 0",
+        ),
     ] {
         let mut doc: Value = serde_json::from_str(&json).unwrap();
         mutate(&mut doc);
@@ -196,10 +228,10 @@ fn a_checkpoint_queue_with_colliding_seqs_is_a_structured_error() {
         );
         match resumed {
             Err(StudyError::Mismatch(why)) => {
-                assert!(why.contains("restored entry seq"), "{what}: {why}");
+                assert!(why.contains(needle), "{what}: {why}");
             }
             Err(other) => panic!("{what}: expected Mismatch, got {other}"),
-            Ok(_) => panic!("{what}: resumed from a colliding queue"),
+            Ok(_) => panic!("{what}: resumed from a hostile checkpoint"),
         }
         assert_eq!(std::fs::read(bad.join("world.log")).unwrap(), log, "{what}");
         std::fs::remove_dir_all(&bad).ok();
