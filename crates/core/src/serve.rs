@@ -399,7 +399,7 @@ impl ServeEngine {
     }
 
     fn q_lockstep(&mut self) -> Value {
-        let report = self.detectors.lockstep().report();
+        let report = self.detectors.lockstep_mut().report();
         let flagged = report.flagged().len();
         let largest = report.clusters.first().map_or(0, Vec::len);
         obj(vec![
@@ -560,51 +560,72 @@ impl ServeSession {
         self.stats.queries += 1;
         self.stats.max_lag_records = self.stats.max_lag_records.max(pending as u64);
         likelab_obs::metrics::record_ns("serve.query.lag.records", pending as u64);
-        let (response, shutdown) = self.handle_inner(line, pending);
+        let (response, shutdown, op_metric) = self.handle_inner(line, pending);
         let elapsed = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         self.stats.query_ns.record(elapsed);
         likelab_obs::metrics::record_ns("serve.query.ns", elapsed);
+        likelab_obs::metrics::record_ns(op_metric, elapsed);
         (response, shutdown)
     }
 
-    fn handle_inner(&mut self, line: &str, pending: usize) -> (String, bool) {
-        let request: Value = match serde_json::from_str(line) {
-            Ok(v) => v,
-            Err(e) => {
-                return (
-                    error_line(&Value::Null, &format!("bad request JSON: {e}")),
-                    false,
-                )
-            }
+    /// The response line, whether to shut down, and the per-op latency
+    /// histogram the request is timed into.
+    fn handle_inner(&mut self, line: &str, pending: usize) -> (String, bool, &'static str) {
+        let (id, request) = match read_request(line) {
+            Ok(read) => read,
+            Err(reply) => return (reply, false, QUERY_ERROR_NS),
         };
-        let id = request.get("id").cloned().unwrap_or(Value::Null);
-        match request.get("v") {
-            Some(Value::UInt(PROTOCOL_VERSION)) => {}
-            Some(other) => {
-                let msg = format!(
-                    "unsupported protocol version {other:?} (this server speaks v{PROTOCOL_VERSION})"
-                );
-                return (error_line(&id, &msg), false);
-            }
-            None => {
-                return (
-                    error_line(&id, "missing `v` (protocol version) field"),
-                    false,
-                )
-            }
-        }
         let Some(op) = request.get("op").and_then(Value::as_str) else {
-            return (error_line(&id, "missing `op` field"), false);
+            return (error_line(&id, "missing `op` field"), false, QUERY_ERROR_NS);
         };
+        let op_metric = op_metric(op);
         if op == "shutdown" {
             let data = obj(vec![("stopping", Value::Bool(true))]);
-            return (ok_line(&id, data), true);
+            return (ok_line(&id, data), true, op_metric);
         }
         let line = match self.engine.query(op, &request, pending) {
             Ok(data) => ok_line(&id, data),
             Err(e) => error_line(&id, &e),
         };
-        (line, false)
+        (line, false, op_metric)
+    }
+}
+
+/// Parse a request line and check its protocol version. Returns the
+/// request's `id` and the request, or the error response line.
+fn read_request(line: &str) -> Result<(Value, Value), String> {
+    let request: Value = serde_json::from_str(line)
+        .map_err(|e| error_line(&Value::Null, &format!("bad request JSON: {e}")))?;
+    let id = request.get("id").cloned().unwrap_or(Value::Null);
+    match request.get("v") {
+        Some(Value::UInt(PROTOCOL_VERSION)) => Ok((id, request)),
+        Some(other) => {
+            let msg = format!(
+                "unsupported protocol version {other:?} (this server speaks v{PROTOCOL_VERSION})"
+            );
+            Err(error_line(&id, &msg))
+        }
+        None => Err(error_line(&id, "missing `v` (protocol version) field")),
+    }
+}
+
+/// The latency histogram of requests that never reach an op handler: bad
+/// JSON, a missing or unsupported `v`, a missing or unknown `op`.
+const QUERY_ERROR_NS: &str = "serve.query.ns{op=error}";
+
+/// The per-op latency histogram for `op`. The names are static, so the
+/// label set stays fixed and timing a request allocates nothing.
+fn op_metric(op: &str) -> &'static str {
+    match op {
+        "status" => "serve.query.ns{op=status}",
+        "score" => "serve.query.ns{op=score}",
+        "page" => "serve.query.ns{op=page}",
+        "campaign" => "serve.query.ns{op=campaign}",
+        "lockstep" => "serve.query.ns{op=lockstep}",
+        "sybil" => "serve.query.ns{op=sybil}",
+        "eval" => "serve.query.ns{op=eval}",
+        "shutdown" => "serve.query.ns{op=shutdown}",
+        _ => QUERY_ERROR_NS,
     }
 }
 
@@ -829,18 +850,25 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeSummary, StudyError> {
     let mut backlog: VecDeque<LogRecord> = VecDeque::new();
     let mut transport_closed = false;
     let mut shutdown = false;
-    let mut eof_after_drain = false;
+    // The last poll read nothing: the file is read to its end, as it
+    // stands.
+    let mut at_eof = false;
 
     loop {
-        // Pull whatever the file has and decode it into the backlog.
-        if opts.follow || !eof_after_drain {
-            let polled = likelab_obs::metrics::timed("serve.poll.ns", || follow.poll())?;
-            if polled.is_empty() && !opts.follow {
-                // A static file is fully decoded once a poll comes back
-                // empty with no partial frame pending.
-                eof_after_drain = follow.tail().pending_bytes() == 0;
+        // Decode the file into the backlog one poll budget at a time, until
+        // it holds a chunk to fold or a poll reads nothing, so the backlog
+        // never holds more than a chunk plus one budget's records. A static
+        // file is polled no more once it is fully decoded.
+        if opts.follow || !(at_eof && follow.tail().pending_bytes() == 0) {
+            while backlog.len() < opts.config.chunk {
+                let read_before = follow.read_bytes();
+                let polled = likelab_obs::metrics::timed("serve.poll.ns", || follow.poll())?;
+                at_eof = follow.read_bytes() == read_before;
+                backlog.extend(polled);
+                if at_eof {
+                    break;
+                }
             }
-            backlog.extend(polled);
         }
         // The header arrives with the first frame batch; the engine can
         // only be sized once the embedded config is readable.
@@ -887,10 +915,13 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeSummary, StudyError> {
                 }
             }
         }
-        if shutdown || (transport_closed && (backlog.is_empty() || session.is_none())) {
+        // Without --follow, a closed transport still waits for the rest of
+        // the file: a poll reads one budget, so the end of the backlog is
+        // not the end of the log.
+        if shutdown || (transport_closed && backlog.is_empty() && (opts.follow || at_eof)) {
             break;
         }
-        if backlog.is_empty() {
+        if backlog.is_empty() && at_eof {
             std::thread::sleep(opts.poll_interval);
         }
     }

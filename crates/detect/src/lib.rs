@@ -34,7 +34,7 @@ pub mod sybilrank;
 pub use burst::{judge_account, judge_page, BurstConfig, BurstVerdict};
 pub use eval::{confusion_at, roc, Confusion, PositiveClass, Roc};
 pub use features::{extract, AccountFeatures};
-pub use lockstep::{detect, detect_from_buckets, LockstepConfig, LockstepReport};
+pub use lockstep::{detect, LockstepConfig, LockstepReport};
 pub use online::{OnlineBurst, OnlineDetectors, OnlineLockstep, OnlineSybilRank};
 pub use scorer::{score, ScorerWeights};
 pub use sybilrank::{sybil_rank, SybilRankConfig, TrustScores};

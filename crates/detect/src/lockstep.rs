@@ -3,13 +3,14 @@
 //!
 //! Farm accounts work through job lists together: the same set of accounts
 //! likes the same set of pages inside the same short windows. The detector
-//! buckets every like by `(page, time-window)`, counts how often each pair
-//! of users co-occurs in a bucket, and unions pairs with enough shared
-//! buckets into suspicious clusters.
+//! files every like as a `(window index, page, user)` cell, sorts the
+//! cells, and reads each run of equal `(window, page)` as one bucket. It
+//! counts how often each pair of users co-occurs in a bucket, and unions
+//! pairs with enough shared buckets into suspicious clusters.
 
-use likelab_graph::UserId;
+use likelab_graph::{PageId, UserId};
 use likelab_osn::OsnWorld;
-use likelab_sim::SimDuration;
+use likelab_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -54,9 +55,14 @@ impl LockstepReport {
     }
 }
 
-/// The `(page, window index)` key a like at time `at` buckets under.
-pub(crate) fn bucket_key(page: u32, at_secs: u64, config: &LockstepConfig) -> (u32, u64) {
-    (page, at_secs / config.window.as_secs().max(1))
+/// One like as the detector files it: `(window index, page, user)`. In a
+/// sorted slice of cells, each run of equal `(window, page)` is one bucket,
+/// and its users come out sorted.
+pub(crate) type Cell = (u64, u32, UserId);
+
+/// The cell a like of `page` by `user` at `at` files under.
+pub(crate) fn cell(user: UserId, page: PageId, at: SimTime, config: &LockstepConfig) -> Cell {
+    (at.as_secs() / config.window.as_secs().max(1), page.0, user)
 }
 
 /// Run lockstep detection over the whole like ledger.
@@ -71,57 +77,51 @@ pub(crate) fn bucket_key(page: u32, at_secs: u64, config: &LockstepConfig) -> (u
 /// assert!(report.clusters.is_empty());
 /// ```
 pub fn detect(world: &OsnWorld, config: &LockstepConfig) -> LockstepReport {
-    // Bucket likes by (page, window index).
-    // BTree maps throughout: every aggregation here is commutative, but
-    // deterministic iteration keeps intermediate vectors (and anything a
-    // future change derives from them) reproducible by construction.
-    let mut buckets: BTreeMap<(u32, u64), Vec<UserId>> = BTreeMap::new();
-    for r in world.likes().records() {
-        buckets
-            .entry(bucket_key(r.page.0, r.at.as_secs(), config))
-            .or_default()
-            .push(r.user);
-    }
-    detect_from_buckets(&buckets, config)
+    let mut cells: Vec<Cell> = world
+        .likes()
+        .records()
+        .map(|r| cell(r.user, r.page, r.at, config))
+        .collect();
+    cells.sort_unstable();
+    detect_sorted(&cells, config)
 }
 
-/// The pair-counting / clustering kernel behind [`detect`], over
-/// already-bucketed likes.
+/// The pair-counting / clustering kernel behind [`detect`], over sorted
+/// cells.
 ///
-/// This is the shared tail of the batch and online paths: the online
-/// detector ([`crate::online::OnlineLockstep`]) maintains the bucket map
-/// incrementally and calls this exact kernel on demand, which is what makes
-/// its end-of-stream report **bitwise identical** to [`detect`]'s. The
-/// kernel sorts and dedups each bucket before counting, so the insertion
-/// order of a bucket's members is irrelevant to the output.
-pub fn detect_from_buckets(
-    buckets: &BTreeMap<(u32, u64), Vec<UserId>>,
-    config: &LockstepConfig,
-) -> LockstepReport {
-    // Count co-occurrences per user pair.
+/// The online detector ([`crate::online::OnlineLockstep`]) keeps its cells
+/// sorted and calls this same kernel on demand, which is what makes its
+/// report **bitwise identical** to [`detect`]'s. Only the sorted multiset of
+/// cells reaches the output, never the order the likes arrived in.
+pub(crate) fn detect_sorted(cells: &[Cell], config: &LockstepConfig) -> LockstepReport {
+    // Count co-occurrences per user pair. BTree maps throughout: every
+    // aggregation here is commutative, but deterministic iteration keeps
+    // intermediate vectors reproducible by construction.
     let mut pair_counts: BTreeMap<(UserId, UserId), u32> = BTreeMap::new();
-    for users in buckets.values() {
-        if users.len() < config.min_bucket_size {
+    let mut users: Vec<UserId> = Vec::new();
+    for bucket in cells.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+        if bucket.len() < config.min_bucket_size {
             continue;
         }
-        let mut users: Vec<UserId> = users.clone();
-        users.sort_unstable();
+        users.clear();
+        users.extend(bucket.iter().map(|c| c.2));
         users.dedup();
-        // Deterministic subsample: evenly strided.
-        let sampled: Vec<UserId> = if users.len() > config.max_bucket_size {
+        if users.len() > config.max_bucket_size {
+            // Deterministic subsample, evenly strided. Sample i sits at or
+            // after position i, so it moves down in place.
             let stride = users.len() as f64 / config.max_bucket_size as f64;
-            (0..config.max_bucket_size)
-                // lint:allow(panic-reachable-from-serve): i * stride < len since stride = len / max and i < max
-                .map(|i| users[(i as f64 * stride) as usize])
-                .collect()
-        } else {
-            users
-        };
-        for i in 0..sampled.len() {
-            for j in (i + 1)..sampled.len() {
-                // lint:allow(panic-reachable-from-serve): i, j < sampled.len() by the loop bounds
-                *pair_counts.entry((sampled[i], sampled[j])).or_insert(0) += 1;
+            for i in 0..config.max_bucket_size {
+                // lint:allow(panic-reachable-from-serve): i <= i * stride < len since stride = len / max > 1 and i < max
+                users[i] = users[(i as f64 * stride) as usize];
             }
+            users.truncate(config.max_bucket_size);
+        }
+        let mut rest = users.as_slice();
+        while let Some((&a, tail)) = rest.split_first() {
+            for &b in tail {
+                *pair_counts.entry((a, b)).or_insert(0) += 1;
+            }
+            rest = tail;
         }
     }
     // Union pairs that cross the evidence threshold.

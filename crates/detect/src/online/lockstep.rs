@@ -1,22 +1,28 @@
-//! Online lockstep detection: the `(page, window)` bucket map maintained
-//! incrementally, reports produced by the batch kernel.
+//! Online lockstep detection: the batch detector's sorted cells kept as
+//! one flat column, reports produced by the batch kernel.
 //!
 //! ## Parity contract
 //!
-//! Batch [`detect`](crate::lockstep::detect) is two stages: bucket every
-//! like by [`bucket_key`], then run the pair-counting / clustering kernel
-//! [`detect_from_buckets`]. The first stage is a fold over likes that only
-//! ever appends to bucket vectors, so it can be maintained incrementally
-//! with no approximation at all; the second stage sorts and dedups each
-//! bucket before counting, so the order likes arrived in is irrelevant.
-//! [`OnlineLockstep`] does exactly that — same key function, same kernel —
-//! which makes its report **bitwise identical** to the batch one over the
-//! same accepted likes, at any point in the stream, not just the end.
+//! Batch [`detect`](crate::lockstep::detect) files every like as a
+//! `(window index, page, user)` cell, sorts the cells, and runs the
+//! pair-counting / clustering kernel over the equal-`(window, page)` runs.
+//! The kernel reads only the sorted multiset of cells, so arrival order is
+//! irrelevant. [`OnlineLockstep`] pushes one cell per accepted like with
+//! the same cell function, sorts lazily at report time, and calls the same
+//! kernel. Its report is therefore **bitwise identical** to the batch one
+//! over the same accepted likes, at any point in the stream, not just the
+//! end.
+//!
+//! The lazy sort only touches what changed. Cells before `settled` are
+//! sorted. A report sorts the newer cells window by window, keeps the
+//! sorted prefix below the smallest of them where it is, and merges the
+//! sorted runs from there. Arrivals are nearly chronological and the
+//! window index leads the key, so the runs are few and long, and the merge
+//! starts near the end except where a backfill reaches far into the past.
 
-use crate::lockstep::{bucket_key, detect_from_buckets, LockstepConfig, LockstepReport};
+use crate::lockstep::{cell, detect_sorted, Cell, LockstepConfig, LockstepReport};
 use likelab_graph::{PageId, UserId};
 use likelab_sim::SimTime;
-use std::collections::BTreeMap;
 
 /// Incremental lockstep detector. See the module docs for the parity
 /// contract.
@@ -32,8 +38,9 @@ use std::collections::BTreeMap;
 #[derive(Clone, Debug)]
 pub struct OnlineLockstep {
     config: LockstepConfig,
-    buckets: BTreeMap<(u32, u64), Vec<UserId>>,
-    likes_seen: usize,
+    /// One cell per accepted like; `cells[..settled]` is sorted.
+    cells: Vec<Cell>,
+    settled: usize,
 }
 
 impl OnlineLockstep {
@@ -41,8 +48,8 @@ impl OnlineLockstep {
     pub fn new(config: LockstepConfig) -> Self {
         OnlineLockstep {
             config,
-            buckets: BTreeMap::new(),
-            likes_seen: 0,
+            cells: Vec::new(),
+            settled: 0,
         }
     }
 
@@ -53,19 +60,32 @@ impl OnlineLockstep {
 
     /// Feed one **accepted** like.
     pub fn record_like(&mut self, user: UserId, page: PageId, at: SimTime) {
-        self.buckets
-            .entry(bucket_key(page.0, at.as_secs(), &self.config))
-            .or_default()
-            .push(user);
-        self.likes_seen += 1;
+        self.cells.push(cell(user, page, at, &self.config));
     }
 
     /// Number of likes folded in so far.
     pub fn likes_seen(&self) -> usize {
-        self.likes_seen
+        self.cells.len()
     }
 
-    /// Run the batch kernel over the current buckets — equal to
+    /// Sort the cells recorded since the last report into place.
+    fn settle(&mut self) {
+        let (sorted, fresh) = self.cells.split_at_mut(self.settled);
+        // Sorting each window's run leaves the new cells in a few long
+        // sorted runs, one per stretch of in-order arrivals.
+        for run in fresh.chunk_by_mut(|a, b| a.0 == b.0) {
+            run.sort_unstable();
+        }
+        if let Some(&first) = fresh.iter().min() {
+            // The stable sort finds the sorted runs from the first cell the
+            // new ones displace, and merges them.
+            let from = sorted.partition_point(|c| *c < first);
+            self.cells.split_at_mut(from).1.sort();
+        }
+        self.settled = self.cells.len();
+    }
+
+    /// Run the batch kernel over the current cells — equal to
     /// [`crate::lockstep::detect`] on a world holding the same accepted
     /// likes.
     ///
@@ -73,8 +93,9 @@ impl OnlineLockstep {
     /// pair-counting stage on every call (pair counts are not cheaply
     /// decomposable), so callers should query it at a coarser cadence than
     /// per-event; the serve engine does so per query, not per ingest chunk.
-    pub fn report(&self) -> LockstepReport {
-        detect_from_buckets(&self.buckets, &self.config)
+    pub fn report(&mut self) -> LockstepReport {
+        self.settle();
+        detect_sorted(&self.cells, &self.config)
     }
 }
 
@@ -170,7 +191,7 @@ mod tests {
 
     #[test]
     fn empty_detector_reports_clean() {
-        let online = OnlineLockstep::new(LockstepConfig::default());
+        let mut online = OnlineLockstep::new(LockstepConfig::default());
         assert!(online.report().clusters.is_empty());
         assert_eq!(online.likes_seen(), 0);
     }

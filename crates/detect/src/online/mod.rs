@@ -17,9 +17,9 @@
 //! - [`OnlineBurst`] keeps per-entity sorted timestamp vectors: in-order
 //!   arrivals advance a two-pointer scan in O(1); backfills fall back to
 //!   the batch sort-and-scan lazily at the next query.
-//! - [`OnlineLockstep`] maintains the `(page, window)` bucket map
-//!   incrementally and runs the extracted batch kernel
-//!   ([`crate::lockstep::detect_from_buckets`]) on demand.
+//! - [`OnlineLockstep`] appends one `(window, page, user)` cell per like
+//!   to a flat column, sorts the new cells into place at the next report,
+//!   and runs the batch lockstep kernel over it.
 //! - [`OnlineSybilRank`] gates the exact batch power iteration behind a
 //!   graph-delta dirty flag (no warm starts — they converge close, not
 //!   equal).
@@ -121,9 +121,9 @@ impl OnlineDetectors {
         &mut self.burst
     }
 
-    /// The online lockstep detector.
-    pub fn lockstep(&self) -> &OnlineLockstep {
-        &self.lockstep
+    /// The online lockstep detector (reports need `&mut` for lazy sorts).
+    pub fn lockstep_mut(&mut self) -> &mut OnlineLockstep {
+        &mut self.lockstep
     }
 
     /// The online SybilRank detector, read-only.
@@ -164,6 +164,6 @@ mod tests {
         suite.apply(DetectorUpdate::AccountTerminated { user: UserId(0) });
         assert_eq!(suite.updates_seen(), 4);
         assert_eq!(suite.burst_mut().user_verdict(UserId(0)).events, 1);
-        assert_eq!(suite.lockstep().likes_seen(), 1);
+        assert_eq!(suite.lockstep_mut().likes_seen(), 1);
     }
 }

@@ -20,9 +20,9 @@
 //! not arrived yet.
 //!
 //! [`FollowReader`] wraps a `TailReader` around a file path and polls it:
-//! each [`poll`](FollowReader::poll) reads whatever bytes were appended
-//! since the last poll and returns the newly completed records. This is the
-//! file-follow substrate `likelab serve` ingests from.
+//! each [`poll`](FollowReader::poll) reads at most [`POLL_BUDGET`] of the
+//! bytes appended since the last poll and returns the newly completed
+//! records. This is the file-follow substrate `likelab serve` ingests from.
 
 use crate::event::{
     fnv1a_bytes, LogError, LogHeader, LogRecord, FORMAT_VERSION, FRAME_FIXED, HEADER_FIXED, MAGIC,
@@ -273,9 +273,14 @@ impl TailReader {
     }
 }
 
+/// The most bytes one [`FollowReader::poll`] reads. It bounds what a poll
+/// decodes, so a caller that stops polling while its backlog is full holds
+/// at most its backlog plus one budget's records, however long the file.
+pub const POLL_BUDGET: u64 = 1 << 20;
+
 /// Follow a binary log file as it grows: each [`poll`](FollowReader::poll)
-/// reads the bytes appended since the last poll and returns the records
-/// they complete.
+/// reads up to [`POLL_BUDGET`] of the bytes appended since the last poll
+/// and returns the records they complete.
 ///
 /// The file may not exist yet when the reader is constructed (the producer
 /// creates it on its first write); polls before that simply return no
@@ -298,8 +303,10 @@ impl FollowReader {
         }
     }
 
-    /// Read any newly appended bytes and return the records they complete.
-    /// A missing file is "nothing yet", not an error.
+    /// Read up to [`POLL_BUDGET`] newly appended bytes and return the
+    /// records they complete. A poll that reads nothing has reached the
+    /// end of the file as it stands ([`read_bytes`](Self::read_bytes) did
+    /// not move). A missing file is "nothing yet", not an error.
     ///
     /// # Errors
     /// Besides decode failures, returns [`LogError::ShrunkSource`] when the
@@ -323,7 +330,7 @@ impl FollowReader {
             });
         }
         file.seek(SeekFrom::Start(self.read_bytes))?;
-        self.read_bytes += self.tail.read_from(&mut file, u64::MAX)? as u64;
+        self.read_bytes += self.tail.read_from(&mut file, POLL_BUDGET)? as u64;
         self.tail.drain()
     }
 
@@ -533,6 +540,44 @@ mod tests {
         assert_eq!(all, records);
         assert_eq!(follow.tail().finish(), Ok(&header));
         assert_eq!(follow.read_bytes(), bytes.len() as u64);
+
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir(&dir);
+    }
+
+    #[test]
+    fn a_log_larger_than_the_budget_arrives_over_several_polls_in_order() {
+        let dir = std::env::temp_dir().join(format!("likelab-budget-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("follow.log");
+        let (header, _) = sample();
+        // 3,000 frames of about 1 KiB: nearly three budgets.
+        let records: Vec<LogRecord> = (1..=3_000)
+            .map(|i| LogRecord {
+                seq: i,
+                payload: format!(r#"{{"n":{i},"pad":"{}"}}"#, "x".repeat(1_000)),
+            })
+            .collect();
+        let bytes = encode_binary(&header, &records).unwrap();
+        assert!(bytes.len() as u64 > 2 * POLL_BUDGET);
+        std::fs::write(&path, &bytes).unwrap();
+
+        let mut follow = FollowReader::open(&path);
+        let mut seen = Vec::new();
+        let mut polls = 0;
+        loop {
+            let before = follow.read_bytes();
+            let polled = follow.poll().unwrap();
+            assert!(follow.read_bytes() - before <= POLL_BUDGET);
+            if follow.read_bytes() == before {
+                break;
+            }
+            seen.extend(polled);
+            polls += 1;
+        }
+        assert_eq!(polls, bytes.len().div_ceil(POLL_BUDGET as usize));
+        assert_eq!(seen, records);
+        assert_eq!(follow.tail().finish(), Ok(&header));
 
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);

@@ -7,8 +7,9 @@
 //! Runs in its own process (integration-test binary), so it owns the global
 //! observability state.
 
+use likelab::core::serve::{ServeConfig, ServeEngine, ServeSession};
 use likelab::sim::Exec;
-use likelab::{run_sweep, SweepConfig};
+use likelab::{run_sweep, StudyConfig, StudyLog, SweepConfig};
 use serde::Value;
 
 /// The two tests toggle the same process-global enabled flag; serialize
@@ -153,4 +154,52 @@ fn disabled_observability_collects_nothing_and_changes_nothing() {
         observed.to_json().expect("serializes"),
         "observability must never change simulation output"
     );
+}
+
+#[test]
+fn serve_query_latency_is_split_by_op() {
+    let _state = OBS_STATE.lock().unwrap_or_else(|e| e.into_inner());
+    let log = StudyLog::in_memory(&StudyConfig::paper(42, 0.02)).expect("log header");
+    let engine = ServeEngine::new(log.header(), ServeConfig::default()).expect("engine");
+    let mut session = ServeSession::new(engine);
+    let requests = [
+        r#"{"v":1,"id":1,"op":"status"}"#,
+        r#"{"v":1,"id":2,"op":"score","user":0}"#,
+        r#"{"v":1,"id":3,"op":"score"}"#,
+        r#"{"v":1,"id":4,"op":"lockstep"}"#,
+        r#"{"v":1,"id":5,"op":"eval"}"#,
+        r#"{"v":1,"id":6,"op":"nonsense"}"#,
+        r#"{"v":2,"id":7,"op":"status"}"#,
+        "not json",
+        r#"{"v":1,"id":9,"op":"shutdown"}"#,
+    ];
+    likelab_obs::reset();
+    likelab_obs::enable();
+    for line in requests {
+        session.handle_line(line, 0);
+    }
+    likelab_obs::disable();
+    let snap = likelab_obs::snapshot();
+
+    let count = |name: &str| snap.histograms.get(name).map_or(0, |h| h.count());
+    assert_eq!(count("serve.query.ns"), requests.len() as u64);
+    let per_op: u64 = snap
+        .histograms
+        .iter()
+        .filter(|(name, _)| name.starts_with("serve.query.ns{op="))
+        .map(|(_, h)| h.count())
+        .sum();
+    assert_eq!(
+        per_op,
+        count("serve.query.ns"),
+        "per-op counts sum to the total"
+    );
+    // A dispatched request counts under its op even when it fails (the
+    // second score lacks its `user`); an unknown op, a wrong version and
+    // bad JSON never reach a handler.
+    assert_eq!(count("serve.query.ns{op=score}"), 2);
+    assert_eq!(count("serve.query.ns{op=error}"), 3);
+    for op in ["status", "lockstep", "eval", "shutdown"] {
+        assert_eq!(count(&format!("serve.query.ns{{op={op}}}")), 1, "{op}");
+    }
 }

@@ -113,7 +113,7 @@ fn assert_bitwise_parity(outcome: &StudyOutcome, engine: &mut ServeEngine) {
 
     // Lockstep: whole report, structurally equal.
     let batch = likelab::detect::detect(world, &LockstepConfig::default());
-    let online = engine.detectors_mut().lockstep().report();
+    let online = engine.detectors_mut().lockstep_mut().report();
     assert_eq!(online.clusters, batch.clusters);
 
     // SybilRank: trust vector bitwise, from the same seed set.
