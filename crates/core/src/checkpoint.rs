@@ -140,13 +140,10 @@ pub(crate) fn resume_study(opts: &RunOptions) -> Result<StudyOutcome, StudyError
     let json = std::fs::read_to_string(&cp_path).map_err(|e| io_err(&cp_path, e))?;
     let cp: CheckpointState = serde_json::from_str(&json)
         .map_err(|e| StudyError::Mismatch(format!("{}: {e}", cp_path.display())))?;
-    // The file is outside input: refuse a queue a push could collide with
-    // before the log is touched.
-    let queue = EventQueue::from_entries(cp.queue, cp.queue_next_seq)
-        .map_err(|e| StudyError::Mismatch(format!("{}: queue: {e}", cp_path.display())))?;
-    // The sweep reschedules itself every `sweep_interval` until `end`, so a
-    // window that disagrees with the config, or a zero interval, would
-    // keep the run going forever. Refuse both before the log is touched.
+    // The file is outside input, so everything below is checked before the
+    // log is touched. The sweep reschedules itself every `sweep_interval`
+    // until `end`, so a window that disagrees with the config, or a zero
+    // interval, would keep the run going forever.
     let (launch, end) = study_window(&cp.config)
         .map_err(|why| StudyError::Mismatch(format!("{}: {why}", cp_path.display())))?;
     for (what, got, want) in [("launch", cp.launch, launch), ("end", cp.end, end)] {
@@ -163,6 +160,33 @@ pub(crate) fn resume_study(opts: &RunOptions) -> Result<StudyOutcome, StudyError
             cp_path.display()
         )));
     }
+    // The engine's clock only moves forward: a `now` before the launch (the
+    // first event fires at it), or a queued entry before `now`, would run
+    // it backwards. A clock past `end` is fine on its own: monitors keep
+    // polling up to `hard_stop` past their campaign, so a late checkpoint
+    // holds only polls, none of them earlier than the clock.
+    let now = cp.now;
+    let clock_error = if now < launch {
+        Some(format!("clock {now} is before the study launch {launch}"))
+    } else {
+        let earlier = cp.queue.iter().map(|&(at, _, _)| at).find(|&at| at < now);
+        earlier.map(|at| {
+            if now > end {
+                format!("clock {now} is past the study end {end} with an event queued at {at}")
+            } else {
+                format!("a queued event at {at} is earlier than the clock {now}")
+            }
+        })
+    };
+    if let Some(why) = clock_error {
+        return Err(StudyError::Mismatch(format!(
+            "{}: {why}",
+            cp_path.display()
+        )));
+    }
+    // And no future push may collide with a restored entry's sequence.
+    let queue = EventQueue::from_entries(cp.queue, cp.queue_next_seq)
+        .map_err(|e| StudyError::Mismatch(format!("{}: queue: {e}", cp_path.display())))?;
 
     // Rebuild the world from the pinned log prefix.
     let log_path = dir.join("world.log");

@@ -726,18 +726,23 @@ pub(crate) fn collect(
         config,
         world,
         population,
-        engine: _,
+        engine,
         monitors,
         inactive,
         honeypots,
         launch,
         end,
         mut api,
-        fraud: _,
+        fraud,
         mut rng,
         trace,
         sweep_terminations: _,
     } = state;
+    // The drained queue still holds the capacity of every event scheduled
+    // before draining, and the sweep engine its per-account state; free
+    // both before the report's passes allocate.
+    drop(engine);
+    drop(fraud);
 
     let collection_span = likelab_obs::span::enter("study.collection");
     let mut campaigns_data = Vec::with_capacity(config.campaigns.len());

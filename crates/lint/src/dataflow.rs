@@ -10,8 +10,9 @@
 //!   construction* is what lets the rules catch an `&mut Rng` named
 //!   `sampler` that the name-based `rng-shared-across-parallel` scan
 //!   cannot see.
-//! - **Parallel boundaries**: the `parallel_map`/`parallel_jobs` call
-//!   spans inside each function, with their full argument text.
+//! - **Parallel boundaries**: the `parallel_map`/`parallel_jobs`/
+//!   `parallel_owned` call spans inside each function, with their full
+//!   argument text.
 //! - **Hazard parameters**: the fixpoint of "this parameter ends up
 //!   captured by a parallel closure without an intervening
 //!   `split`/`derive_stream_seed`, either directly or by being passed on
@@ -24,7 +25,7 @@
 
 use crate::callgraph::CallGraph;
 use crate::parse::ParsedFile;
-use crate::rules::{balanced_span, closure_params};
+use crate::rules::{balanced_span, closure_params, find_parallel_call};
 use crate::tokenizer::find_word;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -37,7 +38,7 @@ pub enum RngOrigin {
     Constructed(usize),
 }
 
-/// One `parallel_map`/`parallel_jobs` call inside a function.
+/// One `parallel_map`/`parallel_jobs`/`parallel_owned` call inside a function.
 #[derive(Clone, Debug)]
 pub struct ParallelSpan {
     /// 0-based line of the call.
@@ -110,9 +111,9 @@ pub fn fn_facts(files: &[ParsedFile], graph: &CallGraph) -> Vec<FnFacts> {
                 continue;
             }
             let line = &pf.masked.code[line_idx];
-            let call =
-                find_word(line, "parallel_map", 0).or_else(|| find_word(line, "parallel_jobs", 0));
-            let Some(pos) = call else { continue };
+            let Some(pos) = find_parallel_call(line) else {
+                continue;
+            };
             let Some(open) = line[pos..].find('(') else {
                 continue;
             };

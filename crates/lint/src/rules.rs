@@ -11,15 +11,15 @@
 //! - `ambient-randomness` — RNG sources not derived from the seeded
 //!   `likelab_sim::Rng` stream family.
 //! - `rng-shared-across-parallel` — an `Rng` reused inside
-//!   `parallel_map`/`parallel_jobs` closures instead of a per-item
-//!   `split` stream.
+//!   `parallel_map`/`parallel_jobs`/`parallel_owned` closures instead of a
+//!   per-item `split` stream.
 //! - `unwrap-in-library` — `.unwrap()`/`.expect(…)`/`panic!` in library
 //!   code.
 //! - `stdout-in-library` — `println!`/`print!`/`dbg!` in library code.
 //! - `log-bypass` — direct ledger/graph mutation (`.ingest_columns(…)`,
-//!   `.friends_mut(…)`) outside the world's recording hooks; bypassed
-//!   mutations never reach the study log, so a captured log stops being
-//!   replayable.
+//!   `.ingest_columns_owned(…)`, `.friends_mut(…)`) outside the world's
+//!   recording hooks; bypassed mutations never reach the study log, so a
+//!   captured log stops being replayable.
 //!
 //! Suppression: a `// lint:allow(rule-id): reason` pragma on the same
 //! line or on immediately preceding comment lines; pre-existing findings
@@ -77,12 +77,13 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "rng-shared-across-parallel",
-        summary: "Rng reused inside parallel_map/parallel_jobs instead of a split stream",
+        summary: "Rng reused inside a parallel_map/jobs/owned closure instead of a split stream",
         explain: "A single Rng captured by a parallel closure is consumed in scheduling\n\
                   order, so results depend on worker count — the exact hazard the\n\
                   worker-invariance tests guard. Each parallel item must draw from its own\n\
                   stream. This rule matches rng-named captures inside a\n\
-                  parallel_map/parallel_jobs span with no .split(…)/derive_stream_seed.\n\
+                  parallel_map/parallel_jobs/parallel_owned span with no\n\
+                  .split(…)/derive_stream_seed.\n\
                   Fix: let mut r = rng.split(item_index) inside the closure (DESIGN.md §4b).\n\
                   Suppress: // lint:allow(rng-shared-across-parallel): <why sharing is sound>",
     },
@@ -110,8 +111,8 @@ pub const RULES: &[RuleInfo] = &[
         summary: "ledger/graph mutated directly instead of through the world's logged hooks",
         explain: "OsnWorld records every mutation into the world log; the log is replayed\n\
                   byte-for-byte by `likelab replay` and the CI replay gate. Mutating the\n\
-                  ledger or friend graph directly (.ingest_columns, .friends_mut) skips\n\
-                  the log, so a captured log stops reproducing the run.\n\
+                  ledger or friend graph directly (.ingest_columns, .ingest_columns_owned,\n\
+                  .friends_mut) skips the log, so a captured log stops reproducing the run.\n\
                   Fix: mutate through OsnWorld (ingest_like_columns/add_friendship/apply_event).\n\
                   Suppress: // lint:allow(log-bypass): <why this mutation is pre-log>",
     },
@@ -121,7 +122,8 @@ pub const RULES: &[RuleInfo] = &[
         explain: "Interprocedural companion to rng-shared-across-parallel: tracks values\n\
                   whose declared TYPE mentions Rng (or that are bound from Rng::…,\n\
                   .split(…), derive_stream_seed) through the call graph. If such a value —\n\
-                  whatever its name — is captured by a parallel_map/parallel_jobs closure\n\
+                  whatever its name — is captured by a\n\
+                  parallel_map/parallel_jobs/parallel_owned closure\n\
                   with no .split(…)/derive_stream_seed inside the span, every chain from the\n\
                   value's construction site to that boundary is a worker-count hazard. The\n\
                   diagnostic shows the chain: reachable via a → b → c.\n\
@@ -151,7 +153,7 @@ pub const RULES: &[RuleInfo] = &[
                   .product::<f64>(), .fold(0.0, …)) chained onto HashMap/HashSet iteration —\n\
                   note .sum() over *integers* is order-free and stays allowed under\n\
                   nondeterministic-iteration; (2) a captured float accumulator mutated\n\
-                  (+=) inside a parallel_map/parallel_jobs closure.\n\
+                  (+=) inside a parallel_map/parallel_jobs/parallel_owned closure.\n\
                   Fix: collect into a sorted Vec (or BTreeMap) before folding, or sum into\n\
                   per-item slots and combine in index order.\n\
                   Suppress: // lint:allow(float-order-sensitivity): <why order is fixed>",
@@ -573,9 +575,9 @@ fn rng_shared_across_parallel(ctx: &Ctx, out: &mut Vec<Finding>) {
             continue;
         }
         let line = &code[idx];
-        let call =
-            find_word(line, "parallel_map", 0).or_else(|| find_word(line, "parallel_jobs", 0));
-        let Some(pos) = call else { continue };
+        let Some(pos) = find_parallel_call(line) else {
+            continue;
+        };
         let Some(open) = line[pos..].find('(') else {
             continue;
         };
@@ -591,6 +593,16 @@ fn rng_shared_across_parallel(ctx: &Ctx, out: &mut Vec<Finding>) {
             );
         }
     }
+}
+
+/// The `sim::parallel` entry points whose closures run on worker threads.
+const PARALLEL_CALLS: &[&str] = &["parallel_map", "parallel_jobs", "parallel_owned"];
+
+/// Where a parallel entry point is called on `line`, if it is.
+pub(crate) fn find_parallel_call(line: &str) -> Option<usize> {
+    PARALLEL_CALLS
+        .iter()
+        .find_map(|name| find_word(line, name, 0))
 }
 
 /// The text of a parenthesized call spanning from `(line idx, byte at)`
@@ -619,8 +631,8 @@ pub(crate) fn balanced_span(code: &[String], idx: usize, at: usize) -> String {
     out
 }
 
-/// Does a `parallel_map(…)`/`parallel_jobs(…)` span capture an Rng without
-/// deriving a per-item stream?
+/// Does a `parallel_map(…)`/`parallel_jobs(…)`/`parallel_owned(…)` span
+/// capture an Rng without deriving a per-item stream?
 fn span_shares_rng(span: &str) -> bool {
     // Any stream derivation inside the span is proof of the safe pattern.
     if span.contains(".split(") || span.contains("derive_stream_seed") {
@@ -772,7 +784,11 @@ fn stdout_in_library(ctx: &Ctx, out: &mut Vec<Finding>) {
 /// Mutating entry points that bypass `OsnWorld`'s event-recording hooks.
 /// A mutation that skips the world never reaches the study log, so a
 /// captured log stops being a sufficient statistic for replay.
-const LOG_BYPASS_METHODS: &[&str] = &[".ingest_columns(", ".friends_mut("];
+const LOG_BYPASS_METHODS: &[&str] = &[
+    ".ingest_columns(",
+    ".ingest_columns_owned(",
+    ".friends_mut(",
+];
 
 fn log_bypass(ctx: &Ctx, out: &mut Vec<Finding>) {
     if ctx.kind != FileKind::Library {
@@ -1250,10 +1266,12 @@ mod tests {
     fn direct_ledger_mutation_is_flagged() {
         let src = "fn f(ledger: &mut LikeLedger, batch: &LikeColumns) {\n\
                    ledger.ingest_columns(batch, Exec::Sequential);\n}\n\
-                   fn g(world: &mut OsnWorld) { world.friends_mut().add_edge(a, b); }\n";
+                   fn g(world: &mut OsnWorld) { world.friends_mut().add_edge(a, b); }\n\
+                   fn h(ledger: &mut LikeLedger, batch: LikeColumns) {\n\
+                   ledger.ingest_columns_owned(batch, Exec::Sequential);\n}\n";
         let f = lib_scan(src);
-        assert_eq!(rules_of(&f), vec!["log-bypass"; 2], "{f:?}");
-        assert_eq!(f.iter().map(|x| x.line).collect::<Vec<_>>(), vec![2, 4]);
+        assert_eq!(rules_of(&f), vec!["log-bypass"; 3], "{f:?}");
+        assert_eq!(f.iter().map(|x| x.line).collect::<Vec<_>>(), vec![2, 4, 6]);
     }
 
     #[test]

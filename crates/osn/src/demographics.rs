@@ -261,9 +261,9 @@ impl Blueprint {
         } else {
             Gender::Male
         };
-        let bracket = AgeBracket::ALL[rng.weighted_index(&self.age_weights)];
-        let weights: Vec<f64> = self.country_weights.iter().map(|(_, w)| *w).collect();
-        let country = self.country_weights[rng.weighted_index(&weights)].0;
+        let bracket = AgeBracket::ALL[rng.weighted_index(self.age_weights)];
+        let weights = self.country_weights.iter().map(|&(_, w)| w);
+        let country = self.country_weights[rng.weighted_index(weights)].0;
         Profile {
             gender,
             age: bracket.sample_age(rng),

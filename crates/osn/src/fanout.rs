@@ -211,7 +211,8 @@ impl EventFanout {
                     self.advance(at);
                 }
                 let start = self.world.likes().len() as u32;
-                self.world.ingest_like_columns(&likes, Exec::Sequential);
+                self.world
+                    .ingest_like_columns_owned(likes, Exec::Sequential);
                 for r in self.world.likes().records_from(start) {
                     sink(DetectorUpdate::LikeAccepted {
                         user: r.user,

@@ -13,11 +13,13 @@
 //! delta-encode to a fraction of a raw `Vec<u32>` and decode through
 //! allocation-free iterators. The per-page index is **sharded by page-id
 //! range**: each shard owns [`SHARD_PAGES`] consecutive pages and its own
-//! local posting lists. Ingestion ([`LikeLedger::ingest_columns`], the only
-//! write path) takes each batch as [`LikeColumns`] — the SoA twin of a
-//! row-tuple slice — dedups per user, memcpys the accepted column regions
-//! onto the ledger, and groups accepted records per shard through
-//! [`likelab_sim::parallel`]; report aggregation can walk shards
+//! local posting lists. Ingestion ([`LikeLedger::ingest_columns`] and its
+//! owning twin, the only write paths) takes each batch as [`LikeColumns`] —
+//! the SoA twin of a row-tuple slice — dedups per user, memcpys the
+//! accepted column regions onto the ledger (an empty ledger given a batch
+//! it accepts whole takes its columns over instead), and groups accepted
+//! records per shard; the per-user and per-shard stages run through
+//! [`likelab_sim::parallel`], and report aggregation can walk shards
 //! independently. Nothing materializes a global intermediate `Vec` per
 //! page, and single-column accessors ([`page_users`](LikeLedger::page_users),
 //! [`users_from`](LikeLedger::users_from), …) let scan-heavy consumers read
@@ -35,9 +37,11 @@
 
 use crate::posting::PostingList;
 use likelab_graph::{PageId, UserId};
-use likelab_sim::parallel::{parallel_map, Exec};
+use likelab_sim::parallel::{parallel_owned, split_spans, Exec};
 use likelab_sim::SimTime;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// One like event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -56,7 +60,8 @@ pub struct LikeRecord {
 /// Every like enters the ledger as one of these: synthesis, farm
 /// camouflage and the event loop build them directly, so batches flow into
 /// the ledger's columns without a row-tuple detour — the accepted region of
-/// each column memcpys straight onto the ledger. The world journals a batch
+/// each column memcpys straight onto the ledger, and an empty ledger takes
+/// over a batch it is given whole. The world journals a batch
 /// as it is, so it serializes as three integer arrays. The three columns
 /// always have equal lengths; a batch read from a log is checked for that
 /// ([`OsnWorld::check_event`](crate::OsnWorld::check_event)) before it is
@@ -136,12 +141,12 @@ struct Shard {
 /// holds `(page, pos)` pairs sorted ascending (so equal pages are adjacent,
 /// earliest batch position first). For each page run: if the page is
 /// already in the set every occurrence is rejected; otherwise exactly the
-/// first occurrence is accepted (`accept[pos] = true`) — the decisions a
+/// first occurrence is accepted (`accept(pos)`) — the decisions a
 /// positional first-wins loop would make. `merged` is reusable scratch.
 fn absorb_sorted(
     set: &mut Vec<u32>,
     cand: &[(u32, u32)],
-    accept: &mut [bool],
+    mut accept: impl FnMut(u32),
     merged: &mut Vec<u32>,
 ) {
     merged.clear();
@@ -153,7 +158,7 @@ fn absorb_sorted(
             i += 1;
         }
         if set.get(i) != Some(&page) {
-            accept[cand[k].1 as usize] = true;
+            accept(cand[k].1);
             merged.push(page);
         }
         // Skip the whole equal-page run (later occurrences are dups).
@@ -238,11 +243,27 @@ impl LikeLedger {
     /// Use the `*_sorted` accessors when time order matters.
     ///
     /// The resulting ledger bytes do not depend on `exec`: acceptance and
-    /// global order are decided by sequential passes; the parallel stage
-    /// only counting-sorts each shard's accepted indices into per-page
-    /// groups, and each posting list's content is fully determined by the
-    /// global order.
+    /// global order are decided per user and by sequential passes; the
+    /// parallel stages split disjoint state — contiguous user ranges for
+    /// the page sets and per-user posting lists, page shards for the
+    /// per-page ones — and each posting list's content is fully determined
+    /// by the global order.
     pub fn ingest_columns(&mut self, batch: &LikeColumns, exec: Exec) -> usize {
+        // lint:allow(log-bypass): the ledger's public entry point runs its own kernel.
+        self.ingest_columns_owned(Cow::Borrowed(batch), exec)
+    }
+
+    /// [`ingest_columns`][Self::ingest_columns] for a batch the caller may
+    /// give up: given `Cow::Owned`, an empty ledger that accepts every
+    /// like takes over the batch's three columns as its own instead of
+    /// copying them (the population's one big batch, synthesized or
+    /// replayed). The outcome is identical either way. Only the world
+    /// calls it, after journaling the batch.
+    pub(crate) fn ingest_columns_owned(
+        &mut self,
+        batch: Cow<'_, LikeColumns>,
+        exec: Exec,
+    ) -> usize {
         // A positional loop would pay several random-memory touches per
         // item (membership probe, set insert, posting push into a cold
         // list) — the dominant cost of synthesis at scale. Instead, group
@@ -269,7 +290,7 @@ impl LikeLedger {
             // like runs, single likes) pay for the dense kernel's O(accounts)
             // counting arrays and full shard walk; route them through the
             // sparse twin, whose work scales with the batch.
-            return self.ingest_columns_sparse(batch);
+            return self.ingest_columns_sparse(&batch);
         }
         let mut counts = vec![0u32; n_users + 1];
         for &user in b_users {
@@ -288,35 +309,58 @@ impl LikeLedger {
             *c += 1;
         }
         drop(cursor);
-        // Per-user dedup against history + within the batch.
-        let mut accept = vec![false; n];
-        let mut cand: Vec<(u32, u32)> = Vec::new();
-        let mut merged: Vec<u32> = Vec::new();
-        for u in 0..n_users {
-            let (lo, hi) = (counts[u] as usize, counts[u + 1] as usize);
-            if lo == hi {
-                continue;
+        // Contiguous user ranges holding about equal shares of the batch:
+        // each user's page set and posting list is disjoint state, so the
+        // ranges run as independent jobs.
+        let n_ranges = exec.job_count();
+        let bound = |r: usize| match r {
+            r if r == n_ranges => n_users,
+            r => counts.partition_point(|&c| c as usize * n_ranges < n * r),
+        };
+        let ranges = || (0..n_ranges).map(|r| bound(r)..bound(r + 1));
+        let user_rows = |u: usize| &by_user_pos[counts[u] as usize..counts[u + 1] as usize];
+        // Each position belongs to one user, so exactly one job may set its
+        // flag.
+        let accept: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
+        let jobs = ranges().zip(split_spans(&mut self.user_pages, ranges().map(|r| r.len())));
+        parallel_owned(exec, jobs, |_, (users, sets)| {
+            // Per-user dedup against history + within the batch.
+            let mut cand: Vec<(u32, u32)> = Vec::new();
+            let mut merged: Vec<u32> = Vec::new();
+            for (u, set) in users.zip(sets.iter_mut()) {
+                let rows = user_rows(u);
+                if rows.is_empty() {
+                    continue;
+                }
+                cand.clear();
+                cand.extend(rows.iter().map(|&pos| (b_pages[pos as usize].0, pos)));
+                cand.sort_unstable();
+                let mark = |pos: u32| accept[pos as usize].store(true, Ordering::Relaxed);
+                absorb_sorted(set, &cand, mark, &mut merged);
             }
-            cand.clear();
-            cand.extend(
-                by_user_pos[lo..hi]
-                    .iter()
-                    .map(|&pos| (b_pages[pos as usize].0, pos)),
-            );
-            cand.sort_unstable();
-            absorb_sorted(&mut self.user_pages[u], &cand, &mut accept, &mut merged);
-        }
+        });
+        let accepted_at = |pos: usize| accept[pos].load(Ordering::Relaxed);
         // Positional pass: append accepted records to the columns in batch
         // order. When nothing was rejected — the overwhelming synthesis
         // case, since draws dedup pages per user up front — each column is
-        // one memcpy and every global index is just `start + position`.
+        // one memcpy (or, into an empty ledger, a move of the batch's own
+        // columns) and every global index is just `start + position`.
         let start = self.users.len() as u32;
-        let all_accepted = accept.iter().all(|&a| a);
+        let all_accepted = (0..n).all(accepted_at);
         let mut global_idx: Vec<u32> = Vec::new();
         let accepted = if all_accepted {
-            self.users.extend_from_slice(b_users);
-            self.pages.extend_from_slice(b_pages);
-            self.times.extend_from_slice(b_times);
+            match batch {
+                Cow::Owned(cols) if self.users.is_empty() => {
+                    self.users = cols.users;
+                    self.pages = cols.pages;
+                    self.times = cols.times;
+                }
+                batch => {
+                    self.users.extend_from_slice(&batch.users);
+                    self.pages.extend_from_slice(&batch.pages);
+                    self.times.extend_from_slice(&batch.times);
+                }
+            }
             n
         } else {
             global_idx = vec![u32::MAX; n];
@@ -324,39 +368,43 @@ impl LikeLedger {
             self.users.reserve(n);
             self.pages.reserve(n);
             self.times.reserve(n);
-            for i in 0..n {
-                if !accept[i] {
+            for (i, idx) in global_idx.iter_mut().enumerate() {
+                if !accepted_at(i) {
                     continue;
                 }
-                self.users.push(b_users[i]);
-                self.pages.push(b_pages[i]);
-                self.times.push(b_times[i]);
-                global_idx[i] = next;
+                self.users.push(batch.users[i]);
+                self.pages.push(batch.pages[i]);
+                self.times.push(batch.times[i]);
+                *idx = next;
                 next += 1;
             }
             (next - start) as usize
         };
-        // Per-user posting extends: batch order within a user means the
-        // accepted global indices come out strictly increasing.
-        let mut idxs: Vec<u32> = Vec::new();
-        for u in 0..n_users {
-            let (lo, hi) = (counts[u] as usize, counts[u + 1] as usize);
-            if lo == hi {
-                continue;
+        // Per-user posting extends, by the same user ranges: batch order
+        // within a user means the accepted global indices come out strictly
+        // increasing.
+        let jobs = ranges().zip(split_spans(&mut self.by_user, ranges().map(|r| r.len())));
+        parallel_owned(exec, jobs, |_, (users, lists)| {
+            let mut idxs: Vec<u32> = Vec::new();
+            for (u, list) in users.zip(lists.iter_mut()) {
+                let rows = user_rows(u);
+                if rows.is_empty() {
+                    continue;
+                }
+                idxs.clear();
+                if all_accepted {
+                    idxs.extend(rows.iter().map(|&pos| start + pos));
+                } else {
+                    idxs.extend(rows.iter().filter_map(|&pos| {
+                        let g = global_idx[pos as usize];
+                        (g != u32::MAX).then_some(g)
+                    }));
+                }
+                if !idxs.is_empty() {
+                    list.extend_from_increasing(&idxs);
+                }
             }
-            idxs.clear();
-            if all_accepted {
-                idxs.extend(by_user_pos[lo..hi].iter().map(|&pos| start + pos));
-            } else {
-                idxs.extend(by_user_pos[lo..hi].iter().filter_map(|&pos| {
-                    let g = global_idx[pos as usize];
-                    (g != u32::MAX).then_some(g)
-                }));
-            }
-            if !idxs.is_empty() {
-                self.by_user[u].extend_from_increasing(&idxs);
-            }
-        }
+        });
         drop(by_user_pos);
         drop(global_idx);
         drop(accept);
@@ -380,17 +428,18 @@ impl LikeLedger {
             *c += 1;
         }
         drop(cursor);
-        let per_shard: Vec<&[(u32, u32)]> = (0..n_shards)
-            .map(|s| &flat_pairs[shard_counts[s] as usize..shard_counts[s + 1] as usize])
-            .collect();
-        // Parallel per-shard grouping: counting-sort the (local page, index)
-        // pairs into a flat value array plus per-page offsets. Stable, so
-        // each page's slice keeps global order.
-        let widths: Vec<usize> = self.shards.iter().map(|s| s.by_page.len()).collect();
-        let grouped = parallel_map(exec, &per_shard, |s, pairs| {
-            let width = widths[s];
+        // Parallel per-shard grouping: counting-sort each shard's (local
+        // page, index) pairs into a flat value array plus per-page offsets
+        // (stable, so each page's slice keeps global order), then extend
+        // the shard's own posting lists from it.
+        let jobs = self.shards.iter_mut().enumerate().map(|(s, shard)| {
+            let pairs = &flat_pairs[shard_counts[s] as usize..shard_counts[s + 1] as usize];
+            (shard, pairs)
+        });
+        parallel_owned(exec, jobs, |_, (shard, pairs)| {
+            let width = shard.by_page.len();
             let mut counts = vec![0u32; width + 1];
-            for &(local, _) in pairs.iter() {
+            for &(local, _) in pairs {
                 counts[local as usize + 1] += 1;
             }
             for i in 1..counts.len() {
@@ -398,21 +447,17 @@ impl LikeLedger {
             }
             let mut flat = vec![0u32; pairs.len()];
             let mut cursor = counts.clone();
-            for &(local, idx) in pairs.iter() {
+            for &(local, idx) in pairs {
                 flat[cursor[local as usize] as usize] = idx;
                 cursor[local as usize] += 1;
             }
-            (counts, flat)
-        });
-        // Sequential shard-order merge into the packed posting lists.
-        for (shard, (offsets, flat)) in self.shards.iter_mut().zip(grouped) {
             for (local, list) in shard.by_page.iter_mut().enumerate() {
-                let (lo, hi) = (offsets[local] as usize, offsets[local + 1] as usize);
+                let (lo, hi) = (counts[local] as usize, counts[local + 1] as usize);
                 if lo < hi {
                     list.extend_from_increasing(&flat[lo..hi]);
                 }
             }
-        }
+        });
         accepted
     }
 
@@ -447,7 +492,7 @@ impl LikeLedger {
             absorb_sorted(
                 &mut self.user_pages[user as usize],
                 &cand,
-                &mut accept,
+                |pos| accept[pos as usize] = true,
                 &mut merged,
             );
         }
@@ -759,6 +804,95 @@ mod tests {
         assert_eq!(ingest(&mut l, &[(u(2), far, t(4))]), 1);
         assert_eq!(l.page_like_count(far), 1);
         assert_eq!(l.of_page(far).next().unwrap().user, u(2));
+    }
+
+    type Answers = (
+        Vec<LikeRecord>,
+        Vec<(Vec<LikeRecord>, Vec<PageId>, Vec<SimTime>, usize)>,
+        Vec<(Vec<LikeRecord>, Vec<SimTime>, usize)>,
+        Vec<bool>,
+    );
+
+    /// Every query's answer over all `users` × `pages`.
+    fn answers(l: &LikeLedger, users: u32, pages: u32) -> Answers {
+        let per_user = (0..users)
+            .map(|i| {
+                let user = u(i);
+                (
+                    l.of_user(user).collect(),
+                    l.user_pages(user).collect(),
+                    l.user_times(user).collect(),
+                    l.user_like_count(user),
+                )
+            })
+            .collect();
+        let per_page = (0..pages)
+            .map(|i| {
+                let page = p(i);
+                (
+                    l.of_page(page).collect(),
+                    l.page_times(page).collect(),
+                    l.page_like_count(page),
+                )
+            })
+            .collect();
+        let membership = (0..users)
+            .flat_map(|i| (0..pages).map(move |j| l.likes_page(u(i), p(j))))
+            .collect();
+        (l.records().collect(), per_user, per_page, membership)
+    }
+
+    #[test]
+    fn an_adopted_batch_answers_like_a_copied_one() {
+        // 200 distinct (user, page) pairs: 13 and 29 are coprime.
+        let rows: Vec<_> = (0..200u32)
+            .map(|i| (u(i % 13), p(i * 7 % 29), t(u64::from(i % 17))))
+            .collect();
+        let batch = LikeColumns::from_rows(&rows);
+        let mut copied = LikeLedger::new(13, 29);
+        assert_eq!(copied.ingest_columns(&batch, Exec::Sequential), 200);
+        let mut adopted = LikeLedger::new(13, 29);
+        let column = batch.users.as_ptr();
+        assert_eq!(
+            adopted.ingest_columns_owned(Cow::Owned(batch), Exec::workers(3)),
+            200
+        );
+        assert_eq!(
+            adopted.users_from(0).as_ptr(),
+            column,
+            "the empty ledger took the batch's column over"
+        );
+        assert_eq!(answers(&adopted, 13, 29), answers(&copied, 13, 29));
+        // Both keep answering alike as later batches append to them.
+        let more = [
+            (u(3), p(28), t(40)),
+            (u(12), p(0), t(41)),
+            (u(3), p(28), t(42)),
+        ];
+        assert_eq!(ingest(&mut adopted, &more), ingest(&mut copied, &more));
+        assert_eq!(answers(&adopted, 13, 29), answers(&copied, 13, 29));
+    }
+
+    #[test]
+    fn a_batch_with_a_rejected_row_is_copied_not_adopted() {
+        let rows = [
+            (u(0), p(1), t(1)),
+            (u(1), p(1), t(2)),
+            (u(0), p(1), t(3)), // a duplicate: rejected
+            (u(1), p(0), t(4)),
+        ];
+        let batch = LikeColumns::from_rows(&rows);
+        let mut copied = LikeLedger::new(2, 2);
+        assert_eq!(copied.ingest_columns(&batch, Exec::Sequential), 3);
+        let mut owned = LikeLedger::new(2, 2);
+        let column = batch.users.as_ptr();
+        assert_eq!(
+            owned.ingest_columns_owned(Cow::Owned(batch), Exec::Sequential),
+            3
+        );
+        assert_ne!(owned.users_from(0).as_ptr(), column);
+        assert_eq!(owned.users_from(0), &[u(0), u(1), u(1)]);
+        assert_eq!(answers(&owned, 2, 2), answers(&copied, 2, 2));
     }
 
     #[test]

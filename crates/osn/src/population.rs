@@ -27,7 +27,7 @@ use crate::page::PageCategory;
 use crate::world::OsnWorld;
 use likelab_graph::{generate, PageId, UserId};
 use likelab_sim::dist::{log_normal_median, Zipf};
-use likelab_sim::{parallel_map, Exec, Rng, SimDuration, SimTime};
+use likelab_sim::{parallel_map, parallel_owned, split_spans, Exec, Rng, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
@@ -283,9 +283,10 @@ pub fn synthesize(world: &mut OsnWorld, config: &PopulationConfig, rng: &mut Rng
 ///
 /// Account creation and graph wiring mutate the world arena and stay
 /// sequential. Like-history synthesis — the dominant cost at paper scale —
-/// fans out per user: user `j` draws from `likes_rng.split(j)`, a stream that
-/// depends only on the seed and the user's index, so the flattened history is
-/// the same for [`Exec::Sequential`] and any worker count.
+/// fans out over ranges of users: user `j` draws from `likes_rng.split(j)`,
+/// a stream that depends only on the seed and the user's index, and the
+/// rows are then put in one global order, so the history is the same for
+/// [`Exec::Sequential`] and any worker count.
 pub fn synthesize_with(
     world: &mut OsnWorld,
     config: &PopulationConfig,
@@ -467,8 +468,8 @@ pub fn synthesize_with(
     // The dominant cost at full scale, and embarrassingly parallel: every
     // user's history is an independent draw. User `j` gets the split stream
     // `likes_rng.split(j)` — a pure function of the seed and the index — so
-    // shards can run on any worker in any order and still produce exactly
-    // the history the sequential loop would.
+    // ranges of users can run on any worker in any order and still produce
+    // exactly the history the sequential loop would.
     let sampler = BackgroundSampler::new(&pop, config);
     let history_secs = config.history.as_secs().max(1);
     let jobs: Vec<(UserId, Country, f64, f64)> = pop
@@ -485,10 +486,24 @@ pub fn synthesize_with(
         .map(|(id, median, sigma)| (id, world.profile(id).country, median, sigma))
         .collect();
     let n_total_pages = world.page_count();
-    let shards = parallel_map(exec, &jobs, |j, &(id, country, median, sigma)| {
-        let mut user_rng = likes_rng.split(j as u64);
-        let n_likes = log_normal_median(&mut user_rng, median, sigma).round() as usize;
-        let n_likes = n_likes.min(config.n_background_pages / 2).min(10_000);
+    let max_likes = (config.n_background_pages / 2).min(10_000);
+    let like_target = |user_rng: &mut Rng, (_, _, median, sigma): (UserId, Country, f64, f64)| {
+        (log_normal_median(user_rng, median, sigma).round() as usize).min(max_likes)
+    };
+    let ranges: Vec<std::ops::Range<usize>> = (0..jobs.len())
+        .step_by(DRAW_RANGE_USERS)
+        .map(|lo| lo..(lo + DRAW_RANGE_USERS).min(jobs.len()))
+        .collect();
+    let draw_span = likelab_obs::span::enter("population.likes.draw");
+    let draws = parallel_map(exec, &ranges, |_, range| {
+        // One buffer per range, sized from its users' like targets (each
+        // target is the first draw of the user's stream, so it is cheap to
+        // draw twice).
+        let capacity = range
+            .clone()
+            .map(|j| like_target(&mut likes_rng.split(j as u64), jobs[j]))
+            .sum();
+        let mut rows: Vec<Row> = Vec::with_capacity(capacity);
         // Distinct pages: Zipf concentrates mass on the head, so rejection
         // on a per-user seen-set keeps realized like counts on target. The
         // set is an epoch-stamped array indexed by page id — thread-local
@@ -496,63 +511,185 @@ pub fn synthesize_with(
         // instead of a hash per draw and allocates nothing per user.
         // Membership answers are exactly a `HashSet`'s, so the RNG stream
         // is unchanged.
-        let mut likes = Vec::with_capacity(n_likes);
-        let mut accepted = 0usize;
-        let mut attempts = 0usize;
         SEEN_STAMPS.with(|cell| {
             let (stamps, epoch) = &mut *cell.borrow_mut();
             if stamps.len() < n_total_pages {
                 stamps.resize(n_total_pages, 0);
             }
-            *epoch += 1;
-            if *epoch == 0 {
-                stamps.fill(0);
-                *epoch = 1;
-            }
-            while accepted < n_likes && attempts < n_likes * 8 + 16 {
-                attempts += 1;
-                let page = sampler.sample(&pop, country, &mut user_rng);
-                let slot = &mut stamps[page.idx()];
-                if *slot != *epoch {
-                    *slot = *epoch;
-                    accepted += 1;
-                    let at = SimTime::from_secs(user_rng.below(history_secs));
-                    likes.push((at, id, page));
+            for j in range.clone() {
+                let (id, country, _, _) = jobs[j];
+                let mut user_rng = likes_rng.split(j as u64);
+                let n_likes = like_target(&mut user_rng, jobs[j]);
+                *epoch += 1;
+                if *epoch == 0 {
+                    stamps.fill(0);
+                    *epoch = 1;
+                }
+                let (mut accepted, mut attempts) = (0usize, 0usize);
+                while accepted < n_likes && attempts < n_likes * 8 + 16 {
+                    attempts += 1;
+                    let page = sampler.sample(&pop, country, &mut user_rng);
+                    let slot = &mut stamps[page.idx()];
+                    if *slot != *epoch {
+                        *slot = *epoch;
+                        accepted += 1;
+                        let at = SimTime::from_secs(user_rng.below(history_secs));
+                        rows.push((at, id, page));
+                    }
                 }
             }
         });
-        likes
+        rows
     });
-    // Draw rows carry the sort key up front: `(at, user, page)` *is* the
-    // global ordering key, so the flattened batch sorts by plain value.
-    let mut pending: Vec<(SimTime, UserId, PageId)> = shards.into_iter().flatten().collect();
-    likelab_obs::metrics::counter("likes.synthesized", pending.len() as u64);
-    // The ledger requires chronological per-page streams: sort globally,
-    // split into columns, then bulk-ingest through the sharded columnar
-    // path (per-shard page indexing runs through `exec`; the outcome is
-    // identical to recording each like in order).
-    // Unstable is safe: the key `(at, u, p)` determines the whole element,
-    // so equal keys mean equal elements and order among them is moot — any
-    // comparison sort yields the same permutation.
-    let sort_span = likelab_obs::span::enter("population.likes.sort");
-    pending.sort_unstable();
-    drop(sort_span);
-    // Transpose the sorted rows into the SoA column batch the ledger
-    // ingests directly (one linear pass; the rows are freed before ingest
-    // so the transient batch does not stack on top of them).
-    let split_span = likelab_obs::span::enter("population.likes.split");
-    let mut cols = LikeColumns::with_capacity(pending.len());
-    for &(at, user, page) in &pending {
-        cols.push(user, page, at);
-    }
-    drop(pending);
-    drop(split_span);
+    drop(draw_span);
+    let total: usize = draws.iter().map(Vec::len).sum();
+    likelab_obs::metrics::counter("likes.synthesized", total as u64);
+    // The ledger requires chronological per-page streams: sort globally
+    // into columns, then bulk-ingest them through the sharded columnar
+    // path, which takes the columns over rather than copying them (the
+    // outcome is identical to recording each like in order).
+    let cols = sort_into_columns(draws, history_secs, bucket_count(total), exec);
     let ingest_span = likelab_obs::span::enter("population.likes.ingest");
-    world.ingest_like_columns(&cols, exec);
+    world.ingest_like_columns_owned(cols, exec);
     drop(ingest_span);
-    drop(cols);
 
     pop
+}
+
+/// One drawn background like, laid out as its sort key: `(at, user, page)`
+/// *is* the global order of the population's batch.
+type Row = (SimTime, UserId, PageId);
+
+/// Users per like-history draw job: enough jobs to keep every worker busy
+/// while the heavy click-prone users (the tail of the job list) finish.
+const DRAW_RANGE_USERS: usize = 256;
+
+/// Rows per time bucket the sort aims for: 32 Ki rows of 16 bytes, about
+/// a core's L2 cache.
+const BUCKET_ROWS: usize = 1 << 15;
+
+/// At most this many buckets, so the one scattering pass writes to few
+/// enough places at once to stay cache- and TLB-friendly.
+const MAX_BUCKETS: usize = 256;
+
+/// The time-bucket count [`sort_into_columns`] uses for `rows` rows.
+fn bucket_count(rows: usize) -> usize {
+    rows.div_ceil(BUCKET_ROWS).clamp(1, MAX_BUCKETS)
+}
+
+/// Sort drawn rows by `(at, user, page)` into exact-size columns.
+///
+/// `window_secs` bounds every row's `at` (drawn uniformly from
+/// `[0, window_secs)`), and splitting that window into `buckets` equal
+/// slices splits the rows into balanced runs whose order is the order of
+/// the slices. One pass scatters the rows straight into their bucket's
+/// region of the columns; then each bucket's region is sorted on its own.
+/// Both run through `exec`. The result is exactly the columns of
+/// the sorted rows, for any bucket count and any `exec` — the key
+/// determines the whole row, so the unstable sort's order among equal keys
+/// is moot.
+fn sort_into_columns(
+    draws: Vec<Vec<Row>>,
+    window_secs: u64,
+    buckets: usize,
+    exec: Exec,
+) -> LikeColumns {
+    let partition_span = likelab_obs::span::enter("population.likes.partition");
+    let bucket_of = |at: SimTime| {
+        let b = u128::from(at.as_secs()) * buckets as u128 / u128::from(window_secs);
+        (b as usize).min(buckets - 1)
+    };
+    // Consecutive draw buffers holding about equal shares of the rows form
+    // one scatter job each.
+    let total: usize = draws.iter().map(Vec::len).sum();
+    let n_jobs = exec.job_count();
+    let mut jobs: Vec<Vec<Vec<Row>>> = vec![Vec::new(); n_jobs];
+    let mut before = 0;
+    for rows in draws {
+        let job = (before * n_jobs / total.max(1)).min(n_jobs - 1);
+        before += rows.len();
+        jobs[job].push(rows);
+    }
+    let histograms = parallel_map(exec, &jobs, |_, job| {
+        let mut counts = vec![0usize; buckets];
+        for &(at, _, _) in job.iter().flatten() {
+            counts[bucket_of(at)] += 1;
+        }
+        counts
+    });
+    let lens: Vec<usize> = (0..buckets)
+        .map(|b| histograms.iter().map(|counts| counts[b]).sum())
+        .collect();
+    let n = lens.iter().sum();
+    let mut cols = LikeColumns {
+        users: vec![UserId(0); n],
+        pages: vec![PageId(0); n],
+        times: vec![SimTime::EPOCH; n],
+    };
+    // Inside each bucket's region of the columns, every job owns the run
+    // its own rows fill, in job order: the jobs write disjoint spans.
+    let run_lens = (0..buckets).flat_map(|b| histograms.iter().map(move |counts| counts[b]));
+    let runs = split_spans(&mut cols.times, run_lens.clone())
+        .zip(split_spans(&mut cols.users, run_lens.clone()))
+        .zip(split_spans(&mut cols.pages, run_lens));
+    let mut runs_of_job: Vec<Vec<_>> = (0..n_jobs).map(|_| Vec::with_capacity(buckets)).collect();
+    for (k, run) in runs.enumerate() {
+        runs_of_job[k % n_jobs].push(run);
+    }
+    parallel_owned(
+        exec,
+        jobs.into_iter().zip(runs_of_job),
+        |_, (job, mut runs)| {
+            let mut filled = vec![0usize; buckets];
+            for (at, user, page) in job.into_iter().flatten() {
+                let b = bucket_of(at);
+                let ((times, users), pages) = &mut runs[b];
+                times[filled[b]] = at;
+                users[filled[b]] = user;
+                pages[filled[b]] = page;
+                filled[b] += 1;
+            }
+        },
+    );
+    drop(partition_span);
+
+    let _sort_span = likelab_obs::span::enter("population.likes.sort");
+    let spans = split_spans(&mut cols.times, lens.iter().copied())
+        .zip(split_spans(&mut cols.users, lens.iter().copied()))
+        .zip(split_spans(&mut cols.pages, lens.iter().copied()));
+    // Consecutive buckets share a job, and a job one scratch buffer for
+    // its largest bucket's rows.
+    let per_job = buckets.div_ceil(exec.job_count());
+    let mut groups: Vec<Vec<_>> = Vec::new();
+    for (b, span) in spans.enumerate() {
+        if b % per_job == 0 {
+            groups.push(Vec::with_capacity(per_job));
+        }
+        if let Some(group) = groups.last_mut() {
+            group.push(span);
+        }
+    }
+    parallel_owned(exec, groups, |_, group| {
+        let largest = group.iter().map(|((t, _), _)| t.len()).max().unwrap_or(0);
+        let mut scratch: Vec<Row> = Vec::with_capacity(largest);
+        for ((times, users), pages) in group {
+            scratch.clear();
+            scratch.extend(
+                times
+                    .iter()
+                    .zip(users.iter())
+                    .zip(pages.iter())
+                    .map(|((&at, &user), &page)| (at, user, page)),
+            );
+            scratch.sort_unstable();
+            for (k, &(at, user, page)) in scratch.iter().enumerate() {
+                times[k] = at;
+                users[k] = user;
+                pages[k] = page;
+            }
+        }
+    });
+    cols
 }
 
 /// Age distribution (fractions over the six brackets) of a set of accounts —
@@ -721,21 +858,90 @@ mod tests {
 
     #[test]
     fn parallel_synthesis_is_bit_identical_to_sequential() {
+        type Postings = Vec<Vec<(UserId, PageId, SimTime)>>;
         let run = |exec: Exec| {
             let mut world = OsnWorld::new();
             let config = small_config();
             let mut rng = Rng::seed_from_u64(77);
             let pop = synthesize_with(&mut world, &config, &mut rng, exec);
-            let likes: Vec<_> = world
-                .likes()
-                .records()
-                .map(|r| (r.user, r.page, r.at))
+            let likes = world.likes();
+            let row = |r: crate::LikeRecord| (r.user, r.page, r.at);
+            let records: Vec<_> = likes.records().map(row).collect();
+            let users = (0..world.account_count() as u32).map(UserId);
+            let pages = (0..world.page_count() as u32).map(PageId);
+            let by_user: Postings = users
+                .clone()
+                .map(|u| likes.of_user(u).map(row).collect())
                 .collect();
-            (likes, pop.organic.len(), pop.click_prone.len())
+            let page_sets: Vec<Vec<PageId>> =
+                users.map(|u| likes.user_pages(u).collect()).collect();
+            let by_page: Postings = pages.map(|p| likes.of_page(p).map(row).collect()).collect();
+            let sizes = (pop.organic.len(), pop.click_prone.len());
+            (records, by_user, page_sets, by_page, sizes)
         };
-        let sequential = run(Exec::Sequential);
-        for workers in [2, 5] {
-            assert_eq!(sequential, run(Exec::workers(workers)), "workers={workers}");
+        let one = run(Exec::workers(1));
+        assert!(one.0.len() > 10_000, "the world has a like history");
+        for workers in [2, 8] {
+            let many = run(Exec::workers(workers));
+            assert!(one.0 == many.0, "records differ at workers={workers}");
+            assert!(
+                one.1 == many.1,
+                "user posting lists differ at workers={workers}"
+            );
+            assert!(one.2 == many.2, "page sets differ at workers={workers}");
+            assert!(
+                one.3 == many.3,
+                "page posting lists differ at workers={workers}"
+            );
+            assert_eq!(one.4, many.4, "workers={workers}");
+        }
+    }
+
+    proptest::proptest! {
+        /// The time-bucketed sort is a plain sort: for rows split over any
+        /// number of draw buffers (empty ones included, even after the
+        /// last row), every bucket count — one bucket, more buckets than
+        /// distinct times, the derived default — and any worker count
+        /// give the columns of `sort_unstable` over all the rows.
+        /// `narrow` packs every time into the window's first few seconds,
+        /// so all rows share one bucket and the others stay empty; the
+        /// edges of the window and ties on `at` are drawn on purpose.
+        #[test]
+        fn bucketed_sort_equals_a_plain_sort(
+            raw in proptest::prop::collection::vec((0u32..6, 0u32..40, 0u32..40, 0u64..1_000_000), 0..400),
+            buffers in 1usize..6,
+            narrow in proptest::prelude::any::<bool>(),
+            workers in 1usize..4,
+        ) {
+            let window = 5_000_000u64;
+            let rows: Vec<Row> = raw
+                .iter()
+                .map(|&(edge, user, page, x)| {
+                    let at = match edge {
+                        0 => 0,
+                        1 => window - 1,
+                        2 => 1_234, // a shared time: ties on `at`
+                        _ if narrow => x % 4,
+                        _ => x * 5 % window,
+                    };
+                    (SimTime::from_secs(at), UserId(user), PageId(page))
+                })
+                .collect();
+            let mut sorted = rows.clone();
+            sorted.sort_unstable();
+            let mut want = LikeColumns::with_capacity(sorted.len());
+            for &(at, user, page) in &sorted {
+                want.push(user, page, at);
+            }
+            for buckets in [1, 2, 7, bucket_count(rows.len())] {
+                // Empty buffers lead and trail the filled ones.
+                let mut draws: Vec<Vec<Row>> = vec![Vec::new(); buffers + 2];
+                for (i, &row) in rows.iter().enumerate() {
+                    draws[1 + i * 7 % buffers].push(row);
+                }
+                let got = sort_into_columns(draws, window, buckets, Exec::workers(workers));
+                proptest::prop_assert_eq!(&got, &want, "buckets={}", buckets);
+            }
         }
     }
 

@@ -19,6 +19,7 @@ use crate::store::AccountStore;
 use likelab_graph::{FriendGraph, PageId, UserId};
 use likelab_sim::parallel::Exec;
 use likelab_sim::SimTime;
+use std::borrow::Cow;
 
 /// The simulated platform.
 #[derive(Clone, Debug, Default)]
@@ -150,7 +151,7 @@ impl OsnWorld {
                 self.set_off_network_friends(user, n);
             }
             WorldEvent::LikeBatch { likes } => {
-                self.ingest_like_columns(&likes, Exec::Sequential);
+                self.ingest_like_columns_owned(likes, Exec::Sequential);
             }
             WorldEvent::Terminated { user, at } => {
                 self.terminate_account(user, at);
@@ -372,15 +373,26 @@ impl OsnWorld {
     /// Journals the *input* batch as one [`WorldEvent::LikeBatch`]; replay
     /// re-applies the same filter against identical state.
     pub fn ingest_like_columns(&mut self, batch: &LikeColumns, exec: Exec) -> usize {
+        self.ingest_likes(Cow::Borrowed(batch), exec)
+    }
+
+    /// [`ingest_like_columns`][Self::ingest_like_columns] for a batch the
+    /// caller gives up, so an empty ledger can take over its columns
+    /// instead of copying them: the population's batch, synthesized or
+    /// replayed. Same outcome and same journal record.
+    pub fn ingest_like_columns_owned(&mut self, batch: LikeColumns, exec: Exec) -> usize {
+        self.ingest_likes(Cow::Owned(batch), exec)
+    }
+
+    fn ingest_likes(&mut self, batch: Cow<'_, LikeColumns>, exec: Exec) -> usize {
         if !batch.is_empty() {
             self.recorder.push_with(|| WorldEvent::LikeBatch {
-                likes: batch.clone(),
+                likes: LikeColumns::clone(&batch),
             });
         }
-        let alive;
         let batch = if batch.users.iter().all(|&u| self.accounts.is_active(u)) {
             // Synthesis-time fast path: nobody is terminated yet, ingest the
-            // batch without copying it.
+            // batch as it is.
             batch
         } else {
             let mut kept = LikeColumns::with_capacity(batch.len());
@@ -389,11 +401,10 @@ impl OsnWorld {
                     kept.push(user, page, at);
                 }
             }
-            alive = kept;
-            &alive
+            Cow::Owned(kept)
         };
         // lint:allow(log-bypass): the world's own appender; the batch was journaled above.
-        self.ledger.ingest_columns(batch, exec)
+        self.ledger.ingest_columns_owned(batch, exec)
     }
 
     /// The like ledger (read-only).

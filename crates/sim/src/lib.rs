@@ -19,8 +19,8 @@
 //! multi-seed sweeps above it — are embarrassingly parallel. The
 //! [`parallel`] module fans those out without giving up determinism: work
 //! is identified by index, per-index RNG streams come from
-//! [`Rng::split`](rng::Rng::split), and results land in per-index slots, so
-//! parallel output is bit-identical to sequential.
+//! [`Rng::split`](rng::Rng::split), and results come back in index order,
+//! so parallel output is bit-identical to sequential.
 //!
 //! ```
 //! use likelab_sim::{Engine, SimDuration, SimTime};
@@ -48,7 +48,7 @@ pub mod trace;
 
 pub use engine::Engine;
 pub use event::{LogError, LogHeader, LogRecord};
-pub use parallel::{parallel_jobs, parallel_map, Exec};
+pub use parallel::{parallel_jobs, parallel_map, parallel_owned, split_spans, Exec};
 pub use queue::{EventQueue, SeqCollision};
 pub use rng::{derive_stream_seed, Rng};
 pub use tail::{FollowReader, TailReader};

@@ -3,30 +3,35 @@
 //! The event loop itself stays single-threaded (see the crate docs), but two
 //! surrounding stages are embarrassingly parallel: synthesizing independent
 //! slices of the population before a run, and analyzing independent campaigns
-//! after one. This module provides the one primitive both need —
-//! [`parallel_map`] — plus the [`Exec`] policy that selects between a
-//! sequential loop and a scoped worker pool.
+//! after one. This module provides the one scoped worker pool both need —
+//! [`parallel_owned`], with [`parallel_map`] over borrowed items and
+//! [`split_spans`] for jobs that each write their own region of a buffer —
+//! plus the [`Exec`] policy that selects between a sequential loop and the
+//! pool.
 //!
 //! ## Determinism contract
 //!
 //! `parallel_map(exec, items, f)` returns exactly `items.iter().map(f)` in
-//! item order, for every `exec`. Workers claim item *indices* from a shared
-//! atomic counter and write results into per-index slots, so scheduling
-//! affects only wall-clock time, never content or order. Combined with
+//! item order, for every `exec`, and `parallel_owned` likewise for owned
+//! jobs. Jobs are dealt to workers by index before any worker starts and
+//! every result is put back at its job's index, so scheduling affects only
+//! wall-clock time, never content or order. Combined with
 //! [`Rng::split`](crate::rng::Rng::split) — which derives a child stream from
 //! an index without mutating the parent — callers get bit-identical output
 //! from sequential and parallel runs: randomness flows from indices, results
-//! from slots, and neither observes thread interleaving.
+//! from job order, and neither observes thread interleaving.
 
 use likelab_obs::metrics;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Environment variable overriding the worker count picked by [`Exec::auto`].
 pub const THREADS_ENV: &str = "LIKELAB_THREADS";
 
-/// Execution policy for [`parallel_map`].
+/// Jobs [`Exec::job_count`] cuts per worker: a few per worker even out
+/// the load without much per-job overhead.
+const JOBS_PER_WORKER: usize = 4;
+
+/// Execution policy for [`parallel_owned`] and [`parallel_map`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Exec {
     /// Run in the calling thread, in item order.
@@ -64,23 +69,30 @@ impl Exec {
         }
     }
 
-    /// How many threads [`parallel_map`] will use under this policy.
+    /// How many threads [`parallel_owned`] will use under this policy.
     pub fn worker_count(&self) -> usize {
         match self {
             Exec::Sequential => 1,
             Exec::Parallel { workers } => (*workers).max(1),
         }
     }
+
+    /// How many jobs to cut a divisible task into: a few per worker to
+    /// even out the load, or one when a single thread runs them all.
+    pub fn job_count(&self) -> usize {
+        match self.worker_count() {
+            1 => 1,
+            workers => workers * JOBS_PER_WORKER,
+        }
+    }
 }
 
 /// Map `f` over `items`, preserving item order in the result.
 ///
-/// Under [`Exec::Sequential`] this is a plain loop. Under [`Exec::Parallel`]
-/// it spawns scoped workers that claim indices from an atomic counter and
-/// write into per-index slots, so the returned `Vec` is identical either way
-/// (see the module docs for the determinism contract).
-/// `f` receives the item index alongside the item so callers can derive
-/// per-item RNG streams from it.
+/// [`parallel_owned`] over the items' references: the returned `Vec` is
+/// identical under every `exec` (see the module docs for the determinism
+/// contract). `f` receives the item index alongside the item so callers
+/// can derive per-item RNG streams from it.
 ///
 /// A panic in `f` propagates to the caller once all workers have stopped.
 ///
@@ -102,68 +114,111 @@ where
     U: Send,
     F: Fn(usize, &T) -> U + Sync,
 {
+    parallel_owned(exec, items, f)
+}
+
+/// Run independent jobs, returning their results in job order.
+///
+/// Convenience wrapper over [`parallel_map`] for heterogeneous work that has
+/// been erased into same-typed closures (e.g. report sections).
+pub fn parallel_jobs<U, F>(exec: Exec, jobs: Vec<F>) -> Vec<U>
+where
+    U: Send,
+    F: Fn() -> U + Sync,
+{
+    parallel_map(exec, &jobs, |_, job| job())
+}
+
+/// Map `f` over `jobs`, preserving job order in the result.
+///
+/// Under [`Exec::Sequential`] this is a plain loop. Under
+/// [`Exec::Parallel`] the jobs are dealt round robin (worker `w` runs jobs
+/// `w`, `w + workers`, …) before any worker starts, so handing them out
+/// takes no lock and no shared queue, and the results are put back in job
+/// order. A job may own exclusive state, such as a disjoint `&mut` span
+/// cut by [`split_spans`], or borrow shared state, as [`parallel_map`]'s
+/// do. Callers cut more jobs than workers to even out the load
+/// ([`Exec::job_count`]).
+///
+/// A panic in `f` propagates to the caller once all workers have stopped.
+pub fn parallel_owned<J, U, F>(exec: Exec, jobs: impl IntoIterator<Item = J>, f: F) -> Vec<U>
+where
+    J: Send,
+    U: Send,
+    F: Fn(usize, J) -> U + Sync,
+{
     let _map_span = likelab_obs::span::enter("parallel.map");
     // Per-job clock reads are gated on one flag check so the disabled cost
     // of instrumentation stays a single relaxed atomic load per call.
     let obs = likelab_obs::enabled();
     let start_ns = if obs { likelab_obs::now_ns() } else { 0 };
-    let workers = exec.worker_count().min(items.len());
+    let run = |i: usize, job: J| {
+        if obs {
+            timed_job(start_ns, || f(i, job))
+        } else {
+            (f(i, job), 0)
+        }
+    };
+    let workers = exec.worker_count();
     if workers <= 1 {
-        return items
-            .iter()
+        return jobs
+            .into_iter()
             .enumerate()
-            .map(|(i, item)| {
-                if obs {
-                    timed_job(start_ns, || f(i, item)).0
-                } else {
-                    f(i, item)
-                }
-            })
+            .map(|(i, job)| run(i, job).0)
             .collect();
     }
-
-    // One slot per item; fetch_add hands each index to exactly one worker,
-    // so each slot's lock is taken exactly once and never contended.
-    let slots: Vec<Mutex<Option<U>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut busy_ns = 0u64;
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
+    let mut hands: Vec<Vec<(usize, J)>> = (0..workers).map(|_| Vec::new()).collect();
+    for (i, job) in jobs.into_iter().enumerate() {
+        hands[i % workers].push((i, job));
+    }
+    hands.retain(|hand| !hand.is_empty());
+    if hands.len() <= 1 {
+        // A lone job runs here rather than on a thread of its own.
+        return hands
+            .into_iter()
+            .flatten()
+            .map(|(i, job)| run(i, job).0)
+            .collect();
+    }
+    let run = &run;
+    let mut done: Vec<(usize, U)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = hands
+            .into_iter()
+            .map(|hand| {
+                scope.spawn(move || {
+                    let mut busy_ns = 0u64;
+                    let out: Vec<(usize, U)> = hand
+                        .into_iter()
+                        .map(|(i, job)| {
+                            let (value, spent) = run(i, job);
+                            busy_ns += spent;
+                            (i, value)
+                        })
+                        .collect();
+                    if obs {
+                        // One sample per worker per map: the spread of this
+                        // histogram is the pool's load imbalance, and
+                        // busy / parallel.map wall time is worker
+                        // utilization.
+                        metrics::record_ns("parallel.worker.busy_ns", busy_ns);
                     }
-                    let value = if obs {
-                        let (value, spent) = timed_job(start_ns, || f(i, &items[i]));
-                        busy_ns += spent;
-                        value
-                    } else {
-                        f(i, &items[i])
-                    };
-                    *slots[i].lock().expect("result slot poisoned") = Some(value);
-                }
-                if obs {
-                    // One sample per worker per map: the spread of this
-                    // histogram is the pool's load imbalance, and
-                    // busy / parallel.map wall time is worker utilization.
-                    metrics::record_ns("parallel.worker.busy_ns", busy_ns);
-                }
-            });
-        }
+                    out
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
     });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every index claimed exactly once")
-        })
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, value)| value).collect()
 }
 
-/// Run one job under the clock, recording queue delay (claim time minus
+/// Run one job under the clock, recording queue delay (start time minus
 /// `map_start_ns`), execution time, and a completion count. Only called
 /// when observability is enabled.
 fn timed_job<U>(map_start_ns: u64, job: impl FnOnce() -> U) -> (U, u64) {
@@ -179,16 +234,22 @@ fn timed_job<U>(map_start_ns: u64, job: impl FnOnce() -> U) -> (U, u64) {
     (value, exec_ns)
 }
 
-/// Run independent jobs, returning their results in job order.
+/// Cut `data` into consecutive disjoint spans of the given lengths, in
+/// order — the exclusive regions [`parallel_owned`] jobs write.
 ///
-/// Convenience wrapper over [`parallel_map`] for heterogeneous work that has
-/// been erased into same-typed closures (e.g. report sections).
-pub fn parallel_jobs<U, F>(exec: Exec, jobs: Vec<F>) -> Vec<U>
+/// # Panics
+/// Panics, when it gets there, if the lengths add up to more than
+/// `data.len()`.
+pub fn split_spans<T, L>(data: &mut [T], lens: L) -> impl Iterator<Item = &mut [T]>
 where
-    U: Send,
-    F: Fn() -> U + Sync,
+    L: IntoIterator<Item = usize>,
 {
-    parallel_map(exec, &jobs, |_, job| job())
+    let mut rest = data;
+    lens.into_iter().map(move |len| {
+        let (span, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        rest = tail;
+        span
+    })
 }
 
 #[cfg(test)]
@@ -226,11 +287,44 @@ mod tests {
     }
 
     #[test]
+    fn job_count_is_one_without_workers() {
+        assert_eq!(Exec::Sequential.job_count(), 1);
+        assert_eq!(Exec::workers(3).job_count(), 3 * JOBS_PER_WORKER);
+    }
+
+    #[test]
     fn parallel_jobs_preserves_job_order() {
         let jobs: Vec<Box<dyn Fn() -> usize + Sync + Send>> =
             (0..16usize).map(|i| Box::new(move || i * i) as _).collect();
         let out = parallel_jobs(Exec::workers(4), jobs);
         assert_eq!(out, (0..16).map(|i| i * i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn owned_jobs_write_disjoint_spans_in_any_worker_count() {
+        let lens = [3usize, 0, 5, 1, 7, 2];
+        for workers in [1, 2, 3, 8] {
+            let mut data = vec![0u32; lens.iter().sum()];
+            let spans = split_spans(&mut data, lens);
+            let sums = parallel_owned(Exec::workers(workers), spans, |i, span| {
+                span.fill(i as u32);
+                span.len() * i
+            });
+            assert_eq!(sums, vec![0, 0, 10, 3, 28, 10], "workers={workers}");
+            assert_eq!(
+                data,
+                [0, 0, 0, 2, 2, 2, 2, 2, 3, 4, 4, 4, 4, 4, 4, 4, 5, 5],
+                "workers={workers}"
+            );
+        }
+        let none = split_spans(&mut [0u8; 0], []);
+        assert!(parallel_owned(Exec::workers(4), none, |_, s| s.len()).is_empty());
+    }
+
+    #[test]
+    #[should_panic]
+    fn split_spans_refuses_lengths_past_the_end() {
+        split_spans(&mut [0u8; 3], [2, 2]).for_each(drop);
     }
 
     #[test]

@@ -233,31 +233,43 @@ impl Rng {
         out
     }
 
-    /// An index drawn according to non-negative `weights`.
+    /// An index drawn according to non-negative `weights`, read from an
+    /// iterator that is walked twice, so it must be cheap to clone: an
+    /// array, a slice's `iter().copied()`, or a field of each record, with
+    /// nothing collected first.
     ///
     /// # Panics
     /// Panics when `weights` is empty, contains a negative/non-finite value,
     /// or sums to zero.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        assert!(!weights.is_empty(), "weighted_index over no weights");
+    pub fn weighted_index<I>(&mut self, weights: I) -> usize
+    where
+        I: IntoIterator<Item = f64>,
+        I::IntoIter: Clone,
+    {
+        let weights = weights.into_iter();
+        assert!(
+            weights.clone().next().is_some(),
+            "weighted_index over no weights"
+        );
         let mut total = 0.0;
-        for (i, w) in weights.iter().enumerate() {
-            assert!(w.is_finite() && *w >= 0.0, "weight {i} is invalid: {w}");
+        let mut last_positive = 0;
+        for (i, w) in weights.clone().enumerate() {
+            assert!(w.is_finite() && w >= 0.0, "weight {i} is invalid: {w}");
             total += w;
+            if w > 0.0 {
+                last_positive = i;
+            }
         }
         assert!(total > 0.0, "weights sum to zero");
         let mut target = self.f64() * total;
-        for (i, w) in weights.iter().enumerate() {
-            if target < *w {
+        for (i, w) in weights.enumerate() {
+            if target < w {
                 return i;
             }
             target -= w;
         }
         // Floating-point slack: fall back to the last positive weight.
-        weights
-            .iter()
-            .rposition(|w| *w > 0.0)
-            .expect("at least one positive weight")
+        last_positive
     }
 }
 
@@ -481,7 +493,7 @@ mod tests {
         let w = [1.0, 0.0, 3.0];
         let mut counts = [0u32; 3];
         for _ in 0..40_000 {
-            counts[rng.weighted_index(&w)] += 1;
+            counts[rng.weighted_index(w)] += 1;
         }
         assert_eq!(counts[1], 0);
         let ratio = f64::from(counts[2]) / f64::from(counts[0]);
@@ -491,7 +503,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "sum to zero")]
     fn weighted_index_rejects_all_zero() {
-        Rng::seed_from_u64(0).weighted_index(&[0.0, 0.0]);
+        Rng::seed_from_u64(0).weighted_index([0.0, 0.0]);
     }
 
     #[test]

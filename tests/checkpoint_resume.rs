@@ -192,6 +192,35 @@ fn a_checkpoint_queue_with_colliding_seqs_is_a_structured_error() {
     fn zero_sweep_interval(doc: &mut Value) {
         *field(field(doc, "config"), "sweep_interval") = Value::UInt(0);
     }
+    fn secs_of(doc: &mut Value, name: &str) -> u64 {
+        let Value::UInt(at) = field(doc, name) else {
+            panic!("{name} is a number of seconds")
+        };
+        *at
+    }
+    fn now_before_launch(doc: &mut Value) {
+        *field(doc, "now") = Value::UInt(secs_of(doc, "launch") - 1);
+    }
+    fn now_a_day_after_end(doc: &mut Value) {
+        *field(doc, "now") = Value::UInt(secs_of(doc, "end") + 86_400);
+    }
+    fn now_past_the_earliest_entry(doc: &mut Value) {
+        let Value::Array(entries) = field(doc, "queue") else {
+            panic!("queue is an array")
+        };
+        let earliest = entries
+            .iter()
+            .map(|entry| match entry {
+                Value::Array(entry) => match entry[0] {
+                    Value::UInt(at) => at,
+                    _ => panic!("an entry's time is a number of seconds"),
+                },
+                _ => panic!("an entry is an [at, seq, event] array"),
+            })
+            .min()
+            .expect("the checkpoint was taken mid-loop, with events queued");
+        *field(doc, "now") = Value::UInt(earliest + 1);
+    }
     for (what, mutate, needle) in [
         (
             "queue_next_seq = 0",
@@ -206,6 +235,21 @@ fn a_checkpoint_queue_with_colliding_seqs_is_a_structured_error() {
             "sweep_interval = 0",
             zero_sweep_interval,
             "config.sweep_interval is 0",
+        ),
+        (
+            "now = launch - 1 s",
+            now_before_launch,
+            "is before the study launch",
+        ),
+        (
+            "now = end + 1 day",
+            now_a_day_after_end,
+            "is past the study end",
+        ),
+        (
+            "now = earliest queued entry + 1 s",
+            now_past_the_earliest_entry,
+            "is earlier than the clock",
         ),
     ] {
         let mut doc: Value = serde_json::from_str(&json).unwrap();
