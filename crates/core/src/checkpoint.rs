@@ -5,8 +5,7 @@
 //!
 //! * `world.log` — the binary study log, appended continuously as the run
 //!   executes. The world is *never* serialized directly; a resume rebuilds
-//!   it by replaying the `World` records in the log prefix the checkpoint
-//!   pinned.
+//!   it by folding the log prefix the checkpoint pinned, as replay does.
 //! * `checkpoint.json` — everything else the event loop carries
 //!   (`CheckpointState`): the pending event queue, the page monitors,
 //!   the crawl API and fraud-sweep engines (RNG positions included), the
@@ -19,7 +18,8 @@
 //! would have produced: same likes, same sweeps, same crawl faults, same
 //! report, byte for byte.
 
-use crate::record::{io_err, read_records, write_atomic, StudyError, StudyLog, StudyRecord};
+use crate::record::{io_err, read_records, write_atomic, StudyError, StudyLog};
+use crate::replay::LogFold;
 use crate::study::{
     collect, event_loop, study_window, Capture, Ev, LoopState, RunOptions, StudyConfig,
     StudyOutcome,
@@ -27,7 +27,7 @@ use crate::study::{
 use likelab_graph::PageId;
 use likelab_honeypot::PageMonitor;
 use likelab_osn::population::Population;
-use likelab_osn::{CrawlApi, FraudOps, OsnWorld};
+use likelab_osn::{CrawlApi, FraudOps};
 use likelab_sim::{Engine, EventQueue, Rng, SimTime, Trace};
 use serde::{Deserialize, Serialize};
 use std::fs::File;
@@ -127,10 +127,14 @@ pub(crate) fn write_checkpoint(
 
 /// Load a checkpoint directory and run the study to completion from it.
 ///
-/// The world is rebuilt by replaying the pinned `world.log` prefix; any
-/// bytes past the pin (frames appended after the checkpoint, before the
-/// kill) are truncated away so appending continues from a consistent
-/// state. The outcome is byte-identical to the uninterrupted run.
+/// The world is rebuilt by folding the pinned `world.log` prefix through
+/// the log fold replay and serve use ([`LogFold`]), which checks every
+/// record. A checkpoint whose `next_seq` does not continue that prefix, or
+/// whose config differs from the log header's, is refused before the log
+/// is touched. Then any bytes past the pin (frames appended after the
+/// checkpoint, before the kill) are truncated away so appending continues
+/// from a consistent state. The outcome is byte-identical to the
+/// uninterrupted run.
 pub(crate) fn resume_study(opts: &RunOptions) -> Result<StudyOutcome, StudyError> {
     let dir = opts
         .checkpoint_dir
@@ -199,20 +203,35 @@ pub(crate) fn resume_study(opts: &RunOptions) -> Result<StudyOutcome, StudyError
             cp.log_bytes
         )));
     }
-    let (_header, records) = read_records(file.take(cp.log_bytes))?;
-    let record_count = records.len() as u64;
-    let mut world = OsnWorld::new();
-    likelab_obs::metrics::timed("log.replay.ns", || {
-        records
-            .into_iter()
-            .try_for_each(|(seq, record)| match record {
-                StudyRecord::World(ev) => world
-                    .apply_event(ev)
-                    .map_err(|e| StudyError::bad_event(seq, e)),
-                _ => Ok(()),
-            })
-    })?;
-    likelab_obs::metrics::counter("log.replay", record_count);
+    let (header, records) = read_records(file.take(cp.log_bytes))?;
+    let fold = LogFold::replay(&header, records)?;
+    // The checkpoint must continue the log it pins: appending resumes at
+    // `next_seq`, and the run goes on under the checkpoint's config.
+    let pinned_last = cp.next_seq.checked_sub(1);
+    if pinned_last != fold.last_seq {
+        let why = if pinned_last < fold.last_seq {
+            "reuses a sequence number of"
+        } else {
+            "leaves a gap after"
+        };
+        let want = fold.last_seq.map_or(0, |s| s.saturating_add(1));
+        return Err(StudyError::Mismatch(format!(
+            "{}: next_seq {} {why} the pinned log, which continues at seq {want}",
+            cp_path.display(),
+            cp.next_seq
+        )));
+    }
+    let compact = |config: &StudyConfig| {
+        serde_json::to_string(config).map_err(|e| StudyError::Mismatch(format!("config: {e}")))
+    };
+    if compact(&cp.config)? != compact(&fold.config)? {
+        return Err(StudyError::Mismatch(format!(
+            "{}: config differs from the one in the header of {}",
+            cp_path.display(),
+            log_path.display()
+        )));
+    }
+    let mut world = fold.world;
     world.set_recording(true);
 
     let log = StudyLog::resume_file(&cp.config, &log_path, cp.log_bytes, cp.next_seq)?;

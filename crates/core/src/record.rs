@@ -136,21 +136,6 @@ impl StudyError {
     }
 }
 
-/// The page a launch record at `seq` names, which the world being rebuilt
-/// must already have: a study journals a honeypot page before launching
-/// it, and the page's audience is read from the world later.
-pub(crate) fn launched_page(
-    world: &likelab_osn::OsnWorld,
-    seq: u64,
-    page: PageId,
-) -> Result<PageId, StudyError> {
-    if page.idx() < world.page_count() {
-        Ok(page)
-    } else {
-        Err(StudyError::bad_event(seq, EventError::UnknownPage(page)))
-    }
-}
-
 impl fmt::Display for StudyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -5,27 +5,28 @@
 //! serve answers "what is happening" while the log is still being written.
 //! The engine tails a `world.log` stream (file-follow via
 //! [`FollowReader`], or any already-decoded record feed), folds every
-//! record into a live world replica through the acceptance-preserving
-//! [`EventFanout`], routes the resulting
-//! [`DetectorUpdate`](likelab_osn::DetectorUpdate)s into the
-//! [`OnlineDetectors`] suite, and answers queries over a line-delimited
-//! JSON protocol (stdin/stdout or TCP) with bounded latency: ingest
-//! happens in chunks of [`ServeConfig::chunk`] records, and all pending
-//! queries are answered between chunks, so a query never waits for the
-//! whole backlog.
+//! record through the same log fold replay and checkpoint resume use — a
+//! live world replica built by
+//! [`OsnWorld::apply_event`](likelab_osn::OsnWorld::apply_event), plus
+//! per-campaign measurement slots — routes the
+//! [`DetectorUpdate`](likelab_osn::DetectorUpdate)s each accepted mutation
+//! emits into the [`OnlineDetectors`] suite, and answers queries over a
+//! line-delimited JSON protocol (stdin/stdout or TCP) with bounded
+//! latency: ingest happens in chunks of [`ServeConfig::chunk`] records,
+//! and all pending queries are answered between chunks, so a query never
+//! waits for the whole backlog.
 //!
 //! The full architecture, the versioned protocol schema, windowing
 //! semantics, and the online-vs-batch equivalence contract live in
 //! `SERVING.md` at the repository root.
 
-use crate::record::{io_err, launched_page, parse_record, StudyError, StudyRecord};
+use crate::record::{io_err, parse_record, StudyError, StudyRecord};
+use crate::replay::LogFold;
 use crate::study::StudyConfig;
 use likelab_detect::online::{organic_seeds, score_online, OnlineDetectors};
 use likelab_detect::{BurstConfig, LockstepConfig, ScorerWeights, SybilRankConfig};
 use likelab_graph::{PageId, UserId};
-use likelab_honeypot::CrawlCoverage;
 use likelab_obs::Histogram;
-use likelab_osn::EventFanout;
 use likelab_sim::event::{LogHeader, LogRecord};
 use likelab_sim::{FollowReader, SimTime};
 use serde::Value;
@@ -71,25 +72,9 @@ impl Default for ServeConfig {
     }
 }
 
-/// Per-campaign accumulators scraped from the measurement records —
-/// the streaming counterpart of replay's campaign slots.
-#[derive(Clone, Default)]
-struct ServeSlot {
-    page: Option<PageId>,
-    launched_at: Option<SimTime>,
-    inactive: bool,
-    observations: usize,
-    likers: usize,
-    monitoring_days: Option<u64>,
-    coverage: CrawlCoverage,
-    monitoring_ended: bool,
-    terminated: usize,
-    unknown: usize,
-}
-
-/// The incremental fold behind `likelab serve`: a live world replica, the
-/// online detector suite, and per-campaign measurement accumulators, all
-/// advanced one [`StudyRecord`] at a time.
+/// The incremental fold behind `likelab serve`: the study log's fold (a
+/// live world replica and per-campaign measurement slots) and the online
+/// detector suite it feeds, advanced one [`StudyRecord`] at a time.
 ///
 /// ```
 /// use likelab_core::serve::{ServeConfig, ServeEngine};
@@ -109,87 +94,27 @@ struct ServeSlot {
 /// assert!(engine.world().likes().len() > 0);
 /// ```
 pub struct ServeEngine {
-    config: StudyConfig,
     serve: ServeConfig,
-    fanout: EventFanout,
+    fold: LogFold,
     detectors: OnlineDetectors,
-    slots: Vec<ServeSlot>,
-    baseline_records: usize,
-    launch: Option<SimTime>,
-    records: u64,
-    last_seq: Option<u64>,
 }
 
 impl ServeEngine {
     /// An engine for the study described by `header` (the log's embedded
     /// [`StudyConfig`] sizes the campaign table).
     pub fn new(header: &LogHeader, serve: ServeConfig) -> Result<Self, StudyError> {
-        let config = crate::record::config_from_header(header)?;
-        let n = config.campaigns.len();
         Ok(ServeEngine {
-            config,
+            fold: LogFold::new(header)?,
             detectors: OnlineDetectors::new(serve.burst, serve.lockstep, serve.sybil),
             serve,
-            fanout: EventFanout::new(),
-            slots: vec![ServeSlot::default(); n],
-            baseline_records: 0,
-            launch: None,
-            records: 0,
-            last_seq: None,
         })
     }
 
     /// Fold one study record into the live state.
     pub fn ingest(&mut self, seq: u64, record: StudyRecord) -> Result<(), StudyError> {
-        match record {
-            StudyRecord::World(ev) => {
-                let detectors = &mut self.detectors;
-                self.fanout
-                    .apply(ev, |update| detectors.apply(update))
-                    .map_err(|e| StudyError::bad_event(seq, e))?;
-            }
-            StudyRecord::RngFork { .. } => {}
-            StudyRecord::CampaignLaunched { campaign, page, at } => {
-                let page = launched_page(self.fanout.world(), seq, page)?;
-                let slot = self.slot(campaign, seq)?;
-                slot.page = Some(page);
-                slot.launched_at = Some(at);
-                self.launch.get_or_insert(at);
-            }
-            StudyRecord::CampaignInactive { campaign } => {
-                self.slot(campaign, seq)?.inactive = true;
-            }
-            StudyRecord::CrawlObserved { campaign, .. } => {
-                self.slot(campaign, seq)?.observations += 1;
-            }
-            StudyRecord::MonitoringEnded {
-                campaign,
-                monitoring_days,
-                coverage,
-            } => {
-                let slot = self.slot(campaign, seq)?;
-                slot.monitoring_days = monitoring_days;
-                slot.coverage = coverage;
-                slot.monitoring_ended = true;
-            }
-            StudyRecord::ProfileCollected { campaign, .. } => {
-                self.slot(campaign, seq)?.likers += 1;
-            }
-            StudyRecord::TerminationsProbed {
-                campaign,
-                terminated,
-                unknown,
-            } => {
-                let slot = self.slot(campaign, seq)?;
-                slot.terminated = terminated;
-                slot.unknown = unknown;
-            }
-            StudyRecord::BaselineSampled { records } => {
-                self.baseline_records = records.len();
-            }
-        }
-        self.records += 1;
-        self.last_seq = Some(seq);
+        let detectors = &mut self.detectors;
+        self.fold
+            .apply(seq, record, |update| detectors.apply(update))?;
         likelab_obs::metrics::counter("serve.ingest.records", 1);
         Ok(())
     }
@@ -199,24 +124,14 @@ impl ServeEngine {
         self.ingest(frame.seq, parse_record(frame)?)
     }
 
-    fn slot(&mut self, campaign: usize, seq: u64) -> Result<&mut ServeSlot, StudyError> {
-        let n = self.slots.len();
-        self.slots
-            .get_mut(campaign)
-            .ok_or_else(|| StudyError::BadRecord {
-                seq,
-                reason: format!("campaign index {campaign} out of range (config has {n})"),
-            })
-    }
-
     /// The study configuration embedded in the log header.
     pub fn config(&self) -> &StudyConfig {
-        &self.config
+        &self.fold.config
     }
 
     /// The live world replica.
     pub fn world(&self) -> &likelab_osn::OsnWorld {
-        self.fanout.world()
+        &self.fold.world
     }
 
     /// The online detector suite (for direct, non-protocol access).
@@ -226,31 +141,30 @@ impl ServeEngine {
 
     /// Records folded so far.
     pub fn records_ingested(&self) -> u64 {
-        self.records
+        self.fold.records
     }
 
     /// The highest sequence number folded so far.
     pub fn last_seq(&self) -> Option<u64> {
-        self.last_seq
+        self.fold.last_seq
     }
 
     /// The stream watermark: the maximum event timestamp seen. Online
     /// feature extraction evaluates account age against this clock; at
     /// end-of-stream it equals the batch pipeline's study-end clock.
     pub fn watermark(&self) -> SimTime {
-        self.fanout.watermark()
+        self.fold.watermark
     }
 
     /// The online fraud score of one account at the current watermark,
     /// with this engine's configured weights. Splits the world/detector
     /// borrows internally so callers don't have to.
     pub fn online_score(&mut self, user: UserId) -> f64 {
-        let now = self.fanout.watermark();
         score_online(
-            self.fanout.world(),
+            &self.fold.world,
             self.detectors.burst_mut(),
             user,
-            now,
+            self.fold.watermark,
             &self.serve.weights,
         )
     }
@@ -276,45 +190,37 @@ impl ServeEngine {
     }
 
     fn q_status(&self, pending: usize) -> Value {
-        let world = self.fanout.world();
-        let launched = self.slots.iter().filter(|s| s.page.is_some()).count();
-        let ended = self.slots.iter().filter(|s| s.monitoring_ended).count();
+        let LogFold { world, slots, .. } = &self.fold;
+        let launched = slots.iter().filter(|s| s.page.is_some()).count();
+        let ended = slots.iter().filter(|s| s.monitoring_ended).count();
         obj(vec![
-            ("records", Value::UInt(self.records)),
-            ("last_seq", opt_uint(self.last_seq)),
+            ("records", Value::UInt(self.fold.records)),
+            ("last_seq", opt_uint(self.fold.last_seq)),
             ("pending", Value::UInt(pending as u64)),
             ("watermark_secs", Value::UInt(self.watermark().as_secs())),
             ("accounts", Value::UInt(world.account_count() as u64)),
             ("pages", Value::UInt(world.page_count() as u64)),
             ("likes", Value::UInt(world.likes().len() as u64)),
             ("edges", Value::UInt(world.friends().edge_count() as u64)),
-            ("campaigns", Value::UInt(self.slots.len() as u64)),
+            ("campaigns", Value::UInt(slots.len() as u64)),
             ("campaigns_launched", Value::UInt(launched as u64)),
             ("campaigns_ended", Value::UInt(ended as u64)),
             (
                 "baseline_records",
-                Value::UInt(self.baseline_records as u64),
+                Value::UInt(self.fold.baseline.len() as u64),
             ),
         ])
     }
 
     fn q_score(&mut self, params: &Value) -> Result<Value, String> {
         let user = param_u64(params, "user")?;
-        let world = self.fanout.world();
-        if user >= world.account_count() as u64 {
+        if user >= self.fold.world.account_count() as u64 {
             return Err(format!("unknown user {user}"));
         }
         let u = UserId(user as u32);
-        let now = self.fanout.watermark();
-        let score = score_online(
-            self.fanout.world(),
-            self.detectors.burst_mut(),
-            u,
-            now,
-            &self.serve.weights,
-        );
+        let score = self.online_score(u);
         let verdict = self.detectors.burst_mut().user_verdict(u);
-        let world = self.fanout.world();
+        let world = &self.fold.world;
         Ok(obj(vec![
             ("user", Value::UInt(user)),
             ("score", Value::Float(score)),
@@ -332,7 +238,7 @@ impl ServeEngine {
 
     fn q_page(&mut self, params: &Value) -> Result<Value, String> {
         let page = param_u64(params, "page")?;
-        if page >= self.fanout.world().page_count() as u64 {
+        if page >= self.fold.world.page_count() as u64 {
             return Err(format!("unknown page {page}"));
         }
         let p = PageId(page as u32);
@@ -341,7 +247,7 @@ impl ServeEngine {
             ("page", Value::UInt(page)),
             (
                 "likes",
-                Value::UInt(self.fanout.world().likes().page_like_count(p) as u64),
+                Value::UInt(self.fold.world.likes().page_like_count(p) as u64),
             ),
             ("burst_share", Value::Float(verdict.peak_share)),
             ("burst_events", Value::UInt(verdict.events as u64)),
@@ -351,8 +257,13 @@ impl ServeEngine {
 
     fn q_campaign(&mut self, params: &Value) -> Result<Value, String> {
         let i = param_u64(params, "campaign")? as usize;
-        let label = self
-            .config
+        let LogFold {
+            config,
+            world,
+            slots,
+            ..
+        } = &self.fold;
+        let label = config
             .campaigns
             .get(i)
             .map(|c| c.label.clone())
@@ -360,14 +271,12 @@ impl ServeEngine {
         // The campaigns check above implies a slot exists, but `i` came off
         // the wire: a malformed request must answer with an error, never
         // panic the service.
-        let slot = self
-            .slots
+        let slot = slots
             .get(i)
-            .cloned()
             .ok_or_else(|| format!("unknown campaign {i}"))?;
         let page_likes = slot
             .page
-            .map(|p| self.fanout.world().likes().page_like_count(p))
+            .map(|p| world.likes().page_like_count(p))
             .unwrap_or(0);
         Ok(obj(vec![
             ("campaign", Value::UInt(i as u64)),
@@ -381,8 +290,8 @@ impl ServeEngine {
             ("launched", Value::Bool(slot.page.is_some())),
             ("inactive", Value::Bool(slot.inactive)),
             ("likes", Value::UInt(page_likes as u64)),
-            ("observations", Value::UInt(slot.observations as u64)),
-            ("likers_collected", Value::UInt(slot.likers as u64)),
+            ("observations", Value::UInt(slot.observations.len() as u64)),
+            ("likers_collected", Value::UInt(slot.likers.len() as u64)),
             ("monitoring_ended", Value::Bool(slot.monitoring_ended)),
             ("monitoring_days", opt_uint(slot.monitoring_days)),
             (
@@ -411,7 +320,7 @@ impl ServeEngine {
 
     fn q_sybil(&mut self, params: &Value) -> Result<Value, String> {
         let user = param_u64(params, "user")?;
-        let world = self.fanout.world();
+        let world = &self.fold.world;
         if user >= world.account_count() as u64 {
             return Err(format!("unknown user {user}"));
         }
@@ -439,20 +348,12 @@ impl ServeEngine {
             Some(Value::UInt(n)) => *n as f64,
             Some(other) => return Err(format!("bad threshold: {}", other.kind())),
         };
-        let now = self.fanout.watermark();
-        let n = self.fanout.world().account_count() as u32;
+        let n = self.fold.world.account_count() as u32;
         let (mut tp, mut fp, mut fn_, mut tn) = (0u64, 0u64, 0u64, 0u64);
         for i in 0..n {
             let u = UserId(i);
-            let s = score_online(
-                self.fanout.world(),
-                self.detectors.burst_mut(),
-                u,
-                now,
-                &self.serve.weights,
-            );
-            let predicted = s >= threshold;
-            let actual = self.fanout.world().account(u).class.is_farm();
+            let predicted = self.online_score(u) >= threshold;
+            let actual = self.fold.world.account(u).class.is_farm();
             match (predicted, actual) {
                 (true, true) => tp += 1,
                 (true, false) => fp += 1,
@@ -927,7 +828,7 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeSummary, StudyError> {
     }
 
     let (records, stats) = match session {
-        Some(s) => (s.engine.records, s.stats),
+        Some(s) => (s.engine.records_ingested(), s.stats),
         None => (0, ServeStats::default()),
     };
     Ok(ServeSummary {
@@ -972,7 +873,7 @@ mod tests {
 
     #[test]
     fn replica_matches_the_original_run() {
-        let (outcome, _) = logged_outcome();
+        let (outcome, log) = logged_outcome();
         let engine = full_engine();
         let world = engine.world();
         assert_eq!(world.account_count(), outcome.world.account_count());
@@ -982,6 +883,19 @@ mod tests {
             world.friends().edge_count(),
             outcome.world.friends().edge_count()
         );
+        // At end of stream the watermark is the study-end clock: the
+        // latest time any world event of the log carries.
+        let latest = log
+            .records()
+            .iter()
+            .filter_map(|(_, r)| match r {
+                StudyRecord::World(ev) => ev.latest_time(),
+                _ => None,
+            })
+            .max()
+            .expect("the log carries timed world events");
+        assert_eq!(engine.watermark(), latest);
+        assert_eq!(engine.last_seq(), log.records().last().map(|(seq, _)| *seq));
     }
 
     #[test]

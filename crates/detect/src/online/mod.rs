@@ -4,8 +4,9 @@
 //! Each batch detector in this crate is a pure function of world state; the
 //! serve path instead sees an *event stream* and must answer queries while
 //! ingest continues. The modules here hold per-detector incremental state
-//! fed by [`DetectorUpdate`]s (the acceptance-filtered fanout from
-//! [`likelab_osn::EventFanout`]) and promise the **online-vs-batch
+//! fed by [`DetectorUpdate`]s (one per accepted mutation, from
+//! [`OsnWorld::apply_event`](likelab_osn::OsnWorld::apply_event) as the
+//! serve engine folds the log) and promise the **online-vs-batch
 //! equivalence contract** documented in `SERVING.md`:
 //!
 //! > At end-of-stream — and for burst/lockstep at *every* prefix — a query
@@ -48,7 +49,7 @@ use likelab_osn::DetectorUpdate;
 
 /// The full online detector suite behind one update fanout.
 ///
-/// Feed it every [`DetectorUpdate`] the event fanout emits; query the
+/// Feed it every [`DetectorUpdate`] `OsnWorld::apply_event` emits; query the
 /// individual detectors through the accessors. Updates that only change
 /// world state the detectors read on demand (off-network counts,
 /// termination status) are no-ops here — the world replica carries them.
@@ -92,7 +93,7 @@ impl OnlineDetectors {
         }
     }
 
-    /// Route one fanout update to every detector that consumes it.
+    /// Route one update to every detector that consumes it.
     pub fn apply(&mut self, update: DetectorUpdate) {
         self.updates_seen += 1;
         match update {

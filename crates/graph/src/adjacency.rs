@@ -58,6 +58,25 @@ pub enum Neighbors<'a> {
     Owned(Vec<UserId>),
 }
 
+/// Append the merge of two sorted, disjoint neighbor lists to `out`.
+fn merge_into(out: &mut Vec<UserId>, a: &[UserId], b: &[UserId]) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        // lint:allow(panic-reachable-from-serve): loop condition bounds i and j
+        if a[i] < b[j] {
+            out.push(a[i]); // lint:allow(panic-reachable-from-serve): i < a.len() here
+            i += 1;
+        } else {
+            out.push(b[j]); // lint:allow(panic-reachable-from-serve): j < b.len() here
+            j += 1;
+        }
+    }
+    // lint:allow(panic-reachable-from-serve): i <= a.len() after the merge loop
+    out.extend_from_slice(&a[i..]);
+    // lint:allow(panic-reachable-from-serve): j <= b.len() after the merge loop
+    out.extend_from_slice(&b[j..]);
+}
+
 impl Deref for Neighbors<'_> {
     type Target = [UserId];
 
@@ -184,7 +203,7 @@ impl FriendGraph {
     /// Grow the node set to at least `n` nodes.
     pub fn ensure_nodes(&mut self, n: usize) {
         if n > self.node_count() {
-            let last = *self.offsets.last().expect("offsets never empty");
+            let last = self.offsets.last().copied().unwrap_or_default();
             self.offsets.resize(n + 1, last);
             self.extra.resize(n, Vec::new());
         }
@@ -211,14 +230,18 @@ impl FriendGraph {
         if self.csr_range(a).binary_search(&b).is_ok() {
             return false;
         }
+        // lint:allow(panic-reachable-from-serve): a < node_count() = extra.len(), asserted above
         let pos = match self.extra[a.idx()].binary_search(&b) {
             Ok(_) => return false,
             Err(pos) => pos,
         };
+        // lint:allow(panic-reachable-from-serve): a < node_count() = extra.len(), asserted above
         self.extra[a.idx()].insert(pos, b);
+        // lint:allow(panic-reachable-from-serve): b < node_count() = extra.len(), asserted above
         let pos_b = self.extra[b.idx()]
             .binary_search(&a)
             .expect_err("symmetric edge must be absent");
+        // lint:allow(panic-reachable-from-serve): b < node_count() = extra.len(), asserted above
         self.extra[b.idx()].insert(pos_b, a);
         self.extra_len += 2;
         self.edges += 1;
@@ -238,22 +261,8 @@ impl FriendGraph {
         let mut csr = Vec::with_capacity(self.csr.len() + self.extra_len);
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0u64);
-        for u in 0..n {
-            let old = &self.csr[self.offsets[u] as usize..self.offsets[u + 1] as usize];
-            let new = &self.extra[u];
-            // Two-pointer merge of two sorted, disjoint lists.
-            let (mut i, mut j) = (0, 0);
-            while i < old.len() && j < new.len() {
-                if old[i] < new[j] {
-                    csr.push(old[i]);
-                    i += 1;
-                } else {
-                    csr.push(new[j]);
-                    j += 1;
-                }
-            }
-            csr.extend_from_slice(&old[i..]);
-            csr.extend_from_slice(&new[j..]);
+        for (u, new) in self.extra.iter().enumerate() {
+            merge_into(&mut csr, self.csr_range(UserId(u as u32)), new);
             offsets.push(csr.len() as u64);
         }
         self.csr = csr;
@@ -291,21 +300,7 @@ impl FriendGraph {
             return Neighbors::Slice(base);
         }
         let mut merged = Vec::with_capacity(base.len() + over.len());
-        let (mut i, mut j) = (0, 0);
-        while i < base.len() && j < over.len() {
-            // lint:allow(panic-reachable-from-serve): loop condition bounds i and j
-            if base[i] < over[j] {
-                merged.push(base[i]); // lint:allow(panic-reachable-from-serve): i < base.len() here
-                i += 1;
-            } else {
-                merged.push(over[j]); // lint:allow(panic-reachable-from-serve): j < over.len() here
-                j += 1;
-            }
-        }
-        // lint:allow(panic-reachable-from-serve): i <= base.len() after the merge loop
-        merged.extend_from_slice(&base[i..]);
-        // lint:allow(panic-reachable-from-serve): j <= over.len() after the merge loop
-        merged.extend_from_slice(&over[j..]);
+        merge_into(&mut merged, base, over);
         Neighbors::Owned(merged)
     }
 

@@ -10,6 +10,8 @@
 //! are catalogued in DESIGN.md §4f.
 //!
 //! Resolution order for a bare call `name(…)`:
+//! 0. nothing, when the caller binds `name` itself (a parameter or a
+//!    `let`, typically a closure): the call is to that value,
 //! 1. a free fn `name` in the same file (same module preferred),
 //! 2. the file's `use` map (`use crate_x::m::name;` → that crate's fn),
 //! 3. a unique free fn `name` in the caller's crate,
@@ -21,6 +23,7 @@
 //! (`push`, `get`, `insert`, …), which collide with std containers far
 //! too often to link by name alone.
 
+use crate::dataflow::let_binding;
 use crate::parse::ParsedFile;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -190,6 +193,15 @@ impl CallGraph {
             }
         }
 
+        // The names each fn binds itself: its parameters, then each `let`
+        // from its line on.
+        let mut bound: Vec<BTreeSet<&str>> = nodes
+            .iter()
+            .map(|n| {
+                let f = &files[n.file].items.functions[n.item];
+                f.params.iter().map(|p| p.name.as_str()).collect()
+            })
+            .collect();
         let index = NameIndex::new(&nodes);
         let mut calls: Vec<Vec<CallSite>> = vec![Vec::new(); nodes.len()];
         for (fi, pf) in files.iter().enumerate() {
@@ -199,6 +211,12 @@ impl CallGraph {
                     continue;
                 }
                 for site in call_tokens(line) {
+                    if site.qualifier.is_none()
+                        && site.receiver.is_none()
+                        && bound[caller].contains(site.name.as_str())
+                    {
+                        continue; // a call to a closure or fn value, not an item
+                    }
                     let resolved = index.resolve(&site, &nodes[caller], pf, &nodes);
                     if let Some(callee) = resolved {
                         if callee == caller {
@@ -212,6 +230,9 @@ impl CallGraph {
                             receiver: site.receiver.clone(),
                         });
                     }
+                }
+                if let Some((name, _)) = let_binding(line) {
+                    bound[caller].insert(name);
                 }
             }
         }

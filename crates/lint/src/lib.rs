@@ -72,29 +72,36 @@ pub struct Options {
     pub update_baseline: bool,
 }
 
+/// Read, mask and parse every file of the workspace rooted at `root`.
+pub fn parse_workspace(root: &Path) -> Result<Vec<parse::ParsedFile>, String> {
+    let files = walk::discover(root).map_err(|e| format!("scan {}: {e}", root.display()))?;
+    files
+        .into_iter()
+        .map(|f| {
+            let path = root.join(&f.rel_path);
+            let source =
+                fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
+            let masked = tokenizer::mask(&source);
+            let items = parse::parse(&masked);
+            Ok(parse::ParsedFile {
+                rel_path: f.rel_path,
+                crate_name: f.crate_name,
+                kind: f.kind,
+                masked,
+                items,
+            })
+        })
+        .collect()
+}
+
 /// Lint the workspace rooted at `root`.
 ///
 /// When `opts.update_baseline` is set, the baseline file is rewritten to
 /// accept every current finding and the returned report is clean.
 pub fn run(root: &Path, opts: &Options) -> Result<Report, String> {
-    let files = walk::discover(root).map_err(|e| format!("scan {}: {e}", root.display()))?;
     // Phase 1: read, mask, and parse every file once. The parsed set is
     // shared by the per-file rules and the interprocedural passes.
-    let mut parsed = Vec::with_capacity(files.len());
-    for f in &files {
-        let path = root.join(&f.rel_path);
-        let source =
-            fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let masked = tokenizer::mask(&source);
-        let items = parse::parse(&masked);
-        parsed.push(parse::ParsedFile {
-            rel_path: f.rel_path.clone(),
-            crate_name: f.crate_name.clone(),
-            kind: f.kind,
-            masked,
-            items,
-        });
-    }
+    let parsed = parse_workspace(root)?;
     // Phase 2: per-file rules, then the workspace rules over the call graph.
     let mut all = Vec::new();
     for pf in &parsed {
@@ -108,7 +115,7 @@ pub fn run(root: &Path, opts: &Options) -> Result<Report, String> {
     let graph = callgraph::CallGraph::build(&parsed);
     all.extend(rules::scan_workspace(&parsed, &graph));
     all.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    let files_scanned = files.len();
+    let files_scanned = parsed.len();
 
     let Some(baseline_rel) = &opts.baseline else {
         return Ok(Report {

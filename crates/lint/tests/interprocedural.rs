@@ -4,6 +4,8 @@
 //! twins pin down both halves of each rule's contract: it catches the
 //! hazard and it does not cry wolf on the fixed form.
 
+use likelab_lint::callgraph::{match_entries, CallGraph, FnNode};
+use likelab_lint::rules::SERVE_ENTRY_POINTS;
 use likelab_lint::{run, Options};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -206,6 +208,76 @@ fn serve_reachability_is_silent_once_the_panic_degrades() {
 }
 
 // ---------------------------------------------------------------------------
+// call resolution: a name the caller binds itself is never an fn item
+// ---------------------------------------------------------------------------
+
+/// The serve loop fans work out through a pool, and another crate has the
+/// workspace's only free fn named `run`, which indexes.
+const BOUND_SERVE: &str = "\
+pub fn serve(lines: &[u32]) -> u32 {
+    fan(lines) + fan_with(lines, |xs, x| xs.len() as u32 + x)
+}
+";
+const BOUND_TOOL: &str = "\
+pub fn run(xs: &[u32], x: u32) -> u32 {
+    xs[x as usize]
+}
+";
+/// The pool calls that free fn.
+const BOUND_POOL_BAD: &str = "\
+pub fn fan(items: &[u32]) -> u32 {
+    items.iter().map(|&x| run(items, x)).sum()
+}
+
+pub fn fan_with(items: &[u32], f: impl Fn(&[u32], u32) -> u32) -> u32 {
+    items.iter().map(|&x| f(items, x)).sum()
+}
+";
+/// Good twin: the pool binds `run` itself, as a `let` closure and as a
+/// parameter, so its bare `run(…)` calls are calls to those values.
+const BOUND_POOL_GOOD: &str = "\
+pub fn fan(items: &[u32]) -> u32 {
+    let run = |xs: &[u32], x: u32| xs.len() as u32 + x;
+    items.iter().map(|&x| run(items, x)).sum()
+}
+
+pub fn fan_with(items: &[u32], run: impl Fn(&[u32], u32) -> u32) -> u32 {
+    items.iter().map(|&x| run(items, x)).sum()
+}
+";
+
+fn bound_name_fixture(tag: &str, pool: &str) -> Fixture {
+    let fx = Fixture::new(tag);
+    fx.add_crate("served", "pub mod serve;\n");
+    fx.write("crates/served/src/serve.rs", BOUND_SERVE);
+    fx.add_crate("pool", pool);
+    fx.add_crate("tool", BOUND_TOOL);
+    fx
+}
+
+#[test]
+fn a_bare_call_links_the_workspace_fn_of_that_name() {
+    let fx = bound_name_fixture("bound-bad", BOUND_POOL_BAD);
+    let report = run(fx.path(), &Options::default()).expect("lint run");
+    let hits = findings_for(&report, "panic-reachable-from-serve");
+    assert_eq!(hits.len(), 1, "findings: {:?}", report.findings);
+    assert_eq!(hits[0].file, "crates/tool/src/lib.rs");
+    assert_eq!(hits[0].line, 2, "the indexing line");
+    assert_eq!(hits[0].path, vec!["serve", "fan", "run"]);
+}
+
+#[test]
+fn a_bare_call_to_a_closure_or_parameter_links_nothing() {
+    let fx = bound_name_fixture("bound-good", BOUND_POOL_GOOD);
+    let report = run(fx.path(), &Options::default()).expect("lint run");
+    assert!(
+        findings_for(&report, "panic-reachable-from-serve").is_empty(),
+        "`run` is the caller's own closure or parameter: {:?}",
+        report.findings
+    );
+}
+
+// ---------------------------------------------------------------------------
 // float-order-sensitivity
 // ---------------------------------------------------------------------------
 
@@ -356,13 +428,17 @@ fn baseline_records_the_call_path_for_pathed_findings() {
 // self-scan: the real workspace stays clean under its own baseline
 // ---------------------------------------------------------------------------
 
-#[test]
-fn the_workspace_lints_itself_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(Path::parent)
         .expect("workspace root")
-        .to_path_buf();
+        .to_path_buf()
+}
+
+#[test]
+fn the_workspace_lints_itself_clean() {
+    let root = workspace_root();
     let opts = Options {
         baseline: Some("lint-baseline.json".into()),
         update_baseline: false,
@@ -386,4 +462,30 @@ fn the_workspace_lints_itself_clean() {
             "only the legacy unwrap debt may be baselined: {f:?}"
         );
     }
+}
+
+/// The serve rule only checks what the call graph reaches. The path that
+/// applies hostile log events to serve's world must be on it, and the
+/// worker pool's `let run = |…|` closure must not link to the linter's own
+/// `run`.
+#[test]
+fn serve_reaches_the_world_apply_path_of_the_real_workspace() {
+    let files = likelab_lint::parse_workspace(&workspace_root()).expect("parse workspace");
+    let graph = CallGraph::build(&files);
+    let entries = match_entries(&graph, SERVE_ENTRY_POINTS);
+    let reached: Vec<&FnNode> = graph
+        .reach_from(&entries)
+        .keys()
+        .map(|&n| &graph.nodes[n])
+        .collect();
+    for want in ["OsnWorld::apply_event", "LikeLedger::ingest_columns_owned"] {
+        assert!(
+            reached.iter().any(|n| n.qualified == want),
+            "serve's reach lacks {want}"
+        );
+    }
+    assert!(
+        !reached.iter().any(|n| n.crate_name == "likelab-lint"),
+        "serve reaches the linter"
+    );
 }

@@ -50,7 +50,7 @@ pub use crawl_api::{
     RateLimitRegime, RetryPolicy,
 };
 pub use demographics::{AgeBracket, Country, Gender, GeoBucket, Profile};
-pub use fanout::{DetectorUpdate, EventFanout};
+pub use fanout::DetectorUpdate;
 pub use fraudops::{FraudOps, FraudOpsConfig};
 pub use likes::{LikeColumns, LikeLedger, LikeRecord};
 pub use log::{EventError, WorldEvent};

@@ -121,7 +121,8 @@ impl LikeColumns {
 
     /// Zip the columns back into row tuples.
     pub fn rows(&self) -> impl Iterator<Item = (UserId, PageId, SimTime)> + '_ {
-        (0..self.len()).map(move |i| (self.users[i], self.pages[i], self.times[i]))
+        let cols = self.users.iter().zip(&self.pages).zip(&self.times);
+        cols.map(|((&user, &page), &at)| (user, page, at))
     }
 }
 
@@ -150,26 +151,23 @@ fn absorb_sorted(
     merged: &mut Vec<u32>,
 ) {
     merged.clear();
-    let (mut i, mut k) = (0usize, 0usize);
-    while k < cand.len() {
-        let page = cand[k].0;
-        while i < set.len() && set[i] < page {
-            merged.push(set[i]);
+    let mut i = 0usize;
+    // One equal-page run at a time; its later occurrences are dups.
+    for run in cand.chunk_by(|a, b| a.0 == b.0) {
+        let &[(page, pos), ..] = run else { continue };
+        while let Some(&below) = set.get(i).filter(|&&p| p < page) {
+            merged.push(below);
             i += 1;
         }
         if set.get(i) != Some(&page) {
-            accept(cand[k].1);
+            accept(pos);
             merged.push(page);
-        }
-        // Skip the whole equal-page run (later occurrences are dups).
-        while k < cand.len() && cand[k].0 == page {
-            k += 1;
         }
     }
     // `merged` holds `set[..i]` plus the accepted pages; when nothing was
     // accepted the set is unchanged.
     if merged.len() > i {
-        merged.extend_from_slice(&set[i..]);
+        merged.extend_from_slice(set.get(i..).unwrap_or_default());
         set.clear();
         set.extend_from_slice(merged);
     }
@@ -294,17 +292,20 @@ impl LikeLedger {
         }
         let mut counts = vec![0u32; n_users + 1];
         for &user in b_users {
+            // lint:allow(panic-reachable-from-serve): ids accepted by `OsnWorld::check_event`, below the n_users the world sized the ledger to
             counts[user.idx() + 1] += 1;
         }
         for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
+            counts[i] += counts[i - 1]; // lint:allow(panic-reachable-from-serve): 1 <= i < counts.len()
         }
         // Stable scatter: positions of each user's items, in batch order.
         // Only the 4-byte user column streams through this pass.
         let mut by_user_pos = vec![0u32; n];
         let mut cursor = counts.clone();
         for (i, &user) in b_users.iter().enumerate() {
+            // lint:allow(panic-reachable-from-serve): user < n_users, as above
             let c = &mut cursor[user.idx()];
+            // lint:allow(panic-reachable-from-serve): arrays the kernel sized: a user's cursor stays below its end offset, at most n
             by_user_pos[*c as usize] = i as u32;
             *c += 1;
         }
@@ -318,6 +319,7 @@ impl LikeLedger {
             r => counts.partition_point(|&c| c as usize * n_ranges < n * r),
         };
         let ranges = || (0..n_ranges).map(|r| bound(r)..bound(r + 1));
+        // lint:allow(panic-reachable-from-serve): u < n_users; counts holds n_users + 1 running totals up to n
         let user_rows = |u: usize| &by_user_pos[counts[u] as usize..counts[u + 1] as usize];
         // Each position belongs to one user, so exactly one job may set its
         // flag.
@@ -333,12 +335,15 @@ impl LikeLedger {
                     continue;
                 }
                 cand.clear();
+                // lint:allow(panic-reachable-from-serve): by_user_pos holds batch positions, below n
                 cand.extend(rows.iter().map(|&pos| (b_pages[pos as usize].0, pos)));
                 cand.sort_unstable();
+                // lint:allow(panic-reachable-from-serve): accept has a flag per batch position
                 let mark = |pos: u32| accept[pos as usize].store(true, Ordering::Relaxed);
                 absorb_sorted(set, &cand, mark, &mut merged);
             }
         });
+        // lint:allow(panic-reachable-from-serve): accept has a flag per batch position
         let accepted_at = |pos: usize| accept[pos].load(Ordering::Relaxed);
         // Positional pass: append accepted records to the columns in batch
         // order. When nothing was rejected — the overwhelming synthesis
@@ -368,13 +373,13 @@ impl LikeLedger {
             self.users.reserve(n);
             self.pages.reserve(n);
             self.times.reserve(n);
-            for (i, idx) in global_idx.iter_mut().enumerate() {
+            for (i, ((user, page, at), idx)) in batch.rows().zip(&mut global_idx).enumerate() {
                 if !accepted_at(i) {
                     continue;
                 }
-                self.users.push(batch.users[i]);
-                self.pages.push(batch.pages[i]);
-                self.times.push(batch.times[i]);
+                self.users.push(user);
+                self.pages.push(page);
+                self.times.push(at);
                 *idx = next;
                 next += 1;
             }
@@ -396,6 +401,7 @@ impl LikeLedger {
                     idxs.extend(rows.iter().map(|&pos| start + pos));
                 } else {
                     idxs.extend(rows.iter().filter_map(|&pos| {
+                        // lint:allow(panic-reachable-from-serve): global_idx has an entry per batch position
                         let g = global_idx[pos as usize];
                         (g != u32::MAX).then_some(g)
                     }));
@@ -413,17 +419,20 @@ impl LikeLedger {
         // keep global order) — no per-shard Vec growth.
         let n_shards = self.shards.len();
         let mut shard_counts = vec![0u32; n_shards + 1];
-        let new_pages = &self.pages[start as usize..];
+        let new_pages = &self.pages[start as usize..]; // lint:allow(panic-reachable-from-serve): start was the column length
         for &page in new_pages {
+            // lint:allow(panic-reachable-from-serve): ids accepted by `OsnWorld::check_event`: page < n_pages, so its shard < n_shards
             shard_counts[page.idx() / SHARD_PAGES + 1] += 1;
         }
         for i in 1..shard_counts.len() {
-            shard_counts[i] += shard_counts[i - 1];
+            shard_counts[i] += shard_counts[i - 1]; // lint:allow(panic-reachable-from-serve): 1 <= i < len
         }
         let mut flat_pairs: Vec<(u32, u32)> = vec![(0, 0); accepted];
         let mut cursor = shard_counts.clone();
         for (k, &page) in new_pages.iter().enumerate() {
+            // lint:allow(panic-reachable-from-serve): shard < n_shards, as above
             let c = &mut cursor[page.idx() / SHARD_PAGES];
+            // lint:allow(panic-reachable-from-serve): arrays the kernel sized: a shard's cursor stays below its end offset, at most `accepted`
             flat_pairs[*c as usize] = ((page.idx() % SHARD_PAGES) as u32, start + k as u32);
             *c += 1;
         }
@@ -433,6 +442,7 @@ impl LikeLedger {
         // (stable, so each page's slice keeps global order), then extend
         // the shard's own posting lists from it.
         let jobs = self.shards.iter_mut().enumerate().map(|(s, shard)| {
+            // lint:allow(panic-reachable-from-serve): s < n_shards; shard_counts holds n_shards + 1 running totals up to `accepted`
             let pairs = &flat_pairs[shard_counts[s] as usize..shard_counts[s + 1] as usize];
             (shard, pairs)
         });
@@ -440,21 +450,24 @@ impl LikeLedger {
             let width = shard.by_page.len();
             let mut counts = vec![0u32; width + 1];
             for &(local, _) in pairs {
+                // lint:allow(panic-reachable-from-serve): page < n_pages, so its local index is below the shard's width
                 counts[local as usize + 1] += 1;
             }
             for i in 1..counts.len() {
-                counts[i] += counts[i - 1];
+                counts[i] += counts[i - 1]; // lint:allow(panic-reachable-from-serve): 1 <= i < counts.len()
             }
             let mut flat = vec![0u32; pairs.len()];
             let mut cursor = counts.clone();
             for &(local, idx) in pairs {
+                // lint:allow(panic-reachable-from-serve): arrays the kernel sized: local < width, its cursor below its end offset
                 flat[cursor[local as usize] as usize] = idx;
-                cursor[local as usize] += 1;
+                cursor[local as usize] += 1; // lint:allow(panic-reachable-from-serve): local < width
             }
             for (local, list) in shard.by_page.iter_mut().enumerate() {
+                // lint:allow(panic-reachable-from-serve): local < width; counts holds width + 1 running totals
                 let (lo, hi) = (counts[local] as usize, counts[local + 1] as usize);
                 if lo < hi {
-                    list.extend_from_increasing(&flat[lo..hi]);
+                    list.extend_from_increasing(&flat[lo..hi]); // lint:allow(panic-reachable-from-serve): lo < hi <= flat.len()
                 }
             }
         });
@@ -468,31 +481,28 @@ impl LikeLedger {
     /// every posting list. Fully sequential (the dense kernel's parallel
     /// shard stage would be pure overhead at this size).
     fn ingest_columns_sparse(&mut self, batch: &LikeColumns) -> usize {
-        let (b_users, b_pages, b_times) = (&batch.users, &batch.pages, &batch.times);
-        let n = b_users.len();
+        let n = batch.len();
         // (user, page, pos): user groups come out adjacent, and within a
         // user the (page, pos) order is exactly the candidate ordering
         // `absorb_sorted` expects.
-        let mut triples: Vec<(u32, u32, u32)> = (0..n)
-            .map(|i| (b_users[i].0, b_pages[i].0, i as u32))
+        let positions = batch.users.iter().zip(&batch.pages).zip(0..);
+        let mut triples: Vec<(u32, u32, u32)> = positions
+            .map(|((user, page), pos)| (user.0, page.0, pos))
             .collect();
         triples.sort_unstable();
+        let user_runs = || triples.chunk_by(|a, b| a.0 == b.0);
         let mut accept = vec![false; n];
         let mut cand: Vec<(u32, u32)> = Vec::new();
         let mut merged: Vec<u32> = Vec::new();
-        let mut k = 0usize;
-        while k < triples.len() {
-            let user = triples[k].0;
-            let lo = k;
-            while k < triples.len() && triples[k].0 == user {
-                k += 1;
-            }
+        for run in user_runs() {
+            let &[(user, ..), ..] = run else { continue };
             cand.clear();
-            cand.extend(triples[lo..k].iter().map(|&(_, page, pos)| (page, pos)));
+            cand.extend(run.iter().map(|&(_, page, pos)| (page, pos)));
             absorb_sorted(
+                // lint:allow(panic-reachable-from-serve): ids accepted by `OsnWorld::check_event`, below the account count the world sized the ledger to
                 &mut self.user_pages[user as usize],
                 &cand,
-                |pos| accept[pos as usize] = true,
+                |pos| accept[pos as usize] = true, // lint:allow(panic-reachable-from-serve): pos < n
                 &mut merged,
             );
         }
@@ -500,12 +510,12 @@ impl LikeLedger {
         let start = self.users.len() as u32;
         let mut global_idx = vec![u32::MAX; n];
         let mut next = start;
-        for i in 0..n {
-            if accept[i] {
-                self.users.push(b_users[i]);
-                self.pages.push(b_pages[i]);
-                self.times.push(b_times[i]);
-                global_idx[i] = next;
+        for (((user, page, at), &accepted), idx) in batch.rows().zip(&accept).zip(&mut global_idx) {
+            if accepted {
+                self.users.push(user);
+                self.pages.push(page);
+                self.times.push(at);
+                *idx = next;
                 next += 1;
             }
         }
@@ -514,20 +524,16 @@ impl LikeLedger {
         // indices arrive page-sorted, so re-sort into the strictly
         // increasing (= batch position) order the posting list needs.
         let mut idxs: Vec<u32> = Vec::new();
-        let mut k = 0usize;
-        while k < triples.len() {
-            let user = triples[k].0;
-            let lo = k;
-            while k < triples.len() && triples[k].0 == user {
-                k += 1;
-            }
+        for run in user_runs() {
+            let &[(user, ..), ..] = run else { continue };
             idxs.clear();
-            idxs.extend(triples[lo..k].iter().filter_map(|&(_, _, pos)| {
-                let g = global_idx[pos as usize];
+            idxs.extend(run.iter().filter_map(|&(_, _, pos)| {
+                let g = global_idx[pos as usize]; // lint:allow(panic-reachable-from-serve): pos < n
                 (g != u32::MAX).then_some(g)
             }));
             idxs.sort_unstable();
             if !idxs.is_empty() {
+                // lint:allow(panic-reachable-from-serve): user < the account count, as above
                 self.by_user[user as usize].extend_from_increasing(&idxs);
             }
         }
@@ -536,18 +542,16 @@ impl LikeLedger {
         // global order), so each run extends its list directly — only the
         // pages actually present in the batch are touched.
         let mut by_page: Vec<(u32, u32)> = (start..next)
+            // lint:allow(panic-reachable-from-serve): start..next are the records this call appended
             .map(|g| (self.pages[g as usize].0, g))
             .collect();
         by_page.sort_unstable();
-        let mut k = 0usize;
-        while k < by_page.len() {
-            let page = by_page[k].0 as usize;
-            let lo = k;
-            while k < by_page.len() && by_page[k].0 as usize == page {
-                k += 1;
-            }
+        for run in by_page.chunk_by(|a, b| a.0 == b.0) {
+            let &[(page, _), ..] = run else { continue };
+            let page = page as usize;
             idxs.clear();
-            idxs.extend(by_page[lo..k].iter().map(|&(_, g)| g));
+            idxs.extend(run.iter().map(|&(_, g)| g));
+            // lint:allow(panic-reachable-from-serve): ids accepted by `OsnWorld::check_event`: page < n_pages, and the world sized the shards to it
             self.shards[page / SHARD_PAGES].by_page[page % SHARD_PAGES]
                 .extend_from_increasing(&idxs);
         }
@@ -593,11 +597,9 @@ impl LikeLedger {
     /// Assemble the record at a global index.
     fn record_at(&self, idx: u32) -> LikeRecord {
         let i = idx as usize;
-        LikeRecord {
-            user: self.users[i],
-            page: self.pages[i],
-            at: self.times[i],
-        }
+        // lint:allow(panic-reachable-from-serve): record indices come from 0..len() or this ledger's postings, and the columns have equal lengths
+        let (user, page, at) = (self.users[i], self.pages[i], self.times[i]);
+        LikeRecord { user, page, at }
     }
 
     /// Like records of a page, in arrival order.

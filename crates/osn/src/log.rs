@@ -104,6 +104,26 @@ pub enum WorldEvent {
     },
 }
 
+impl WorldEvent {
+    /// The latest simulation time the event carries: its `at`, or a like
+    /// batch's latest like time, rejected likes included. `None` for
+    /// events without a time (friendships, off-network counts,
+    /// reinstatements) and for an empty batch. A log fold's watermark is
+    /// the maximum of these.
+    pub fn latest_time(&self) -> Option<SimTime> {
+        match self {
+            WorldEvent::AccountCreated { at, .. }
+            | WorldEvent::PageCreated { at, .. }
+            | WorldEvent::Terminated { at, .. } => Some(*at),
+            WorldEvent::LikeBatch { likes } => likes.times.iter().max().copied(),
+            WorldEvent::Friendship { .. }
+            | WorldEvent::FriendshipBatch { .. }
+            | WorldEvent::OffNetworkFriends { .. }
+            | WorldEvent::Reinstated { .. } => None,
+        }
+    }
+}
+
 /// Why a [`WorldEvent`] cannot apply to a world.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EventError {
@@ -254,7 +274,7 @@ mod tests {
 
         let mut replayed = OsnWorld::new();
         for ev in events {
-            replayed.apply_event(ev).unwrap();
+            replayed.apply_event(ev, |_| {}).unwrap();
         }
         assert_eq!(replayed.account_count(), w.account_count());
         assert_eq!(replayed.page_count(), w.page_count());

@@ -115,19 +115,18 @@ impl PostingList {
         let mut rest = values;
         // Top up a partially filled tail to a block boundary first.
         if !self.tail.is_empty() {
-            let take = rest.len().min(BLOCK - self.tail.len());
-            for &v in &rest[..take] {
+            let (head, tail) = rest.split_at(rest.len().min(BLOCK - self.tail.len()));
+            for &v in head {
                 self.push(v);
             }
-            rest = &rest[take..];
+            rest = tail;
         }
         debug_assert!(rest.is_empty() || self.tail.is_empty());
-        while rest.len() >= BLOCK {
-            let (block, tail) = rest.split_at(BLOCK);
+        while let Some((block, tail)) = rest.split_first_chunk::<BLOCK>() {
+            let &[first, ..] = block;
             assert!(
-                u64::from(block[0]) >= self.last_plus,
-                "posting values must be strictly increasing: {v} after {last:?}",
-                v = block[0],
+                u64::from(first) >= self.last_plus,
+                "posting values must be strictly increasing: {first} after {last:?}",
                 last = self.last()
             );
             self.encode_block(block);

@@ -152,26 +152,26 @@ impl AccountStore {
     }
 
     /// Terminate an account (idempotent; the first termination time wins).
-    /// Returns true when the account was active.
+    /// Returns true when the account was active, false when it was already
+    /// terminated or the store holds no account `id`.
     pub fn terminate(&mut self, id: UserId, at: SimTime) -> bool {
-        if self.status[id.idx()].is_active() {
-            self.status[id.idx()] = AccountStatus::Terminated(at);
-            true
-        } else {
-            false
+        match self.status.get_mut(id.idx()) {
+            Some(status) if status.is_active() => *status = AccountStatus::Terminated(at),
+            _ => return false,
         }
+        true
     }
 
     /// Reinstate a terminated account (the appeal path: platforms do give
     /// accounts back, and their likes resurface). Returns true when the
-    /// account was terminated.
+    /// account was terminated, false when it was active or the store holds
+    /// no account `id`.
     pub fn reinstate(&mut self, id: UserId) -> bool {
-        if self.status[id.idx()].is_active() {
-            false
-        } else {
-            self.status[id.idx()] = AccountStatus::Active;
-            true
+        match self.status.get_mut(id.idx()) {
+            Some(status) if !status.is_active() => *status = AccountStatus::Active,
+            _ => return false,
         }
+        true
     }
 
     /// Number of distinct interned profiles (a compactness metric for the
@@ -242,6 +242,21 @@ mod tests {
         assert!(!s.terminate(id, SimTime::at_day(9)), "first time wins");
         assert_eq!(s.status(id), AccountStatus::Terminated(SimTime::at_day(5)));
         assert!(!s.is_active(id));
+    }
+
+    #[test]
+    fn status_changes_of_an_unknown_id_return_false_untouched() {
+        let mut s = AccountStore::new();
+        let a = s.push(profile(40), ActorClass::Organic, privacy(), SimTime::EPOCH);
+        let b = s.push(profile(41), ActorClass::Organic, privacy(), SimTime::EPOCH);
+        assert!(s.terminate(b, SimTime::at_day(2)));
+        let before = [s.status(a), s.status(b)];
+        assert!(!s.terminate(UserId(2), SimTime::at_day(5)));
+        assert!(!s.reinstate(UserId(2)));
+        assert!(!s.terminate(UserId(u32::MAX), SimTime::at_day(5)));
+        assert!(!s.reinstate(UserId(u32::MAX)));
+        assert_eq!([s.status(a), s.status(b)], before);
+        assert_eq!(s.len(), 2);
     }
 
     #[test]

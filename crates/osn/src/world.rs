@@ -12,6 +12,7 @@
 
 use crate::account::{Account, ActorClass, PrivacySettings};
 use crate::demographics::Profile;
+use crate::fanout::DetectorUpdate;
 use crate::likes::{LikeColumns, LikeLedger};
 use crate::log::{EventError, Recorder, WorldEvent};
 use crate::page::{Page, PageCategory};
@@ -64,8 +65,8 @@ impl OsnWorld {
     /// Check that every account and page `ev` names exists in this world,
     /// that no friendship is a self-loop and that a like batch's columns
     /// have equal lengths, so applying it cannot index out of bounds.
-    /// Replay and the serve fanout call this before applying an event read
-    /// from a log.
+    /// [`apply_event`][Self::apply_event] calls this first, so every event
+    /// replay, checkpoint resume and serve read from a log passes it.
     pub fn check_event(&self, ev: &WorldEvent) -> Result<(), EventError> {
         let (accounts, pages) = (self.accounts.len(), self.pages.len());
         let user = |u: UserId| {
@@ -111,13 +112,21 @@ impl OsnWorld {
         }
     }
 
-    /// Apply a replayed event to this world. Checks it first
-    /// ([`check_event`][Self::check_event]) and leaves the world untouched
-    /// when it fails; otherwise applies the same validation the original
-    /// mutation did (so rejected duplicates stay rejected). Never records,
-    /// even when recording is on — replaying a log must not re-log it.
-    /// Takes the event by value: a page's strings move into the world.
-    pub fn apply_event(&mut self, ev: WorldEvent) -> Result<(), EventError> {
+    /// Apply a replayed event to this world — the one way a logged event
+    /// enters one. Checks it first ([`check_event`][Self::check_event]) and
+    /// leaves the world untouched, emitting nothing, when it fails;
+    /// otherwise applies the same validation the original mutation did (so
+    /// rejected duplicates stay rejected) and hands `sink` one
+    /// [`DetectorUpdate`] per **accepted** mutation, in application order.
+    /// A like batch's accepted likes are the records its ingest appended,
+    /// in batch order. Never records, even when recording is on — replaying
+    /// a log must not re-log it. Takes the event by value: a page's strings
+    /// move into the world.
+    pub fn apply_event(
+        &mut self,
+        ev: WorldEvent,
+        mut sink: impl FnMut(DetectorUpdate),
+    ) -> Result<(), EventError> {
         self.check_event(&ev)?;
         let was_recording = self.recorder.enabled();
         self.recorder.set_enabled(false);
@@ -128,7 +137,8 @@ impl OsnWorld {
                 privacy,
                 at,
             } => {
-                self.create_account(profile, class, privacy, at);
+                let user = self.create_account(profile, class, privacy, at);
+                sink(DetectorUpdate::AccountAdded { user });
             }
             WorldEvent::PageCreated {
                 name,
@@ -137,27 +147,45 @@ impl OsnWorld {
                 category,
                 at,
             } => {
-                self.create_page(name, description, owner, category, at);
+                let page = self.create_page(name, description, owner, category, at);
+                sink(DetectorUpdate::PageAdded { page });
             }
             WorldEvent::Friendship { a, b } => {
-                self.add_friendship(a, b);
+                if self.add_friendship(a, b) {
+                    sink(DetectorUpdate::FriendshipAdded { a, b });
+                }
             }
             WorldEvent::FriendshipBatch { edges } => {
                 for (a, b) in edges {
-                    self.friends.add_edge(a, b);
+                    if self.add_friendship(a, b) {
+                        sink(DetectorUpdate::FriendshipAdded { a, b });
+                    }
                 }
             }
             WorldEvent::OffNetworkFriends { user, n } => {
                 self.set_off_network_friends(user, n);
+                sink(DetectorUpdate::OffNetworkChanged { user });
             }
             WorldEvent::LikeBatch { likes } => {
+                let start = self.ledger.len() as u32;
                 self.ingest_like_columns_owned(likes, Exec::Sequential);
+                for r in self.ledger.records_from(start) {
+                    sink(DetectorUpdate::LikeAccepted {
+                        user: r.user,
+                        page: r.page,
+                        at: r.at,
+                    });
+                }
             }
             WorldEvent::Terminated { user, at } => {
-                self.terminate_account(user, at);
+                if self.terminate_account(user, at) {
+                    sink(DetectorUpdate::AccountTerminated { user });
+                }
             }
             WorldEvent::Reinstated { user } => {
-                self.reinstate_account(user);
+                if self.reinstate_account(user) {
+                    sink(DetectorUpdate::AccountReinstated { user });
+                }
             }
         }
         self.recorder.set_enabled(was_recording);
@@ -241,7 +269,8 @@ impl OsnWorld {
     }
 
     /// Terminate an account (idempotent; the first termination time wins).
-    /// Returns true when the account was active.
+    /// Returns true when the account was active, false (recording nothing)
+    /// when it was already terminated or the world holds no account `id`.
     pub fn terminate_account(&mut self, id: UserId, at: SimTime) -> bool {
         let accepted = self.accounts.terminate(id, at);
         if accepted {
@@ -252,7 +281,9 @@ impl OsnWorld {
     }
 
     /// Reinstate a terminated account (the appeal path); its likes become
-    /// visible again. Returns true when the account was terminated.
+    /// visible again. Returns true when the account was terminated, false
+    /// (recording nothing) when it was active or the world holds no
+    /// account `id`.
     pub fn reinstate_account(&mut self, id: UserId) -> bool {
         let accepted = self.accounts.reinstate(id);
         if accepted {

@@ -5,8 +5,8 @@ use std::collections::BTreeSet;
 use likelab_graph::{PageId, UserId};
 use likelab_osn::demographics::{AgeBracket, Blueprint, Country};
 use likelab_osn::{
-    ActorClass, AudienceReport, DetectorUpdate, EventFanout, Gender, LikeColumns, LikeLedger,
-    OsnWorld, PageCategory, PrivacySettings, Profile, WorldEvent,
+    ActorClass, AudienceReport, DetectorUpdate, Gender, LikeColumns, LikeLedger, OsnWorld,
+    PageCategory, PrivacySettings, Profile, WorldEvent,
 };
 use likelab_sim::{Exec, Rng, SimTime};
 use proptest::prelude::*;
@@ -127,11 +127,11 @@ proptest! {
         }
     }
 
-    /// The fanout folds each journaled like batch as one ledger ingest and
-    /// emits `LikeAccepted` for exactly the likes a positional first-wins
-    /// model accepts, in order — whatever the mix of duplicates inside a
-    /// batch, duplicates of history, and accounts terminated between
-    /// batches. Every batch item moves the watermark, rejected ones
+    /// `apply_event` folds each journaled like batch as one ledger ingest
+    /// and emits `LikeAccepted` for exactly the likes a positional
+    /// first-wins model accepts, in order — whatever the mix of duplicates
+    /// inside a batch, duplicates of history, and accounts terminated
+    /// between batches. Every batch item moves the watermark, rejected ones
     /// included.
     #[test]
     fn fanout_like_batches_emit_the_positional_model(
@@ -140,7 +140,8 @@ proptest! {
             1..8,
         ),
     ) {
-        let mut fanout = EventFanout::new();
+        let mut world = OsnWorld::new();
+        let mut watermark = SimTime::EPOCH;
         for _ in 0..8 {
             let ev = WorldEvent::AccountCreated {
                 profile: profile(),
@@ -148,7 +149,7 @@ proptest! {
                 privacy: public(),
                 at: SimTime::EPOCH,
             };
-            fanout.apply(ev, |_| {}).unwrap();
+            world.apply_event(ev, |_| {}).unwrap();
         }
         for i in 0..6 {
             let ev = WorldEvent::PageCreated {
@@ -158,7 +159,7 @@ proptest! {
                 category: PageCategory::Background,
                 at: SimTime::EPOCH,
             };
-            fanout.apply(ev, |_| {}).unwrap();
+            world.apply_event(ev, |_| {}).unwrap();
         }
         let (mut seen, mut dead) = (BTreeSet::new(), BTreeSet::new());
         let (mut expected, mut emitted) = (Vec::new(), Vec::new());
@@ -167,7 +168,7 @@ proptest! {
             if *kill < 8 {
                 // Terminate one account before this batch (idempotently).
                 let ev = WorldEvent::Terminated { user: UserId(*kill), at: SimTime::EPOCH };
-                fanout.apply(ev, |_| {}).unwrap();
+                world.apply_event(ev, |_| {}).unwrap();
                 dead.insert(*kill);
             }
             let rows: Vec<_> = likes
@@ -181,8 +182,9 @@ proptest! {
                 }
             }
             let batch = WorldEvent::LikeBatch { likes: LikeColumns::from_rows(&rows) };
-            fanout
-                .apply(batch, |update| {
+            watermark = watermark.max(batch.latest_time().unwrap_or(SimTime::EPOCH));
+            world
+                .apply_event(batch, |update| {
                     if let DetectorUpdate::LikeAccepted { user, page, at } = update {
                         emitted.push((user, page, at));
                     }
@@ -190,7 +192,7 @@ proptest! {
                 .unwrap();
         }
         prop_assert_eq!(emitted, expected);
-        prop_assert_eq!(fanout.watermark(), max_at);
+        prop_assert_eq!(watermark, max_at);
     }
 
     /// Audience reports conserve mass: gender and age marginals both sum to

@@ -169,7 +169,7 @@ where
     }
     let mut hands: Vec<Vec<(usize, J)>> = (0..workers).map(|_| Vec::new()).collect();
     for (i, job) in jobs.into_iter().enumerate() {
-        hands[i % workers].push((i, job));
+        hands[i % workers].push((i, job)); // lint:allow(panic-reachable-from-serve): i % workers < workers = hands.len()
     }
     hands.retain(|hand| !hand.is_empty());
     if hands.len() <= 1 {

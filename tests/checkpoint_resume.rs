@@ -135,9 +135,11 @@ fn resume_without_a_checkpoint_is_a_hard_error() {
 /// `checkpoint.json` is read back from disk, so resume treats it as
 /// outside input. A queue whose entries could collide with a future push
 /// (the next sequence number zeroed, or one entry's pushed past it), a
-/// study window that disagrees with the config, and a zero sweep interval
-/// (either of the last two kept the sweep rescheduling itself forever) are
-/// each a structured error, and the log is left as it was.
+/// study window that disagrees with the config, a zero sweep interval
+/// (either of the last two kept the sweep rescheduling itself forever), a
+/// log sequence number that does not continue the pinned log, and a config
+/// that differs from the log header's are each a structured error, and the
+/// log is left as it was.
 #[test]
 fn a_checkpoint_queue_with_colliding_seqs_is_a_structured_error() {
     use serde::Value;
@@ -221,6 +223,20 @@ fn a_checkpoint_queue_with_colliding_seqs_is_a_structured_error() {
             .expect("the checkpoint was taken mid-loop, with events queued");
         *field(doc, "now") = Value::UInt(earliest + 1);
     }
+    fn next_seq_one_low(doc: &mut Value) {
+        shift(doc, "next_seq", -1);
+    }
+    fn next_seq_one_high(doc: &mut Value) {
+        shift(doc, "next_seq", 1);
+    }
+    fn rename_the_first_campaign(doc: &mut Value) {
+        let Value::Array(campaigns) = field(field(doc, "config"), "campaigns") else {
+            panic!("campaigns is an array")
+        };
+        let label = field(&mut campaigns[0], "label");
+        assert_eq!(*label, Value::Str("FB-USA".into()));
+        *label = Value::Str("FB-XXX".into());
+    }
     for (what, mutate, needle) in [
         (
             "queue_next_seq = 0",
@@ -250,6 +266,21 @@ fn a_checkpoint_queue_with_colliding_seqs_is_a_structured_error() {
             "now = earliest queued entry + 1 s",
             now_past_the_earliest_entry,
             "is earlier than the clock",
+        ),
+        (
+            "next_seq - 1",
+            next_seq_one_low,
+            "reuses a sequence number of the pinned log",
+        ),
+        (
+            "next_seq + 1",
+            next_seq_one_high,
+            "leaves a gap after the pinned log",
+        ),
+        (
+            "campaign FB-USA renamed FB-XXX",
+            rename_the_first_campaign,
+            "config differs from the one in the header",
         ),
     ] {
         let mut doc: Value = serde_json::from_str(&json).unwrap();

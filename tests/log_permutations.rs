@@ -142,7 +142,7 @@ proptest! {
 
         let mut a = base_world();
         for ev in &events {
-            a.apply_event(ev.clone()).unwrap();
+            a.apply_event(ev.clone(), |_| {}).unwrap();
         }
         // Interleaving-valid: likes on the same page keep their relative
         // order (the page's liker list is append-ordered), pages merge in
@@ -157,7 +157,7 @@ proptest! {
         );
         let mut b = base_world();
         for ev in &shuffled {
-            b.apply_event(ev.clone()).unwrap();
+            b.apply_event(ev.clone(), |_| {}).unwrap();
         }
         prop_assert_eq!(digest(&a), digest(&b));
     }
@@ -179,12 +179,12 @@ proptest! {
 
         let mut a = base_world();
         for ev in &events {
-            a.apply_event(ev.clone()).unwrap();
+            a.apply_event(ev.clone(), |_| {}).unwrap();
         }
         let mut b = base_world();
         permute(&mut events, seed);
         for ev in &events {
-            b.apply_event(ev.clone()).unwrap();
+            b.apply_event(ev.clone(), |_| {}).unwrap();
         }
         prop_assert_eq!(digest(&a), digest(&b));
     }

@@ -192,6 +192,7 @@ fn a_frame_naming_an_unknown_account_is_a_structured_error() {
         for frame in good {
             engine.ingest_frame(frame).expect("valid frame");
         }
+        let (watermark, last_seq) = (engine.watermark(), engine.last_seq());
         match engine.ingest_frame(bad) {
             Err(StudyError::BadRecord { seq, reason }) => {
                 assert_eq!(seq, bad_seq);
@@ -204,5 +205,7 @@ fn a_frame_naming_an_unknown_account_is_a_structured_error() {
             good.len() as u64,
             "nothing folded"
         );
+        assert_eq!(engine.watermark(), watermark, "the clock did not move");
+        assert_eq!(engine.last_seq(), last_seq, "the position did not move");
     }
 }

@@ -207,8 +207,9 @@ fn mid_stream_seq_regression_is_rejected() {
 /// Packed-ledger parity: the batch world builds its bit-packed posting lists
 /// with the producer's eight workers (the dense kernel groups shards in
 /// parallel), while the serve engine folds the same like batches from the
-/// log sequentially, one frame at a time, through the fanout. Every
-/// observable ledger query must agree exactly, including iteration order.
+/// log sequentially, one frame at a time, through `OsnWorld::apply_event`.
+/// Every observable ledger query must agree exactly, including iteration
+/// order.
 #[test]
 fn packed_ledger_folds_identically_online_and_batch() {
     let (outcome, log) = logged_run(8);
