@@ -7,11 +7,14 @@
 //!   executes. The world is *never* serialized directly; a resume rebuilds
 //!   it by folding the log prefix the checkpoint pinned, as replay does.
 //! * `checkpoint.json` — everything else the event loop carries
-//!   (`CheckpointState`): the pending event queue, the page monitors,
-//!   the crawl API and fraud-sweep engines (RNG positions included), the
-//!   master RNG, the trace, and the byte offset + sequence number that pin
-//!   the log prefix. Written atomically (tmp + rename), so a kill mid-write
-//!   leaves the previous checkpoint intact.
+//!   (`CheckpointState`): its format version, the planned likes still to
+//!   fire (one time-sorted column), the pending poll and sweep queue, the
+//!   page monitors, the crawl API and fraud-sweep engines (RNG positions
+//!   included), the master RNG, the trace, and the byte offset + sequence
+//!   number that pin the log prefix. The honeypot pages and the inactive
+//!   campaigns are not in it: a resume reads them from the log's campaign
+//!   records. Written atomically (tmp + rename), so a kill mid-write leaves
+//!   the previous checkpoint intact.
 //!
 //! Because every consumer's state is either in the log or in the snapshot,
 //! a resumed run continues the exact event stream the uninterrupted run
@@ -21,13 +24,12 @@
 use crate::record::{io_err, read_records, write_atomic, StudyError, StudyLog};
 use crate::replay::LogFold;
 use crate::study::{
-    collect, event_loop, study_window, Capture, Ev, LoopState, RunOptions, StudyConfig,
-    StudyOutcome,
+    collect, event_loop, study_window, Capture, Ev, LoopState, PlannedLikes, RunOptions,
+    StudyConfig, StudyOutcome,
 };
-use likelab_graph::PageId;
 use likelab_honeypot::PageMonitor;
 use likelab_osn::population::Population;
-use likelab_osn::{CrawlApi, FraudOps};
+use likelab_osn::{CrawlApi, FraudOps, LikeColumns};
 use likelab_sim::{Engine, EventQueue, Rng, SimTime, Trace};
 use serde::{Deserialize, Serialize};
 use std::fs::File;
@@ -39,6 +41,8 @@ use std::path::Path;
 /// first `log_bytes` bytes of `world.log`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub(crate) struct CheckpointState {
+    /// The file's format version, [`CHECKPOINT_VERSION`].
+    pub version: u64,
     /// The run's full configuration (a resume ignores the caller's config
     /// in favor of this one).
     pub config: StudyConfig,
@@ -50,16 +54,15 @@ pub(crate) struct CheckpointState {
     pub now: SimTime,
     /// Events fired so far.
     pub fired: u64,
-    /// The pending event queue as `(time, seq, event)` entries.
+    /// The planned likes still to fire, sorted by time (ties in plan
+    /// order).
+    pub planned: LikeColumns,
+    /// The pending polls and sweeps as `(time, seq, event)` entries.
     pub queue: Vec<(SimTime, u64, Ev)>,
     /// The queue's next insertion sequence number.
     pub queue_next_seq: u64,
     /// Per-campaign page monitors (None for inactive campaigns).
     pub monitors: Vec<Option<PageMonitor>>,
-    /// Per-campaign scam flags.
-    pub inactive: Vec<bool>,
-    /// Honeypot pages in campaign order.
-    pub honeypots: Vec<PageId>,
     /// Campaign launch time.
     pub launch: SimTime,
     /// End of the study window.
@@ -77,6 +80,16 @@ pub(crate) struct CheckpointState {
     pub sweep_terminations: u64,
     /// Population handles (audiences, background catalogue).
     pub population: Population,
+}
+
+/// The `checkpoint.json` format this build writes and reads.
+pub(crate) const CHECKPOINT_VERSION: u64 = 1;
+
+/// Just the format version of a `checkpoint.json`, read before the rest:
+/// another version's fields may not parse at all.
+#[derive(Deserialize)]
+struct VersionProbe {
+    version: Option<u64>,
 }
 
 /// Pin the current log offset and snapshot the loop state into
@@ -99,16 +112,16 @@ pub(crate) fn write_checkpoint(
         .map(|(t, s, ev)| (t, s, ev.clone()))
         .collect();
     let cp = CheckpointState {
+        version: CHECKPOINT_VERSION,
         config: state.config.clone(),
         log_bytes: log.bytes_written(),
         next_seq: log.next_seq(),
         now: state.engine.now(),
         fired: state.engine.fired(),
+        planned: state.planned.remaining(),
         queue,
         queue_next_seq: state.engine.queue().pushed_total(),
         monitors: state.monitors.clone(),
-        inactive: state.inactive.clone(),
-        honeypots: state.honeypots.clone(),
         launch: state.launch,
         end: state.end,
         api: state.api.clone(),
@@ -129,12 +142,15 @@ pub(crate) fn write_checkpoint(
 ///
 /// The world is rebuilt by folding the pinned `world.log` prefix through
 /// the log fold replay and serve use ([`LogFold`]), which checks every
-/// record. A checkpoint whose `next_seq` does not continue that prefix, or
-/// whose config differs from the log header's, is refused before the log
-/// is touched. Then any bytes past the pin (frames appended after the
-/// checkpoint, before the kill) are truncated away so appending continues
-/// from a consistent state. The outcome is byte-identical to the
-/// uninterrupted run.
+/// record; the honeypot pages and inactive campaigns come from the fold's
+/// campaign slots. A checkpoint of another format version, one whose
+/// `next_seq` does not continue that prefix, whose config differs from the
+/// log header's, or whose monitors, queue or planned likes disagree with
+/// the config or the rebuilt world, is refused before the log is touched.
+/// Then any bytes past the pin (frames appended after the checkpoint,
+/// before the kill) are truncated away so appending continues from a
+/// consistent state. The outcome is byte-identical to the uninterrupted
+/// run.
 pub(crate) fn resume_study(opts: &RunOptions) -> Result<StudyOutcome, StudyError> {
     let dir = opts
         .checkpoint_dir
@@ -142,55 +158,85 @@ pub(crate) fn resume_study(opts: &RunOptions) -> Result<StudyOutcome, StudyError
         .ok_or_else(|| StudyError::Mismatch("resume requires a checkpoint directory".into()))?;
     let cp_path = dir.join("checkpoint.json");
     let json = std::fs::read_to_string(&cp_path).map_err(|e| io_err(&cp_path, e))?;
-    let cp: CheckpointState = serde_json::from_str(&json)
-        .map_err(|e| StudyError::Mismatch(format!("{}: {e}", cp_path.display())))?;
+    let refuse = |why: String| StudyError::Mismatch(format!("{}: {why}", cp_path.display()));
+    let probe: VersionProbe = serde_json::from_str(&json).map_err(|e| refuse(e.to_string()))?;
+    match probe.version {
+        Some(CHECKPOINT_VERSION) => {}
+        Some(v) => {
+            return Err(refuse(format!(
+                "checkpoint format version {v}; this build reads version {CHECKPOINT_VERSION}"
+            )))
+        }
+        None => {
+            return Err(refuse(format!(
+                "no checkpoint format version (written before version 1); \
+                 this build reads version {CHECKPOINT_VERSION}"
+            )))
+        }
+    }
+    let cp: CheckpointState = serde_json::from_str(&json).map_err(|e| refuse(e.to_string()))?;
     // The file is outside input, so everything below is checked before the
     // log is touched. The sweep reschedules itself every `sweep_interval`
     // until `end`, so a window that disagrees with the config, or a zero
     // interval, would keep the run going forever.
-    let (launch, end) = study_window(&cp.config)
-        .map_err(|why| StudyError::Mismatch(format!("{}: {why}", cp_path.display())))?;
+    let (launch, end) = study_window(&cp.config).map_err(refuse)?;
     for (what, got, want) in [("launch", cp.launch, launch), ("end", cp.end, end)] {
         if got != want {
-            return Err(StudyError::Mismatch(format!(
-                "{}: study {what} {got} differs from the {want} its config implies",
-                cp_path.display()
+            return Err(refuse(format!(
+                "study {what} {got} differs from the {want} its config implies"
             )));
         }
     }
     if cp.config.sweep_interval.is_zero() {
-        return Err(StudyError::Mismatch(format!(
-            "{}: config.sweep_interval is 0",
-            cp_path.display()
+        return Err(refuse("config.sweep_interval is 0".into()));
+    }
+    // The event loop polls campaign `i` through `monitors[i]`.
+    let campaigns = cp.config.campaigns.len();
+    if cp.monitors.len() != campaigns {
+        return Err(refuse(format!(
+            "monitors has length {}, but the config has {campaigns} campaigns",
+            cp.monitors.len()
         )));
     }
+    for (_, _, ev) in &cp.queue {
+        if let Ev::Poll(i) = *ev {
+            if !matches!(cp.monitors.get(i), Some(Some(_))) {
+                return Err(refuse(format!(
+                    "a poll of campaign #{i} is queued, but it has no monitor"
+                )));
+            }
+        }
+    }
     // The engine's clock only moves forward: a `now` before the launch (the
-    // first event fires at it), or a queued entry before `now`, would run
-    // it backwards. A clock past `end` is fine on its own: monitors keep
-    // polling up to `hard_stop` past their campaign, so a late checkpoint
-    // holds only polls, none of them earlier than the clock.
+    // first event fires at it), or a queued entry or planned like before
+    // `now`, would run it backwards. A clock past `end` is fine on its
+    // own: monitors keep polling up to `hard_stop` past their campaign, so
+    // a late checkpoint holds only polls, none of them earlier than the
+    // clock.
     let now = cp.now;
     let clock_error = if now < launch {
         Some(format!("clock {now} is before the study launch {launch}"))
     } else {
-        let earlier = cp.queue.iter().map(|&(at, _, _)| at).find(|&at| at < now);
-        earlier.map(|at| {
+        let first_like = cp.planned.times.first().map(|&at| ("a planned like", at));
+        let queued = cp.queue.iter().map(|&(at, _, _)| ("an event queued", at));
+        let earlier = first_like
+            .into_iter()
+            .chain(queued)
+            .find(|&(_, at)| at < now);
+        earlier.map(|(what, at)| {
             if now > end {
-                format!("clock {now} is past the study end {end} with an event queued at {at}")
+                format!("clock {now} is past the study end {end} with {what} at {at}")
             } else {
-                format!("a queued event at {at} is earlier than the clock {now}")
+                format!("{what} at {at} is earlier than the clock {now}")
             }
         })
     };
     if let Some(why) = clock_error {
-        return Err(StudyError::Mismatch(format!(
-            "{}: {why}",
-            cp_path.display()
-        )));
+        return Err(refuse(why));
     }
     // And no future push may collide with a restored entry's sequence.
     let queue = EventQueue::from_entries(cp.queue, cp.queue_next_seq)
-        .map_err(|e| StudyError::Mismatch(format!("{}: queue: {e}", cp_path.display())))?;
+        .map_err(|e| refuse(format!("queue: {e}")))?;
 
     // Rebuild the world from the pinned log prefix.
     let log_path = dir.join("world.log");
@@ -215,9 +261,8 @@ pub(crate) fn resume_study(opts: &RunOptions) -> Result<StudyOutcome, StudyError
             "leaves a gap after"
         };
         let want = fold.last_seq.map_or(0, |s| s.saturating_add(1));
-        return Err(StudyError::Mismatch(format!(
-            "{}: next_seq {} {why} the pinned log, which continues at seq {want}",
-            cp_path.display(),
+        return Err(refuse(format!(
+            "next_seq {} {why} the pinned log, which continues at seq {want}",
             cp.next_seq
         )));
     }
@@ -225,12 +270,37 @@ pub(crate) fn resume_study(opts: &RunOptions) -> Result<StudyOutcome, StudyError
         serde_json::to_string(config).map_err(|e| StudyError::Mismatch(format!("config: {e}")))
     };
     if compact(&cp.config)? != compact(&fold.config)? {
-        return Err(StudyError::Mismatch(format!(
-            "{}: config differs from the one in the header of {}",
-            cp_path.display(),
+        return Err(refuse(format!(
+            "config differs from the one in the header of {}",
             log_path.display()
         )));
     }
+    // Set-up journals every campaign launch before the first checkpoint,
+    // and monitors exactly the active campaigns' pages.
+    let mut honeypots = Vec::with_capacity(campaigns);
+    let mut inactive = Vec::with_capacity(campaigns);
+    for (i, (slot, monitor)) in fold.slots.iter().zip(&cp.monitors).enumerate() {
+        let page = slot
+            .page
+            .ok_or_else(|| refuse(format!("campaign #{i} never launched in the pinned log")))?;
+        let why = match (monitor, slot.inactive) {
+            (Some(m), false) if m.page == page => None,
+            (None, true) => None,
+            (Some(m), false) => Some(format!(
+                "watches {}, but campaign #{i} launched {page}",
+                m.page
+            )),
+            (Some(_), true) => Some(format!("is set, but campaign #{i} is inactive")),
+            (None, false) => Some(format!("is null, but campaign #{i} is active")),
+        };
+        if let Some(why) = why {
+            return Err(refuse(format!("monitors[{i}] {why}")));
+        }
+        honeypots.push(page);
+        inactive.push(slot.inactive);
+    }
+    let (accounts, pages) = (fold.world.account_count(), fold.world.page_count());
+    let planned = PlannedLikes::restore(cp.planned, accounts, pages).map_err(refuse)?;
     let mut world = fold.world;
     world.set_recording(true);
 
@@ -242,9 +312,10 @@ pub(crate) fn resume_study(opts: &RunOptions) -> Result<StudyOutcome, StudyError
         world,
         population: cp.population,
         engine,
+        planned,
         monitors: cp.monitors,
-        inactive: cp.inactive,
-        honeypots: cp.honeypots,
+        inactive,
+        honeypots,
         launch: cp.launch,
         end: cp.end,
         api: cp.api,

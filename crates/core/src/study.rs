@@ -166,16 +166,145 @@ pub struct StudyOutcome {
     pub log: Option<StudyLog>,
 }
 
-/// An event-loop entry. Serializable so checkpointing can freeze the
-/// pending queue mid-run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// An event-loop queue entry. Serializable so checkpointing can freeze the
+/// pending queue mid-run. Planned likes are not queue entries: they wait
+/// in [`PlannedLikes`].
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub(crate) enum Ev {
-    /// A scheduled like lands.
-    Like(TimedLike),
     /// The crawler polls campaign `i`'s page.
     Poll(usize),
     /// A platform anti-fraud sweep.
     Sweep,
+}
+
+/// The planned likes still to fire. Set-up plans every like before it
+/// schedules the first poll or sweep, so the likes sit in one column beside
+/// the event queue, sorted by time with ties in plan order, and fire from
+/// `next` on. Both constructors make sure the columns have equal lengths
+/// and are in time order.
+pub(crate) struct PlannedLikes {
+    likes: LikeColumns,
+    next: usize,
+}
+
+impl PlannedLikes {
+    /// The planned likes of `plan`, listed in the order set-up scheduled
+    /// them. A stable sort keeps that order among equal times: the order
+    /// the queue's sequence numbers gave them when every like was a queue
+    /// event.
+    pub(crate) fn from_schedule(mut plan: Vec<TimedLike>) -> Self {
+        plan.sort_by_key(|l| l.at);
+        let mut likes = LikeColumns::with_capacity(plan.len());
+        for l in plan {
+            likes.push(l.user, l.page, l.at);
+        }
+        PlannedLikes { likes, next: 0 }
+    }
+
+    /// The planned likes a checkpoint held, refused (with the reason)
+    /// unless the columns have equal lengths, are in time order and name
+    /// only the first `accounts` accounts and `pages` pages.
+    pub(crate) fn restore(
+        likes: LikeColumns,
+        accounts: usize,
+        pages: usize,
+    ) -> Result<Self, String> {
+        let n = likes.len();
+        if likes.pages.len() != n || likes.times.len() != n {
+            return Err(format!(
+                "planned has ragged columns: {n} users, {} pages, {} times",
+                likes.pages.len(),
+                likes.times.len()
+            ));
+        }
+        if let Some(pair) = likes.times.windows(2).find(|pair| pair[0] > pair[1]) {
+            return Err(format!(
+                "planned likes are out of time order: {} before {}",
+                pair[0], pair[1]
+            ));
+        }
+        if let Some(user) = likes.users.iter().find(|u| u.idx() >= accounts) {
+            return Err(format!(
+                "a planned like names account {user}, but the pinned log has {accounts} accounts"
+            ));
+        }
+        if let Some(page) = likes.pages.iter().find(|p| p.idx() >= pages) {
+            return Err(format!(
+                "a planned like names page {page}, but the pinned log has {pages} pages"
+            ));
+        }
+        Ok(PlannedLikes { likes, next: 0 })
+    }
+
+    /// The likes not yet fired, as a column of their own.
+    pub(crate) fn remaining(&self) -> LikeColumns {
+        let rows = self.next..;
+        LikeColumns {
+            users: self.likes.users[rows.clone()].to_vec(),
+            pages: self.likes.pages[rows.clone()].to_vec(),
+            times: self.likes.times[rows].to_vec(),
+        }
+    }
+
+    /// Copy the next run into `run`: at most `cap` likes, none later than
+    /// `front`. Returns the run's last time, or `None` (leaving `run` as it
+    /// was) when no planned like fires by `front`.
+    fn take_run(
+        &mut self,
+        front: Option<SimTime>,
+        cap: usize,
+        run: &mut LikeColumns,
+    ) -> Option<SimTime> {
+        let times = &self.likes.times[self.next..];
+        let times = &times[..times.len().min(cap)];
+        let n = match front {
+            Some(front) => times.partition_point(|&at| at <= front),
+            None => times.len(),
+        };
+        let &last = times[..n].last()?;
+        let rows = self.next..self.next + n;
+        run.clear();
+        run.users.extend_from_slice(&self.likes.users[rows.clone()]);
+        run.pages.extend_from_slice(&self.likes.pages[rows.clone()]);
+        run.times.extend_from_slice(&self.likes.times[rows.clone()]);
+        self.next = rows.end;
+        Some(last)
+    }
+}
+
+/// What the event loop does next (see [`next_dispatch`]).
+pub(crate) enum Dispatch {
+    /// A run of planned likes, copied into the run buffer.
+    Likes,
+    /// The queue's next event.
+    Event(SimTime, Ev),
+}
+
+/// Likes per run at most. Runs are capped so a quiet stretch of millions
+/// of likes neither starves the checkpoint cadence nor holds an unbounded
+/// batch in memory.
+const LIKE_RUN_CAP: usize = 8_192;
+
+/// The event loop's next dispatch. A run is the next at most `cap`
+/// planned likes that fire no later than the queue's front; they were all
+/// scheduled before any poll or sweep, so they win a tie at the front, as
+/// their lower sequence numbers did when every like was a queue event.
+/// The run is copied into `run` and the engine counts it as fired;
+/// otherwise the queue's next event is stepped. `None` once both are
+/// exhausted.
+pub(crate) fn next_dispatch(
+    engine: &mut Engine<Ev>,
+    planned: &mut PlannedLikes,
+    cap: usize,
+    run: &mut LikeColumns,
+) -> Option<Dispatch> {
+    match planned.take_run(engine.peek_time(), cap, run) {
+        Some(last) => {
+            engine.fire_run(last, run.len() as u64);
+            Some(Dispatch::Likes)
+        }
+        None => engine.step().map(|(at, ev)| Dispatch::Event(at, ev)),
+    }
 }
 
 /// Knobs for [`run_study_opts`]: execution policy, log capture, and
@@ -283,6 +412,7 @@ pub(crate) struct LoopState {
     pub(crate) world: OsnWorld,
     pub(crate) population: Population,
     pub(crate) engine: Engine<Ev>,
+    pub(crate) planned: PlannedLikes,
     pub(crate) monitors: Vec<Option<PageMonitor>>,
     pub(crate) inactive: Vec<bool>,
     pub(crate) honeypots: Vec<PageId>,
@@ -436,7 +566,9 @@ fn setup(config: &StudyConfig, exec: Exec, capture: &mut Capture) -> Result<Loop
     let mut honeypots = Vec::with_capacity(config.campaigns.len());
     let mut monitors: Vec<Option<PageMonitor>> = Vec::with_capacity(config.campaigns.len());
     let mut inactive: Vec<bool> = Vec::with_capacity(config.campaigns.len());
-    let mut engine: Engine<Ev> = Engine::new();
+    // Every like the campaigns and the organic plan schedule, in schedule
+    // order.
+    let mut planned: Vec<TimedLike> = Vec::new();
 
     // Each campaign plans its ads from `ads_rng.split(campaign_index)`: the
     // stream is a pure function of (seed, index), so adding draws to one
@@ -475,16 +607,11 @@ fn setup(config: &StudyConfig, exec: Exec, capture: &mut Capture) -> Result<Loop
                     launch,
                     format!("{}: ad plan of {} likes", spec.label, plan.len()),
                 );
-                for p in plan {
-                    engine.schedule(
-                        p.at,
-                        Ev::Like(TimedLike {
-                            user: p.user,
-                            page,
-                            at: p.at,
-                        }),
-                    );
-                }
+                planned.extend(plan.into_iter().map(|p| TimedLike {
+                    user: p.user,
+                    page,
+                    at: p.at,
+                }));
             }
             Promotion::FarmOrder {
                 farm,
@@ -522,9 +649,7 @@ fn setup(config: &StudyConfig, exec: Exec, capture: &mut Capture) -> Result<Loop
                             delivery.future_camouflage.len()
                         ),
                     );
-                    for l in delivery.likes.into_iter().chain(delivery.future_camouflage) {
-                        engine.schedule(l.at, Ev::Like(l));
-                    }
+                    planned.extend(delivery.likes.into_iter().chain(delivery.future_camouflage));
                 }
             }
         }
@@ -560,21 +685,18 @@ fn setup(config: &StudyConfig, exec: Exec, capture: &mut Capture) -> Result<Loop
             launch,
             format!("organic activity: {} likes planned", plan.len()),
         );
-        for l in plan {
-            engine.schedule(
-                l.at,
-                Ev::Like(TimedLike {
-                    user: l.user,
-                    page: l.page,
-                    at: l.at,
-                }),
-            );
-        }
+        planned.extend(plan.into_iter().map(|l| TimedLike {
+            user: l.user,
+            page: l.page,
+            at: l.at,
+        }));
     }
+    let planned = PlannedLikes::from_schedule(planned);
 
     drop(promotions_span);
 
     // --- crawler polls and fraud sweeps -----------------------------------
+    let mut engine: Engine<Ev> = Engine::new();
     for (i, m) in monitors.iter().enumerate() {
         if m.is_some() {
             engine.schedule(launch, Ev::Poll(i));
@@ -592,6 +714,7 @@ fn setup(config: &StudyConfig, exec: Exec, capture: &mut Capture) -> Result<Loop
         world,
         population,
         engine,
+        planned,
         monitors,
         inactive,
         honeypots,
@@ -622,35 +745,28 @@ pub(crate) fn event_loop(
     // resume point — the bucket starts at the resumed counter).
     let every = opts.checkpoint_every;
     let mut cp_bucket = state.engine.fired().checked_div(every).unwrap_or(0);
-    // Reused columnar buffer for like runs. Runs are capped so a
-    // quiet stretch of millions of likes neither starves the checkpoint
-    // cadence nor holds an unbounded batch in memory.
-    const LIKE_RUN_CAP: usize = 8_192;
+    // Reused columnar buffer for like runs.
     let mut like_run = LikeColumns::with_capacity(0);
-    while let Some((now, ev)) = state.engine.step() {
-        match ev {
-            Ev::Like(l) => {
-                // Drain the maximal run of consecutive like events (up to
-                // the cap) and ingest them as one columnar batch. Likes draw
-                // no RNG and account status only changes at sweep events
-                // (which end the run), so a run ingests exactly as its likes
-                // would one by one.
-                like_run.clear();
-                like_run.push(l.user, l.page, l.at);
-                while like_run.len() < LIKE_RUN_CAP {
-                    match state.engine.step_if(|_, e| matches!(e, Ev::Like(_))) {
-                        Some((_, Ev::Like(next))) => {
-                            like_run.push(next.user, next.page, next.at);
-                        }
-                        Some(_) => unreachable!("predicate admits only likes"),
-                        None => break,
-                    }
-                }
+    while let Some(dispatch) = next_dispatch(
+        &mut state.engine,
+        &mut state.planned,
+        LIKE_RUN_CAP,
+        &mut like_run,
+    ) {
+        match dispatch {
+            // Likes draw no RNG and account status only changes at sweep
+            // events (which end the run), so a run ingests exactly as its
+            // likes would one by one.
+            Dispatch::Likes => {
                 state.world.ingest_like_columns(&like_run, Exec::Sequential);
             }
-            Ev::Poll(i) => {
+            Dispatch::Event(now, Ev::Poll(i)) => {
                 let _poll_span = likelab_obs::span::enter("study.poll");
-                let monitor = state.monitors[i].as_mut().expect("poll only for active");
+                let Some(monitor) = state.monitors.get_mut(i).and_then(Option::as_mut) else {
+                    return Err(StudyError::Mismatch(format!(
+                        "campaign #{i} is polled but has no monitor"
+                    )));
+                };
                 if let Some(next) = monitor.poll(&state.world, &mut state.api, now) {
                     state.engine.schedule(next, Ev::Poll(i));
                 } else {
@@ -659,7 +775,7 @@ pub(crate) fn event_loop(
                         .note(now, format!("stopped monitoring campaign #{i}"));
                 }
             }
-            Ev::Sweep => {
+            Dispatch::Event(now, Ev::Sweep) => {
                 let _sweep_span = likelab_obs::span::enter("study.sweep");
                 let terminated = state.fraud.sweep(&mut state.world, now);
                 state.sweep_terminations += terminated.len();
@@ -727,6 +843,7 @@ pub(crate) fn collect(
         world,
         population,
         engine,
+        planned,
         monitors,
         inactive,
         honeypots,
@@ -738,10 +855,9 @@ pub(crate) fn collect(
         trace,
         sweep_terminations: _,
     } = state;
-    // The drained queue still holds the capacity of every event scheduled
-    // before draining, and the sweep engine its per-account state; free
-    // both before the report's passes allocate.
-    drop(engine);
+    // The fired like column and the sweep engine's per-account state are
+    // dead weight now; free both before the report's passes allocate.
+    drop((engine, planned));
     drop(fraud);
 
     let collection_span = likelab_obs::span::enter("study.collection");
@@ -862,6 +978,107 @@ pub(crate) fn collect(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use likelab_graph::UserId;
+    use likelab_sim::EventQueue;
+
+    /// An event of the schedule before planned likes left the queue, when
+    /// each like was a queue entry of its own.
+    #[derive(Debug)]
+    enum QueuedEv {
+        Like(u32),
+        Other(Ev),
+    }
+
+    /// What one dispatch fired: a like run (plan indices), or an event.
+    #[derive(Debug, PartialEq)]
+    enum Fired {
+        Likes(Vec<u32>),
+        Event(Ev),
+    }
+
+    /// Polls and the sweep reschedule themselves, as in the study, until
+    /// second 48.
+    fn reschedule(at: SimTime, ev: &Ev) -> Option<SimTime> {
+        let gap = match ev {
+            Ev::Poll(i) => 3 + *i as u64,
+            Ev::Sweep => 7,
+        };
+        let next = at + SimDuration::secs(gap);
+        (next.as_secs() < 48).then_some(next)
+    }
+
+    proptest::proptest! {
+        /// The event loop's merge of the planned-like column with the poll
+        /// and sweep heap dispatches what one `(time, seq)` queue fed the
+        /// old schedule did: every like queued first in plan order, then the
+        /// polls and the sweep, consecutive likes coalesced into runs of at
+        /// most `cap`. Times fall in a few seconds, so ties are common, and
+        /// the cap is small, so runs end at both the cap and the queue's
+        /// front. The clock and the fired counter match after every
+        /// dispatch.
+        #[test]
+        fn the_like_column_merges_with_the_queue_as_one_queue_would(
+            like_times in proptest::prelude::vec(0u64..24, 0..80),
+            poll_times in proptest::prelude::vec(0u64..24, 0..4),
+            sweep_time in 0u64..24,
+            cap in 1usize..6,
+        ) {
+            let at = SimTime::from_secs;
+            let mut old = EventQueue::new();
+            for (k, &t) in like_times.iter().enumerate() {
+                old.push(at(t), QueuedEv::Like(k as u32));
+            }
+            for (i, &t) in poll_times.iter().enumerate() {
+                old.push(at(t), QueuedEv::Other(Ev::Poll(i)));
+            }
+            old.push(at(sweep_time), QueuedEv::Other(Ev::Sweep));
+            let mut want: Vec<(Fired, SimTime, u64)> = Vec::new();
+            let mut fired = 0;
+            while let Some((t, ev)) = old.pop() {
+                fired += 1;
+                match (ev, want.last_mut()) {
+                    (QueuedEv::Like(k), Some((Fired::Likes(run), last, n))) if run.len() < cap => {
+                        run.push(k);
+                        (*last, *n) = (t, fired);
+                    }
+                    (QueuedEv::Like(k), _) => want.push((Fired::Likes(vec![k]), t, fired)),
+                    (QueuedEv::Other(ev), _) => {
+                        if let Some(next) = reschedule(t, &ev) {
+                            old.push(next, QueuedEv::Other(ev.clone()));
+                        }
+                        want.push((Fired::Event(ev), t, fired));
+                    }
+                }
+            }
+
+            let plan = like_times.iter().enumerate().map(|(k, &t)| TimedLike {
+                user: UserId(k as u32),
+                page: PageId(0),
+                at: at(t),
+            });
+            let mut planned = PlannedLikes::from_schedule(plan.collect());
+            let mut engine = Engine::new();
+            for (i, &t) in poll_times.iter().enumerate() {
+                engine.schedule(at(t), Ev::Poll(i));
+            }
+            engine.schedule(at(sweep_time), Ev::Sweep);
+            let mut run = LikeColumns::with_capacity(0);
+            let mut got = Vec::new();
+            while let Some(dispatch) = next_dispatch(&mut engine, &mut planned, cap, &mut run) {
+                let fired = match dispatch {
+                    Dispatch::Likes => Fired::Likes(run.users.iter().map(|u| u.0).collect()),
+                    Dispatch::Event(t, ev) => {
+                        if let Some(next) = reschedule(t, &ev) {
+                            engine.schedule(next, ev.clone());
+                        }
+                        Fired::Event(ev)
+                    }
+                };
+                got.push((fired, engine.now(), engine.fired()));
+            }
+            proptest::prop_assert_eq!(got, want);
+        }
+    }
 
     /// A small but representative study, shared across tests (runs once).
     fn outcome() -> &'static StudyOutcome {

@@ -76,6 +76,7 @@ impl TrustScores {
 /// ([`crate::online::OnlineSybilRank`]) guards this case by returning
 /// all-zero scores instead.
 pub fn sybil_rank(graph: &FriendGraph, seeds: &[UserId], config: &SybilRankConfig) -> TrustScores {
+    // lint:allow(panic-reachable-from-serve): documented panic; serve's caller, OnlineSybilRank::refresh, returns before calling with no seeds
     assert!(!seeds.is_empty(), "trust needs at least one seed");
     let n = graph.node_count();
     if n == 0 {

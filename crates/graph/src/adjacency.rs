@@ -221,7 +221,9 @@ impl FriendGraph {
     /// # Panics
     /// Panics when either endpoint is out of range or `a == b`.
     pub fn add_edge(&mut self, a: UserId, b: UserId) -> bool {
+        // lint:allow(panic-reachable-from-serve): documented panic; serve adds only edges `OsnWorld::check_event` accepted, and it refuses a self-friendship
         assert!(a != b, "self-friendship {a} is not a thing");
+        // lint:allow(panic-reachable-from-serve): documented panic; `OsnWorld::check_event` accepts only known accounts, below the node count the world sized the graph to
         assert!(
             a.idx() < self.node_count() && b.idx() < self.node_count(),
             "edge endpoint out of range: {a}, {b} (n = {})",
@@ -238,11 +240,14 @@ impl FriendGraph {
         // lint:allow(panic-reachable-from-serve): a < node_count() = extra.len(), asserted above
         self.extra[a.idx()].insert(pos, b);
         // lint:allow(panic-reachable-from-serve): b < node_count() = extra.len(), asserted above
-        let pos_b = self.extra[b.idx()]
-            .binary_search(&a)
-            .expect_err("symmetric edge must be absent");
-        // lint:allow(panic-reachable-from-serve): b < node_count() = extra.len(), asserted above
-        self.extra[b.idx()].insert(pos_b, a);
+        let list_b = &mut self.extra[b.idx()];
+        // The overlay lists both directions of every edge: a is absent from
+        // b's list, as b was from a's.
+        debug_assert!(
+            list_b.binary_search(&a).is_err(),
+            "symmetric edge must be absent"
+        );
+        list_b.insert(list_b.partition_point(|&x| x < a), a);
         self.extra_len += 2;
         self.edges += 1;
         if self.extra_len >= COMPACT_FLOOR && self.extra_len * 4 >= self.csr.len() {

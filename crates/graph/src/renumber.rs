@@ -73,6 +73,7 @@ impl Renumbering {
                 .get_mut(old as usize)
                 // lint:allow(unwrap-in-library, panic-reachable-from-serve): documented panic — the table must be a permutation
                 .expect("renumbering entry out of range");
+            // lint:allow(panic-reachable-from-serve): documented panic — the table must be a permutation, as `degree_descending`'s sort of 0..n is
             assert!(*slot == u32::MAX, "duplicate old id {old} in renumbering");
             *slot = new as u32;
         }
@@ -149,6 +150,7 @@ impl RenumberedCsr {
     /// Snapshot `graph` under `map`.
     pub fn build(graph: &FriendGraph, map: Renumbering) -> Self {
         let n = graph.node_count();
+        // lint:allow(panic-reachable-from-serve): serve's caller, `degree_ordered`, builds the map from this graph's own node count
         assert_eq!(map.len(), n, "mapping must cover every vertex");
         let mut offsets = Vec::with_capacity(n + 1);
         let mut targets = Vec::with_capacity(2 * graph.edge_count());

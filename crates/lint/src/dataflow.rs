@@ -348,8 +348,10 @@ pub fn join_statement(code: &[String], idx: usize) -> String {
 // ---------------------------------------------------------------------------
 
 /// Classify a masked line's panic potential: `.unwrap()`, `.expect(…)`,
-/// a panicking macro, or slice/array indexing. Attribute lines are never
-/// panic sites.
+/// `.expect_err(…)`, a panicking macro (`assert!`, `assert_eq!` and
+/// `assert_ne!` included; `debug_assert*!` is compiled out of release
+/// builds and does not count), or slice/array indexing. Attribute lines
+/// are never panic sites.
 pub fn panic_kind_on_line(line: &str) -> Option<&'static str> {
     if line.trim_start().starts_with("#[") || line.trim_start().starts_with("#!") {
         return None;
@@ -360,11 +362,17 @@ pub fn panic_kind_on_line(line: &str) -> Option<&'static str> {
     if method_call(line, ".expect") {
         return Some(".expect(…)");
     }
+    if method_call(line, ".expect_err") {
+        return Some(".expect_err(…)");
+    }
     for (word, label) in [
         ("panic", "panic!"),
         ("unreachable", "unreachable!"),
         ("todo", "todo!"),
         ("unimplemented", "unimplemented!"),
+        ("assert", "assert!"),
+        ("assert_eq", "assert_eq!"),
+        ("assert_ne", "assert_ne!"),
     ] {
         if find_word(line, word, 0)
             .is_some_and(|p| line.as_bytes().get(p + word.len()) == Some(&b'!'))
@@ -675,7 +683,20 @@ fn leaf(stream: &Rng, items: &[u32]) -> Vec<u64> {\n\
         assert_eq!(panic_kind_on_line("let b = x as [u8; 2];"), None);
         assert_eq!(panic_kind_on_line("#[derive(Debug)]"), None);
         assert_eq!(panic_kind_on_line("x.unwrap_or(0);"), None);
-        assert_eq!(panic_kind_on_line("x.expect_err( );"), None);
+        assert_eq!(
+            panic_kind_on_line("x.expect_err( );"),
+            Some(".expect_err(…)")
+        );
+        assert_eq!(panic_kind_on_line("assert!(a < b);"), Some("assert!"));
+        assert_eq!(
+            panic_kind_on_line("assert_eq!(a, b, \"\");"),
+            Some("assert_eq!")
+        );
+        assert_eq!(panic_kind_on_line("assert_ne!(a, b);"), Some("assert_ne!"));
+        assert_eq!(panic_kind_on_line("debug_assert!(a < b);"), None);
+        assert_eq!(panic_kind_on_line("debug_assert_eq!(a, b);"), None);
+        assert_eq!(panic_kind_on_line("debug_assert_ne!(a, b);"), None);
+        assert_eq!(panic_kind_on_line("let asserted = assert_ok(x);"), None);
     }
 
     #[test]

@@ -193,6 +193,38 @@ fn panic_below_serve_is_found_with_its_call_path() {
     );
 }
 
+/// An `assert!` below the serve loop panics in a release build; the
+/// `debug_assert!` beside it is compiled out of one.
+const SERVE_ASSERT_WIRE: &str = "\
+pub fn decode(line: &str) -> usize {
+    frame_len(line)
+}
+
+fn frame_len(l: &str) -> usize {
+    debug_assert!(l.len() < 4096, \"frames are short\");
+    assert!(l.starts_with(\"n=\"), \"a frame starts with n=\");
+    l.len() - 2
+}
+";
+
+#[test]
+fn an_assert_below_serve_fires_and_a_debug_assert_does_not() {
+    let fx = Fixture::new("serve-assert");
+    fx.add_crate("served", SERVE_BAD_LIB);
+    fx.write("crates/served/src/serve.rs", SERVE_BAD_SERVE);
+    fx.write("crates/served/src/wire.rs", SERVE_ASSERT_WIRE);
+    let report = run(fx.path(), &Options::default()).expect("lint run");
+    let hits = findings_for(&report, "panic-reachable-from-serve");
+    let lines: Vec<usize> = hits.iter().map(|f| f.line).collect();
+    assert_eq!(
+        lines,
+        vec![7],
+        "only the assert! line: {:?}",
+        report.findings
+    );
+    assert!(hits[0].hint.starts_with("assert!"), "{}", hits[0].hint);
+}
+
 #[test]
 fn serve_reachability_is_silent_once_the_panic_degrades() {
     let fx = Fixture::new("serve-good");

@@ -89,6 +89,7 @@ impl PostingList {
     /// Panics when monotonicity is violated.
     #[inline]
     pub fn push(&mut self, v: u32) {
+        // lint:allow(panic-reachable-from-serve): documented panic; the ledger kernels append global record indices, which only grow
         assert!(
             u64::from(v) >= self.last_plus,
             "posting values must be strictly increasing: {v} after {:?}",
@@ -124,6 +125,7 @@ impl PostingList {
         debug_assert!(rest.is_empty() || self.tail.is_empty());
         while let Some((block, tail)) = rest.split_first_chunk::<BLOCK>() {
             let &[first, ..] = block;
+            // lint:allow(panic-reachable-from-serve): documented panic; the ledger kernels append global record indices, which only grow
             assert!(
                 u64::from(first) >= self.last_plus,
                 "posting values must be strictly increasing: {first} after {last:?}",

@@ -78,23 +78,28 @@ impl<E> Engine<E> {
 
     /// Pop the next event, advancing the clock to its firing time.
     pub fn step(&mut self) -> Option<(SimTime, E)> {
-        self.step_if(|_, _| true)
-    }
-
-    /// Pop the next event only when `pred` approves it, advancing the clock
-    /// and the fired counter exactly as [`step`][Self::step] would. When the
-    /// front event fails the predicate (or the queue is empty), nothing is
-    /// consumed and `None` is returned.
-    ///
-    /// The event loop uses this to drain coalesced runs of same-kind events
-    /// (see [`EventQueue::pop_if`]): interleaving `step_if` with `step`
-    /// dispatches the exact event sequence `step` alone would.
-    pub fn step_if(&mut self, pred: impl FnOnce(SimTime, &E) -> bool) -> Option<(SimTime, E)> {
-        let (at, ev) = self.queue.pop_if(pred)?;
+        let (at, ev) = self.queue.pop()?;
         debug_assert!(at >= self.now, "queue yielded an event in the past");
         self.now = at;
         self.fired += 1;
         Some((at, ev))
+    }
+
+    /// The firing time of the next queued event, or `None` when nothing
+    /// is queued.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.queue.peek_time()
+    }
+
+    /// Count a run of `events` events dispatched outside the queue, the
+    /// last of them at `last`: the clock and the fired counter end where
+    /// stepping each of them would have left them. The study fires its
+    /// planned likes this way, one run at a time, from a time-sorted
+    /// column it merges against [`peek_time`][Self::peek_time].
+    pub fn fire_run(&mut self, last: SimTime, events: u64) {
+        debug_assert!(last >= self.now, "a run fired in the past");
+        self.now = last;
+        self.fired += events;
     }
 
     /// Run until the queue drains or the clock would pass `end`, dispatching
@@ -107,7 +112,8 @@ impl<E> Engine<E> {
         F: FnMut(&mut Engine<E>, SimTime, E),
     {
         let before = self.fired;
-        while let Some((at, ev)) = self.step_if(|at, _| at <= end) {
+        while self.peek_time().is_some_and(|at| at <= end) {
+            let Some((at, ev)) = self.step() else { break };
             handler(self, at, ev);
         }
         // The clock still advances to `end` even if the tail was quiet, so a
@@ -240,6 +246,19 @@ mod tests {
         assert!(resumed.step().is_none());
         assert_eq!(ref_seen, live_seen);
         assert_eq!(resumed.fired(), reference.fired());
+    }
+
+    #[test]
+    fn a_fired_run_leaves_the_clock_and_counter_where_steps_would() {
+        let mut stepped: Engine<()> = Engine::new();
+        for day in [1, 1, 2] {
+            stepped.schedule(SimTime::at_day(day), ());
+        }
+        stepped.run_to_completion(|_, _, ()| {});
+        let mut run: Engine<()> = Engine::new();
+        run.fire_run(SimTime::at_day(2), 3);
+        assert_eq!((run.now(), run.fired()), (stepped.now(), stepped.fired()));
+        assert_eq!(run.peek_time(), None);
     }
 
     #[test]

@@ -6,29 +6,14 @@
 //! internals would decide the order of same-instant events and reruns could
 //! diverge.
 //!
-//! ## Hybrid layout
-//!
-//! The study's workload is bimodal: setup bulk-schedules millions of events
-//! (the organic like plan, farm deliveries, poll cadences) before the first
-//! pop, then the event loop adds a trickle of reschedules while draining.
-//! A binary heap pays `O(log n)` of cache-hostile sifting per operation on
-//! the bulk; a sorted array cannot absorb the trickle. So the queue keeps
-//! both:
-//!
-//! - everything pushed before the first pop lands in an unsorted `bulk`
-//!   vector, sorted **once** (descending, so popping from the back yields
-//!   ascending order) when draining starts;
-//! - everything pushed after that goes to a small heap;
-//! - `pop` takes whichever front has the smaller `(time, seq)` key.
-//!
-//! Bulk entries always carry smaller sequence numbers than heap entries
-//! (they were pushed earlier), so comparing the full `(time, seq)` key
-//! reproduces the exact pop order a single heap would have produced — the
-//! layout is an invisible optimization, which the unit tests pin.
+//! The queue is one binary heap. The study keeps only its polls and sweeps
+//! here, about 1.4 k events over a scale run; its planned likes wait in a
+//! time-sorted column beside it, which the event loop merges against
+//! [`peek_time`][EventQueue::peek_time].
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::collections::BinaryHeap;
 use std::fmt;
 
 struct Entry<E> {
@@ -61,16 +46,7 @@ impl<E> PartialOrd for Entry<E> {
 
 /// A time-ordered queue of pending events with FIFO tie-breaking.
 pub struct EventQueue<E> {
-    /// Events pushed before draining began, unsorted. Sorted into `run` on
-    /// the first pop; empty forever after.
-    bulk: Vec<Entry<E>>,
-    /// The sorted bulk, *descending* by `(time, seq)` so the back is the
-    /// earliest event and popping is `Vec::pop`.
-    run: Vec<Entry<E>>,
-    /// Events pushed after draining began.
     heap: BinaryHeap<Entry<E>>,
-    /// True once the first pop happened; routes pushes to `heap`.
-    draining: bool,
     next_seq: u64,
 }
 
@@ -84,10 +60,7 @@ impl<E> EventQueue<E> {
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
-            bulk: Vec::new(),
-            run: Vec::new(),
             heap: BinaryHeap::new(),
-            draining: false,
             next_seq: 0,
         }
     }
@@ -96,70 +69,22 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let entry = Entry { at, seq, event };
-        if self.draining {
-            self.heap.push(entry);
-        } else {
-            self.bulk.push(entry);
-        }
-    }
-
-    /// Sort the pre-drain bulk into the consumable run. Runs at most once
-    /// per queue lifetime (plus once more after a checkpoint restore): after
-    /// draining starts, pushes go to the heap and `bulk` stays empty.
-    fn flush_bulk(&mut self) {
-        if !self.bulk.is_empty() {
-            debug_assert!(self.run.is_empty(), "bulk refilled after the flush");
-            self.bulk
-                .sort_unstable_by_key(|e| (std::cmp::Reverse(e.at), std::cmp::Reverse(e.seq)));
-            self.run = std::mem::take(&mut self.bulk);
-        }
+        self.heap.push(Entry { at, seq, event });
     }
 
     /// Remove and return the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_if(|_, _| true)
+        self.heap.pop().map(|e| (e.at, e.event))
     }
 
-    /// Remove and return the earliest event only when `pred` approves it;
-    /// leave the queue untouched (and return `None`) otherwise.
-    ///
-    /// This is the coalescing primitive: the event loop peeks at the front
-    /// through `pred` and keeps draining while consecutive events belong to
-    /// the same batchable run, stopping — without consuming — at the first
-    /// event of a different kind. Pop order is identical to calling
-    /// [`pop`][Self::pop] under the same schedule.
-    pub fn pop_if(&mut self, pred: impl FnOnce(SimTime, &E) -> bool) -> Option<(SimTime, E)> {
-        self.flush_bulk();
-        self.draining = true;
-        // Equal keys are impossible (seq is unique); the earlier-pushed
-        // entry — always the run's, its seq predates every heap seq — wins
-        // equal times via the smaller seq.
-        let from_run = match (self.run.last(), self.heap.peek()) {
-            (None, None) => return None,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some(r), Some(h)) => (r.at, r.seq) < (h.at, h.seq),
-        };
-        let e = if from_run {
-            let front = self.run.last()?;
-            if !pred(front.at, &front.event) {
-                return None;
-            }
-            self.run.pop()?
-        } else {
-            let front = self.heap.peek_mut()?;
-            if !pred(front.at, &front.event) {
-                return None;
-            }
-            PeekMut::pop(front)
-        };
-        Some((e.at, e.event))
+    /// The firing time of the earliest event, or `None` when empty.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.bulk.len() + self.run.len() + self.heap.len()
+        self.heap.len()
     }
 
     /// True when nothing is pending.
@@ -178,13 +103,8 @@ impl<E> EventQueue<E> {
     /// FIFO tie-breaks match the original exactly — the checkpoint/resume
     /// path depends on that.
     pub fn entries(&self) -> Vec<(SimTime, u64, &E)> {
-        let mut out: Vec<(SimTime, u64, &E)> = self
-            .bulk
-            .iter()
-            .chain(self.run.iter())
-            .chain(self.heap.iter())
-            .map(|e| (e.at, e.seq, &e.event))
-            .collect();
+        let mut out: Vec<(SimTime, u64, &E)> =
+            self.heap.iter().map(|e| (e.at, e.seq, &e.event)).collect();
         out.sort_by_key(|(at, seq, _)| (*at, *seq));
         out
     }
@@ -199,20 +119,14 @@ impl<E> EventQueue<E> {
         entries: Vec<(SimTime, u64, E)>,
         next_seq: u64,
     ) -> Result<Self, SeqCollision> {
-        let mut bulk = Vec::with_capacity(entries.len());
-        for (at, seq, event) in entries {
-            if seq >= next_seq {
-                return Err(SeqCollision { seq, next_seq });
-            }
-            bulk.push(Entry { at, seq, event });
-        }
-        Ok(EventQueue {
-            bulk,
-            run: Vec::new(),
-            heap: BinaryHeap::new(),
-            draining: false,
-            next_seq,
-        })
+        let heap = entries
+            .into_iter()
+            .map(|(at, seq, event)| match seq < next_seq {
+                true => Ok(Entry { at, seq, event }),
+                false => Err(SeqCollision { seq, next_seq }),
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(EventQueue { heap, next_seq })
     }
 }
 
@@ -285,22 +199,21 @@ mod tests {
     }
 
     #[test]
-    fn post_drain_pushes_interleave_with_bulk_fifo() {
-        // Mixed layout: three bulk events, then draining starts, then two
-        // heap events — one at the same instant as a pending bulk event.
-        // Pops must follow global (time, push-order), oblivious to layout.
+    fn pushes_after_a_pop_tie_behind_earlier_pushes() {
+        // A push made after popping began, at the instant of a pending
+        // entry, fires after it: global (time, push-order).
         let mut q = EventQueue::new();
         let t = SimTime::at_day(1);
-        q.push(t, "bulk-a");
-        q.push(SimTime::at_day(2), "bulk-b");
-        q.push(t, "bulk-c");
-        assert_eq!(q.pop().unwrap().1, "bulk-a");
+        q.push(t, "early-a");
+        q.push(SimTime::at_day(2), "early-b");
+        q.push(t, "early-c");
+        assert_eq!(q.pop().unwrap().1, "early-a");
         q.push(t, "late-same-t");
         q.push(SimTime::at_day(2), "late-d2");
         assert_eq!(q.len(), 4);
-        assert_eq!(q.pop().unwrap().1, "bulk-c"); // earlier push wins the tie
+        assert_eq!(q.pop().unwrap().1, "early-c"); // earlier push wins the tie
         assert_eq!(q.pop().unwrap().1, "late-same-t");
-        assert_eq!(q.pop().unwrap().1, "bulk-b");
+        assert_eq!(q.pop().unwrap().1, "early-b");
         assert_eq!(q.pop().unwrap().1, "late-d2");
         assert!(q.pop().is_none());
     }
@@ -339,19 +252,15 @@ mod tests {
     }
 
     #[test]
-    fn pop_if_rejects_without_consuming() {
+    fn peek_time_names_the_front_without_consuming() {
         let mut q = EventQueue::new();
-        q.push(SimTime::at_day(1), "a");
+        assert_eq!(q.peek_time(), None);
         q.push(SimTime::at_day(2), "b");
-        assert!(q.pop_if(|_, &e| e == "b").is_none());
-        assert_eq!(q.len(), 2, "rejected pop_if must not consume");
-        assert_eq!(q.pop_if(|at, _| at == SimTime::at_day(1)).unwrap().1, "a");
-        // Post-drain pushes land in the heap; pop_if must gate that front too.
-        q.push(SimTime::at_day(1) + SimDuration::hours(1), "late");
-        assert!(q.pop_if(|_, &e| e == "b").is_none());
-        assert_eq!(q.pop().unwrap().1, "late");
-        assert_eq!(q.pop().unwrap().1, "b");
-        assert!(q.pop_if(|_, _| true).is_none());
+        q.push(SimTime::at_day(1), "a");
+        assert_eq!(q.peek_time(), Some(SimTime::at_day(1)));
+        assert_eq!(q.len(), 2, "peeking must not consume");
+        assert_eq!(q.pop().unwrap().1, "a");
+        assert_eq!(q.peek_time(), Some(SimTime::at_day(2)));
     }
 
     #[test]

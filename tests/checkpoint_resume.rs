@@ -137,9 +137,14 @@ fn resume_without_a_checkpoint_is_a_hard_error() {
 /// (the next sequence number zeroed, or one entry's pushed past it), a
 /// study window that disagrees with the config, a zero sweep interval
 /// (either of the last two kept the sweep rescheduling itself forever), a
-/// log sequence number that does not continue the pinned log, and a config
-/// that differs from the log header's are each a structured error, and the
-/// log is left as it was.
+/// log sequence number that does not continue the pinned log, a config
+/// that differs from the log header's, a monitor list that does not match
+/// the campaigns, the queued polls or the launched pages, another format
+/// version (or none),
+/// and planned likes with ragged columns, an unknown account or page, a
+/// time before the clock or times out of order, and a log prefix pinned
+/// before the campaigns launched are each a structured error, and the log
+/// is left as it was.
 #[test]
 fn a_checkpoint_queue_with_colliding_seqs_is_a_structured_error() {
     use serde::Value;
@@ -229,6 +234,85 @@ fn a_checkpoint_queue_with_colliding_seqs_is_a_structured_error() {
     fn next_seq_one_high(doc: &mut Value) {
         shift(doc, "next_seq", 1);
     }
+    fn monitors_cut_to_the_first(doc: &mut Value) {
+        let Value::Array(monitors) = field(doc, "monitors") else {
+            panic!("monitors is an array")
+        };
+        monitors.truncate(1);
+    }
+    fn null_a_polled_monitor(doc: &mut Value) {
+        let Value::Array(entries) = field(doc, "queue") else {
+            panic!("queue is an array")
+        };
+        let polled = entries
+            .iter()
+            .find_map(|entry| match entry {
+                Value::Array(entry) => match &entry[2] {
+                    Value::Object(ev) => match ev.first() {
+                        Some((tag, Value::UInt(i))) if tag == "Poll" => Some(*i as usize),
+                        _ => None,
+                    },
+                    _ => None,
+                },
+                _ => panic!("an entry is an [at, seq, event] array"),
+            })
+            .expect("the checkpoint was taken with polls queued");
+        let Value::Array(monitors) = field(doc, "monitors") else {
+            panic!("monitors is an array")
+        };
+        monitors[polled] = Value::Null;
+    }
+    fn monitor_of_an_unknown_page(doc: &mut Value) {
+        let Value::Array(monitors) = field(doc, "monitors") else {
+            panic!("monitors is an array")
+        };
+        *field(&mut monitors[0], "page") = Value::UInt(99_999_999);
+    }
+    fn monitor_on_an_inactive_campaign(doc: &mut Value) {
+        let Value::Array(monitors) = field(doc, "monitors") else {
+            panic!("monitors is an array")
+        };
+        let inactive = monitors.iter().position(|m| *m == Value::Null);
+        monitors[inactive.expect("the paper preset has inactive campaigns")] = monitors[0].clone();
+    }
+    fn version_0(doc: &mut Value) {
+        *field(doc, "version") = Value::UInt(0);
+    }
+    fn version_2(doc: &mut Value) {
+        *field(doc, "version") = Value::UInt(2);
+    }
+    fn no_version(doc: &mut Value) {
+        let Value::Object(fields) = doc else {
+            panic!("checkpoint is an object")
+        };
+        fields.retain(|(k, _)| k != "version");
+    }
+    fn planned_column<'a>(doc: &'a mut Value, name: &str) -> &'a mut Vec<Value> {
+        let Value::Array(column) = field(field(doc, "planned"), name) else {
+            panic!("planned.{name} is an array")
+        };
+        assert!(column.len() > 1, "the checkpoint has likes still planned");
+        column
+    }
+    fn ragged_planned(doc: &mut Value) {
+        planned_column(doc, "pages").pop();
+    }
+    fn planned_unknown_user(doc: &mut Value) {
+        planned_column(doc, "users")[0] = Value::UInt(99_999_999);
+    }
+    fn planned_unknown_page(doc: &mut Value) {
+        planned_column(doc, "pages")[0] = Value::UInt(99_999_999);
+    }
+    fn planned_before_the_clock(doc: &mut Value) {
+        let now = secs_of(doc, "now");
+        planned_column(doc, "times")[0] = Value::UInt(now - 1);
+    }
+    fn planned_out_of_order(doc: &mut Value) {
+        let times = planned_column(doc, "times");
+        let last = times.len() - 1;
+        assert_ne!(times[0], times[last], "the planned likes span time");
+        times.swap(0, last);
+    }
     fn rename_the_first_campaign(doc: &mut Value) {
         let Value::Array(campaigns) = field(field(doc, "config"), "campaigns") else {
             panic!("campaigns is an array")
@@ -282,34 +366,126 @@ fn a_checkpoint_queue_with_colliding_seqs_is_a_structured_error() {
             rename_the_first_campaign,
             "config differs from the one in the header",
         ),
+        (
+            "monitors cut to their first entry",
+            monitors_cut_to_the_first,
+            "monitors has length 1, but the config has 13 campaigns",
+        ),
+        (
+            "monitors[i] = null with a Poll(i) queued",
+            null_a_polled_monitor,
+            "is queued, but it has no monitor",
+        ),
+        (
+            "monitors[0].page = 99,999,999",
+            monitor_of_an_unknown_page,
+            "monitors[0] watches p99999999, but campaign #0 launched",
+        ),
+        (
+            "a monitor for an inactive campaign",
+            monitor_on_an_inactive_campaign,
+            "is set, but campaign #",
+        ),
+        (
+            "version = 0",
+            version_0,
+            "format version 0; this build reads version 1",
+        ),
+        (
+            "version = 2",
+            version_2,
+            "format version 2; this build reads version 1",
+        ),
+        (
+            "version missing",
+            no_version,
+            "no checkpoint format version (written before version 1); this build reads version 1",
+        ),
+        (
+            "planned.pages one short",
+            ragged_planned,
+            "planned has ragged columns",
+        ),
+        (
+            "planned.users[0] = 99,999,999",
+            planned_unknown_user,
+            "names account",
+        ),
+        (
+            "planned.pages[0] = 99,999,999",
+            planned_unknown_page,
+            "names page",
+        ),
+        (
+            "planned.times[0] = now - 1 s",
+            planned_before_the_clock,
+            "a planned like at",
+        ),
+        (
+            "planned.times first and last swapped",
+            planned_out_of_order,
+            "planned likes are out of time order",
+        ),
     ] {
         let mut doc: Value = serde_json::from_str(&json).unwrap();
         mutate(&mut doc);
-        let bad = scratch("bad-queue-copy");
-        std::fs::create_dir_all(&bad).unwrap();
-        std::fs::write(
-            bad.join("checkpoint.json"),
-            serde_json::to_string_pretty(&doc).unwrap(),
-        )
-        .unwrap();
-        std::fs::write(bad.join("world.log"), &log).unwrap();
-        let resumed = run_study_opts(
-            &StudyConfig::paper(3, 0.02),
-            &RunOptions {
-                checkpoint_dir: Some(bad.clone()),
-                resume: true,
-                ..RunOptions::default()
-            },
-        );
-        match resumed {
-            Err(StudyError::Mismatch(why)) => {
-                assert!(why.contains(needle), "{what}: {why}");
-            }
-            Err(other) => panic!("{what}: expected Mismatch, got {other}"),
-            Ok(_) => panic!("{what}: resumed from a hostile checkpoint"),
-        }
-        assert_eq!(std::fs::read(bad.join("world.log")).unwrap(), log, "{what}");
-        std::fs::remove_dir_all(&bad).ok();
+        refused(what, &doc, needle, &log);
     }
+
+    // Pinned to the log prefix before the first launch record, the
+    // checkpoint continues that prefix, but the campaigns it polls were
+    // never launched there. A frame is a 4-byte length, an 8-byte seq and
+    // an 8-byte checksum, then the payload; the header is 12 bytes and
+    // its meta document.
+    let mut at = 12 + u32::from_le_bytes(log[8..12].try_into().unwrap()) as usize;
+    let (bytes, seq) = loop {
+        let len = u32::from_le_bytes(log[at..at + 4].try_into().unwrap()) as usize;
+        let seq = u64::from_le_bytes(log[at + 4..at + 12].try_into().unwrap());
+        let payload = &log[at + 20..at + 20 + len];
+        if payload.windows(16).any(|w| w == b"CampaignLaunched") {
+            break (at as u64, seq);
+        }
+        at += 20 + len;
+    };
+    let mut doc: Value = serde_json::from_str(&json).unwrap();
+    *field(&mut doc, "log_bytes") = Value::UInt(bytes);
+    *field(&mut doc, "next_seq") = Value::UInt(seq);
+    refused(
+        "pinned before the first launch",
+        &doc,
+        "campaign #0 never launched in the pinned log",
+        &log,
+    );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Resume a copy of the checkpoint directory whose `checkpoint.json` is
+/// `doc` and `world.log` is `log`: it must be a `Mismatch` naming
+/// `needle`, and leave the log as it was.
+fn refused(what: &str, doc: &serde::Value, needle: &str, log: &[u8]) {
+    let bad = scratch("bad-queue-copy");
+    std::fs::create_dir_all(&bad).unwrap();
+    std::fs::write(
+        bad.join("checkpoint.json"),
+        serde_json::to_string_pretty(doc).unwrap(),
+    )
+    .unwrap();
+    std::fs::write(bad.join("world.log"), log).unwrap();
+    let resumed = run_study_opts(
+        &StudyConfig::paper(3, 0.02),
+        &RunOptions {
+            checkpoint_dir: Some(bad.clone()),
+            resume: true,
+            ..RunOptions::default()
+        },
+    );
+    match resumed {
+        Err(StudyError::Mismatch(why)) => {
+            assert!(why.contains(needle), "{what}: {why}");
+        }
+        Err(other) => panic!("{what}: expected Mismatch, got {other}"),
+        Ok(_) => panic!("{what}: resumed from a hostile checkpoint"),
+    }
+    assert_eq!(std::fs::read(bad.join("world.log")).unwrap(), log, "{what}");
+    std::fs::remove_dir_all(&bad).ok();
 }

@@ -247,7 +247,8 @@ proptest! {
     /// (24 accounts: every batch of three or more likes is "large") or the
     /// sparse sorted-triples kernel (4096 accounts: every batch stays under
     /// the `n_users / 8` threshold). Pages span the 4096-page shard boundary
-    /// so cross-shard posting lists are exercised.
+    /// so cross-shard posting lists are exercised. Three batches that name
+    /// one page per user close the run.
     #[test]
     fn ledger_ingest_columns_matches_vec_reference(
         likes in prop::collection::vec((0u32..24, 0u32..120, 0u64..50_000), 0..250),
@@ -269,6 +270,29 @@ proptest! {
                 .map(|&(u, raw, t)| reference.record(u, band_page(raw), t) as usize)
                 .sum();
             prop_assert_eq!(accepted, want, "accept/reject diverged in {:?}", chunk);
+        }
+        // Batches that name one page per user, the page-set merge's
+        // in-place path: a page the user already holds (rejected), a page
+        // below every page they hold, and one above every page they hold,
+        // named twice so the repeat is rejected inside the batch.
+        type Pick = fn(&BTreeSet<u32>) -> Vec<u32>;
+        let picks: [Pick; 3] = [
+            |held| held.last().copied().into_iter().collect(),
+            |held| held.first().map_or(Some(4090), |p| p.checked_sub(1)).into_iter().collect(),
+            |held| vec![held.last().map_or(0, |p| p + 1); 2],
+        ];
+        for (k, pick) in picks.into_iter().enumerate() {
+            let at = 60_000 + k as u64;
+            let mut cols = LikeColumns::with_capacity(48);
+            let mut want = 0;
+            for u in 0..24 {
+                for p in pick(&reference.user_pages(u)) {
+                    cols.push(UserId(u), PageId(p), SimTime::from_secs(at));
+                    want += reference.record(u, p, at) as usize;
+                }
+            }
+            let accepted = ledger.ingest_columns(&cols, Exec::workers(workers));
+            prop_assert_eq!(accepted, want, "one-page batch {} diverged", k);
         }
         prop_assert!(ledger.shard_count() >= 3, "world must span shards");
         // Draws never name a user past 23, so checking that range covers
