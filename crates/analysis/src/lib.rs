@@ -23,6 +23,14 @@
 //! simulator's ground truth, so the pipeline is exactly as blind as the
 //! paper's was.
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::dbg_macro
+)]
+
 pub mod crawl;
 pub mod demographics;
 pub mod geo;

@@ -33,6 +33,9 @@ impl SimilarityMatrix {
         self.matrix[i][j]
     }
 
+    // `get` documents this panic: its callers name the study's own
+    // campaign labels, never outside input.
+    #[allow(clippy::panic)]
     fn index_of(&self, label: &str) -> usize {
         self.labels
             .iter()

@@ -15,6 +15,9 @@
 //! default 0.02), `LIKELAB_BENCH_OBS_SEEDS` (seeds, default 4),
 //! `LIKELAB_BENCH_OBS_REPS` (sweep repetitions per state, default 3).
 
+// A bench measures wall time; it never feeds a simulation result.
+#![allow(clippy::disallowed_types)]
+
 use likelab_core::{run_sweep, SweepConfig};
 use likelab_sim::Exec;
 use std::hint::black_box;

@@ -15,6 +15,9 @@
 //! speedup column only becomes meaningful on a multi-core machine — on one
 //! core the pool degenerates to the sequential path by design.
 
+// A bench measures wall time; it never feeds a simulation result.
+#![allow(clippy::disallowed_types)]
+
 use likelab_core::{run_sweep, SweepConfig};
 use likelab_sim::Exec;
 use std::num::NonZeroUsize;

@@ -7,6 +7,14 @@
 //! the same process, scale from `LIKELAB_BENCH_SCALE`, default 0.2) and
 //! print their result blocks through [`print_block`].
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::dbg_macro
+)]
+
 use likelab_core::{run_study, StudyConfig, StudyOutcome};
 use std::sync::OnceLock;
 
@@ -24,6 +32,8 @@ pub fn study() -> &'static StudyOutcome {
     SHARED.get_or_init(|| {
         let scale = bench_scale();
         eprintln!("[likelab-bench] running the study once (seed 42, scale {scale})...");
+        // Wall time of the shared study, for the bench log only.
+        #[allow(clippy::disallowed_types)]
         let started = std::time::Instant::now();
         let outcome = run_study(&StudyConfig::paper(42, scale));
         eprintln!(
@@ -36,15 +46,13 @@ pub fn study() -> &'static StudyOutcome {
 }
 
 /// Print a result block, prefixed for easy grepping in bench logs.
+// Printing IS this harness's job: the blocks are the benches' result, so
+// stdout here is deliberate.
+#[allow(clippy::print_stdout)]
 pub fn print_block(title: &str, body: &str) {
-    // Printing IS this harness's job: the blocks are the benches' result,
-    // so stdout here is deliberate.
-    // lint:allow(stdout-in-library)
     println!("\n==== {title} (scale {}) ====", bench_scale());
     for line in body.lines() {
-        // lint:allow(stdout-in-library)
         println!("  {line}");
     }
-    // lint:allow(stdout-in-library)
     println!();
 }

@@ -76,8 +76,6 @@ pub(crate) struct CheckpointState {
     pub rng: Rng,
     /// The run journal so far.
     pub trace: Trace,
-    /// Sweep terminations so far.
-    pub sweep_terminations: u64,
     /// Population handles (audiences, background catalogue).
     pub population: Population,
 }
@@ -99,6 +97,8 @@ pub(crate) fn write_checkpoint(
     state: &LoopState,
     capture: &mut Capture,
 ) -> Result<(), StudyError> {
+    // A run with a checkpoint directory always streams its log there.
+    #[allow(clippy::expect_used)]
     let log = capture
         .log
         .as_mut()
@@ -128,10 +128,9 @@ pub(crate) fn write_checkpoint(
         fraud: state.fraud.clone(),
         rng: state.rng.clone(),
         trace: state.trace.clone(),
-        sweep_terminations: state.sweep_terminations as u64,
         population: state.population.clone(),
     };
-    let json = serde_json::to_string_pretty(&cp)
+    let json = serde_json::to_string(&cp)
         .map_err(|e| StudyError::Mismatch(format!("checkpoint serialization: {e}")))?;
     write_atomic(&dir.join("checkpoint.json"), &json)?;
     likelab_obs::metrics::counter("checkpoint.written", 1);
@@ -145,8 +144,9 @@ pub(crate) fn write_checkpoint(
 /// record; the honeypot pages and inactive campaigns come from the fold's
 /// campaign slots. A checkpoint of another format version, one whose
 /// `next_seq` does not continue that prefix, whose config differs from the
-/// log header's, or whose monitors, queue or planned likes disagree with
-/// the config or the rebuilt world, is refused before the log is touched.
+/// log header's, whose monitors, queue or planned likes disagree with the
+/// config or the rebuilt world, or whose `fired` count is near overflow, is
+/// refused before the log is touched.
 /// Then any bytes past the pin (frames appended after the checkpoint,
 /// before the kill) are truncated away so appending continues from a
 /// consistent state. The outcome is byte-identical to the uninterrupted
@@ -189,6 +189,15 @@ pub(crate) fn resume_study(opts: &RunOptions) -> Result<StudyOutcome, StudyError
     }
     if cp.config.sweep_interval.is_zero() {
         return Err(refuse("config.sweep_interval is 0".into()));
+    }
+    // The engine counts fired events with a plain `+=`. A whole run fires
+    // far fewer than 2^32 (scale_study: 333,899), so a count that close to
+    // the top is an edited file, and continuing would overflow it.
+    if u64::MAX - cp.fired < 1 << 32 {
+        return Err(refuse(format!(
+            "fired {} is within 2^32 of the counter's limit",
+            cp.fired
+        )));
     }
     // The event loop polls campaign `i` through `monitors[i]`.
     let campaigns = cp.config.campaigns.len();
@@ -322,7 +331,6 @@ pub(crate) fn resume_study(opts: &RunOptions) -> Result<StudyOutcome, StudyError
         fraud: cp.fraud,
         rng: cp.rng,
         trace: cp.trace,
-        sweep_terminations: cp.sweep_terminations as usize,
     };
     event_loop(&mut state, &mut capture, opts)?;
     collect(state, capture, opts.exec)

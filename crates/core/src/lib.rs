@@ -23,6 +23,14 @@
 //! println!("{}", outcome.report.render());
 //! ```
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::dbg_macro
+)]
+
 pub mod checkpoint;
 pub mod paper;
 pub mod presets;

@@ -455,8 +455,9 @@ impl ServeSession {
     /// the current ingest backlog in records. Returns the response plus
     /// whether the request asked the server to shut down.
     pub fn handle_line(&mut self, line: &str, pending: usize) -> (String, bool) {
-        // lint:allow(ambient-time): wall-clock query latency feeds the
-        // observability histograms only, never a simulation result
+        // Wall-clock query latency feeds the observability histograms
+        // only, never a reply or a simulation result.
+        #[allow(clippy::disallowed_types)]
         let started = std::time::Instant::now();
         self.stats.queries += 1;
         self.stats.max_lag_records = self.stats.max_lag_records.max(pending as u64);

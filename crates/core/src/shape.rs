@@ -203,6 +203,8 @@ pub fn checklist(report: &StudyReport) -> Vec<ShapeCheck> {
     ));
 
     // --- Table 3 / Figure 3 ------------------------------------------------
+    // The report's Table 3 has one row for every provider.
+    #[allow(clippy::expect_used)]
     let row = |p: Provider| {
         report
             .table3

@@ -422,7 +422,6 @@ pub(crate) struct LoopState {
     pub(crate) fraud: FraudOps,
     pub(crate) rng: Rng,
     pub(crate) trace: Trace,
-    pub(crate) sweep_terminations: usize,
 }
 
 /// When a campaign's paid promotion ends (drives the crawler cadence
@@ -494,6 +493,8 @@ pub fn run_study(config: &StudyConfig) -> StudyOutcome {
 /// is inherently serial and untouched. Every parallel stage derives its
 /// randomness from index-split streams and reassembles results in index
 /// order, so the returned outcome is bit-identical for every `exec`.
+// Only logging and checkpointing return errors, and this run does neither.
+#[allow(clippy::expect_used)]
 pub fn run_study_with(config: &StudyConfig, exec: Exec) -> StudyOutcome {
     run_study_opts(
         config,
@@ -724,7 +725,6 @@ fn setup(config: &StudyConfig, exec: Exec, capture: &mut Capture) -> Result<Loop
         fraud,
         rng,
         trace,
-        sweep_terminations: 0,
     })
 }
 
@@ -778,7 +778,6 @@ pub(crate) fn event_loop(
             Dispatch::Event(now, Ev::Sweep) => {
                 let _sweep_span = likelab_obs::span::enter("study.sweep");
                 let terminated = state.fraud.sweep(&mut state.world, now);
-                state.sweep_terminations += terminated.len();
                 state
                     .trace
                     .count("fraud.terminated", terminated.len() as u64);
@@ -810,7 +809,7 @@ pub(crate) fn event_loop(
         format!(
             "event loop drained: {} events, {} sweep terminations, {} crawl requests ({} failed)",
             state.engine.fired(),
-            state.sweep_terminations,
+            state.trace.counter("fraud.terminated"),
             state.api.requests(),
             state.api.failures()
         ),
@@ -853,7 +852,6 @@ pub(crate) fn collect(
         fraud,
         mut rng,
         trace,
-        sweep_terminations: _,
     } = state;
     // The fired like column and the sweep engine's per-account state are
     // dead weight now; free both before the report's passes allocate.

@@ -23,6 +23,14 @@
 //!
 //! [`ActorClass`]: likelab_osn::ActorClass
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::dbg_macro
+)]
+
 pub mod burst;
 pub mod eval;
 pub mod features;

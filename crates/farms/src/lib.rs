@@ -21,6 +21,14 @@
 //! [`FarmRoster::fulfill`] executes an order against the platform and
 //! returns the timed like plan for the study runner.
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::dbg_macro
+)]
+
 pub mod camouflage;
 pub mod pool;
 pub mod region;

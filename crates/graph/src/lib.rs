@@ -12,6 +12,14 @@
 //! local clustering ([`metrics`]), degree-ordered renumbering ([`renumber`]),
 //! and DOT export ([`dot`]).
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::dbg_macro
+)]
+
 pub mod adjacency;
 pub mod components;
 pub mod dot;

@@ -69,9 +69,11 @@ impl Renumbering {
         let n = old_of_new.len();
         let mut new_of_old = vec![u32::MAX; n];
         for (new, &old) in old_of_new.iter().enumerate() {
+            // Documented panic: the table must be a permutation.
+            #[allow(clippy::expect_used)]
             let slot = new_of_old
                 .get_mut(old as usize)
-                // lint:allow(unwrap-in-library, panic-reachable-from-serve): documented panic — the table must be a permutation
+                // lint:allow(panic-reachable-from-serve): documented panic — the table must be a permutation
                 .expect("renumbering entry out of range");
             // lint:allow(panic-reachable-from-serve): documented panic — the table must be a permutation, as `degree_descending`'s sort of 0..n is
             assert!(*slot == u32::MAX, "duplicate old id {old} in renumbering");

@@ -8,6 +8,14 @@
 //! the month-later termination recheck ([`collector`]), and the resulting
 //! dataset the analysis pipeline consumes ([`dataset`]).
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::dbg_macro
+)]
+
 pub mod campaign;
 pub mod collector;
 pub mod crawler;

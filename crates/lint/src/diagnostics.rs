@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 /// One rule violation at a concrete source location.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable rule identifier (e.g. `unwrap-in-library`).
+    /// Stable rule identifier (e.g. `log-bypass`).
     pub rule: &'static str,
     /// Workspace-relative path, `/`-separated.
     pub file: String,
@@ -25,22 +25,17 @@ pub struct Finding {
     pub path: Vec<String>,
 }
 
-/// A full lint report: live findings plus baseline accounting.
+/// A full lint report.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Findings not covered by the baseline — these fail the build.
+    /// Every finding; any one fails the build.
     pub findings: Vec<Finding>,
-    /// Findings matched (and therefore suppressed) by the baseline.
-    pub baselined: Vec<Finding>,
-    /// Baseline entries that matched nothing — candidates for removal
-    /// at the next `LIKELAB_UPDATE_LINT_BASELINE=1` refresh.
-    pub stale_baseline: Vec<String>,
     /// Number of files scanned.
     pub files_scanned: usize,
 }
 
 impl Report {
-    /// True when no non-baselined finding remains.
+    /// True when no finding remains.
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
     }
@@ -55,41 +50,29 @@ impl Report {
             }
             let _ = writeln!(out, "    hint: {}", f.hint);
         }
-        if !self.stale_baseline.is_empty() {
-            let _ = writeln!(
-                out,
-                "note: {} stale baseline entr{} (matched no finding); refresh with LIKELAB_UPDATE_LINT_BASELINE=1",
-                self.stale_baseline.len(),
-                if self.stale_baseline.len() == 1 { "y" } else { "ies" },
-            );
-        }
         let _ = writeln!(
             out,
-            "{} finding{}, {} baselined, {} file{} scanned",
+            "{} finding{}, {} file{} scanned",
             self.findings.len(),
             if self.findings.len() == 1 { "" } else { "s" },
-            self.baselined.len(),
             self.files_scanned,
             if self.files_scanned == 1 { "" } else { "s" },
         );
         out
     }
 
-    /// JSON rendering (schema version 1):
+    /// JSON rendering (schema version 2):
     ///
     /// ```json
     /// {
-    ///   "version": 1,
+    ///   "version": 2,
     ///   "findings": [{"rule": "...", "file": "...", "line": 3,
     ///                 "snippet": "...", "hint": "...", "path": ["a", "b"]}],
-    ///   "baselined": 80,
-    ///   "baselined_by_rule": {"unwrap-in-library": 80},
-    ///   "stale_baseline": ["..."],
     ///   "files_scanned": 96
     /// }
     /// ```
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n  \"version\": 1,\n  \"findings\": [");
+        let mut out = String::from("{\n  \"version\": 2,\n  \"findings\": [");
         for (i, f) in self.findings.iter().enumerate() {
             let _ = write!(
                 out,
@@ -112,34 +95,6 @@ impl Report {
         } else {
             "\n  ],\n"
         });
-        let _ = writeln!(out, "  \"baselined\": {},", self.baselined.len());
-        // Per-rule counts so CI can render a summary table without
-        // shipping every baselined finding in full.
-        let mut by_rule: std::collections::BTreeMap<&str, usize> =
-            std::collections::BTreeMap::new();
-        for f in &self.baselined {
-            *by_rule.entry(f.rule).or_insert(0) += 1;
-        }
-        out.push_str("  \"baselined_by_rule\": {");
-        for (i, (rule, n)) in by_rule.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\"{}\": {n}",
-                if i == 0 { "" } else { ", " },
-                json_escape(rule)
-            );
-        }
-        out.push_str("},\n");
-        out.push_str("  \"stale_baseline\": [");
-        for (i, s) in self.stale_baseline.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\"{}\"",
-                if i == 0 { "" } else { ", " },
-                json_escape(s)
-            );
-        }
-        out.push_str("],\n");
         let _ = writeln!(out, "  \"files_scanned\": {}", self.files_scanned);
         out.push('}');
         out
@@ -215,11 +170,11 @@ mod tests {
 
     fn finding() -> Finding {
         Finding {
-            rule: "unwrap-in-library",
+            rule: "log-bypass",
             file: "crates/x/src/lib.rs".into(),
             line: 7,
-            snippet: "let v = m.get(\"k\").unwrap();".into(),
-            hint: "propagate the error".into(),
+            snippet: "ledger.ingest_columns(&batches[\"k\"], exec);".into(),
+            hint: "mutate through OsnWorld".into(),
             path: Vec::new(),
         }
     }
@@ -242,8 +197,8 @@ mod tests {
             ..Report::default()
         };
         let h = r.render_human();
-        assert!(h.contains("crates/x/src/lib.rs:7: [unwrap-in-library]"));
-        assert!(h.contains("hint: propagate the error"));
+        assert!(h.contains("crates/x/src/lib.rs:7: [log-bypass]"));
+        assert!(h.contains("hint: mutate through OsnWorld"));
         assert!(h.contains("1 finding"));
     }
 
@@ -251,12 +206,10 @@ mod tests {
     fn json_is_parseable_shape() {
         let r = Report {
             findings: vec![finding()],
-            stale_baseline: vec!["old entry".into()],
             files_scanned: 3,
-            ..Report::default()
         };
         let j = r.render_json();
-        assert!(j.contains("\"version\": 1"));
+        assert!(j.contains("\"version\": 2"));
         assert!(j.contains("\"line\": 7"));
         assert!(j.contains("\\\"k\\\""), "snippet quotes escaped: {j}");
         assert!(j.contains("\"files_scanned\": 3"));
@@ -303,7 +256,6 @@ mod tests {
         let r = Report {
             findings: vec![finding(), pathed_finding()],
             files_scanned: 2,
-            ..Report::default()
         };
         let s = r.render_sarif();
         assert!(s.contains("\"version\": \"2.1.0\""));
@@ -317,7 +269,7 @@ mod tests {
                 rule.id
             );
         }
-        assert!(s.contains("\"ruleId\": \"unwrap-in-library\""));
+        assert!(s.contains("\"ruleId\": \"log-bypass\""));
         assert!(s.contains("\"uri\": \"crates/y/src/inner.rs\""));
         assert!(s.contains("\"startLine\": 3"));
         assert!(

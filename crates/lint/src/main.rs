@@ -1,16 +1,13 @@
-//! `likelab-lint` — standalone analyzer binary for CI.
+//! `likelab-lint` — the analyzer's command line, and CI's lint gate.
 //!
 //! ```text
 //! likelab-lint [--root DIR] [--format human|json|sarif]
-//!              [--baseline lint-baseline.json] [--update-baseline]
 //!              [--report-out FILE] [--list-rules] [--explain RULE]
 //! ```
 //!
-//! Exit 0: clean (all findings baselined). Exit 1: non-baselined
-//! findings. Exit 2: usage or IO error. Setting
-//! `LIKELAB_UPDATE_LINT_BASELINE=1` is equivalent to `--update-baseline`.
+//! Exit 0: clean. Exit 1: findings. Exit 2: usage or IO error.
 
-use likelab_lint::{find_workspace_root, rules, run, Options};
+use likelab_lint::{find_workspace_root, rules, run};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -24,8 +21,6 @@ enum Format {
 struct Cli {
     root: Option<PathBuf>,
     format: Format,
-    baseline: Option<String>,
-    update_baseline: bool,
     report_out: Option<PathBuf>,
     list_rules: bool,
     explain: Option<String>,
@@ -35,10 +30,8 @@ fn usage() -> &'static str {
     "likelab-lint — determinism & hygiene analyzer (see LINTS.md)\n\n\
      USAGE:\n\
      \x20 likelab-lint [--root DIR] [--format human|json|sarif]\n\
-     \x20              [--baseline lint-baseline.json] [--update-baseline]\n\
      \x20              [--report-out FILE] [--list-rules] [--explain RULE]\n\n\
-     Exit 0 when clean, 1 on non-baselined findings, 2 on errors.\n\
-     LIKELAB_UPDATE_LINT_BASELINE=1 is the same as --update-baseline."
+     Exit 0 when clean, 1 on findings, 2 on errors."
 }
 
 /// Print the long-form description of one rule; error on unknown ids.
@@ -59,8 +52,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
         root: None,
         format: Format::Human,
-        baseline: None,
-        update_baseline: std::env::var("LIKELAB_UPDATE_LINT_BASELINE").as_deref() == Ok("1"),
         report_out: None,
         list_rules: false,
         explain: None,
@@ -78,11 +69,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
                 Some("sarif") => cli.format = Format::Sarif,
                 _ => return Err("--format needs human|json|sarif".into()),
             },
-            "--baseline" => {
-                let v = it.next().ok_or("--baseline needs a file path")?;
-                cli.baseline = Some(v.clone());
-            }
-            "--update-baseline" => cli.update_baseline = true,
             "--report-out" => {
                 let v = it.next().ok_or("--report-out needs a file path")?;
                 cli.report_out = Some(PathBuf::from(v));
@@ -140,11 +126,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let opts = Options {
-        baseline: cli.baseline.clone(),
-        update_baseline: cli.update_baseline,
-    };
-    let report = match run(&root, &opts) {
+    let report = match run(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
@@ -164,12 +146,6 @@ fn main() -> ExitCode {
         eprintln!("lint report written to {}", path.display());
     }
     println!("{rendered}");
-    if cli.update_baseline {
-        eprintln!(
-            "baseline updated with {} finding(s)",
-            report.baselined.len()
-        );
-    }
     if report.is_clean() {
         ExitCode::SUCCESS
     } else {

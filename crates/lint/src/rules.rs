@@ -1,29 +1,24 @@
-//! The rule engine and the initial rule set.
+//! The rule engine and its rules.
 //!
 //! Every rule targets an invariant the workspace actually depends on
-//! (see LINTS.md for the catalog with examples):
+//! (see LINTS.md for the catalog with examples). The lexical ones:
 //!
 //! - `nondeterministic-iteration` — iterating a `HashMap`/`HashSet` in
 //!   library code; hash order varies across runs and platforms, which is
 //!   exactly how byte-identical reports silently stop being byte-identical.
-//! - `ambient-time` — `std::time::{SystemTime, Instant}` outside the
-//!   `obs`/`bench` crates; simulated code must use `SimTime`.
-//! - `ambient-randomness` — RNG sources not derived from the seeded
-//!   `likelab_sim::Rng` stream family.
 //! - `rng-shared-across-parallel` — an `Rng` reused inside
 //!   `parallel_map`/`parallel_jobs`/`parallel_owned` closures instead of a
 //!   per-item `split` stream.
-//! - `unwrap-in-library` — `.unwrap()`/`.expect(…)`/`panic!` in library
-//!   code.
-//! - `stdout-in-library` — `println!`/`print!`/`dbg!` in library code.
 //! - `log-bypass` — direct ledger/graph mutation (`.ingest_columns(…)`,
 //!   `.ingest_columns_owned(…)`, `.friends_mut(…)`) outside the world's
 //!   recording hooks; bypassed mutations never reach the study log, so a
 //!   captured log stops being replayable.
 //!
+//! Unwraps and stdout in library code, and ambient time or entropy
+//! anywhere, are clippy's (the library roots and the root `clippy.toml`).
+//!
 //! Suppression: a `// lint:allow(rule-id): reason` pragma on the same
-//! line or on immediately preceding comment lines; pre-existing findings
-//! live in `lint-baseline.json` (see [`crate::baseline`]).
+//! line or on immediately preceding comment lines.
 
 use crate::diagnostics::Finding;
 use crate::tokenizer::{self, find_word, MaskedFile};
@@ -34,7 +29,7 @@ use std::collections::BTreeSet;
 /// docs.
 #[derive(Clone, Copy, Debug)]
 pub struct RuleInfo {
-    /// Stable identifier used in pragmas, baselines, and reports.
+    /// Stable identifier used in pragmas and reports.
     pub id: &'static str,
     /// One-line summary.
     pub summary: &'static str,
@@ -58,24 +53,6 @@ pub const RULES: &[RuleInfo] = &[
                   Suppress: // lint:allow(nondeterministic-iteration): <why order cannot escape>",
     },
     RuleInfo {
-        id: "ambient-time",
-        summary: "std::time::{SystemTime, Instant} outside the obs/bench crates",
-        explain: "Simulated code must take time from likelab_sim::SimTime so replays are\n\
-                  reproducible; wall-clock reads make behavior depend on the host. Only the\n\
-                  observability layer (likelab-obs) and the bench harness may read real time.\n\
-                  Fix: thread SimTime through, or move the measurement into an obs span.\n\
-                  Suppress: // lint:allow(ambient-time): <why wall time is required here>",
-    },
-    RuleInfo {
-        id: "ambient-randomness",
-        summary: "RNG source not derived from likelab_sim::Rng streams",
-        explain: "thread_rng/OsRng/from_entropy/getrandom/RandomState inject host entropy,\n\
-                  so two runs of the same seed diverge. All randomness must derive from the\n\
-                  seeded likelab_sim::Rng family (seed_from_u64, split, derive_stream_seed).\n\
-                  Fix: accept an Rng (or a seed) from the caller and derive from it.\n\
-                  Suppress: // lint:allow(ambient-randomness): <why entropy is acceptable>",
-    },
-    RuleInfo {
         id: "rng-shared-across-parallel",
         summary: "Rng reused inside a parallel_map/jobs/owned closure instead of a split stream",
         explain: "A single Rng captured by a parallel closure is consumed in scheduling\n\
@@ -86,25 +63,6 @@ pub const RULES: &[RuleInfo] = &[
                   .split(…)/derive_stream_seed.\n\
                   Fix: let mut r = rng.split(item_index) inside the closure (DESIGN.md §4b).\n\
                   Suppress: // lint:allow(rng-shared-across-parallel): <why sharing is sound>",
-    },
-    RuleInfo {
-        id: "unwrap-in-library",
-        summary: ".unwrap()/.expect(...)/panic! in non-test library code",
-        explain: "Library code that panics takes down the whole process — including the\n\
-                  long-running serve loop — instead of surfacing a typed error the caller\n\
-                  can handle. Binaries may exit; libraries must return Result/Option.\n\
-                  Fix: propagate the error. Where the invariant is real and local, use\n\
-                  .expect(\"<invariant>\") plus an allow pragma stating the invariant.\n\
-                  Suppress: // lint:allow(unwrap-in-library): <the invariant>",
-    },
-    RuleInfo {
-        id: "stdout-in-library",
-        summary: "println!/print!/dbg! in library code (stdout belongs to the CLI)",
-        explain: "Report bytes on stdout are part of the byte-identity contract; a stray\n\
-                  println! in a library corrupts golden outputs. Libraries return\n\
-                  strings/values and the CLI decides what to print; progress goes to stderr.\n\
-                  Fix: return the text, or use eprintln! for diagnostics.\n\
-                  Suppress: // lint:allow(stdout-in-library): <why stdout is the contract>",
     },
     RuleInfo {
         id: "log-bypass",
@@ -177,36 +135,24 @@ pub fn is_known_rule(id: &str) -> bool {
     RULES.iter().any(|r| r.id == id)
 }
 
-/// Scan one file's source text; returns pragma-free findings
-/// (pragma-suppressed sites are dropped here, baseline handling is the
-/// caller's job).
-pub fn scan_source(rel_path: &str, crate_name: &str, kind: FileKind, source: &str) -> Vec<Finding> {
-    scan_masked(rel_path, crate_name, kind, &tokenizer::mask(source))
+/// Scan one file's source text; pragma-suppressed sites are dropped.
+pub fn scan_source(rel_path: &str, kind: FileKind, source: &str) -> Vec<Finding> {
+    scan_masked(rel_path, kind, &tokenizer::mask(source))
 }
 
 /// Scan an already-masked file (the workspace driver masks once and
 /// shares the result with the parser and the interprocedural passes).
-pub fn scan_masked(
-    rel_path: &str,
-    crate_name: &str,
-    kind: FileKind,
-    masked: &MaskedFile,
-) -> Vec<Finding> {
+pub fn scan_masked(rel_path: &str, kind: FileKind, masked: &MaskedFile) -> Vec<Finding> {
     let allowed = pragmas(&masked.raw);
     let ctx = Ctx {
         rel_path,
-        crate_name,
         kind,
         file: masked,
         allowed: &allowed,
     };
     let mut findings = Vec::new();
     nondeterministic_iteration(&ctx, &mut findings);
-    ambient_time(&ctx, &mut findings);
-    ambient_randomness(&ctx, &mut findings);
     rng_shared_across_parallel(&ctx, &mut findings);
-    unwrap_in_library(&ctx, &mut findings);
-    stdout_in_library(&ctx, &mut findings);
     log_bypass(&ctx, &mut findings);
     findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     findings
@@ -214,7 +160,6 @@ pub fn scan_masked(
 
 struct Ctx<'a> {
     rel_path: &'a str,
-    crate_name: &'a str,
     kind: FileKind,
     file: &'a MaskedFile,
     /// Per-line set of rule ids allowed by `lint:allow` pragmas.
@@ -492,75 +437,6 @@ pub(crate) fn statement_is_order_safe(code: &[String], idx: usize) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// ambient-time
-// ---------------------------------------------------------------------------
-
-/// Crates allowed to read the wall clock: the observability layer (it
-/// measures real time by design) and the bench harness.
-const WALL_CLOCK_CRATES: &[&str] = &["likelab-obs", "likelab-bench"];
-
-fn ambient_time(ctx: &Ctx, out: &mut Vec<Finding>) {
-    if ctx.kind == FileKind::Example || WALL_CLOCK_CRATES.contains(&ctx.crate_name) {
-        return;
-    }
-    const RULE: &str = "ambient-time";
-    for idx in 0..ctx.file.code.len() {
-        if !ctx.live(idx, RULE) {
-            continue;
-        }
-        let line = &ctx.file.code[idx];
-        if tokenizer::contains_word(line, "SystemTime") || tokenizer::contains_word(line, "Instant")
-        {
-            ctx.emit(
-                out,
-                RULE,
-                idx,
-                "simulated code must use likelab_sim::SimTime; wall-clock timing \
-                 belongs in likelab-obs spans"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ambient-randomness
-// ---------------------------------------------------------------------------
-
-/// Entropy sources that break run-to-run determinism.
-const AMBIENT_RNG_WORDS: &[&str] = &[
-    "thread_rng",
-    "OsRng",
-    "from_entropy",
-    "getrandom",
-    "RandomState",
-];
-
-fn ambient_randomness(ctx: &Ctx, out: &mut Vec<Finding>) {
-    const RULE: &str = "ambient-randomness";
-    for idx in 0..ctx.file.code.len() {
-        if !ctx.live(idx, RULE) {
-            continue;
-        }
-        let line = &ctx.file.code[idx];
-        let hit = AMBIENT_RNG_WORDS
-            .iter()
-            .any(|w| tokenizer::contains_word(line, w))
-            || line.contains("rand::random");
-        if hit {
-            ctx.emit(
-                out,
-                RULE,
-                idx,
-                "derive randomness from likelab_sim::Rng (seed_from_u64, split, \
-                 derive_stream_seed) so runs stay reproducible"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // rng-shared-across-parallel
 // ---------------------------------------------------------------------------
 
@@ -700,81 +576,6 @@ pub(crate) fn closure_params(span: &str) -> Vec<String> {
         .filter(|s| !s.is_empty())
         .map(str::to_string)
         .collect()
-}
-
-// ---------------------------------------------------------------------------
-// unwrap-in-library
-// ---------------------------------------------------------------------------
-
-fn unwrap_in_library(ctx: &Ctx, out: &mut Vec<Finding>) {
-    if ctx.kind != FileKind::Library {
-        return;
-    }
-    const RULE: &str = "unwrap-in-library";
-    for idx in 0..ctx.file.code.len() {
-        if !ctx.live(idx, RULE) {
-            continue;
-        }
-        let line = &ctx.file.code[idx];
-        let unwrap = line.contains(".unwrap()");
-        let expect = find_method_call(line, ".expect");
-        let panics =
-            find_word(line, "panic", 0).is_some_and(|p| line.as_bytes().get(p + 5) == Some(&b'!'));
-        if unwrap || expect || panics {
-            ctx.emit(
-                out,
-                RULE,
-                idx,
-                "propagate the error (Result/Option) or, where the invariant is \
-                 real, use .expect(\"<invariant>\") plus an allow pragma"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-/// Is `name` followed directly by `(` somewhere in the line
-/// (so `.expect(` matches but `.expect_err(` does not)?
-fn find_method_call(line: &str, name: &str) -> bool {
-    let mut from = 0;
-    while let Some(pos) = line[from..].find(name) {
-        let at = from + pos + name.len();
-        if line.as_bytes().get(at) == Some(&b'(') {
-            return true;
-        }
-        from = from + pos + 1;
-    }
-    false
-}
-
-// ---------------------------------------------------------------------------
-// stdout-in-library
-// ---------------------------------------------------------------------------
-
-fn stdout_in_library(ctx: &Ctx, out: &mut Vec<Finding>) {
-    if ctx.kind != FileKind::Library {
-        return;
-    }
-    const RULE: &str = "stdout-in-library";
-    for idx in 0..ctx.file.code.len() {
-        if !ctx.live(idx, RULE) {
-            continue;
-        }
-        let line = &ctx.file.code[idx];
-        let hit = ["println", "print", "dbg"].iter().any(|m| {
-            find_word(line, m, 0).is_some_and(|p| line.as_bytes().get(p + m.len()) == Some(&b'!'))
-        });
-        if hit {
-            ctx.emit(
-                out,
-                RULE,
-                idx,
-                "libraries return strings/values; printing belongs to src/main.rs \
-                 (progress goes to stderr via eprintln!)"
-                    .to_string(),
-            );
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1107,7 +908,7 @@ mod tests {
     use super::*;
 
     fn lib_scan(src: &str) -> Vec<Finding> {
-        scan_source("crates/x/src/lib.rs", "likelab-x", FileKind::Library, src)
+        scan_source("crates/x/src/lib.rs", FileKind::Library, src)
     }
 
     fn rules_of(findings: &[Finding]) -> Vec<&'static str> {
@@ -1116,8 +917,7 @@ mod tests {
 
     #[test]
     fn pragma_on_same_line_suppresses() {
-        let src =
-            "fn f(x: Option<u32>) -> u32 { x.unwrap() } // lint:allow(unwrap-in-library): test\n";
+        let src = "fn f(l: &mut LikeLedger) { l.ingest_columns(b, e); } // lint:allow(log-bypass): test\n";
         assert!(lib_scan(src).is_empty());
     }
 
@@ -1163,55 +963,19 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_expect_panic_flagged_but_not_variants() {
-        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n\
-                   fn g(x: Option<u32>) -> u32 { x.expect(\"msg\") }\n\
-                   fn h() { panic!(\"boom\") }\n\
-                   fn ok1(x: Option<u32>) -> u32 { x.unwrap_or(0) }\n\
-                   fn ok2(x: Result<u32, u32>) -> u32 { x.unwrap_or_else(|_| 0) }\n\
-                   fn ok3(x: Result<u32, u32>) -> u32 { x.expect_err(\"e\") }\n";
-        let f = lib_scan(src);
-        assert_eq!(rules_of(&f), vec!["unwrap-in-library"; 3], "{f:?}");
-        assert_eq!(f.iter().map(|x| x.line).collect::<Vec<_>>(), vec![1, 2, 3]);
-    }
-
-    #[test]
     fn test_modules_are_skipped() {
         let src = "pub fn lib() {}\n\
                    #[cfg(test)]\nmod tests {\n\
-                   #[test]\nfn t() { None::<u32>.unwrap(); println!(\"x\"); }\n}\n";
+                   #[test]\nfn t() { l.ingest_columns(b, e); g.friends_mut(); }\n}\n";
         assert!(lib_scan(src).is_empty());
     }
 
     #[test]
     fn strings_and_comments_do_not_trip_rules() {
-        let src = "fn f() -> &'static str { \".unwrap() println! Instant\" }\n\
-                   // .unwrap() in a comment\n\
-                   /* panic! in a block comment */\n";
+        let src = "fn f() -> &'static str { \".ingest_columns( .friends_mut(\" }\n\
+                   // .ingest_columns( in a comment\n\
+                   /* .friends_mut( in a block comment */\n";
         assert!(lib_scan(src).is_empty());
-    }
-
-    #[test]
-    fn ambient_time_scoped_by_crate() {
-        let src = "use std::time::Instant;\nfn f() { let _ = Instant::now(); }\n";
-        let in_sim = scan_source("crates/sim/src/x.rs", "likelab-sim", FileKind::Library, src);
-        assert_eq!(rules_of(&in_sim), vec!["ambient-time"; 2]);
-        let in_obs = scan_source("crates/obs/src/x.rs", "likelab-obs", FileKind::Library, src);
-        assert!(in_obs.is_empty());
-        let in_bench = scan_source(
-            "crates/bench/src/lib.rs",
-            "likelab-bench",
-            FileKind::Library,
-            src,
-        );
-        assert!(in_bench.is_empty());
-    }
-
-    #[test]
-    fn ambient_randomness_flags_entropy_sources() {
-        let src = "fn f() { let r = thread_rng(); }\n\
-                   fn g() { let s = std::collections::hash_map::RandomState::new(); }\n";
-        assert_eq!(rules_of(&lib_scan(src)), vec!["ambient-randomness"; 2]);
     }
 
     #[test]
@@ -1237,15 +1001,6 @@ mod tests {
         let src = "fn f(streams: &[Rng]) -> Vec<u64> {\n\
                    parallel_map(Exec::auto(), streams, |rng| rng.clone().next_u64())\n}\n";
         assert!(lib_scan(src).is_empty(), "{:?}", lib_scan(src));
-    }
-
-    #[test]
-    fn stdout_flagged_in_library_not_binary() {
-        let src =
-            "pub fn f() { println!(\"tables\"); print!(\"x\"); dbg!(3); eprintln!(\"ok\"); }\n";
-        assert_eq!(rules_of(&lib_scan(src)), vec!["stdout-in-library"]);
-        let as_bin = scan_source("src/main.rs", "likelab", FileKind::Binary, src);
-        assert!(as_bin.is_empty());
     }
 
     #[test]
@@ -1285,7 +1040,6 @@ mod tests {
         assert!(lib_scan(in_test).is_empty());
         let as_bin = scan_source(
             "src/main.rs",
-            "likelab",
             FileKind::Binary,
             "fn f() { ledger.ingest_columns(&batch, exec); }\n",
         );
@@ -1294,14 +1048,14 @@ mod tests {
 
     #[test]
     fn list_rules_is_consistent() {
-        assert!(is_known_rule("unwrap-in-library"));
+        assert!(is_known_rule("nondeterministic-iteration"));
         assert!(is_known_rule("log-bypass"));
         assert!(is_known_rule("rng-escapes-parallel"));
         assert!(is_known_rule("panic-reachable-from-serve"));
         assert!(is_known_rule("float-order-sensitivity"));
         assert!(is_known_rule("alloc-in-hot-loop"));
         assert!(!is_known_rule("made-up-rule"));
-        assert_eq!(RULES.len(), 11);
+        assert_eq!(RULES.len(), 7);
         for r in RULES {
             assert!(!r.explain.is_empty(), "{} has no explanation", r.id);
             assert!(

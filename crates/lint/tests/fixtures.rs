@@ -1,9 +1,9 @@
 //! End-to-end fixtures for the analyzer: a synthetic workspace is written
 //! to a temp directory and linted through the public [`likelab_lint::run`]
-//! entry point, covering discovery, rule firing with exact lines, pragma
-//! suppression, and the full baseline lifecycle (accept / fresh / stale).
+//! entry point, covering discovery, rule firing with exact lines, and
+//! pragma suppression.
 
-use likelab_lint::{run, Options};
+use likelab_lint::run;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -65,12 +65,12 @@ pub fn totals(m: &HashMap<String, u64>) -> Vec<u64> {
     out
 }
 
-pub fn stamp() -> std::time::Instant {
-    std::time::Instant::now()
+pub fn draws(rng: &Rng, items: &[u32]) -> Vec<u64> {
+    parallel_map(Exec::auto(), items, |_x| rng.clone().next_u64())
 }
 
-pub fn pick(xs: &[u64]) -> u64 {
-    *xs.first().unwrap()
+pub fn bypass(ledger: &mut LikeLedger, batch: &LikeColumns) {
+    ledger.ingest_columns(batch, Exec::Sequential);
 }
 ";
 
@@ -78,7 +78,7 @@ pub fn pick(xs: &[u64]) -> u64 {
 fn known_bad_crate_yields_expected_rules_and_lines() {
     let fx = Fixture::new("known-bad");
     fx.add_crate("demo", BAD_LIB);
-    let report = run(fx.path(), &Options::default()).expect("lint run");
+    let report = run(fx.path()).expect("lint run");
     assert_eq!(report.files_scanned, 1);
 
     let got: Vec<(&str, usize)> = report.findings.iter().map(|f| (f.rule, f.line)).collect();
@@ -86,10 +86,8 @@ fn known_bad_crate_yields_expected_rules_and_lines() {
         got,
         vec![
             ("nondeterministic-iteration", 5),
-            // Both the signature exposing `Instant` and the `now()` call.
-            ("ambient-time", 11),
-            ("ambient-time", 12),
-            ("unwrap-in-library", 16),
+            ("rng-shared-across-parallel", 12),
+            ("log-bypass", 16),
         ],
         "unexpected findings: {:?}",
         report.findings
@@ -115,98 +113,50 @@ pub fn totals(m: &HashMap<String, u64>) -> u64 {
     total
 }
 
-pub fn pick(xs: &[u64]) -> u64 {
-    *xs.first().unwrap() // lint:allow(unwrap-in-library)
+pub fn pick(ledger: &mut LikeLedger, batch: &LikeColumns) {
+    ledger.ingest_columns(batch, Exec::Sequential); // lint:allow(log-bypass)
 }
 
-pub fn pick2(xs: &[u64]) -> u64 {
+pub fn pick2(ledger: &mut LikeLedger, batch: &LikeColumns) {
     // lint:allow(nondeterministic-iteration): wrong rule, must not suppress.
-    *xs.first().unwrap()
+    ledger.ingest_columns(batch, Exec::Sequential);
 }
 ";
     let fx_crate = "demo";
     fx.add_crate(fx_crate, src);
-    let report = run(fx.path(), &Options::default()).expect("lint run");
+    let report = run(fx.path()).expect("lint run");
     let got: Vec<(&str, usize)> = report.findings.iter().map(|f| (f.rule, f.line)).collect();
     assert_eq!(
         got,
-        vec![("unwrap-in-library", 18)],
+        vec![("log-bypass", 18)],
         "only the mismatched pragma site stays live: {:?}",
         report.findings
     );
 }
 
 #[test]
-fn baseline_lifecycle_accepts_then_catches_fresh_then_reports_stale() {
-    let fx = Fixture::new("baseline");
-    fx.add_crate("demo", BAD_LIB);
-    let opts = Options {
-        baseline: Some("lint-baseline.json".into()),
-        update_baseline: false,
-    };
-
-    // 1. Update: every current finding lands in the baseline, report clean.
-    let update = Options {
-        update_baseline: true,
-        ..opts.clone()
-    };
-    let report = run(fx.path(), &update).expect("baseline update");
-    assert!(report.is_clean());
-    assert_eq!(report.baselined.len(), 4);
-    assert!(fx.path().join("lint-baseline.json").exists());
-
-    // 2. Re-run against the baseline: clean, nothing fresh, nothing stale.
-    let report = run(fx.path(), &opts).expect("baselined run");
-    assert!(report.is_clean());
-    assert_eq!(report.findings.len(), 0);
-    assert_eq!(report.baselined.len(), 4);
-    assert_eq!(report.stale_baseline.len(), 0);
-
-    // 3. Seed a brand-new forbidden pattern: exactly it comes back fresh,
-    //    named by rule, file, and line.
-    let seeded = format!("{BAD_LIB}\npub fn seeded() {{\n    println!(\"boom\");\n}}\n");
-    fx.write("crates/demo/src/lib.rs", &seeded);
-    let report = run(fx.path(), &opts).expect("seeded run");
-    assert!(!report.is_clean());
-    assert_eq!(report.findings.len(), 1);
-    assert_eq!(report.findings[0].rule, "stdout-in-library");
-    assert_eq!(report.findings[0].file, "crates/demo/src/lib.rs");
-    assert_eq!(report.findings[0].line, 20);
-
-    // 4. Fix everything: clean again, and the baseline's dead entries are
-    //    counted as stale so it can be re-tightened.
-    fx.write(
-        "crates/demo/src/lib.rs",
-        "pub fn fine() -> u64 {\n    7\n}\n",
-    );
-    let report = run(fx.path(), &opts).expect("fixed run");
-    assert!(report.is_clean());
-    assert_eq!(report.stale_baseline.len(), 4);
-}
-
-#[test]
 fn tests_benches_and_binaries_get_the_right_scope() {
     let fx = Fixture::new("scope");
     // Integration tests and benches are never scanned; a crate binary is
-    // scanned but stdout/unwrap rules do not apply there.
+    // scanned but the library-only log-bypass rule does not apply there.
     fx.add_crate("demo", "pub fn fine() {}\n");
     fx.write(
         "crates/demo/tests/it.rs",
-        "fn main() { Vec::<u8>::new().first().unwrap(); }\n",
+        "fn main() { ledger.ingest_columns(&batch, exec); }\n",
     );
     fx.write(
         "crates/demo/benches/b.rs",
-        "fn main() { println!(\"bench\"); }\n",
+        "fn main() { world.friends_mut(); }\n",
     );
     fx.write(
         "crates/demo/src/main.rs",
-        "fn main() {\n    println!(\"cli output is fine\");\n    let x: Option<u8> = None;\n    x.unwrap();\n}\n",
+        "fn main() {\n    ledger.ingest_columns(&batch, exec);\n}\n",
     );
-    let report = run(fx.path(), &Options::default()).expect("lint run");
+    let report = run(fx.path()).expect("lint run");
     assert_eq!(report.files_scanned, 2, "lib.rs and main.rs only");
     assert!(
         report.findings.is_empty(),
-        "binaries may print and unwrap: {:?}",
+        "binaries may call the ledger directly: {:?}",
         report.findings
     );
 
@@ -215,23 +165,7 @@ fn tests_benches_and_binaries_get_the_right_scope() {
         "crates/demo/src/main.rs",
         "use std::collections::HashSet;\nfn main() {\n    let s: HashSet<u8> = HashSet::new();\n    for v in &s {\n        eprintln!(\"{v}\");\n    }\n}\n",
     );
-    let report = run(fx.path(), &Options::default()).expect("lint run");
+    let report = run(fx.path()).expect("lint run");
     let got: Vec<(&str, usize)> = report.findings.iter().map(|f| (f.rule, f.line)).collect();
     assert_eq!(got, vec![("nondeterministic-iteration", 4)]);
-}
-
-#[test]
-fn corrupt_baseline_is_a_hard_error_not_a_silent_pass() {
-    let fx = Fixture::new("corrupt");
-    fx.add_crate("demo", BAD_LIB);
-    fx.write("lint-baseline.json", "{ not json ");
-    let opts = Options {
-        baseline: Some("lint-baseline.json".into()),
-        update_baseline: false,
-    };
-    let err = run(fx.path(), &opts).expect_err("corrupt baseline must fail");
-    assert!(
-        err.contains("lint-baseline.json"),
-        "error names the file: {err}"
-    );
 }

@@ -6,7 +6,7 @@
 
 use likelab_lint::callgraph::{match_entries, CallGraph, FnNode};
 use likelab_lint::rules::SERVE_ENTRY_POINTS;
-use likelab_lint::{run, Options};
+use likelab_lint::run;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -100,7 +100,7 @@ fn fan_out(sampler: &Rng, items: &[u32]) -> Vec<u64> {
 fn rng_escape_fires_across_the_call_chain_with_path() {
     let fx = Fixture::new("rng-bad");
     fx.add_crate("study", RNG_ESCAPE_BAD);
-    let report = run(fx.path(), &Options::default()).expect("lint run");
+    let report = run(fx.path()).expect("lint run");
     let hits = findings_for(&report, "rng-escapes-parallel");
     assert_eq!(hits.len(), 1, "findings: {:?}", report.findings);
     let f = hits[0];
@@ -122,7 +122,7 @@ fn rng_escape_fires_across_the_call_chain_with_path() {
 fn rng_escape_stays_silent_when_the_closure_splits() {
     let fx = Fixture::new("rng-good");
     fx.add_crate("study", RNG_ESCAPE_GOOD);
-    let report = run(fx.path(), &Options::default()).expect("lint run");
+    let report = run(fx.path()).expect("lint run");
     assert!(
         findings_for(&report, "rng-escapes-parallel").is_empty(),
         "split inside the span is the sanctioned fix: {:?}",
@@ -176,7 +176,7 @@ fn panic_below_serve_is_found_with_its_call_path() {
     fx.add_crate("served", SERVE_BAD_LIB);
     fx.write("crates/served/src/serve.rs", SERVE_BAD_SERVE);
     fx.write("crates/served/src/wire.rs", SERVE_BAD_WIRE);
-    let report = run(fx.path(), &Options::default()).expect("lint run");
+    let report = run(fx.path()).expect("lint run");
     let hits = findings_for(&report, "panic-reachable-from-serve");
     assert_eq!(hits.len(), 1, "findings: {:?}", report.findings);
     let f = hits[0];
@@ -213,7 +213,7 @@ fn an_assert_below_serve_fires_and_a_debug_assert_does_not() {
     fx.add_crate("served", SERVE_BAD_LIB);
     fx.write("crates/served/src/serve.rs", SERVE_BAD_SERVE);
     fx.write("crates/served/src/wire.rs", SERVE_ASSERT_WIRE);
-    let report = run(fx.path(), &Options::default()).expect("lint run");
+    let report = run(fx.path()).expect("lint run");
     let hits = findings_for(&report, "panic-reachable-from-serve");
     let lines: Vec<usize> = hits.iter().map(|f| f.line).collect();
     assert_eq!(
@@ -231,7 +231,7 @@ fn serve_reachability_is_silent_once_the_panic_degrades() {
     fx.add_crate("served", SERVE_BAD_LIB);
     fx.write("crates/served/src/serve.rs", SERVE_BAD_SERVE);
     fx.write("crates/served/src/wire.rs", SERVE_GOOD_WIRE);
-    let report = run(fx.path(), &Options::default()).expect("lint run");
+    let report = run(fx.path()).expect("lint run");
     assert!(
         findings_for(&report, "panic-reachable-from-serve").is_empty(),
         "no panic left below the entry point: {:?}",
@@ -290,7 +290,7 @@ fn bound_name_fixture(tag: &str, pool: &str) -> Fixture {
 #[test]
 fn a_bare_call_links_the_workspace_fn_of_that_name() {
     let fx = bound_name_fixture("bound-bad", BOUND_POOL_BAD);
-    let report = run(fx.path(), &Options::default()).expect("lint run");
+    let report = run(fx.path()).expect("lint run");
     let hits = findings_for(&report, "panic-reachable-from-serve");
     assert_eq!(hits.len(), 1, "findings: {:?}", report.findings);
     assert_eq!(hits[0].file, "crates/tool/src/lib.rs");
@@ -301,7 +301,7 @@ fn a_bare_call_links_the_workspace_fn_of_that_name() {
 #[test]
 fn a_bare_call_to_a_closure_or_parameter_links_nothing() {
     let fx = bound_name_fixture("bound-good", BOUND_POOL_GOOD);
-    let report = run(fx.path(), &Options::default()).expect("lint run");
+    let report = run(fx.path()).expect("lint run");
     assert!(
         findings_for(&report, "panic-reachable-from-serve").is_empty(),
         "`run` is the caller's own closure or parameter: {:?}",
@@ -335,7 +335,7 @@ pub fn total(scores: &BTreeMap<u32, f64>) -> f64 {
 fn float_sum_over_hash_iteration_fires_where_iteration_rule_is_silent() {
     let fx = Fixture::new("float-bad");
     fx.add_crate("stats", FLOAT_BAD);
-    let report = run(fx.path(), &Options::default()).expect("lint run");
+    let report = run(fx.path()).expect("lint run");
     let hits = findings_for(&report, "float-order-sensitivity");
     assert_eq!(hits.len(), 1, "findings: {:?}", report.findings);
     assert_eq!(hits[0].line, 4);
@@ -349,7 +349,7 @@ fn float_sum_over_hash_iteration_fires_where_iteration_rule_is_silent() {
 fn float_sum_over_ordered_map_is_silent() {
     let fx = Fixture::new("float-good");
     fx.add_crate("stats", FLOAT_GOOD);
-    let report = run(fx.path(), &Options::default()).expect("lint run");
+    let report = run(fx.path()).expect("lint run");
     assert!(
         report.findings.is_empty(),
         "ordered iteration is fine: {:?}",
@@ -392,7 +392,7 @@ pub fn scatter(xs: &[u32]) -> u64 {
 fn alloc_inside_a_hot_loop_fires_on_the_alloc_line() {
     let fx = Fixture::new("alloc-bad");
     fx.add_crate("ledger", ALLOC_BAD);
-    let report = run(fx.path(), &Options::default()).expect("lint run");
+    let report = run(fx.path()).expect("lint run");
     let hits = findings_for(&report, "alloc-in-hot-loop");
     assert_eq!(hits.len(), 1, "findings: {:?}", report.findings);
     assert_eq!(hits[0].line, 5);
@@ -403,7 +403,7 @@ fn alloc_inside_a_hot_loop_fires_on_the_alloc_line() {
 fn hoisted_alloc_outside_the_loop_is_silent() {
     let fx = Fixture::new("alloc-good");
     fx.add_crate("ledger", ALLOC_GOOD);
-    let report = run(fx.path(), &Options::default()).expect("lint run");
+    let report = run(fx.path()).expect("lint run");
     assert!(
         report.findings.is_empty(),
         "hoist-and-clear is the sanctioned fix: {:?}",
@@ -412,7 +412,7 @@ fn hoisted_alloc_outside_the_loop_is_silent() {
 }
 
 // ---------------------------------------------------------------------------
-// pragmas + baseline interplay for workspace rules
+// pragmas for workspace rules
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -423,7 +423,7 @@ fn workspace_rules_respect_pragmas() {
         "        // lint:allow(alloc-in-hot-loop): tiny, measured, reused nowhere\n        let mut buf = Vec::new();",
     );
     fx.add_crate("ledger", &src);
-    let report = run(fx.path(), &Options::default()).expect("lint run");
+    let report = run(fx.path()).expect("lint run");
     assert!(
         findings_for(&report, "alloc-in-hot-loop").is_empty(),
         "pragma silences the workspace rule too: {:?}",
@@ -431,33 +431,8 @@ fn workspace_rules_respect_pragmas() {
     );
 }
 
-#[test]
-fn baseline_records_the_call_path_for_pathed_findings() {
-    let fx = Fixture::new("baseline-path");
-    fx.add_crate("served", SERVE_BAD_LIB);
-    fx.write("crates/served/src/serve.rs", SERVE_BAD_SERVE);
-    fx.write("crates/served/src/wire.rs", SERVE_BAD_WIRE);
-    let update = Options {
-        baseline: Some("lint-baseline.json".into()),
-        update_baseline: true,
-    };
-    run(fx.path(), &update).expect("baseline update");
-    let text = fs::read_to_string(fx.path().join("lint-baseline.json")).expect("read baseline");
-    assert!(
-        text.contains("\"path\": [\"serve\", \"decode\", \"frame_len\"]"),
-        "baseline carries the witness chain: {text}"
-    );
-    // And the baselined workspace is clean on the next run.
-    let check = Options {
-        baseline: Some("lint-baseline.json".into()),
-        update_baseline: false,
-    };
-    let report = run(fx.path(), &check).expect("baselined run");
-    assert!(report.is_clean(), "fresh: {:?}", report.findings);
-}
-
 // ---------------------------------------------------------------------------
-// self-scan: the real workspace stays clean under its own baseline
+// self-scan: the real workspace stays clean
 // ---------------------------------------------------------------------------
 
 fn workspace_root() -> PathBuf {
@@ -470,30 +445,13 @@ fn workspace_root() -> PathBuf {
 
 #[test]
 fn the_workspace_lints_itself_clean() {
-    let root = workspace_root();
-    let opts = Options {
-        baseline: Some("lint-baseline.json".into()),
-        update_baseline: false,
-    };
-    let report = run(&root, &opts).expect("self scan");
+    let report = run(&workspace_root()).expect("self scan");
+    // Hazards are fixed at the source or carry an inline invariant pragma.
     assert!(
         report.is_clean(),
-        "the tree must lint clean under the checked-in baseline: {:?}",
+        "the tree must lint clean: {:?}",
         report.findings
     );
-    assert!(
-        report.stale_baseline.is_empty(),
-        "baseline entries must all still exist: {:?}",
-        report.stale_baseline
-    );
-    // The interprocedural rules hold a zero baseline: hazards are fixed at
-    // the source (or carry an inline invariant pragma), never grandfathered.
-    for f in &report.baselined {
-        assert_eq!(
-            f.rule, "unwrap-in-library",
-            "only the legacy unwrap debt may be baselined: {f:?}"
-        );
-    }
 }
 
 /// The serve rule only checks what the call graph reaches. The path that

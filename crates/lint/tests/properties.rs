@@ -30,7 +30,7 @@ proptest! {
     fn front_end_never_panics(src in source_soup()) {
         let masked = tokenizer::mask(&src);
         let _ = parse::parse(&masked);
-        let _ = rules::scan_source("crates/x/src/lib.rs", "x", FileKind::Library, &src);
+        let _ = rules::scan_source("crates/x/src/lib.rs", FileKind::Library, &src);
     }
 
     /// Masking preserves the line/column shape of the file exactly: same

@@ -48,6 +48,17 @@
 //! likelab_obs::disable();
 //! ```
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::dbg_macro
+)]
+// Measuring wall time is this crate's job; what it measures never feeds a
+// simulation result.
+#![allow(clippy::disallowed_types)]
+
 pub mod export;
 pub mod metrics;
 pub mod shard;

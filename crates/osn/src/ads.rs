@@ -152,6 +152,9 @@ pub fn plan_campaign(
         let day_start = launch + SimDuration::days(day);
         let allocation = market.allocate(spec.daily_budget_cents, &initial_depths);
         for (country, budget) in allocation {
+            // `allocate` splits the budget over `initial_depths`, which
+            // lists exactly the countries of `pools`.
+            #[allow(clippy::expect_used)]
             let idx = pools
                 .iter()
                 .position(|(c, _)| *c == country)

@@ -53,6 +53,7 @@ impl AdMarket {
     ///
     /// # Panics
     /// Panics for a country missing from the table (a config error).
+    #[allow(clippy::panic)]
     pub fn base_cost(&self, country: Country) -> f64 {
         self.cost_per_like_cents
             .iter()

@@ -23,6 +23,14 @@
 //!
 //! All of it hangs off one mutable [`OsnWorld`].
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::dbg_macro
+)]
+
 pub mod account;
 pub mod ads;
 pub mod auction;

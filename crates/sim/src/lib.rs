@@ -36,6 +36,14 @@
 //! assert_eq!(polls, 13); // 0h, 2h, ..., 24h
 //! ```
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::dbg_macro
+)]
+
 pub mod dist;
 pub mod engine;
 pub mod event;

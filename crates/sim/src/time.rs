@@ -198,6 +198,9 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    // Like integer `-` with overflow checks: a negative duration is a bug
+    // in the caller, and `saturating_sub` is the form that clamps.
+    #[allow(clippy::expect_used)]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0

@@ -23,6 +23,8 @@ fn main() {
     let scale: f64 = args.next().map(|s| s.parse().unwrap()).unwrap_or(1.0);
     let seed: u64 = args.next().map(|s| s.parse().unwrap()).unwrap_or(42);
     eprintln!("generating EXPERIMENTS.md from a seed={seed}, scale={scale} run...");
+    // Wall time of the run, for the progress line on stderr only.
+    #[allow(clippy::disallowed_types)]
     let started = std::time::Instant::now();
     let o = run_study(&StudyConfig::paper(seed, scale));
     eprintln!("study done in {:.1}s", started.elapsed().as_secs_f64());

@@ -31,6 +31,14 @@
 //! - [`core`] — paper constants, campaign presets, the study runner, and
 //!   the reproduction shape checklist.
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::print_stdout,
+    clippy::dbg_macro
+)]
+
 pub use likelab_analysis as analysis;
 pub use likelab_core as core;
 pub use likelab_detect as detect;

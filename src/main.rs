@@ -8,8 +8,10 @@
 //! likelab export DIR [--preset P] [--scale S] [--seed N]   write JSON, DOT, and SVG artifacts
 //! likelab sweep      [--seeds N] [--scales A,B]    multi-seed study sweep with aggregates
 //! likelab paper                                    print the published tables
-//! likelab lint       [--format human|json|sarif] [--update-baseline]   determinism & hygiene analyzer
 //! ```
+//!
+//! The determinism & hygiene analyzer is its own binary, `likelab-lint`
+//! (`cargo run -p likelab-lint`; rules in LINTS.md).
 //!
 //! `run` and `checklist` are event-sourced: `--log-out FILE` streams the
 //! binary world log, `--checkpoint-every N` + `--checkpoint-dir DIR` freeze the run
@@ -291,11 +293,7 @@ fn usage() -> &'static str {
      \x20 likelab export DIR [--preset P] [--scale S] [--seed N]   run + write report.json, dataset.json, DOT, SVGs\n\
      \x20 likelab sweep [--seeds N] [--scales A,B,..] run N seeds per scale, aggregate mean/std/CI\n\
      \x20               [--seed M] [--out FILE] [--sequential]\n\
-     \x20 likelab paper                               print the paper's published tables\n\
-     \x20 likelab lint  [--format human|json|sarif] [--baseline FILE | --no-baseline]\n\
-     \x20               [--update-baseline] [--list-rules] [--explain RULE]\n\
-     \x20               determinism & hygiene analyzer (rules in LINTS.md);\n\
-     \x20               uses lint-baseline.json by default, exit 1 on new findings\n\n\
+     \x20 likelab paper                               print the paper's published tables\n\n\
      Observability (run, checklist, sweep — see OBSERVABILITY.md):\n\
      \x20 --timing             print per-phase wall-time, counters, histograms\n\
      \x20 --metrics-out FILE   write counters/histograms/span aggregates as JSON\n\
@@ -614,87 +612,6 @@ fn cmd_sweep(opts: &Opts) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// `likelab lint` — run the determinism & hygiene analyzer over the
-/// workspace source. Thin front end over `likelab-lint` (same engine as the
-/// standalone CI binary); the checked-in `lint-baseline.json` is used by
-/// default when present. Rule catalog: LINTS.md.
-fn cmd_lint(args: &[String]) -> Result<ExitCode, String> {
-    enum LintFormat {
-        Human,
-        Json,
-        Sarif,
-    }
-    let mut format = LintFormat::Human;
-    let mut update_baseline = std::env::var("LIKELAB_UPDATE_LINT_BASELINE").as_deref() == Ok("1");
-    let mut baseline: Option<String> = None;
-    let mut no_baseline = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--format" => match it.next().map(String::as_str) {
-                Some("human") => format = LintFormat::Human,
-                Some("json") => format = LintFormat::Json,
-                Some("sarif") => format = LintFormat::Sarif,
-                _ => return Err("--format needs human|json|sarif".into()),
-            },
-            "--baseline" => {
-                let v = it.next().ok_or("--baseline needs a file path")?;
-                baseline = Some(v.clone());
-            }
-            "--no-baseline" => no_baseline = true,
-            "--update-baseline" => update_baseline = true,
-            "--list-rules" => {
-                for r in likelab_lint::rules::RULES {
-                    println!("{:28} {}", r.id, r.summary);
-                }
-                return Ok(ExitCode::SUCCESS);
-            }
-            "--explain" => {
-                let id = it.next().ok_or("--explain needs a rule id")?;
-                let Some(r) = likelab_lint::rules::RULES.iter().find(|r| r.id == id) else {
-                    let known: Vec<&str> =
-                        likelab_lint::rules::RULES.iter().map(|r| r.id).collect();
-                    return Err(format!(
-                        "unknown rule `{id}`; known rules: {}",
-                        known.join(", ")
-                    ));
-                };
-                println!("{}\n  {}\n\n{}", r.id, r.summary, r.explain);
-                return Ok(ExitCode::SUCCESS);
-            }
-            other => return Err(format!("unknown lint flag: {other}")),
-        }
-    }
-    let root = std::env::current_dir()
-        .ok()
-        .and_then(|d| likelab_lint::find_workspace_root(&d))
-        .ok_or("could not locate the workspace root (run from inside the repo)")?;
-    let baseline = if no_baseline {
-        None
-    } else {
-        baseline.or_else(|| {
-            root.join("lint-baseline.json")
-                .exists()
-                .then(|| "lint-baseline.json".to_string())
-        })
-    };
-    let opts = likelab_lint::Options {
-        baseline,
-        update_baseline,
-    };
-    let report = likelab_lint::run(&root, &opts)?;
-    match format {
-        LintFormat::Human => println!("{}", report.render_human()),
-        LintFormat::Json => println!("{}", report.render_json()),
-        LintFormat::Sarif => println!("{}", report.render_sarif()),
-    }
-    Ok(if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
-}
-
 fn cmd_paper() -> ExitCode {
     println!("Published Table 1 (IMC 2014):");
     println!(
@@ -752,15 +669,6 @@ fn main() -> ExitCode {
         println!("{}", usage());
         return ExitCode::SUCCESS;
     };
-    if cmd == "lint" {
-        return match cmd_lint(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}\n\n{}", usage());
-                ExitCode::FAILURE
-            }
-        };
-    }
     let opts = match parse_opts(&args[1..]) {
         Ok(o) => o,
         Err(e) => {

@@ -228,6 +228,9 @@ fn a_checkpoint_queue_with_colliding_seqs_is_a_structured_error() {
             .expect("the checkpoint was taken mid-loop, with events queued");
         *field(doc, "now") = Value::UInt(earliest + 1);
     }
+    fn fired_at_the_limit(doc: &mut Value) {
+        *field(doc, "fired") = Value::UInt(u64::MAX);
+    }
     fn next_seq_one_low(doc: &mut Value) {
         shift(doc, "next_seq", -1);
     }
@@ -350,6 +353,11 @@ fn a_checkpoint_queue_with_colliding_seqs_is_a_structured_error() {
             "now = earliest queued entry + 1 s",
             now_past_the_earliest_entry,
             "is earlier than the clock",
+        ),
+        (
+            "fired = 2^64 - 1",
+            fired_at_the_limit,
+            "fired 18446744073709551615 is within 2^32",
         ),
         (
             "next_seq - 1",

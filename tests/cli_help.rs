@@ -82,7 +82,14 @@ fn help_names_every_event_sourcing_flag() {
         assert!(help.contains(needle), "help must mention {needle}");
     }
     // Flags whose machinery is gone must not be advertised.
-    for gone in ["--log-format", "--from-seq", "--cache", "jsonl"] {
+    for gone in [
+        "--log-format",
+        "--from-seq",
+        "--cache",
+        "jsonl",
+        "--update-baseline",
+        "--no-baseline",
+    ] {
         assert!(!help.contains(gone), "help must not mention {gone}");
     }
 }
