@@ -12,8 +12,8 @@
 //!   one relaxed atomic load of a global flag ([`enabled`]); when the flag
 //!   is clear, [`span::enter`] returns an inert guard and
 //!   [`metrics::counter`]/[`metrics::record_ns`] return immediately —
-//!   no allocation, no locking, no clock read. The `obs` bench measures
-//!   both states.
+//!   no allocation, no locking, no clock read. A traced benchmark run
+//!   reports the enabled cost as `trace.overhead_frac`.
 //! - **Per-thread shards.** When enabled, each thread writes counters,
 //!   histograms, span aggregates, and its span ring buffer into its *own*
 //!   shard, so instrumented worker pools never contend with each other on

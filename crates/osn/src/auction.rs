@@ -10,7 +10,7 @@
 //! For worldwide targeting the allocator is sharply winner-take-most: cheap,
 //! deep markets swallow nearly the whole budget — that is precisely how a
 //! worldwide campaign ends up 96% Indian. The sharpness exponent is a
-//! calibrated knob (ablated in the bench suite).
+//! calibrated knob (ablation A4 in EXPERIMENTS.md).
 
 use crate::demographics::Country;
 use likelab_sim::Rng;

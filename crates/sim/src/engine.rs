@@ -1,10 +1,11 @@
 //! The simulation driver.
 //!
 //! [`Engine`] owns the clock and the event queue; the orchestration layer
-//! (the honeypot study) supplies the event type and a handler. The engine
-//! enforces the fundamental discrete-event invariant: the clock never moves
-//! backwards, and events scheduled in the past are rejected loudly rather
-//! than silently reordered.
+//! (the honeypot study) supplies the event type and dispatches each event
+//! it takes with [`Engine::step`]. The engine enforces the fundamental
+//! discrete-event invariant: the clock never moves backwards, and events
+//! scheduled in the past are rejected loudly rather than silently
+//! reordered.
 
 use crate::queue::EventQueue;
 use crate::time::SimTime;
@@ -40,11 +41,6 @@ impl<E> Engine<E> {
     /// Number of events dispatched so far.
     pub fn fired(&self) -> u64 {
         self.fired
-    }
-
-    /// Number of events still pending.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
     }
 
     /// The underlying queue (read-only) — lets checkpointing snapshot the
@@ -101,40 +97,6 @@ impl<E> Engine<E> {
         self.now = last;
         self.fired += events;
     }
-
-    /// Run until the queue drains or the clock would pass `end`, dispatching
-    /// each event to `handler`. Events at exactly `end` still fire. The
-    /// handler may schedule further events through the engine it receives.
-    ///
-    /// Returns the number of events dispatched by this call.
-    pub fn run_until<F>(&mut self, end: SimTime, mut handler: F) -> u64
-    where
-        F: FnMut(&mut Engine<E>, SimTime, E),
-    {
-        let before = self.fired;
-        while self.peek_time().is_some_and(|at| at <= end) {
-            let Some((at, ev)) = self.step() else { break };
-            handler(self, at, ev);
-        }
-        // The clock still advances to `end` even if the tail was quiet, so a
-        // subsequent run starts from where the caller said the world stands.
-        if end > self.now {
-            self.now = end;
-        }
-        self.fired - before
-    }
-
-    /// Run until the queue fully drains.
-    pub fn run_to_completion<F>(&mut self, mut handler: F) -> u64
-    where
-        F: FnMut(&mut Engine<E>, SimTime, E),
-    {
-        let before = self.fired;
-        while let Some((at, ev)) = self.step() {
-            handler(self, at, ev);
-        }
-        self.fired - before
-    }
 }
 
 #[cfg(test)]
@@ -153,53 +115,33 @@ mod tests {
         e.schedule(SimTime::at_day(1), Ev::Tick(1));
         e.schedule(SimTime::at_day(2), Ev::Tick(2));
         let mut seen = Vec::new();
-        e.run_to_completion(|eng, at, ev| {
-            assert_eq!(eng.now(), at);
+        while let Some((at, ev)) = e.step() {
+            assert_eq!(e.now(), at);
             seen.push((at.day(), ev));
-        });
+        }
         assert_eq!(seen, vec![(1, Ev::Tick(1)), (2, Ev::Tick(2))]);
         assert_eq!(e.fired(), 2);
     }
 
     #[test]
-    fn handler_can_reschedule() {
+    fn a_stepped_event_can_reschedule() {
         // A self-perpetuating 2-hour poll, the crawler's core pattern.
         let mut e: Engine<()> = Engine::new();
         e.schedule(SimTime::EPOCH, ());
         let mut polls = 0u32;
-        e.run_until(SimTime::at_day(1), |eng, at, ()| {
+        while e.peek_time().is_some_and(|at| at <= SimTime::at_day(1)) {
+            let Some((at, ())) = e.step() else { break };
             polls += 1;
-            eng.schedule(at + SimDuration::hours(2), ());
-        });
+            e.schedule(at + SimDuration::hours(2), ());
+        }
         // Polls at 0h, 2h, ..., 24h inclusive = 13.
         assert_eq!(polls, 13);
         assert_eq!(e.now(), SimTime::at_day(1));
-        assert_eq!(e.pending(), 1, "the 26h poll stays queued");
-    }
-
-    #[test]
-    fn run_until_advances_clock_even_when_quiet() {
-        let mut e: Engine<()> = Engine::new();
-        let n = e.run_until(SimTime::at_day(5), |_, _, ()| {});
-        assert_eq!(n, 0);
-        assert_eq!(e.now(), SimTime::at_day(5));
-    }
-
-    #[test]
-    fn events_exactly_at_end_fire() {
-        let mut e = Engine::new();
-        e.schedule(SimTime::at_day(3), Ev::Tick(3));
-        let mut hit = false;
-        e.run_until(SimTime::at_day(3), |_, _, _| hit = true);
-        assert!(hit);
-    }
-
-    #[test]
-    fn events_after_end_stay_pending() {
-        let mut e = Engine::new();
-        e.schedule(SimTime::at_day(3) + SimDuration::secs(1), Ev::Tick(3));
-        e.run_until(SimTime::at_day(3), |_, _, _| panic!("must not fire"));
-        assert_eq!(e.pending(), 1);
+        assert_eq!(
+            e.peek_time(),
+            Some(SimTime::at_day(1) + SimDuration::hours(2)),
+            "the 26h poll stays queued"
+        );
     }
 
     #[test]
@@ -207,7 +149,7 @@ mod tests {
     fn scheduling_into_the_past_panics() {
         let mut e = Engine::new();
         e.schedule(SimTime::at_day(1), Ev::Tick(1));
-        e.run_to_completion(|_, _, _| {});
+        e.step();
         e.schedule(SimTime::EPOCH, Ev::Tick(0));
     }
 
@@ -254,7 +196,7 @@ mod tests {
         for day in [1, 1, 2] {
             stepped.schedule(SimTime::at_day(day), ());
         }
-        stepped.run_to_completion(|_, _, ()| {});
+        while stepped.step().is_some() {}
         let mut run: Engine<()> = Engine::new();
         run.fire_run(SimTime::at_day(2), 3);
         assert_eq!((run.now(), run.fired()), (stepped.now(), stepped.fired()));
@@ -268,7 +210,9 @@ mod tests {
             e.schedule(SimTime::at_day(1), Ev::Tick(i));
         }
         let mut order = Vec::new();
-        e.run_to_completion(|_, _, Ev::Tick(i)| order.push(i));
+        while let Some((_, Ev::Tick(i))) = e.step() {
+            order.push(i);
+        }
         assert_eq!(order, (0..10).collect::<Vec<_>>());
     }
 }

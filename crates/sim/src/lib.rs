@@ -29,11 +29,14 @@
 //! let mut engine: Engine<&str> = Engine::new();
 //! engine.schedule(SimTime::EPOCH, "poll");
 //! let mut polls = 0;
-//! engine.run_until(SimTime::at_day(1), |eng, now, _| {
+//! while let Some((now, _)) = engine.step() {
 //!     polls += 1;
-//!     eng.schedule(now + SimDuration::hours(2), "poll");
-//! });
+//!     if now < SimTime::at_day(1) {
+//!         engine.schedule(now + SimDuration::hours(2), "poll");
+//!     }
+//! }
 //! assert_eq!(polls, 13); // 0h, 2h, ..., 24h
+//! assert_eq!(engine.now(), SimTime::at_day(1));
 //! ```
 
 #![warn(

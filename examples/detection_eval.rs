@@ -1,6 +1,7 @@
-//! Detection evaluation: run the honeypot study, then act as the platform
-//! operator — score every account with the combined detector, run the
-//! lockstep detector, and measure both against ground truth.
+//! Detection evaluation (DESIGN.md §3, D1): run the honeypot study, then
+//! act as the platform operator — score every account with the combined
+//! detector, run the lockstep detector and SybilRank from organic seeds,
+//! and measure all three against ground truth.
 //!
 //! Reproduces the paper's closing argument quantitatively: bot-burst farm
 //! accounts are easy to catch; BoostLikes-style stealth accounts score
@@ -11,8 +12,8 @@
 //! ```
 
 use likelab::detect::{
-    confusion_at, detect, extract, roc, score, BurstConfig, LockstepConfig, PositiveClass,
-    ScorerWeights,
+    confusion_at, detect, extract, roc, score, sybil_rank, BurstConfig, LockstepConfig,
+    PositiveClass, ScorerWeights, SybilRankConfig,
 };
 use likelab::graph::UserId;
 use likelab::osn::ActorClass;
@@ -68,8 +69,11 @@ fn main() {
     println!("  stealth sybils:        {stealth:.3}   <- the paper's hard case");
     println!("  organic users:         {organic:.3}");
     println!(
-        "stealth gap: stealth sybils score {:.1}x closer to organic than bots do",
-        ((bot - organic) / (stealth - organic).max(1e-6)).max(1.0)
+        "stealth gap: stealth sybils score {:.1}x closer to organic than bots do \
+         (stealth - organic {:+.3}, bots - organic {:+.3})",
+        (bot - organic).abs() / (stealth - organic).abs().max(1e-6),
+        stealth - organic,
+        bot - organic,
     );
 
     // --- recall per farm class ------------------------------------------------
@@ -119,4 +123,38 @@ fn main() {
             biggest.len()
         );
     }
+
+    // --- graph defense --------------------------------------------------------
+    let seeds: Vec<UserId> = outcome
+        .population
+        .organic
+        .iter()
+        .step_by(500)
+        .copied()
+        .collect();
+    let trust = sybil_rank(world.friends(), &seeds, &SybilRankConfig::default());
+    let mean_trust = |pred: &dyn Fn(ActorClass) -> bool| -> f64 {
+        let xs: Vec<f64> = world
+            .user_ids()
+            .filter(|u| pred(world.account(*u).class))
+            .map(|u| trust.trust(u))
+            .collect();
+        xs.iter().sum::<f64>() / xs.len().max(1) as f64
+    };
+    println!(
+        "\nsybilrank mean trust from {} organic seeds (every 500th organic account):",
+        seeds.len()
+    );
+    println!(
+        "  organic users:         {:.2e}",
+        mean_trust(&|c| c == ActorClass::Organic)
+    );
+    println!(
+        "  bot farm accounts:     {:.2e}",
+        mean_trust(&|c| matches!(c, ActorClass::Bot(_)))
+    );
+    println!(
+        "  stealth sybils:        {:.2e}",
+        mean_trust(&|c| matches!(c, ActorClass::StealthSybil(_)))
+    );
 }

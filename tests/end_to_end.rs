@@ -128,7 +128,8 @@ fn detection_catches_bots_but_not_stealth() {
         "detector should separate farms: AUC {auc_bots}"
     );
 
-    // Mean scores: bots far above organic, stealth close to organic.
+    // Mean scores: bots far above organic, stealth close to organic on
+    // either side (stealth sybils can score below organic accounts).
     let mean = |pred: &dyn Fn(ActorClass) -> bool| {
         let xs: Vec<f64> = scored
             .iter()
@@ -141,7 +142,7 @@ fn detection_catches_bots_but_not_stealth() {
     let stealth = mean(&|c| matches!(c, ActorClass::StealthSybil(_)));
     let organic = mean(&|c| c == ActorClass::Organic);
     assert!(
-        bots - organic > 2.0 * (stealth - organic),
+        bots - organic > 2.0 * (stealth - organic).abs(),
         "stealth should sit much closer to organic: bots {bots:.3}, stealth {stealth:.3}, organic {organic:.3}"
     );
 }
