@@ -25,7 +25,7 @@ use crate::record::{io_err, read_records, write_atomic, StudyError, StudyLog};
 use crate::replay::LogFold;
 use crate::study::{
     collect, event_loop, study_window, Capture, Ev, LoopState, PlannedLikes, RunOptions,
-    StudyConfig, StudyOutcome,
+    StudyConfig, StudyOutcome, FIRST_SWEEP,
 };
 use likelab_honeypot::PageMonitor;
 use likelab_osn::population::Population;
@@ -207,13 +207,26 @@ pub(crate) fn resume_study(opts: &RunOptions) -> Result<StudyOutcome, StudyError
             cp.monitors.len()
         )));
     }
-    for (_, _, ev) in &cp.queue {
-        if let Ev::Poll(i) = *ev {
-            if !matches!(cp.monitors.get(i), Some(Some(_))) {
+    // Set-up queues the first sweep at `launch + FIRST_SWEEP`, and a sweep
+    // queues the next only while it falls at or before `end`, so no sweep
+    // is ever queued later than both. One that is would overflow the clock
+    // when it queues the next.
+    let last_sweep = end.max(SimTime::from_secs(
+        launch.as_secs().saturating_add(FIRST_SWEEP.as_secs()),
+    ));
+    for (at, _, ev) in &cp.queue {
+        match *ev {
+            Ev::Poll(i) if !matches!(cp.monitors.get(i), Some(Some(_))) => {
                 return Err(refuse(format!(
                     "a poll of campaign #{i} is queued, but it has no monitor"
                 )));
             }
+            Ev::Sweep if *at > last_sweep => {
+                return Err(refuse(format!(
+                    "a sweep is queued at {at}, after {last_sweep}, the last time a sweep can be"
+                )));
+            }
+            _ => {}
         }
     }
     // The engine's clock only moves forward: a `now` before the launch (the

@@ -9,12 +9,11 @@
 //! [`replay`](crate::replay) reconstructs the final world and dataset
 //! byte-for-byte without re-running any model code.
 //!
-//! [`StudyLog`] is the append side: it assigns monotone sequence numbers,
-//! optionally streams frames to a binary sink on disk
-//! ([`FrameWriter`]), and keeps an
-//! in-memory copy for same-process replay. [`read_study_log`] is the read
-//! side: it streams the file through the log's one decoder,
-//! [`TailReader`].
+//! [`StudyLog`] is the append side: it assigns monotone sequence numbers
+//! and either keeps the records in memory, for same-process replay, or
+//! streams them as binary frames to a file ([`FrameWriter`]) and keeps
+//! none. [`read_study_log`] is the read side: it streams the file through
+//! the log's one decoder, [`TailReader`].
 
 use likelab_graph::PageId;
 use likelab_honeypot::{BaselineRecord, CrawlCoverage, LikerRecord, Observation};
@@ -190,40 +189,51 @@ pub fn config_from_header(header: &LogHeader) -> Result<crate::StudyConfig, Stud
         .map_err(|e| StudyError::Mismatch(format!("log header config: {e}")))
 }
 
-/// The append side of a study log: monotone sequence numbers, an optional
-/// streaming binary sink, and an in-memory record copy for same-process
-/// replay.
+/// The append side of a study log: monotone sequence numbers into one of
+/// two stores. An in-memory capture ([`StudyLog::in_memory`]) keeps every
+/// record, for same-process replay and serve. A file log
+/// ([`StudyLog::to_file`], [`StudyLog::resume_file`]) frames each record
+/// to disk and drops it, so it keeps no records and its memory does not
+/// grow with the log.
 pub struct StudyLog {
     header: LogHeader,
-    records: Vec<(u64, StudyRecord)>,
     next_seq: u64,
-    sink: Option<FrameWriter<BufWriter<File>>>,
-    sink_path: Option<PathBuf>,
+    store: LogStore,
+}
+
+/// Where a [`StudyLog`]'s records go.
+enum LogStore {
+    /// Every appended record, in order.
+    Memory(Vec<(u64, StudyRecord)>),
+    /// The binary sink, and the file it writes.
+    File {
+        sink: FrameWriter<BufWriter<File>>,
+        path: PathBuf,
+    },
 }
 
 impl StudyLog {
-    /// An in-memory log for `config`.
+    /// An in-memory capture for `config`.
     pub fn in_memory(config: &crate::StudyConfig) -> Result<Self, StudyError> {
         Ok(StudyLog {
             header: LogHeader::new(study_meta(config)?),
-            records: Vec::new(),
             next_seq: 0,
-            sink: None,
-            sink_path: None,
+            store: LogStore::Memory(Vec::new()),
         })
     }
 
-    /// A log that also streams binary frames to `path` (created/truncated).
+    /// A file log streaming binary frames to `path` (created/truncated).
     pub fn to_file(config: &crate::StudyConfig, path: &Path) -> Result<Self, StudyError> {
         let header = LogHeader::new(study_meta(config)?);
         let file = File::create(path).map_err(|e| io_err(path, e))?;
         let sink = FrameWriter::new(BufWriter::new(file), &header)?;
         Ok(StudyLog {
             header,
-            records: Vec::new(),
             next_seq: 0,
-            sink: Some(sink),
-            sink_path: Some(path.to_path_buf()),
+            store: LogStore::File {
+                sink,
+                path: path.to_path_buf(),
+            },
         })
     }
 
@@ -247,21 +257,23 @@ impl StudyLog {
         let sink = FrameWriter::resume(BufWriter::new(file), bytes, next_seq.checked_sub(1));
         Ok(StudyLog {
             header: LogHeader::new(study_meta(config)?),
-            records: Vec::new(),
             next_seq,
-            sink: Some(sink),
-            sink_path: Some(path.to_path_buf()),
+            store: LogStore::File {
+                sink,
+                path: path.to_path_buf(),
+            },
         })
     }
 
-    /// Append one record, returning its sequence number.
+    /// Append one record, returning its sequence number. A capture keeps
+    /// it; a file log frames it, writes it and drops it.
     pub fn append(&mut self, record: StudyRecord) -> Result<u64, StudyError> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        if let Some(sink) = &mut self.sink {
-            sink.append(seq, &record)?;
+        match &mut self.store {
+            LogStore::Memory(records) => records.push((seq, record)),
+            LogStore::File { sink, .. } => sink.append(seq, &record)?,
         }
-        self.records.push((seq, record));
         likelab_obs::metrics::counter("log.append", 1);
         Ok(seq)
     }
@@ -277,7 +289,7 @@ impl StudyLog {
     /// Flush the sink (no-op for in-memory logs). Call before pinning a
     /// checkpoint offset.
     pub fn flush(&mut self) -> Result<(), StudyError> {
-        if let Some(sink) = &mut self.sink {
+        if let LogStore::File { sink, .. } = &mut self.store {
             sink.flush()?;
         }
         Ok(())
@@ -290,12 +302,10 @@ impl StudyLog {
 
     /// Bytes written to the sink so far (0 for in-memory logs).
     pub fn bytes_written(&self) -> u64 {
-        self.sink.as_ref().map_or(0, FrameWriter::bytes_written)
-    }
-
-    /// The sink path, when streaming to disk.
-    pub fn sink_path(&self) -> Option<&Path> {
-        self.sink_path.as_deref()
+        match &self.store {
+            LogStore::Memory(_) => 0,
+            LogStore::File { sink, .. } => sink.bytes_written(),
+        }
     }
 
     /// The log header.
@@ -303,19 +313,32 @@ impl StudyLog {
         &self.header
     }
 
-    /// Records captured by *this process* (a resumed run only holds the
-    /// post-resume tail; the full stream lives in the sink file).
+    /// The records an in-memory capture holds. A file log holds none: its
+    /// records are in its file, which [`read_study_log`] reads.
     pub fn records(&self) -> &[(u64, StudyRecord)] {
-        &self.records
+        match &self.store {
+            LogStore::Memory(records) => records,
+            LogStore::File { .. } => &[],
+        }
     }
 
-    /// Encode the captured records through the binary framing (header,
-    /// length-prefixed checksummed frames) — the same bytes a streamed
-    /// sink would hold. Serve's parity test and the benchmark's
-    /// `serve_mixed` set-up use it to hold a log in memory.
+    /// Encode an in-memory capture through the binary framing (header,
+    /// length-prefixed checksummed frames) — the same bytes a file log
+    /// holds. Serve's parity test and the benchmark's `serve_mixed`
+    /// set-up use it to hold a log in memory. A file log keeps no records
+    /// to encode, so it is a [`StudyError::Mismatch`] naming its file.
     pub fn to_binary(&self) -> Result<Vec<u8>, StudyError> {
+        let records = match &self.store {
+            LogStore::Memory(records) => records,
+            LogStore::File { path, .. } => {
+                return Err(StudyError::Mismatch(format!(
+                    "a file log keeps no records; its bytes are in {}",
+                    path.display()
+                )))
+            }
+        };
         let mut out = FrameWriter::new(Vec::new(), &self.header)?;
-        for (seq, r) in &self.records {
+        for (seq, r) in records {
             out.append(*seq, r)?;
         }
         Ok(out.into_inner())

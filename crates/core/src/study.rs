@@ -159,10 +159,10 @@ pub struct StudyOutcome {
     pub honeypots: Vec<PageId>,
     /// Run journal (scam notes, sweep counts, crawl stats).
     pub trace: Trace,
-    /// The captured study log, when the run was logging (see
-    /// [`RunOptions::capture_log`]). For a resumed run this holds only the
-    /// records appended after the resume point; the full stream lives in
-    /// the checkpoint directory's `world.log`.
+    /// The study log, when the run was logging. With
+    /// [`RunOptions::capture_log`] it holds every record; a run that
+    /// streamed its log to a file (`log_out`, `checkpoint_dir`, a resume)
+    /// holds none, and the records are in that file.
     pub log: Option<StudyLog>,
 }
 
@@ -176,6 +176,10 @@ pub(crate) enum Ev {
     /// A platform anti-fraud sweep.
     Sweep,
 }
+
+/// How long after the launch the first anti-fraud sweep runs. Later
+/// sweeps follow every `sweep_interval` while they fall within the study.
+pub(crate) const FIRST_SWEEP: SimDuration = SimDuration::days(3);
 
 /// The planned likes still to fire. Set-up plans every like before it
 /// schedules the first poll or sweep, so the likes sit in one column beside
@@ -313,15 +317,18 @@ pub(crate) fn next_dispatch(
 pub struct RunOptions {
     /// Execution policy for the parallel stages (see [`run_study_with`]).
     pub exec: Exec,
-    /// Capture a [`StudyLog`] in memory, returned on
-    /// [`StudyOutcome::log`].
+    /// Capture a [`StudyLog`] in memory, every record of it, returned on
+    /// [`StudyOutcome::log`]. Mutually exclusive with `log_out` and
+    /// `checkpoint_dir`.
     pub capture_log: bool,
-    /// Stream the binary log to this file as the run goes. Implies
-    /// capture.
+    /// Stream the binary log to this file as the run goes. Each record is
+    /// written and dropped, so the run keeps no records in memory.
+    /// Mutually exclusive with `capture_log` and `checkpoint_dir`.
     pub log_out: Option<PathBuf>,
     /// Checkpoint directory. Enables checkpointing: the log streams to
-    /// `<dir>/world.log` and consumer state snapshots to
-    /// `<dir>/checkpoint.json`. Mutually exclusive with `log_out`.
+    /// `<dir>/world.log`, keeping no records in memory, and consumer state
+    /// snapshots to `<dir>/checkpoint.json`. Mutually exclusive with
+    /// `capture_log` and `log_out`.
     pub checkpoint_dir: Option<PathBuf>,
     /// Checkpoint cadence, in fired events (0 disables checkpoint writes).
     pub checkpoint_every: u64,
@@ -511,11 +518,21 @@ pub fn run_study_with(config: &StudyConfig, exec: Exec) -> StudyOutcome {
 /// This is the event-sourced entry point: with [`RunOptions::capture_log`]
 /// (or `log_out`/`checkpoint_dir`) set, every world mutation and
 /// measurement artifact is appended to a [`StudyLog`] as the run executes,
-/// and [`replay`](crate::replay::replay_study) reproduces the identical
+/// kept in memory or streamed to a file, and
+/// [`replay`](crate::replay::replay_study) reproduces the identical
 /// dataset and report from the log alone. With `checkpoint_dir` set the
 /// run can be killed and [resumed](RunOptions::resume) byte-identically.
+/// `capture_log` together with `log_out` or `checkpoint_dir` is a
+/// [`StudyError::Mismatch`]: a streamed log keeps no records to capture.
 pub fn run_study_opts(config: &StudyConfig, opts: &RunOptions) -> Result<StudyOutcome, StudyError> {
     likelab_obs::span!("study.run");
+    if opts.capture_log && (opts.log_out.is_some() || opts.checkpoint_dir.is_some()) {
+        return Err(StudyError::Mismatch(
+            "capture_log is mutually exclusive with log_out and checkpoint_dir; \
+             a log streamed to a file keeps no records in memory"
+                .into(),
+        ));
+    }
     if opts.resume {
         return crate::checkpoint::resume_study(opts);
     }
@@ -703,7 +720,7 @@ fn setup(config: &StudyConfig, exec: Exec, capture: &mut Capture) -> Result<Loop
             engine.schedule(launch, Ev::Poll(i));
         }
     }
-    engine.schedule(launch + SimDuration::days(3), Ev::Sweep);
+    engine.schedule(launch + FIRST_SWEEP, Ev::Sweep);
 
     capture.rng_fork("crawl")?;
     let api = CrawlApi::new(config.crawl, rng.fork("crawl"));
@@ -1304,14 +1321,33 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("world.log");
         let config = StudyConfig::paper(11, 0.03);
-        let outcome = run_study_opts(
-            &config,
-            &RunOptions {
-                log_out: Some(path.clone()),
+        let streamed = RunOptions {
+            log_out: Some(path.clone()),
+            ..RunOptions::default()
+        };
+        // A streamed log keeps no records, so there are none to capture.
+        for both in [
+            RunOptions {
+                capture_log: true,
+                ..streamed.clone()
+            },
+            RunOptions {
+                capture_log: true,
+                checkpoint_dir: Some(dir.join("ckpt")),
                 ..RunOptions::default()
             },
-        )
-        .unwrap();
+        ] {
+            match run_study_opts(&config, &both) {
+                Err(StudyError::Mismatch(why)) => assert!(why.contains("capture_log"), "{why}"),
+                Err(e) => panic!("expected a Mismatch, got {e}"),
+                Ok(_) => panic!("capture_log ran beside a streamed log"),
+            }
+        }
+        assert!(!path.exists(), "a refused run writes no log");
+        let outcome = run_study_opts(&config, &streamed).unwrap();
+        let log = outcome.log.as_ref().expect("the run was logging");
+        assert_eq!(log.records().len(), 0, "a streamed log keeps no records");
+        assert!(log.to_binary().is_err(), "nor bytes to encode");
         // The streamed file reads back, and replay rebuilds the same study
         // from it.
         let (header, records) = crate::read_study_log(&path).unwrap();

@@ -156,6 +156,26 @@ impl From<io::Error> for LogError {
     }
 }
 
+/// The capacity past which a reused codec buffer is released. The frame
+/// writer's render buffer and the decoder's byte buffer grow to the
+/// largest frame they have held, and one population-sized like batch
+/// (about 6 MiB of JSON at paper scale 0.05) would otherwise pin that
+/// size for the rest of the stream.
+pub const SCRATCH_BOUND: usize = 4 << 20;
+
+/// The capacity a released buffer keeps, so the frames after a large one
+/// still reuse it.
+const SCRATCH_FLOOR: usize = 1 << 20;
+
+/// The capacity to shrink a reused buffer to while it holds `pending` live
+/// bytes, or `None` to keep it: a buffer over [`SCRATCH_BOUND`] and over
+/// four times `pending` shrinks to twice `pending`, and to no less than
+/// 1 MiB. A lower trigger re-grows the buffer after every large batch.
+pub(crate) fn released_capacity(capacity: usize, pending: usize) -> Option<usize> {
+    (capacity > SCRATCH_BOUND && capacity > pending.saturating_mul(4))
+        .then(|| pending.saturating_mul(2).max(SCRATCH_FLOOR))
+}
+
 /// FNV-1a over a byte slice — the per-record integrity checksum. Not
 /// cryptographic; it catches the bit rot and partial writes a capture file
 /// meets in practice. The [`crate::tail`] decoder verifies it.
@@ -251,8 +271,9 @@ impl<W: io::Write> FrameWriter<W> {
     }
 
     /// Append one record, rendering `payload` straight into the frame
-    /// buffer this writer reuses, so a frame allocates nothing once the
-    /// buffer has grown to fit. `seq` must strictly increase.
+    /// buffer this writer reuses. A frame that fits the buffer allocates
+    /// nothing; after one that grew it past [`SCRATCH_BOUND`], the buffer
+    /// shrinks back to 1 MiB. `seq` must strictly increase.
     pub fn append<T: Serialize + ?Sized>(&mut self, seq: u64, payload: &T) -> Result<(), LogError> {
         if let Some(prev) = self.last_seq {
             if seq <= prev {
@@ -263,6 +284,10 @@ impl<W: io::Write> FrameWriter<W> {
         serde_json::write_compact(&mut self.text, payload);
         self.bytes += write_frame(&mut self.sink, seq, &self.text)?;
         self.last_seq = Some(seq);
+        if let Some(keep) = released_capacity(self.text.capacity(), 0) {
+            self.text.clear();
+            self.text.shrink_to(keep);
+        }
         Ok(())
     }
 
@@ -311,7 +336,16 @@ mod tests {
     #[test]
     fn frame_writer_matches_batch_encoder() {
         let header = sample_header();
-        let records = sample_records();
+        let mut records = sample_records();
+        // One frame over the bound, and one small frame after it.
+        records.push(LogRecord {
+            seq: 5,
+            payload: format!(r#"{{"pad":"{}"}}"#, "x".repeat(SCRATCH_BOUND)),
+        });
+        records.push(LogRecord {
+            seq: 6,
+            payload: "[1,2]".into(),
+        });
         let batch = encode_binary(&header, &records).unwrap();
         let mut sink = Vec::new();
         {
@@ -319,9 +353,15 @@ mod tests {
             for r in &records {
                 let payload: Value = serde_json::from_str(&r.payload).unwrap();
                 w.append(r.seq, &payload).unwrap();
+                if r.seq == 5 {
+                    assert!(
+                        w.text.capacity() <= SCRATCH_BOUND,
+                        "the scratch is released after a frame over the bound"
+                    );
+                }
             }
             assert_eq!(w.bytes_written(), batch.len() as u64);
-            assert_eq!(w.last_seq(), Some(4));
+            assert_eq!(w.last_seq(), Some(6));
         }
         assert_eq!(sink, batch, "streamed and batch encodings must agree");
     }

@@ -25,7 +25,8 @@
 //! records. This is the file-follow substrate `likelab serve` ingests from.
 
 use crate::event::{
-    fnv1a_bytes, LogError, LogHeader, LogRecord, FORMAT_VERSION, FRAME_FIXED, HEADER_FIXED, MAGIC,
+    fnv1a_bytes, released_capacity, LogError, LogHeader, LogRecord, FORMAT_VERSION, FRAME_FIXED,
+    HEADER_FIXED, MAGIC,
 };
 use serde::Value;
 use std::io::{Read, Seek, SeekFrom};
@@ -138,12 +139,17 @@ impl TailReader {
     /// Drop the consumed prefix before new bytes arrive, once it is at
     /// least as long as the bytes still pending: compaction then never
     /// moves more bytes than were decoded, so a whole file fed in one
-    /// piece is decoded without moving any.
+    /// piece is decoded without moving any. A buffer that a large frame
+    /// grew past [`SCRATCH_BOUND`](crate::event::SCRATCH_BOUND) is then
+    /// released down to what the pending bytes need.
     fn compact(&mut self) {
         if self.pos > 0 && self.pos >= self.pending_bytes() {
             self.buf.drain(..self.pos);
             self.base += self.pos as u64;
             self.pos = 0;
+        }
+        if let Some(keep) = released_capacity(self.buf.capacity(), self.pending_bytes()) {
+            self.buf.shrink_to(keep);
         }
     }
 
@@ -348,7 +354,7 @@ impl FollowReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::encode_binary;
+    use crate::event::{encode_binary, SCRATCH_BOUND};
 
     fn sample() -> (LogHeader, Vec<LogRecord>) {
         let header = LogHeader::new(Value::Object(vec![(
@@ -442,6 +448,33 @@ mod tests {
         assert_eq!(seen, records);
         assert_eq!(tail.offset(), bytes.len() as u64);
         assert!(tail.base > 0, "compaction ran");
+        assert_eq!(tail.finish(), Ok(&header));
+
+        // A frame over the bound grows the buffer past it, and the read
+        // after that frame releases it again.
+        let big = LogRecord {
+            seq: 61,
+            payload: format!(r#"{{"pad":"{}"}}"#, "x".repeat(SCRATCH_BOUND)),
+        };
+        let small = LogRecord {
+            seq: 62,
+            payload: "null".into(),
+        };
+        let more = encode_binary(&header, &[big.clone(), small.clone()]).unwrap();
+        let mut source = &more[head_len..];
+        let mut grown = 0;
+        let mut seen = Vec::new();
+        while tail.read_from(&mut source, 1 << 16).unwrap() > 0 {
+            grown = grown.max(tail.buf.capacity());
+            seen.extend(tail.drain().unwrap());
+        }
+        assert_eq!(seen, [big, small]);
+        assert!(grown > SCRATCH_BOUND, "the large frame was buffered whole");
+        assert!(
+            tail.buf.capacity() <= SCRATCH_BOUND,
+            "the buffer falls back under the bound: {}",
+            tail.buf.capacity()
+        );
         assert_eq!(tail.finish(), Ok(&header));
     }
 

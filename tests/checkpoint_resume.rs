@@ -1,7 +1,7 @@
 //! Checkpoint/resume: a run killed mid-event-loop and resumed from its
 //! checkpoint directory finishes byte-identical to an uninterrupted run.
 
-use likelab::{run_study, run_study_opts, RunOptions, StudyConfig, StudyError};
+use likelab::{run_study, run_study_opts, RunOptions, StudyConfig, StudyError, StudyOutcome};
 use std::path::PathBuf;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -243,23 +243,31 @@ fn a_checkpoint_queue_with_colliding_seqs_is_a_structured_error() {
         };
         monitors.truncate(1);
     }
-    fn null_a_polled_monitor(doc: &mut Value) {
+    /// The `[at, seq, event]` entry of the first queued `tag` event.
+    fn queued<'a>(doc: &'a mut Value, tag: &str) -> &'a mut Vec<Value> {
         let Value::Array(entries) = field(doc, "queue") else {
             panic!("queue is an array")
         };
-        let polled = entries
-            .iter()
+        entries
+            .iter_mut()
             .find_map(|entry| match entry {
                 Value::Array(entry) => match &entry[2] {
-                    Value::Object(ev) => match ev.first() {
-                        Some((tag, Value::UInt(i))) if tag == "Poll" => Some(*i as usize),
-                        _ => None,
-                    },
+                    Value::Str(t) if t == tag => Some(entry),
+                    Value::Object(ev) if ev.first().is_some_and(|(t, _)| t == tag) => Some(entry),
                     _ => None,
                 },
                 _ => panic!("an entry is an [at, seq, event] array"),
             })
-            .expect("the checkpoint was taken with polls queued");
+            .unwrap_or_else(|| panic!("the checkpoint was taken with a {tag} queued"))
+    }
+    fn null_a_polled_monitor(doc: &mut Value) {
+        let polled = match &queued(doc, "Poll")[2] {
+            Value::Object(ev) => match ev[0].1 {
+                Value::UInt(i) => i as usize,
+                _ => panic!("a poll names its campaign"),
+            },
+            _ => panic!("a poll is a one-field object"),
+        };
         let Value::Array(monitors) = field(doc, "monitors") else {
             panic!("monitors is an array")
         };
@@ -315,6 +323,9 @@ fn a_checkpoint_queue_with_colliding_seqs_is_a_structured_error() {
         let last = times.len() - 1;
         assert_ne!(times[0], times[last], "the planned likes span time");
         times.swap(0, last);
+    }
+    fn sweep_at_the_end_of_the_clock(doc: &mut Value) {
+        queued(doc, "Sweep")[0] = Value::UInt(u64::MAX);
     }
     fn rename_the_first_campaign(doc: &mut Value) {
         let Value::Array(campaigns) = field(field(doc, "config"), "campaigns") else {
@@ -434,6 +445,11 @@ fn a_checkpoint_queue_with_colliding_seqs_is_a_structured_error() {
             planned_out_of_order,
             "planned likes are out of time order",
         ),
+        (
+            "a Sweep queued at 2^64 - 1",
+            sweep_at_the_end_of_the_clock,
+            "a sweep is queued at d213503982334601",
+        ),
     ] {
         let mut doc: Value = serde_json::from_str(&json).unwrap();
         mutate(&mut doc);
@@ -464,29 +480,51 @@ fn a_checkpoint_queue_with_colliding_seqs_is_a_structured_error() {
         "campaign #0 never launched in the pinned log",
         &log,
     );
+
+    // A poll queued at the end of the clock is no hazard: it fires last,
+    // its monitor stops, and the run ends.
+    let mut doc: Value = serde_json::from_str(&json).unwrap();
+    queued(&mut doc, "Poll")[0] = Value::UInt(u64::MAX);
+    let (resumed, late) = resume_copy("late-poll", &doc, &log);
+    if let Err(e) = resumed {
+        panic!("a Poll queued at 2^64 - 1 must end cleanly: {e}");
+    }
+    std::fs::remove_dir_all(&late).ok();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Resume a copy of the checkpoint directory, made in the scratch
+/// directory `tag`, whose `checkpoint.json` is `doc` and `world.log` is
+/// `log`. Returns the outcome and the copy's path.
+fn resume_copy(
+    tag: &str,
+    doc: &serde::Value,
+    log: &[u8],
+) -> (Result<StudyOutcome, StudyError>, PathBuf) {
+    let copy = scratch(tag);
+    std::fs::create_dir_all(&copy).unwrap();
+    std::fs::write(
+        copy.join("checkpoint.json"),
+        serde_json::to_string_pretty(doc).unwrap(),
+    )
+    .unwrap();
+    std::fs::write(copy.join("world.log"), log).unwrap();
+    let resumed = run_study_opts(
+        &StudyConfig::paper(3, 0.02),
+        &RunOptions {
+            checkpoint_dir: Some(copy.clone()),
+            resume: true,
+            ..RunOptions::default()
+        },
+    );
+    (resumed, copy)
 }
 
 /// Resume a copy of the checkpoint directory whose `checkpoint.json` is
 /// `doc` and `world.log` is `log`: it must be a `Mismatch` naming
 /// `needle`, and leave the log as it was.
 fn refused(what: &str, doc: &serde::Value, needle: &str, log: &[u8]) {
-    let bad = scratch("bad-queue-copy");
-    std::fs::create_dir_all(&bad).unwrap();
-    std::fs::write(
-        bad.join("checkpoint.json"),
-        serde_json::to_string_pretty(doc).unwrap(),
-    )
-    .unwrap();
-    std::fs::write(bad.join("world.log"), log).unwrap();
-    let resumed = run_study_opts(
-        &StudyConfig::paper(3, 0.02),
-        &RunOptions {
-            checkpoint_dir: Some(bad.clone()),
-            resume: true,
-            ..RunOptions::default()
-        },
-    );
+    let (resumed, bad) = resume_copy("bad-queue-copy", doc, log);
     match resumed {
         Err(StudyError::Mismatch(why)) => {
             assert!(why.contains(needle), "{what}: {why}");
