@@ -6,49 +6,49 @@
 //! * `world.log` — the binary study log, appended continuously as the run
 //!   executes. The world is *never* serialized directly; a resume rebuilds
 //!   it by folding the log prefix the checkpoint pinned, as replay does.
-//! * `checkpoint.json` — everything else the event loop carries
-//!   (`CheckpointState`): its format version, the planned likes still to
-//!   fire (one time-sorted column), the pending poll and sweep queue, the
-//!   page monitors, the crawl API and fraud-sweep engines (RNG positions
-//!   included), the master RNG, the trace, and the byte offset + sequence
-//!   number that pin the log prefix. The honeypot pages and the inactive
-//!   campaigns are not in it: a resume reads them from the log's campaign
-//!   records. Written atomically (tmp + rename), so a kill mid-write leaves
-//!   the previous checkpoint intact.
+//! * `checkpoint.json` — what the event loop carries that the log cannot
+//!   give (`CheckpointState`): its format version, the byte offset and
+//!   sequence number that pin the log prefix, the clock and fired count,
+//!   the planned likes still to fire (one time-sorted column), the pending
+//!   poll and sweep queue, the page monitors, the crawl API and fraud-sweep
+//!   engines (RNG positions included), and the trace. Written atomically
+//!   (tmp + rename), so a kill mid-write leaves the previous checkpoint
+//!   intact.
 //!
-//! Because every consumer's state is either in the log or in the snapshot,
-//! a resumed run continues the exact event stream the uninterrupted run
-//! would have produced: same likes, same sweeps, same crawl faults, same
-//! report, byte for byte.
+//! A resume derives the rest from the pinned prefix: the config from its
+//! header, the study window from that config, the master RNG by replaying
+//! the logged forks, and the honeypot pages and inactive campaigns from
+//! its campaign records. Because every consumer's state is either in the
+//! log or in the snapshot, a resumed run continues the exact event stream
+//! the uninterrupted run would have produced: same likes, same sweeps,
+//! same crawl faults, same report, byte for byte.
 
 use crate::record::{io_err, read_records, write_atomic, StudyError, StudyLog};
 use crate::replay::LogFold;
 use crate::study::{
     collect, event_loop, study_window, Capture, Ev, LoopState, PlannedLikes, RunOptions,
-    StudyConfig, StudyOutcome, FIRST_SWEEP,
+    StudyOutcome, FIRST_SWEEP,
 };
 use likelab_honeypot::PageMonitor;
-use likelab_osn::population::Population;
 use likelab_osn::{CrawlApi, FraudOps, LikeColumns};
-use likelab_sim::{Engine, EventQueue, Rng, SimTime, Trace};
+use likelab_sim::{Engine, EventQueue, SimTime, Trace};
 use serde::{Deserialize, Serialize};
 use std::fs::File;
 use std::io::Read as _;
 use std::path::Path;
 
-/// Everything outside the world that a mid-loop study carries, serialized
-/// to `checkpoint.json`. The world itself is rebuilt by replaying the
-/// first `log_bytes` bytes of `world.log`.
+/// What a mid-loop study carries that the log cannot give, serialized to
+/// `checkpoint.json`. The world, the config and the master RNG are rebuilt
+/// by folding the first `log_bytes` bytes of `world.log`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub(crate) struct CheckpointState {
     /// The file's format version, [`CHECKPOINT_VERSION`].
     pub version: u64,
-    /// The run's full configuration (a resume ignores the caller's config
-    /// in favor of this one).
-    pub config: StudyConfig,
     /// Byte length of the `world.log` prefix this checkpoint pins.
     pub log_bytes: u64,
-    /// The next log sequence number to be assigned after resume.
+    /// The next log sequence number to be assigned after resume. It pins
+    /// the prefix too: it must continue the last record of the first
+    /// `log_bytes` bytes, so neither field can move alone.
     pub next_seq: u64,
     /// Simulation clock at the checkpoint.
     pub now: SimTime,
@@ -63,25 +63,16 @@ pub(crate) struct CheckpointState {
     pub queue_next_seq: u64,
     /// Per-campaign page monitors (None for inactive campaigns).
     pub monitors: Vec<Option<PageMonitor>>,
-    /// Campaign launch time.
-    pub launch: SimTime,
-    /// End of the study window.
-    pub end: SimTime,
     /// The crawl API (fault regimes, RNG streams, stats).
     pub api: CrawlApi,
     /// The anti-fraud sweep engine (RNG stream included).
     pub fraud: FraudOps,
-    /// The master RNG, positioned after the `fraud` fork (only the
-    /// `baseline` fork remains to be drawn).
-    pub rng: Rng,
     /// The run journal so far.
     pub trace: Trace,
-    /// Population handles (audiences, background catalogue).
-    pub population: Population,
 }
 
 /// The `checkpoint.json` format this build writes and reads.
-pub(crate) const CHECKPOINT_VERSION: u64 = 1;
+pub(crate) const CHECKPOINT_VERSION: u64 = 2;
 
 /// Just the format version of a `checkpoint.json`, read before the rest:
 /// another version's fields may not parse at all.
@@ -113,7 +104,6 @@ pub(crate) fn write_checkpoint(
         .collect();
     let cp = CheckpointState {
         version: CHECKPOINT_VERSION,
-        config: state.config.clone(),
         log_bytes: log.bytes_written(),
         next_seq: log.next_seq(),
         now: state.engine.now(),
@@ -122,13 +112,9 @@ pub(crate) fn write_checkpoint(
         queue,
         queue_next_seq: state.engine.queue().pushed_total(),
         monitors: state.monitors.clone(),
-        launch: state.launch,
-        end: state.end,
         api: state.api.clone(),
         fraud: state.fraud.clone(),
-        rng: state.rng.clone(),
         trace: state.trace.clone(),
-        population: state.population.clone(),
     };
     let json = serde_json::to_string(&cp)
         .map_err(|e| StudyError::Mismatch(format!("checkpoint serialization: {e}")))?;
@@ -139,14 +125,17 @@ pub(crate) fn write_checkpoint(
 
 /// Load a checkpoint directory and run the study to completion from it.
 ///
-/// The world is rebuilt by folding the pinned `world.log` prefix through
-/// the log fold replay and serve use ([`LogFold`]), which checks every
-/// record; the honeypot pages and inactive campaigns come from the fold's
-/// campaign slots. A checkpoint of another format version, one whose
-/// `next_seq` does not continue that prefix, whose config differs from the
-/// log header's, whose monitors, queue or planned likes disagree with the
-/// config or the rebuilt world, or whose `fired` count is near overflow, is
-/// refused before the log is touched.
+/// The pinned `world.log` prefix is folded first, through the log fold
+/// replay and serve use ([`LogFold`]), which checks every record. The fold
+/// gives the world, the config (from the log header; the study window
+/// follows from it), the master RNG (the config's seed, forked once per
+/// logged fork) and the honeypot pages and inactive campaigns (from the
+/// campaign slots). A checkpoint of another format version, whose
+/// `next_seq` does not continue that prefix, whose monitors, queue or
+/// planned likes disagree with the config or the rebuilt world, or whose
+/// `fired` count is near overflow, is refused, as is a header config whose
+/// window overflows the clock or whose sweep interval is zero, all before
+/// the log is touched.
 /// Then any bytes past the pin (frames appended after the checkpoint,
 /// before the kill) are truncated away so appending continues from a
 /// consistent state. The outcome is byte-identical to the uninterrupted
@@ -175,20 +164,47 @@ pub(crate) fn resume_study(opts: &RunOptions) -> Result<StudyOutcome, StudyError
         }
     }
     let cp: CheckpointState = serde_json::from_str(&json).map_err(|e| refuse(e.to_string()))?;
-    // The file is outside input, so everything below is checked before the
-    // log is touched. The sweep reschedules itself every `sweep_interval`
-    // until `end`, so a window that disagrees with the config, or a zero
-    // interval, would keep the run going forever.
-    let (launch, end) = study_window(&cp.config).map_err(refuse)?;
-    for (what, got, want) in [("launch", cp.launch, launch), ("end", cp.end, end)] {
-        if got != want {
-            return Err(refuse(format!(
-                "study {what} {got} differs from the {want} its config implies"
-            )));
-        }
+
+    // Rebuild the world from the pinned log prefix; its header holds the
+    // config the run goes on under.
+    let log_path = dir.join("world.log");
+    let file = File::open(&log_path).map_err(|e| io_err(&log_path, e))?;
+    let len = file.metadata().map_err(|e| io_err(&log_path, e))?.len();
+    if len < cp.log_bytes {
+        return Err(StudyError::Mismatch(format!(
+            "{} is {len} bytes but the checkpoint pinned {}",
+            log_path.display(),
+            cp.log_bytes
+        )));
     }
-    if cp.config.sweep_interval.is_zero() {
-        return Err(refuse("config.sweep_interval is 0".into()));
+    let (header, records) = read_records(file.take(cp.log_bytes))?;
+    let fold = LogFold::replay(&header, records)?;
+    // The checkpoint must continue the log it pins: appending resumes at
+    // `next_seq`.
+    let pinned_last = cp.next_seq.checked_sub(1);
+    if pinned_last != fold.last_seq {
+        let why = if pinned_last < fold.last_seq {
+            "reuses a sequence number of"
+        } else {
+            "leaves a gap after"
+        };
+        let want = fold.last_seq.map_or(0, |s| s.saturating_add(1));
+        return Err(refuse(format!(
+            "next_seq {} {why} the pinned log, which continues at seq {want}",
+            cp.next_seq
+        )));
+    }
+
+    // Both files are outside input, so everything below is checked before
+    // the log is truncated. The sweep reschedules itself every
+    // `sweep_interval` until `end`, so a zero interval would keep the run
+    // going forever.
+    let config = &fold.config;
+    let refuse_header =
+        |why: String| StudyError::Mismatch(format!("{}: header {why}", log_path.display()));
+    let (launch, end) = study_window(config).map_err(refuse_header)?;
+    if config.sweep_interval.is_zero() {
+        return Err(refuse_header("config.sweep_interval is 0".into()));
     }
     // The engine counts fired events with a plain `+=`. A whole run fires
     // far fewer than 2^32 (scale_study: 333,899), so a count that close to
@@ -200,7 +216,7 @@ pub(crate) fn resume_study(opts: &RunOptions) -> Result<StudyOutcome, StudyError
         )));
     }
     // The event loop polls campaign `i` through `monitors[i]`.
-    let campaigns = cp.config.campaigns.len();
+    let campaigns = config.campaigns.len();
     if cp.monitors.len() != campaigns {
         return Err(refuse(format!(
             "monitors has length {}, but the config has {campaigns} campaigns",
@@ -259,48 +275,9 @@ pub(crate) fn resume_study(opts: &RunOptions) -> Result<StudyOutcome, StudyError
     // And no future push may collide with a restored entry's sequence.
     let queue = EventQueue::from_entries(cp.queue, cp.queue_next_seq)
         .map_err(|e| refuse(format!("queue: {e}")))?;
-
-    // Rebuild the world from the pinned log prefix.
-    let log_path = dir.join("world.log");
-    let file = File::open(&log_path).map_err(|e| io_err(&log_path, e))?;
-    let len = file.metadata().map_err(|e| io_err(&log_path, e))?.len();
-    if len < cp.log_bytes {
-        return Err(StudyError::Mismatch(format!(
-            "{} is {len} bytes but the checkpoint pinned {}",
-            log_path.display(),
-            cp.log_bytes
-        )));
-    }
-    let (header, records) = read_records(file.take(cp.log_bytes))?;
-    let fold = LogFold::replay(&header, records)?;
-    // The checkpoint must continue the log it pins: appending resumes at
-    // `next_seq`, and the run goes on under the checkpoint's config.
-    let pinned_last = cp.next_seq.checked_sub(1);
-    if pinned_last != fold.last_seq {
-        let why = if pinned_last < fold.last_seq {
-            "reuses a sequence number of"
-        } else {
-            "leaves a gap after"
-        };
-        let want = fold.last_seq.map_or(0, |s| s.saturating_add(1));
-        return Err(refuse(format!(
-            "next_seq {} {why} the pinned log, which continues at seq {want}",
-            cp.next_seq
-        )));
-    }
-    let compact = |config: &StudyConfig| {
-        serde_json::to_string(config).map_err(|e| StudyError::Mismatch(format!("config: {e}")))
-    };
-    if compact(&cp.config)? != compact(&fold.config)? {
-        return Err(refuse(format!(
-            "config differs from the one in the header of {}",
-            log_path.display()
-        )));
-    }
     // Set-up journals every campaign launch before the first checkpoint,
     // and monitors exactly the active campaigns' pages.
     let mut honeypots = Vec::with_capacity(campaigns);
-    let mut inactive = Vec::with_capacity(campaigns);
     for (i, (slot, monitor)) in fold.slots.iter().zip(&cp.monitors).enumerate() {
         let page = slot
             .page
@@ -319,30 +296,32 @@ pub(crate) fn resume_study(opts: &RunOptions) -> Result<StudyOutcome, StudyError
             return Err(refuse(format!("monitors[{i}] {why}")));
         }
         honeypots.push(page);
-        inactive.push(slot.inactive);
     }
     let (accounts, pages) = (fold.world.account_count(), fold.world.page_count());
     let planned = PlannedLikes::restore(cp.planned, accounts, pages).map_err(refuse)?;
-    let mut world = fold.world;
+    let LogFold {
+        config,
+        mut world,
+        rng,
+        ..
+    } = fold;
     world.set_recording(true);
 
-    let log = StudyLog::resume_file(&cp.config, &log_path, cp.log_bytes, cp.next_seq)?;
+    let log = StudyLog::resume_file(header, &log_path, cp.log_bytes, cp.next_seq)?;
     let mut capture = Capture { log: Some(log) };
     let engine = Engine::from_parts(cp.now, cp.fired, queue);
     let mut state = LoopState {
-        config: cp.config,
+        config,
         world,
-        population: cp.population,
         engine,
         planned,
         monitors: cp.monitors,
-        inactive,
         honeypots,
-        launch: cp.launch,
-        end: cp.end,
+        launch,
+        end,
         api: cp.api,
         fraud: cp.fraud,
-        rng: cp.rng,
+        rng,
         trace: cp.trace,
     };
     event_loop(&mut state, &mut capture, opts)?;

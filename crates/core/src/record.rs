@@ -32,9 +32,10 @@ use std::path::{Path, PathBuf};
 pub enum StudyRecord {
     /// A world mutation (account, page, friendship, like, termination).
     World(WorldEvent),
-    /// RNG provenance: the master stream forked a named child here. Replay
-    /// never consumes randomness, but the fork order on record is the
-    /// ground truth a resumed run must honor.
+    /// RNG provenance: the master stream forked a named child here. The
+    /// log fold seeds a master RNG from the header's config and forks it
+    /// once per record, so the fork order on record is the ground truth a
+    /// resumed run continues from; replay itself draws nothing from it.
     RngFork {
         /// The fork label (`population`, `farms`, `ads`, ...).
         label: String,
@@ -237,11 +238,12 @@ impl StudyLog {
         })
     }
 
-    /// Reopen `path` for appending after a checkpoint: the file is
-    /// truncated back to `bytes` (discarding any frames written after the
-    /// checkpoint was pinned) and appending continues at `next_seq`.
+    /// Reopen `path`, whose header is `header`, for appending after a
+    /// checkpoint: the file is truncated back to `bytes` (discarding any
+    /// frames written after the checkpoint was pinned) and appending
+    /// continues at `next_seq`.
     pub fn resume_file(
-        config: &crate::StudyConfig,
+        header: LogHeader,
         path: &Path,
         bytes: u64,
         next_seq: u64,
@@ -256,7 +258,7 @@ impl StudyLog {
         file.seek(SeekFrom::End(0)).map_err(|e| io_err(path, e))?;
         let sink = FrameWriter::resume(BufWriter::new(file), bytes, next_seq.checked_sub(1));
         Ok(StudyLog {
-            header: LogHeader::new(study_meta(config)?),
+            header,
             next_seq,
             store: LogStore::File {
                 sink,

@@ -34,7 +34,7 @@ use likelab_honeypot::{
 };
 use likelab_osn::ads::{plan_campaign, AdCampaignSpec};
 use likelab_osn::organic::plan_background_activity;
-use likelab_osn::population::{synthesize_with, Population, PopulationConfig};
+use likelab_osn::population::{synthesize_with, PopulationConfig};
 use likelab_osn::{
     AdMarket, AudienceReport, CrawlApi, CrawlConfig, FraudOps, FraudOpsConfig, LikeColumns,
     OsnWorld,
@@ -151,8 +151,6 @@ pub struct StudyOutcome {
     pub report: StudyReport,
     /// The final platform state (ground truth — for detection work).
     pub world: OsnWorld,
-    /// Population handles (audiences, background catalogue).
-    pub population: Population,
     /// Campaign launch time.
     pub launch: SimTime,
     /// Honeypot pages, one per campaign in campaign order.
@@ -332,8 +330,8 @@ pub struct RunOptions {
     pub checkpoint_dir: Option<PathBuf>,
     /// Checkpoint cadence, in fired events (0 disables checkpoint writes).
     pub checkpoint_every: u64,
-    /// Resume from `checkpoint_dir` instead of starting fresh. The
-    /// checkpointed config wins; the config passed to
+    /// Resume from `checkpoint_dir` instead of starting fresh. The config
+    /// in the header of `<dir>/world.log` wins; the config passed to
     /// [`run_study_opts`] is ignored.
     pub resume: bool,
     /// Test hook: abort with [`StudyError::SimulatedCrash`] after this
@@ -413,15 +411,15 @@ impl Capture {
 }
 
 /// Everything the event loop carries between steps. Checkpointing
-/// serializes all of it except the world, which is rebuilt from the log.
+/// serializes all of it except what a resume derives from the log: the
+/// world, the config, the study window, the master RNG and the honeypot
+/// pages. A campaign is inactive exactly when its monitor is `None`.
 pub(crate) struct LoopState {
     pub(crate) config: StudyConfig,
     pub(crate) world: OsnWorld,
-    pub(crate) population: Population,
     pub(crate) engine: Engine<Ev>,
     pub(crate) planned: PlannedLikes,
     pub(crate) monitors: Vec<Option<PageMonitor>>,
-    pub(crate) inactive: Vec<bool>,
     pub(crate) honeypots: Vec<PageId>,
     pub(crate) launch: SimTime,
     pub(crate) end: SimTime,
@@ -460,7 +458,8 @@ fn campaign_end(
 /// The study window `(launch, end)` that `config` implies: campaigns launch
 /// at the end of the population's history window, and the study ends
 /// `termination_check_after` past the last promotion. Set-up schedules by
-/// it, and a resume refuses a checkpoint whose window disagrees with it.
+/// it, and a resume derives it from the config in the log header, refusing
+/// one whose window overflows the clock.
 pub(crate) fn study_window(config: &StudyConfig) -> Result<(SimTime, SimTime), String> {
     let launch = SimTime::EPOCH + config.population.history;
     let mut last = launch;
@@ -583,7 +582,6 @@ fn setup(config: &StudyConfig, exec: Exec, capture: &mut Capture) -> Result<Loop
     );
     let mut honeypots = Vec::with_capacity(config.campaigns.len());
     let mut monitors: Vec<Option<PageMonitor>> = Vec::with_capacity(config.campaigns.len());
-    let mut inactive: Vec<bool> = Vec::with_capacity(config.campaigns.len());
     // Every like the campaigns and the organic plan schedule, in schedule
     // order.
     let mut planned: Vec<TimedLike> = Vec::new();
@@ -671,7 +669,6 @@ fn setup(config: &StudyConfig, exec: Exec, capture: &mut Capture) -> Result<Loop
                 }
             }
         }
-        inactive.push(is_scam);
         monitors
             .push((!is_scam).then(|| PageMonitor::new(page, launch, campaign_end, config.crawler)));
         capture.world(&mut world)?;
@@ -730,11 +727,9 @@ fn setup(config: &StudyConfig, exec: Exec, capture: &mut Capture) -> Result<Loop
     Ok(LoopState {
         config: config.clone(),
         world,
-        population,
         engine,
         planned,
         monitors,
-        inactive,
         honeypots,
         launch,
         end,
@@ -857,11 +852,9 @@ pub(crate) fn collect(
     let LoopState {
         config,
         world,
-        population,
         engine,
         planned,
         monitors,
-        inactive,
         honeypots,
         launch,
         end,
@@ -943,7 +936,7 @@ pub(crate) fn collect(
             monitoring_days,
             terminated_after_month: probe.terminated,
             termination_unknown: probe.unknown,
-            inactive: inactive[i],
+            inactive: monitors[i].is_none(),
             coverage,
         });
     }
@@ -982,7 +975,6 @@ pub(crate) fn collect(
         dataset,
         report,
         world,
-        population,
         launch,
         honeypots,
         trace,

@@ -184,9 +184,7 @@ impl PopulationConfig {
 
 /// Handles into the synthesized population, used by the ad engine and the
 /// public-directory sampler.
-///
-/// Serializable so checkpoint/resume can carry it across a process restart.
-#[derive(Clone, Debug, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Population {
     /// All organic account ids.
     pub organic: Vec<UserId>,

@@ -125,12 +125,15 @@ fn main() {
     }
 
     // --- graph defense --------------------------------------------------------
-    let seeds: Vec<UserId> = outcome
-        .population
-        .organic
-        .iter()
+    // Organic accounts of the population: the honeypot owners are organic
+    // too, but created at the launch.
+    let seeds: Vec<UserId> = world
+        .user_ids()
+        .filter(|&u| {
+            let a = world.account(u);
+            a.class == ActorClass::Organic && a.created_at < outcome.launch
+        })
         .step_by(500)
-        .copied()
         .collect();
     let trust = sybil_rank(world.friends(), &seeds, &SybilRankConfig::default());
     let mean_trust = |pred: &dyn Fn(ActorClass) -> bool| -> f64 {

@@ -29,6 +29,17 @@ fn main() {
     let control_page = {
         use likelab::osn::PageCategory;
         use likelab::sim::SimTime;
+        // Organic accounts of the population: the honeypot owners are
+        // organic too, but created at the launch.
+        let fans: Vec<_> = outcome
+            .world
+            .user_ids()
+            .filter(|&u| {
+                let a = outcome.world.account(u);
+                a.class == ActorClass::Organic && a.created_at < outcome.launch
+            })
+            .take(400)
+            .collect();
         let world = &mut outcome.world;
         let page = world.create_page(
             "control-organic-fans",
@@ -37,13 +48,6 @@ fn main() {
             PageCategory::Background,
             SimTime::at_day(500),
         );
-        let fans: Vec<_> = outcome
-            .population
-            .organic
-            .iter()
-            .take(400)
-            .copied()
-            .collect();
         for f in fans {
             world.record_like(f, page, SimTime::at_day(500));
         }
