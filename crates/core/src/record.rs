@@ -190,6 +190,25 @@ pub fn config_from_header(header: &LogHeader) -> Result<crate::StudyConfig, Stud
         .map_err(|e| StudyError::Mismatch(format!("log header config: {e}")))
 }
 
+/// The [`StudyConfig`](crate::StudyConfig) in the header of the study log
+/// at `path`, read without decoding the records after it: the config a
+/// resumed run goes on under, whatever the command line says.
+pub fn read_log_config(path: &Path) -> Result<crate::StudyConfig, StudyError> {
+    let mut file = File::open(path).map_err(|e| io_err(path, e))?;
+    let mut tail = TailReader::new();
+    loop {
+        if let Some(header) = tail.header() {
+            return config_from_header(header);
+        }
+        if tail.read_from(&mut file, READ_CHUNK)? == 0 {
+            // Shorter than its own header: `finish` says where it ends.
+            tail.finish()?;
+        }
+        // Decoding the first record decodes the header before it.
+        tail.next_record()?;
+    }
+}
+
 /// The append side of a study log: monotone sequence numbers into one of
 /// two stores. An in-memory capture ([`StudyLog::in_memory`]) keeps every
 /// record, for same-process replay and serve. A file log

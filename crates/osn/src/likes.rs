@@ -31,6 +31,16 @@
 //! paper describes (median 600–1000 page likes) never pay a memmove per
 //! like.
 //!
+//! Ingest allocates per list, not per value. Each posting list a batch
+//! extends grows at most once per buffer (see [`crate::posting`]), and a
+//! page set that a merge outgrows gets the capacity push growth would
+//! reach, `max(4, n.next_power_of_two())` for `n` pages, so the event
+//! loop's single-page inserts that follow do not reallocate at once. The
+//! sparse kernel's working arrays belong to the ledger and are cleared,
+//! not freed, between batches; the dense kernel's batch-sized arrays are
+//! freed when its call returns, so the population batch leaves no scratch
+//! behind.
+//!
 //! Every accessor hands out [`LikeRecord`]s **by value** (assembled from the
 //! columns on demand), so iteration reads the same as it did when records
 //! were stored as an array of structs.
@@ -177,12 +187,38 @@ fn absorb_sorted(
         }
     }
     // `merged` holds `set[..i]` plus the accepted pages; when nothing was
-    // accepted the set is unchanged.
+    // accepted the set is unchanged. A set that outgrows its buffer gets
+    // the capacity push growth would reach, so the single-page inserts
+    // that follow do not reallocate at once.
     if merged.len() > i {
         merged.extend_from_slice(set.get(i..).unwrap_or_default());
         set.clear();
+        if set.capacity() < merged.len() {
+            set.reserve_exact(merged.len().next_power_of_two().max(4));
+        }
         set.extend_from_slice(merged);
     }
+}
+
+/// The sparse kernel's working arrays. The ledger keeps them between
+/// batches, cleared rather than freed, so a stream of small batches (the
+/// event loop's like runs, a log fold's batches) allocates them once.
+#[derive(Clone, Debug, Default)]
+struct SparseScratch {
+    /// `(user, page, batch position)`, sorted.
+    triples: Vec<(u32, u32, u32)>,
+    /// Accept flag per batch position.
+    accept: Vec<bool>,
+    /// Global record index per batch position (`u32::MAX`: rejected).
+    global_idx: Vec<u32>,
+    /// `(page, global index)` of the appended records, sorted.
+    by_page: Vec<(u32, u32)>,
+    /// One user's `(page, position)` candidates.
+    cand: Vec<(u32, u32)>,
+    /// [`absorb_sorted`]'s merge buffer.
+    merged: Vec<u32>,
+    /// One posting list's new indices.
+    idxs: Vec<u32>,
 }
 
 /// The append-only like ledger with both-side indexes. See the module docs
@@ -197,6 +233,7 @@ pub struct LikeLedger {
     user_pages: Vec<Vec<u32>>,
     shards: Vec<Shard>,
     n_pages: usize,
+    sparse: SparseScratch,
 }
 
 impl LikeLedger {
@@ -304,6 +341,7 @@ impl LikeLedger {
             // sparse twin, whose work scales with the batch.
             return self.ingest_columns_sparse(&batch);
         }
+        likelab_obs::span!("ledger.ingest.dense");
         let mut counts = vec![0u32; n_users + 1];
         for &user in b_users {
             // lint:allow(panic-reachable-from-serve): ids accepted by `OsnWorld::check_event`, below the n_users the world sized the ledger to
@@ -493,21 +531,30 @@ impl LikeLedger {
     /// posting-list bytes, but every pass touches only the users, pages,
     /// and shards the batch mentions — no O(accounts) arrays, no walk over
     /// every posting list. Fully sequential (the dense kernel's parallel
-    /// shard stage would be pure overhead at this size).
+    /// shard stage would be pure overhead at this size), and its working
+    /// arrays are the ledger's [`SparseScratch`].
     fn ingest_columns_sparse(&mut self, batch: &LikeColumns) -> usize {
+        likelab_obs::span!("ledger.ingest.sparse");
+        let SparseScratch {
+            triples,
+            accept,
+            global_idx,
+            by_page,
+            cand,
+            merged,
+            idxs,
+        } = &mut self.sparse;
         let n = batch.len();
         // (user, page, pos): user groups come out adjacent, and within a
         // user the (page, pos) order is exactly the candidate ordering
         // `absorb_sorted` expects.
         let positions = batch.users.iter().zip(&batch.pages).zip(0..);
-        let mut triples: Vec<(u32, u32, u32)> = positions
-            .map(|((user, page), pos)| (user.0, page.0, pos))
-            .collect();
+        triples.clear();
+        triples.extend(positions.map(|((user, page), pos)| (user.0, page.0, pos)));
         triples.sort_unstable();
         let user_runs = || triples.chunk_by(|a, b| a.0 == b.0);
-        let mut accept = vec![false; n];
-        let mut cand: Vec<(u32, u32)> = Vec::new();
-        let mut merged: Vec<u32> = Vec::new();
+        accept.clear();
+        accept.resize(n, false);
         for run in user_runs() {
             let &[(user, ..), ..] = run else { continue };
             cand.clear();
@@ -515,16 +562,18 @@ impl LikeLedger {
             absorb_sorted(
                 // lint:allow(panic-reachable-from-serve): ids accepted by `OsnWorld::check_event`, below the account count the world sized the ledger to
                 &mut self.user_pages[user as usize],
-                &cand,
+                cand,
                 |pos| accept[pos as usize] = true, // lint:allow(panic-reachable-from-serve): pos < n
-                &mut merged,
+                merged,
             );
         }
         // Positional pass: append accepted records in batch order.
         let start = self.users.len() as u32;
-        let mut global_idx = vec![u32::MAX; n];
+        global_idx.clear();
+        global_idx.resize(n, u32::MAX);
         let mut next = start;
-        for (((user, page, at), &accepted), idx) in batch.rows().zip(&accept).zip(&mut global_idx) {
+        for (((user, page, at), &accepted), idx) in batch.rows().zip(&*accept).zip(&mut *global_idx)
+        {
             if accepted {
                 self.users.push(user);
                 self.pages.push(page);
@@ -537,7 +586,6 @@ impl LikeLedger {
         // Per-user posting extends over the same user runs. The gathered
         // indices arrive page-sorted, so re-sort into the strictly
         // increasing (= batch position) order the posting list needs.
-        let mut idxs: Vec<u32> = Vec::new();
         for run in user_runs() {
             let &[(user, ..), ..] = run else { continue };
             idxs.clear();
@@ -548,17 +596,16 @@ impl LikeLedger {
             idxs.sort_unstable();
             if !idxs.is_empty() {
                 // lint:allow(panic-reachable-from-serve): user < the account count, as above
-                self.by_user[user as usize].extend_from_increasing(&idxs);
+                self.by_user[user as usize].extend_from_increasing(idxs);
             }
         }
         // Per-page posting extends: sorting (page, index) pairs makes page
         // runs adjacent with indices ascending (the sort's tie-break *is*
         // global order), so each run extends its list directly — only the
         // pages actually present in the batch are touched.
-        let mut by_page: Vec<(u32, u32)> = (start..next)
-            // lint:allow(panic-reachable-from-serve): start..next are the records this call appended
-            .map(|g| (self.pages[g as usize].0, g))
-            .collect();
+        by_page.clear();
+        // lint:allow(panic-reachable-from-serve): start..next are the records this call appended
+        by_page.extend((start..next).map(|g| (self.pages[g as usize].0, g)));
         by_page.sort_unstable();
         for run in by_page.chunk_by(|a, b| a.0 == b.0) {
             let &[(page, _), ..] = run else { continue };
@@ -567,7 +614,7 @@ impl LikeLedger {
             idxs.extend(run.iter().map(|&(_, g)| g));
             // lint:allow(panic-reachable-from-serve): ids accepted by `OsnWorld::check_event`: page < n_pages, and the world sized the shards to it
             self.shards[page / SHARD_PAGES].by_page[page % SHARD_PAGES]
-                .extend_from_increasing(&idxs);
+                .extend_from_increasing(idxs);
         }
         accepted
     }

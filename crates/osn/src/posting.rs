@@ -30,6 +30,15 @@
 //! Decoding is allocation-free: [`PostingList::iter`] walks blocks through a
 //! fixed 64-slot buffer, so consumers (report aggregation, fanout, the
 //! sweep's burstiness feature) never materialize an index `Vec`.
+//!
+//! Encoding allocates per list, not per value: one
+//! [`PostingList::extend_from_increasing`] call grows each buffer at most
+//! once. The packed section reserves the exact bytes of every block the
+//! call completes (a width pass over the values counts them), with growth
+//! still amortized across calls. A tail that must grow gets the capacity
+//! push growth would reach, `max(4, n.next_power_of_two())` for its
+//! fullest length `n`, so a list built by one bulk call never holds more
+//! than the same values pushed one at a time.
 
 use serde::{Deserialize, Serialize};
 
@@ -111,16 +120,18 @@ impl PostingList {
     /// slice (no per-value dispatch through [`push`][Self::push]), and the
     /// remainder lands in the tail. The encoded bytes are identical to a
     /// push-per-value loop — the block format only depends on the value
-    /// sequence.
+    /// sequence — and the call grows each buffer at most once (see the
+    /// module docs).
     pub fn extend_from_increasing(&mut self, values: &[u32]) {
-        let mut rest = values;
+        let top_up = match self.tail.len() {
+            0 => 0,
+            held => values.len().min(BLOCK - held),
+        };
+        let (head, mut rest) = values.split_at(top_up);
+        self.reserve_for(head, rest);
         // Top up a partially filled tail to a block boundary first.
-        if !self.tail.is_empty() {
-            let (head, tail) = rest.split_at(rest.len().min(BLOCK - self.tail.len()));
-            for &v in head {
-                self.push(v);
-            }
-            rest = tail;
+        for &v in head {
+            self.push(v);
         }
         debug_assert!(rest.is_empty() || self.tail.is_empty());
         while let Some((block, tail)) = rest.split_first_chunk::<BLOCK>() {
@@ -138,6 +149,38 @@ impl PostingList {
         }
         for &v in rest {
             self.push(v);
+        }
+    }
+
+    /// Size both buffers, by the rule in the module docs, for an
+    /// [`extend_from_increasing`] call that tops the tail up with `head`
+    /// and then appends `rest`.
+    ///
+    /// [`extend_from_increasing`]: Self::extend_from_increasing
+    fn reserve_for(&mut self, head: &[u32], rest: &[u32]) {
+        let blocks = rest.chunks_exact(BLOCK);
+        let remainder = blocks.remainder().len();
+        let held = self.tail.len() + head.len();
+        let mut base = self.packed_base;
+        let mut bytes = 0;
+        if held == BLOCK {
+            // The top-up completes the tail's block.
+            let (n, next) = block_bytes(base, self.tail.iter().chain(head));
+            bytes += n;
+            base = next;
+        }
+        for block in blocks {
+            let (n, next) = block_bytes(base, block);
+            bytes += n;
+            base = next;
+        }
+        self.packed.reserve(bytes);
+        let fullest = held.max(remainder);
+        if fullest > 0 {
+            let want = fullest.next_power_of_two().max(4);
+            if self.tail.capacity() < want {
+                self.tail.reserve_exact(want - self.tail.len());
+            }
         }
     }
 
@@ -204,6 +247,21 @@ impl PostingList {
     pub fn heap_bytes(&self) -> usize {
         self.packed.capacity() + self.tail.capacity() * 4
     }
+}
+
+/// Packed size of one block of increasing `values` whose first gap is
+/// encoded against `base` (a header byte plus `BLOCK * width / 8` payload
+/// bytes), and the base the next block is encoded against.
+fn block_bytes<'a>(mut base: u64, values: impl IntoIterator<Item = &'a u32>) -> (usize, u64) {
+    let mut all = 0u32;
+    for &v in values {
+        // Wrapping: a value out of order only mis-sizes a reservation here;
+        // the encoder's own checks are the ones that refuse it.
+        all |= u64::from(v).wrapping_sub(base) as u32;
+        base = u64::from(v) + 1;
+    }
+    let width = (32 - all.leading_zeros()) as usize;
+    (1 + (BLOCK * width).div_ceil(8), base)
 }
 
 impl<'a> IntoIterator for &'a PostingList {
@@ -420,6 +478,24 @@ mod tests {
             }
             assert_eq!(bulk, pushed, "split={split}");
         }
+    }
+
+    #[test]
+    fn bulk_extend_sizes_each_buffer_once() {
+        // Gaps of 3 pack at width 2: three blocks of 1 + 16 bytes, then a
+        // tail of five, which push growth would hold in 8 slots.
+        let values: Vec<u32> = (0..3 * BLOCK as u32 + 5).map(|i| i * 3).collect();
+        let mut list = PostingList::new();
+        list.extend_from_increasing(&values);
+        assert_eq!((list.packed.len(), list.packed.capacity()), (51, 51));
+        assert_eq!((list.tail.len(), list.tail.capacity()), (5, 8));
+        // A top-up past a block boundary grows the tail as pushes would: to
+        // 64, where it flushes.
+        let more: Vec<u32> = (0..70).map(|i| 1_000 + i).collect();
+        list.extend_from_increasing(&more);
+        assert_eq!((list.tail.len(), list.tail.capacity()), (11, BLOCK));
+        let all: Vec<u32> = values.iter().chain(&more).copied().collect();
+        assert_eq!(list.iter().collect::<Vec<u32>>(), all);
     }
 
     #[test]

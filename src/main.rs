@@ -31,6 +31,7 @@
 //! `--min-coverage F` turns low profile coverage into a nonzero exit.
 
 use likelab::core::paper;
+use likelab::core::record::read_log_config;
 use likelab::sim::Exec;
 use likelab::{
     checklist, render_checklist, replay_study, run_study, run_study_opts, run_sweep, serve,
@@ -402,7 +403,21 @@ fn run_study_cli(
     }
 }
 
-fn cmd_run(opts: &Opts) -> Result<ExitCode, String> {
+/// The config a `run` or `checklist` goes on under, announced on stderr:
+/// the flags' preset, or under `--resume` the config in the checkpointed
+/// `world.log`'s header, which the resumed run continues whatever the
+/// preset, seed and scale flags say.
+fn announce_study(opts: &Opts) -> Result<StudyConfig, String> {
+    if let Some(dir) = opts.checkpoint_dir.as_deref().filter(|_| opts.resume) {
+        let config = read_log_config(&dir.join("world.log")).map_err(|e| e.to_string())?;
+        eprintln!(
+            "resuming study from {}: seed={}, scale={}...",
+            dir.display(),
+            config.seed,
+            config.scale
+        );
+        return Ok(config);
+    }
     let config = opts.study_config()?;
     eprintln!(
         "running study: preset={}, seed={}, scale={}...",
@@ -410,6 +425,11 @@ fn cmd_run(opts: &Opts) -> Result<ExitCode, String> {
         opts.seed,
         opts.effective_scale()
     );
+    Ok(config)
+}
+
+fn cmd_run(opts: &Opts) -> Result<ExitCode, String> {
+    let config = announce_study(opts)?;
     start_observability(opts);
     let outcome = match run_study_cli(&config, opts)? {
         Ok(o) => o,
@@ -439,14 +459,9 @@ fn cmd_run(opts: &Opts) -> Result<ExitCode, String> {
 }
 
 fn cmd_checklist(opts: &Opts) -> Result<ExitCode, String> {
-    eprintln!(
-        "running study: preset={}, seed={}, scale={}...",
-        opts.preset_name(),
-        opts.seed,
-        opts.effective_scale()
-    );
+    let config = announce_study(opts)?;
     start_observability(opts);
-    let outcome = match run_study_cli(&opts.study_config()?, opts)? {
+    let outcome = match run_study_cli(&config, opts)? {
         Ok(o) => o,
         Err(code) => return Ok(code),
     };

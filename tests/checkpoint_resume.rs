@@ -5,6 +5,7 @@ use likelab::farms::DeliveryStyle;
 use likelab::honeypot::Promotion;
 use likelab::{run_study, run_study_opts, RunOptions, StudyConfig, StudyError, StudyOutcome};
 use std::path::PathBuf;
+use std::process::Command;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -66,6 +67,49 @@ fn crash_and_resume_is_byte_identical() {
         "the run journal survives the crash"
     );
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `likelab run --resume DIR` goes on under the config in `DIR/world.log`'s
+/// header, so with no preset, seed or scale flag it still prints what the
+/// uninterrupted run printed: for a chaos run, the report and the
+/// clean-vs-faulted robustness comparison, which the flags' default paper
+/// preset has none of.
+#[test]
+fn a_resumed_chaos_run_prints_the_uninterrupted_stdout() {
+    let dir = scratch("chaos-cli");
+    let ckpt = dir.to_str().expect("utf-8 temp path");
+    let run = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_likelab"))
+            .arg("run")
+            .args(args)
+            .output()
+            .expect("run likelab")
+    };
+    let chaos = ["--preset", "chaos", "--scale", "0.03", "--seed", "11"];
+    let uninterrupted = run(&chaos);
+    assert!(
+        uninterrupted.status.success(),
+        "the uninterrupted run exits 0"
+    );
+    let hook = ["--checkpoint-dir", ckpt, "--crash-after-checkpoints", "1"];
+    let crashed = run(&[&chaos[..], &hook[..]].concat());
+    assert_eq!(crashed.status.code(), Some(86), "the crash hook must fire");
+    let resumed = run(&["--resume", ckpt]);
+    assert!(
+        resumed.status.success(),
+        "resume must exit 0: {}",
+        String::from_utf8_lossy(&resumed.stderr)
+    );
+    let stdout = String::from_utf8(resumed.stdout).expect("utf-8 stdout");
+    assert!(
+        stdout.contains("== Crawl robustness: clean vs faulted =="),
+        "the resumed chaos run prints the robustness comparison"
+    );
+    assert!(
+        stdout.as_bytes() == uninterrupted.stdout,
+        "the resumed run's stdout differs from the uninterrupted run's"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

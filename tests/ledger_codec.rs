@@ -7,13 +7,15 @@
 //! 1. **Codec round-trip** — property tests drive [`PostingList`] with
 //!    arbitrary strictly-increasing sequences (wide gaps, block-boundary
 //!    lengths, duplicates collapsed by the reference) and require the decoded
-//!    stream to equal the reference vector element-for-element.
+//!    stream to equal the reference vector element-for-element, and a bulk
+//!    extend to hold no more heap than per-value pushes.
 //! 2. **Ledger differential** — a naive reference ledger built on `Vec` and
 //!    linear scans (the positional first-wins model) answers every public
 //!    [`LikeLedger`] query on a generated world; the packed ledger, fed
 //!    through `ingest_columns`, must agree exactly, including iteration
-//!    order, across shard boundaries, for both ingest kernels and for any
-//!    batch size down to one like.
+//!    order, across shard boundaries, for both ingest kernels, for any
+//!    batch size down to one like, and for batch sequences that make the
+//!    sparse kernel reuse its working arrays.
 
 use std::collections::BTreeSet;
 
@@ -92,6 +94,33 @@ proptest! {
         let a: Vec<u32> = whole.iter().collect();
         let b: Vec<u32> = parts.iter().collect();
         prop_assert_eq!(a, b);
+    }
+
+    /// One bulk extend into a fresh list holds no more heap than the same
+    /// values pushed one at a time (the two encode the same bytes): its
+    /// tail gets the capacity push growth would reach, and its packed
+    /// section the exact bytes of its blocks. Gaps mix dense runs with wide
+    /// jumps, so lists span several blocks of different widths.
+    #[test]
+    fn posting_bulk_extend_holds_no_more_than_pushes(
+        draws in prop::collection::vec((any::<bool>(), 0u32..1_000_000), 0..400),
+    ) {
+        let gaps: Vec<u32> = draws.iter().map(|&(dense, g)| if dense { g % 3 } else { g }).collect();
+        let reference = increasing_from_gaps(&gaps);
+        let mut pushed = PostingList::new();
+        for &v in &reference {
+            pushed.push(v);
+        }
+        let mut bulk = PostingList::new();
+        bulk.extend_from_increasing(&reference);
+        prop_assert_eq!(&bulk, &pushed);
+        prop_assert!(
+            bulk.heap_bytes() <= pushed.heap_bytes(),
+            "bulk {} > pushed {} bytes for {} values",
+            bulk.heap_bytes(),
+            pushed.heap_bytes(),
+            reference.len()
+        );
     }
 }
 
@@ -298,5 +327,46 @@ proptest! {
         // Draws never name a user past 23, so checking that range covers
         // every populated row in both ledgers.
         assert_ledgers_agree(&ledger, &reference, 24)?;
+    }
+}
+
+proptest! {
+    /// The sparse kernel keeps its working arrays from one batch to the
+    /// next. One ledger of 64 accounts (a batch under 8 likes takes the
+    /// sparse kernel) gets a sparse batch of 7; a shorter sparse batch of 3
+    /// that opens with a repeat of the first batch's first like, which that
+    /// batch accepted at the same position; a dense batch of 24; and a
+    /// sparse batch of 5 that opens with a repeat of history and names one
+    /// like twice. An accept flag or global index left over from an earlier
+    /// batch would show as a wrong decision or a wrong posting entry.
+    #[test]
+    fn ledger_scratch_reuse_matches_vec_reference(
+        likes in prop::collection::vec((0u32..6, 0u32..120, 0u64..50_000), 36),
+        workers in 1usize..4,
+    ) {
+        let (a, rest) = likes.split_at(7);
+        let (b, rest) = rest.split_at(2);
+        let (c, d) = rest.split_at(24);
+        let batches = [
+            a.to_vec(),
+            [&a[..1], b].concat(),
+            c.to_vec(),
+            [&c[..1], &d[..1], d].concat(),
+        ];
+        let mut ledger = LikeLedger::new(64, 8200);
+        let mut reference = RefLedger::default();
+        for (k, batch) in batches.iter().enumerate() {
+            let mut cols = LikeColumns::with_capacity(batch.len());
+            for &(u, raw, t) in batch {
+                cols.push(UserId(u), PageId(band_page(raw)), SimTime::from_secs(t));
+            }
+            let accepted = ledger.ingest_columns(&cols, Exec::workers(workers));
+            let want: usize = batch
+                .iter()
+                .map(|&(u, raw, t)| reference.record(u, band_page(raw), t) as usize)
+                .sum();
+            prop_assert_eq!(accepted, want, "batch {} of {} likes diverged", k, batch.len());
+        }
+        assert_ledgers_agree(&ledger, &reference, 64)?;
     }
 }
