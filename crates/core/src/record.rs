@@ -32,10 +32,9 @@ use std::path::{Path, PathBuf};
 pub enum StudyRecord {
     /// A world mutation (account, page, friendship, like, termination).
     World(WorldEvent),
-    /// RNG provenance: the master stream forked a named child here. The
-    /// log fold seeds a master RNG from the header's config and forks it
-    /// once per record, so the fork order on record is the ground truth a
-    /// resumed run continues from; replay itself draws nothing from it.
+    /// RNG provenance: the master stream forked a named child here.
+    /// Nothing folds it: replay draws nothing, and a resume re-derives the
+    /// master RNG by running set-up on the header's config.
     RngFork {
         /// The fork label (`population`, `farms`, `ads`, ...).
         label: String,

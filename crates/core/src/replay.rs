@@ -21,7 +21,7 @@ use likelab_honeypot::{
 };
 use likelab_osn::{AudienceReport, DetectorUpdate, EventError, OsnWorld};
 use likelab_sim::event::LogHeader;
-use likelab_sim::{Exec, Rng, SimTime};
+use likelab_sim::{Exec, SimTime};
 use std::path::Path;
 
 /// Knobs for [`replay_study`].
@@ -64,17 +64,12 @@ pub(crate) struct CampaignSlot {
 }
 
 /// The fold of a study log, one record at a time: the rebuilt world, the
-/// master RNG, the campaign slots, the baseline sample, and the stream's
-/// position. Replay and checkpoint resume fold a whole log; serve folds it
-/// as it arrives.
+/// campaign slots, the baseline sample, and the stream's position. Replay
+/// and checkpoint resume fold a whole log; serve folds it as it arrives.
 pub(crate) struct LogFold {
     /// The configuration embedded in the log header.
     pub(crate) config: StudyConfig,
     pub(crate) world: OsnWorld,
-    /// The study's master RNG: seeded from the config's seed and forked
-    /// once per `RngFork` record, as the run that wrote the log forked it.
-    /// A checkpoint resume continues the run with it.
-    pub(crate) rng: Rng,
     /// One slot per configured campaign.
     pub(crate) slots: Vec<CampaignSlot>,
     pub(crate) baseline: Vec<BaselineRecord>,
@@ -95,7 +90,6 @@ impl LogFold {
         let config = config_from_header(header)?;
         Ok(LogFold {
             slots: vec![CampaignSlot::default(); config.campaigns.len()],
-            rng: Rng::seed_from_u64(config.seed),
             config,
             world: OsnWorld::new(),
             baseline: Vec::new(),
@@ -139,9 +133,9 @@ impl LogFold {
                     .map_err(|e| StudyError::bad_event(seq, e))?;
                 self.watermark = self.watermark.max(latest.unwrap_or(SimTime::EPOCH));
             }
-            StudyRecord::RngFork { label } => {
-                self.rng.fork(&label);
-            }
+            // Provenance only: a resume re-derives the master RNG by
+            // running set-up.
+            StudyRecord::RngFork { .. } => {}
             StudyRecord::CampaignLaunched { campaign, page, at } => {
                 // The page's audience is read from the world later, and a
                 // study journals a honeypot page before launching it.

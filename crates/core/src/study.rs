@@ -39,6 +39,7 @@ use likelab_osn::{
     AdMarket, AudienceReport, CrawlApi, CrawlConfig, FraudOps, FraudOpsConfig, LikeColumns,
     OsnWorld,
 };
+use likelab_sim::event::fnv1a;
 use likelab_sim::{Engine, Exec, Rng, SimDuration, SimTime, Trace};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -179,14 +180,28 @@ pub(crate) enum Ev {
 /// sweeps follow every `sweep_interval` while they fall within the study.
 pub(crate) const FIRST_SWEEP: SimDuration = SimDuration::days(3);
 
-/// The planned likes still to fire. Set-up plans every like before it
-/// schedules the first poll or sweep, so the likes sit in one column beside
-/// the event queue, sorted by time with ties in plan order, and fire from
-/// `next` on. Both constructors make sure the columns have equal lengths
-/// and are in time order.
+/// The planned likes, and a cursor at the next one to fire. Set-up plans
+/// every like before it schedules the first poll or sweep, so the likes sit
+/// in one column beside the event queue, sorted by time with ties in plan
+/// order, and fire from `next` on. The plan is a function of the config, so
+/// a checkpoint stores only the cursor and the plan's fingerprint, and a
+/// resume runs set-up again for the plan itself.
 pub(crate) struct PlannedLikes {
     likes: LikeColumns,
     next: usize,
+}
+
+/// What identifies a like plan: its length and the FNV-1a of its three
+/// columns (user, page and time, each little-endian, column after column).
+/// A checkpoint stores it beside its cursor; a resume refuses a plan that
+/// set-up re-derives with another fingerprint, which a build whose planner
+/// changed would.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+pub(crate) struct PlanFingerprint {
+    /// The number of planned likes.
+    pub len: u64,
+    /// The FNV-1a of the columns.
+    pub fnv1a: u64,
 }
 
 impl PlannedLikes {
@@ -203,48 +218,34 @@ impl PlannedLikes {
         PlannedLikes { likes, next: 0 }
     }
 
-    /// The planned likes a checkpoint held, refused (with the reason)
-    /// unless the columns have equal lengths, are in time order and name
-    /// only the first `accounts` accounts and `pages` pages.
-    pub(crate) fn restore(
-        likes: LikeColumns,
-        accounts: usize,
-        pages: usize,
-    ) -> Result<Self, String> {
-        let n = likes.len();
-        if likes.pages.len() != n || likes.times.len() != n {
-            return Err(format!(
-                "planned has ragged columns: {n} users, {} pages, {} times",
-                likes.pages.len(),
-                likes.times.len()
-            ));
-        }
-        if let Some(pair) = likes.times.windows(2).find(|pair| pair[0] > pair[1]) {
-            return Err(format!(
-                "planned likes are out of time order: {} before {}",
-                pair[0], pair[1]
-            ));
-        }
-        if let Some(user) = likes.users.iter().find(|u| u.idx() >= accounts) {
-            return Err(format!(
-                "a planned like names account {user}, but the pinned log has {accounts} accounts"
-            ));
-        }
-        if let Some(page) = likes.pages.iter().find(|p| p.idx() >= pages) {
-            return Err(format!(
-                "a planned like names page {page}, but the pinned log has {pages} pages"
-            ));
-        }
-        Ok(PlannedLikes { likes, next: 0 })
+    /// The cursor: the index of the next like to fire.
+    pub(crate) fn cursor(&self) -> u64 {
+        self.next as u64
     }
 
-    /// The likes not yet fired, as a column of their own.
-    pub(crate) fn remaining(&self) -> LikeColumns {
-        let rows = self.next..;
-        LikeColumns {
-            users: self.likes.users[rows.clone()].to_vec(),
-            pages: self.likes.pages[rows.clone()].to_vec(),
-            times: self.likes.times[rows].to_vec(),
+    /// Move the cursor to a checkpoint's `next`, returning the time of the
+    /// like it points at (None once every like has fired). A cursor past
+    /// the plan's end is refused, with the reason.
+    pub(crate) fn seek(&mut self, next: u64) -> Result<Option<SimTime>, String> {
+        let len = self.likes.len();
+        let next = usize::try_from(next)
+            .ok()
+            .filter(|&n| n <= len)
+            .ok_or_else(|| format!("planned_next {next} is past the end of the {len}-like plan"))?;
+        self.next = next;
+        Ok(self.likes.times.get(next).copied())
+    }
+
+    /// The plan's fingerprint. It reads the whole plan, so a run computes
+    /// it only at its first checkpoint (a resume also once to check it).
+    pub(crate) fn fingerprint(&self) -> PlanFingerprint {
+        let c = &self.likes;
+        let bytes = (c.users.iter().flat_map(|u| u.0.to_le_bytes()))
+            .chain(c.pages.iter().flat_map(|p| p.0.to_le_bytes()))
+            .chain(c.times.iter().flat_map(|t| t.as_secs().to_le_bytes()));
+        PlanFingerprint {
+            len: c.len() as u64,
+            fnv1a: fnv1a(bytes),
         }
     }
 
@@ -329,10 +330,12 @@ pub struct RunOptions {
     /// `capture_log` and `log_out`.
     pub checkpoint_dir: Option<PathBuf>,
     /// Checkpoint cadence, in fired events (0 disables checkpoint writes).
+    /// Ignored under `resume`: a resumed run checkpoints at the cadence its
+    /// `checkpoint.json` stores.
     pub checkpoint_every: u64,
     /// Resume from `checkpoint_dir` instead of starting fresh. The config
     /// in the header of `<dir>/world.log` wins; the config passed to
-    /// [`run_study_opts`] is ignored.
+    /// [`run_study_opts`] is ignored, and so is `checkpoint_every`.
     pub resume: bool,
     /// Test hook: abort with [`StudyError::SimulatedCrash`] after this
     /// many checkpoints have been written. Lets CI exercise the
@@ -411,9 +414,11 @@ impl Capture {
 }
 
 /// Everything the event loop carries between steps. Checkpointing
-/// serializes all of it except what a resume derives from the log: the
-/// world, the config, the study window, the master RNG and the honeypot
-/// pages. A campaign is inactive exactly when its monitor is `None`.
+/// serializes only what a resume can derive neither from the log (the
+/// world, the config, the honeypot pages) nor from set-up (the planned
+/// likes, the study window, the master RNG): the plan's cursor, the queue,
+/// the monitors, the crawl API, the sweep engine's RNG and the trace. A
+/// campaign is inactive exactly when its monitor is `None`.
 pub(crate) struct LoopState {
     pub(crate) config: StudyConfig,
     pub(crate) world: OsnWorld,
@@ -458,9 +463,8 @@ fn campaign_end(
 /// The study window `(launch, end)` that `config` implies: campaigns launch
 /// at the end of the population's history window, and the study ends
 /// `termination_check_after` past the last promotion. Set-up schedules by
-/// it, and a resume derives it from the config in the log header, refusing
-/// one whose window overflows the clock.
-pub(crate) fn study_window(config: &StudyConfig) -> Result<(SimTime, SimTime), String> {
+/// it, and refuses a config whose window overflows the clock.
+fn study_window(config: &StudyConfig) -> Result<(SimTime, SimTime), String> {
     let launch = SimTime::EPOCH + config.population.history;
     let mut last = launch;
     for spec in &config.campaigns {
@@ -542,8 +546,13 @@ pub fn run_study_opts(config: &StudyConfig, opts: &RunOptions) -> Result<StudyOu
 }
 
 /// Phases 1–3: population, honeypots, promotions, organic plan, and the
-/// initial event queue.
-fn setup(config: &StudyConfig, exec: Exec, capture: &mut Capture) -> Result<LoopState, StudyError> {
+/// initial event queue. A resume runs it again, with capture off, for the
+/// plan, the study window and the master RNG.
+pub(crate) fn setup(
+    config: &StudyConfig,
+    exec: Exec,
+    capture: &mut Capture,
+) -> Result<LoopState, StudyError> {
     let (launch, end) = study_window(config).map_err(StudyError::Mismatch)?;
     let mut rng = Rng::seed_from_u64(config.seed);
     let mut trace = Trace::with_capacity(10_000);
@@ -757,6 +766,7 @@ pub(crate) fn event_loop(
     // resume point — the bucket starts at the resumed counter).
     let every = opts.checkpoint_every;
     let mut cp_bucket = state.engine.fired().checked_div(every).unwrap_or(0);
+    let mut plan = None;
     // Reused columnar buffer for like runs.
     let mut like_run = LikeColumns::with_capacity(0);
     while let Some(dispatch) = next_dispatch(
@@ -805,7 +815,7 @@ pub(crate) fn event_loop(
             let bucket = state.engine.fired().checked_div(every).unwrap_or(0);
             if bucket > cp_bucket {
                 cp_bucket = bucket;
-                crate::checkpoint::write_checkpoint(dir, state, capture)?;
+                crate::checkpoint::write_checkpoint(dir, state, every, &mut plan, capture)?;
                 checkpoints += 1;
                 if opts
                     .crash_after_checkpoints

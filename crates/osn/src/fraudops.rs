@@ -66,41 +66,17 @@ impl Default for FraudOpsConfig {
 
 /// Fraction of an account's likes that fall inside its densest
 /// `window`-length stretch (0 when the account has fewer than `min_likes`).
-/// A bot that fires its whole job list in two hours scores near 1.
+/// A bot that fires its whole job list in two hours scores near 1. The
+/// sweep keeps the same value per account and folds new likes into it.
 pub fn like_stream_burstiness(
     world: &OsnWorld,
     user: UserId,
     window: SimDuration,
     min_likes: usize,
 ) -> f64 {
-    burstiness_with_scratch(world, user, window, min_likes, &mut Vec::new())
-}
-
-/// [`like_stream_burstiness`] with a caller-owned time buffer, so the sweep
-/// scores a million accounts without a per-account allocation. Reads only
-/// the ledger's time column; most accounts' like streams arrive already
-/// time-sorted (synthesis batches are globally time-ordered and the event
-/// loop advances monotonically), so the sort is usually a no-op check.
-fn burstiness_with_scratch(
-    world: &OsnWorld,
-    user: UserId,
-    window: SimDuration,
-    min_likes: usize,
-    times: &mut Vec<SimTime>,
-) -> f64 {
-    times.clear();
-    times.extend(world.likes().user_times(user));
-    if times.len() < min_likes {
-        return 0.0;
-    }
-    if times.windows(2).any(|w| w[0] > w[1]) {
-        // Sorting bare timestamps by value yields the same sequence a
-        // stable record sort keyed on `at` would (equal keys are
-        // indistinguishable here), so the fast path stays byte-identical
-        // to the historical `of_user_sorted` implementation.
-        times.sort_unstable();
-    }
-    densest_window(times, window) as f64 / times.len() as f64
+    let mut state = BurstState::default();
+    state.initialize(world, user, window, &mut Vec::new());
+    state.value(min_likes)
 }
 
 /// Likes inside the densest `window`-length stretch of a sorted time
@@ -146,11 +122,12 @@ fn hazard_value(
 
 /// The anti-fraud operation.
 ///
-/// Serializable so checkpoint/resume can freeze the sweep engine mid-run
-/// (its RNG stream position is the only hidden state — the burstiness
-/// states are skipped because they are a pure function of the ledger and
-/// rebuild identically after resume).
-#[derive(Clone, Debug)]
+/// Its RNG stream position ([`rng`](Self::rng)) is the only state a
+/// checkpoint needs: the config is the study's, and the per-account
+/// burstiness memo is a pure function of the ledger that rebuilds
+/// identically after resume. It is not `Clone`, so the memo is never
+/// copied.
+#[derive(Debug)]
 pub struct FraudOps {
     config: FraudOpsConfig,
     rng: Rng,
@@ -160,38 +137,6 @@ pub struct FraudOps {
     burst: Vec<BurstState>,
     /// Ledger length already folded into `burst`.
     seen_likes: u32,
-}
-
-// Hand-rolled (de)serialization: checkpoints carry only `config` and `rng`,
-// never the memo — it rebuilds identically from the ledger after resume.
-impl Serialize for FraudOps {
-    fn serialize(&self, w: &mut serde::Writer<'_>) {
-        w.begin_object();
-        w.key("config");
-        self.config.serialize(w);
-        w.key("rng");
-        self.rng.serialize(w);
-        w.end_object();
-    }
-}
-
-impl Deserialize for FraudOps {
-    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        let (mut config, mut rng) = (None, None);
-        r.begin_object()?;
-        while let Some(field) = r.next_field(&["config", "rng"])? {
-            match field {
-                0 => r.read_field(&mut config, "config")?,
-                _ => r.read_field(&mut rng, "rng")?,
-            }
-        }
-        Ok(FraudOps {
-            config: r.take_field(config, "config")?,
-            rng: r.take_field(rng, "rng")?,
-            burst: Vec::new(),
-            seen_likes: 0,
-        })
-    }
 }
 
 /// State sentinel: no like count can reach `u32::MAX` — a ledger would need
@@ -207,7 +152,7 @@ const BURST_UNCOMPUTED: u32 = u32::MAX;
 /// monotonic time order per account; a rare out-of-order backfill flips
 /// `sorted` off and the account falls back to full recomputation (memoized
 /// on its like count) from then on.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct BurstState {
     /// Likes folded into this state ([`BURST_UNCOMPUTED`] = never visited).
     count: u32,
@@ -270,6 +215,8 @@ impl BurstState {
         times.extend(world.likes().user_times(user));
         self.sorted = !times.windows(2).any(|w| w[0] > w[1]);
         if !self.sorted {
+            // Equal bare timestamps are indistinguishable, so an unstable
+            // sort gives the sequence a stable sort of the likes would.
             times.sort_unstable();
         }
         self.count = times.len() as u32;
@@ -285,8 +232,7 @@ impl BurstState {
         }
     }
 
-    /// The burstiness value — `best / count` under the historical gating,
-    /// bit-identical to [`like_stream_burstiness`] on the same stream.
+    /// The burstiness value: `best / count`, or 0 below `min_likes` likes.
     fn value(&self, min_likes: usize) -> f64 {
         let n = self.count as usize;
         if n < min_likes {
@@ -305,6 +251,11 @@ impl FraudOps {
             burst: Vec::new(),
             seen_likes: 0,
         }
+    }
+
+    /// The sweep's RNG stream, at its current position.
+    pub fn rng(&self) -> &Rng {
+        &self.rng
     }
 
     /// Per-sweep hazard of one account at time `now`, from observable

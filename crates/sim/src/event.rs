@@ -176,16 +176,14 @@ pub(crate) fn released_capacity(capacity: usize, pending: usize) -> Option<usize
         .then(|| pending.saturating_mul(2).max(SCRATCH_FLOOR))
 }
 
-/// FNV-1a over a byte slice — the per-record integrity checksum. Not
+/// FNV-1a over a byte stream — the per-record integrity checksum. Not
 /// cryptographic; it catches the bit rot and partial writes a capture file
-/// meets in practice. The [`crate::tail`] decoder verifies it.
-pub(crate) fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+/// meets in practice. The [`crate::tail`] decoder verifies it; the RNG
+/// hashes fork labels with it, and a checkpoint fingerprints its like plan.
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xCBF2_9CE4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }
 
 /// Write the header: magic, version, reserved, meta length, meta JSON.
@@ -209,7 +207,7 @@ fn write_frame(sink: &mut impl io::Write, seq: u64, text: &str) -> Result<u64, L
     let mut head = [0u8; FRAME_FIXED];
     head[..4].copy_from_slice(&body_len(text)?.to_le_bytes());
     head[4..12].copy_from_slice(&seq.to_le_bytes());
-    head[12..].copy_from_slice(&fnv1a_bytes(body).to_le_bytes());
+    head[12..].copy_from_slice(&fnv1a(body.iter().copied()).to_le_bytes());
     sink.write_all(&head)?;
     sink.write_all(body)?;
     Ok((FRAME_FIXED + body.len()) as u64)

@@ -21,16 +21,6 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a hash of a label, used to derive fork sub-seeds from names.
-fn fnv1a(label: &str) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in label.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Derive a stream seed for `(master, stream)` — e.g. one study run within a
 /// seed sweep, or one shard of a partitioned workload.
 ///
@@ -75,7 +65,7 @@ impl Rng {
     /// label, so distinct labels (or distinct parents) give uncorrelated
     /// streams. Forking advances the parent by one draw.
     pub fn fork(&mut self, label: &str) -> Rng {
-        let mixed = self.next_u64() ^ fnv1a(label);
+        let mixed = self.next_u64() ^ crate::event::fnv1a(label.bytes());
         Rng::seed_from_u64(mixed)
     }
 

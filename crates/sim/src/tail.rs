@@ -25,7 +25,7 @@
 //! records. This is the file-follow substrate `likelab serve` ingests from.
 
 use crate::event::{
-    fnv1a_bytes, released_capacity, LogError, LogHeader, LogRecord, FORMAT_VERSION, FRAME_FIXED,
+    fnv1a, released_capacity, LogError, LogHeader, LogRecord, FORMAT_VERSION, FRAME_FIXED,
     HEADER_FIXED, MAGIC,
 };
 use serde::Value;
@@ -235,7 +235,7 @@ impl TailReader {
         let Some(body) = self.peek(at + FRAME_FIXED, len) else {
             return Ok(None);
         };
-        if fnv1a_bytes(body) != sum {
+        if fnv1a(body.iter().copied()) != sum {
             return Err(LogError::Corrupt {
                 offset: self.abs(at),
                 reason: format!("checksum mismatch on record seq {seq}"),

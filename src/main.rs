@@ -30,6 +30,7 @@
 //! `run` also prints the clean-vs-faulted robustness comparison, and
 //! `--min-coverage F` turns low profile coverage into a nonzero exit.
 
+use likelab::core::checkpoint::read_checkpoint_every;
 use likelab::core::paper;
 use likelab::core::record::read_log_config;
 use likelab::sim::Exec;
@@ -275,6 +276,9 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             other => opts.positional.push(other.to_string()),
         }
     }
+    if opts.resume && opts.checkpoint_every.is_some() {
+        return Err("--resume keeps the checkpoint's cadence; drop --checkpoint-every".into());
+    }
     Ok(opts)
 }
 
@@ -406,12 +410,14 @@ fn run_study_cli(
 /// The config a `run` or `checklist` goes on under, announced on stderr:
 /// the flags' preset, or under `--resume` the config in the checkpointed
 /// `world.log`'s header, which the resumed run continues whatever the
-/// preset, seed and scale flags say.
+/// preset, seed and scale flags say, at the cadence its `checkpoint.json`
+/// stores.
 fn announce_study(opts: &Opts) -> Result<StudyConfig, String> {
     if let Some(dir) = opts.checkpoint_dir.as_deref().filter(|_| opts.resume) {
         let config = read_log_config(&dir.join("world.log")).map_err(|e| e.to_string())?;
+        let every = read_checkpoint_every(dir).map_err(|e| e.to_string())?;
         eprintln!(
-            "resuming study from {}: seed={}, scale={}...",
+            "resuming study from {}: seed={}, scale={}, checkpoint every {every} events...",
             dir.display(),
             config.seed,
             config.scale

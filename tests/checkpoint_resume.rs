@@ -113,9 +113,60 @@ fn a_resumed_chaos_run_prints_the_uninterrupted_stdout() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A resumed run checkpoints at the cadence its `checkpoint.json` stores,
+/// so `likelab run --resume DIR` alone ends on the last checkpoint of the
+/// uninterrupted checkpointed run, byte for byte, and its banner names the
+/// cadence. `--checkpoint-every` beside `--resume` is refused.
+#[test]
+fn a_resumed_run_keeps_its_checkpoint_cadence() {
+    let dir = scratch("cadence");
+    let (full, crashed) = (dir.join("full"), dir.join("crashed"));
+    let (full_arg, ckpt) = (
+        full.to_str().expect("utf-8 temp path"),
+        crashed.to_str().expect("utf-8 temp path"),
+    );
+    let run = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_likelab"))
+            .arg("run")
+            .args(args)
+            .output()
+            .expect("run likelab")
+    };
+    let study = ["--preset", "paper", "--scale", "0.08", "--seed", "7"];
+    let every = ["--checkpoint-every", "20000"];
+    let uninterrupted = run(&[&study[..], &every, &["--checkpoint-dir", full_arg]].concat());
+    assert!(
+        uninterrupted.status.success(),
+        "the checkpointed run exits 0"
+    );
+    let hook = ["--checkpoint-dir", ckpt, "--crash-after-checkpoints", "1"];
+    let killed = run(&[&study[..], &every, &hook].concat());
+    assert_eq!(killed.status.code(), Some(86), "the crash hook must fire");
+
+    let both = run(&[&["--resume", ckpt][..], &every].concat());
+    assert_eq!(both.status.code(), Some(1), "--checkpoint-every is refused");
+    assert!(String::from_utf8_lossy(&both.stderr).contains("drop --checkpoint-every"));
+    let resumed = run(&["--resume", ckpt]);
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert!(resumed.status.success(), "resume must exit 0: {stderr}");
+    assert!(
+        stderr.contains("checkpoint every 20000 events"),
+        "the banner names the cadence: {stderr}"
+    );
+    let last = |d: &PathBuf| std::fs::read(d.join("checkpoint.json")).unwrap();
+    assert!(
+        last(&full) == last(&crashed),
+        "the resumed run's last checkpoint differs from the uninterrupted run's"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The checkpoint holds only what the log cannot give: no copy of the
-/// config, the study window, the master RNG or the population, which a
-/// resume derives from the pinned log prefix.
+/// config or the population, which a resume folds from the pinned log
+/// prefix, and no like column, study window, master RNG or sweep engine,
+/// which it takes from set-up on the log header's config. What is left of
+/// the plan is a cursor into it and its fingerprint; of the sweep engine,
+/// its RNG.
 #[test]
 fn a_checkpoint_holds_only_what_the_log_cannot_give() {
     let dir = scratch("keys");
@@ -138,16 +189,18 @@ fn a_checkpoint_holds_only_what_the_log_cannot_give() {
         keys,
         [
             "version",
+            "checkpoint_every",
             "log_bytes",
             "next_seq",
             "now",
             "fired",
-            "planned",
+            "planned_next",
+            "plan",
             "queue",
             "queue_next_seq",
             "monitors",
             "api",
-            "fraud",
+            "fraud_rng",
             "trace"
         ]
     );
@@ -224,14 +277,16 @@ fn resume_without_a_checkpoint_is_a_hard_error() {
 /// A queue whose entries could collide with a future push (the next
 /// sequence number zeroed, or one entry's pushed past it), a clock outside
 /// the study window, a header config with a zero sweep interval (it kept
-/// the sweep rescheduling itself forever) or a window past the end of the
-/// clock, a log sequence number that does not continue the pinned log, a
-/// monitor list that does not match the campaigns, the queued polls or the
-/// launched pages, another format version (or none, or the previous one),
-/// and planned likes with ragged columns, an unknown account or page, a
-/// time before the clock or times out of order, and a log prefix pinned
-/// before the campaigns launched are each a structured error, and the log
-/// is left as it was.
+/// the sweep rescheduling itself forever), a window past the end of the
+/// clock or a zero scale (set-up's model asserts a positive one), a log
+/// sequence number that does not continue the pinned log, a monitor list
+/// that does not match the campaigns, the queued polls or the launched
+/// pages, another format version (or none, or the previous one),
+/// a plan cursor past the plan's end or at a like before the clock, a plan
+/// fingerprint that is not set-up's, a header config whose set-up builds
+/// another world than the pinned log's, and a log prefix pinned before the
+/// campaigns launched are each a structured error, and the log is left as
+/// it was.
 #[test]
 fn a_checkpoint_queue_with_colliding_seqs_is_a_structured_error() {
     use serde::Value;
@@ -249,13 +304,6 @@ fn a_checkpoint_queue_with_colliding_seqs_is_a_structured_error() {
     let json = std::fs::read_to_string(dir.join("checkpoint.json")).unwrap();
     let log = std::fs::read(dir.join("world.log")).unwrap();
 
-    fn field<'a>(doc: &'a mut Value, name: &str) -> &'a mut Value {
-        let Value::Object(fields) = doc else {
-            panic!("checkpoint is an object")
-        };
-        let (_, value) = fields.iter_mut().find(|(k, _)| k == name).unwrap();
-        value
-    }
     fn zero_next_seq(doc: &mut Value) {
         *field(doc, "queue_next_seq") = Value::UInt(0);
     }
@@ -273,12 +321,6 @@ fn a_checkpoint_queue_with_colliding_seqs_is_a_structured_error() {
             panic!("{name} is a number of seconds")
         };
         *at = at.checked_add_signed(secs).unwrap();
-    }
-    fn secs_of(doc: &mut Value, name: &str) -> u64 {
-        let Value::UInt(at) = field(doc, name) else {
-            panic!("{name} is a number of seconds")
-        };
-        *at
     }
     fn now_before_launch(doc: &mut Value) {
         *field(doc, "now") = Value::UInt(study_window().0 - 1);
@@ -367,8 +409,11 @@ fn a_checkpoint_queue_with_colliding_seqs_is_a_structured_error() {
     fn version_1(doc: &mut Value) {
         *field(doc, "version") = Value::UInt(1);
     }
-    fn version_3(doc: &mut Value) {
-        *field(doc, "version") = Value::UInt(3);
+    fn version_2(doc: &mut Value) {
+        *field(doc, "version") = Value::UInt(2);
+    }
+    fn version_4(doc: &mut Value) {
+        *field(doc, "version") = Value::UInt(4);
     }
     fn no_version(doc: &mut Value) {
         let Value::Object(fields) = doc else {
@@ -376,31 +421,23 @@ fn a_checkpoint_queue_with_colliding_seqs_is_a_structured_error() {
         };
         fields.retain(|(k, _)| k != "version");
     }
-    fn planned_column<'a>(doc: &'a mut Value, name: &str) -> &'a mut Vec<Value> {
-        let Value::Array(column) = field(field(doc, "planned"), name) else {
-            panic!("planned.{name} is an array")
+    fn planned_next_at_the_start(doc: &mut Value) {
+        *field(doc, "planned_next") = Value::UInt(0);
+    }
+    fn planned_next_past_the_end(doc: &mut Value) {
+        let Value::UInt(len) = *field(field(doc, "plan"), "len") else {
+            panic!("plan.len is a number")
         };
-        assert!(column.len() > 1, "the checkpoint has likes still planned");
-        column
+        *field(doc, "planned_next") = Value::UInt(len + 1);
     }
-    fn ragged_planned(doc: &mut Value) {
-        planned_column(doc, "pages").pop();
+    fn plan_hash_plus_one(doc: &mut Value) {
+        let Value::UInt(hash) = field(field(doc, "plan"), "fnv1a") else {
+            panic!("plan.fnv1a is a number")
+        };
+        *hash = hash.wrapping_add(1);
     }
-    fn planned_unknown_user(doc: &mut Value) {
-        planned_column(doc, "users")[0] = Value::UInt(99_999_999);
-    }
-    fn planned_unknown_page(doc: &mut Value) {
-        planned_column(doc, "pages")[0] = Value::UInt(99_999_999);
-    }
-    fn planned_before_the_clock(doc: &mut Value) {
-        let now = secs_of(doc, "now");
-        planned_column(doc, "times")[0] = Value::UInt(now - 1);
-    }
-    fn planned_out_of_order(doc: &mut Value) {
-        let times = planned_column(doc, "times");
-        let last = times.len() - 1;
-        assert_ne!(times[0], times[last], "the planned likes span time");
-        times.swap(0, last);
+    fn plan_len_minus_one(doc: &mut Value) {
+        shift(field(doc, "plan"), "len", -1);
     }
     fn sweep_at_the_end_of_the_clock(doc: &mut Value) {
         queued(doc, "Sweep")[0] = Value::UInt(u64::MAX);
@@ -465,48 +502,44 @@ fn a_checkpoint_queue_with_colliding_seqs_is_a_structured_error() {
         (
             "version = 0",
             version_0,
-            "format version 0; this build reads version 2",
+            "format version 0; this build reads version 3",
         ),
         (
             "version = 1",
             version_1,
-            "format version 1; this build reads version 2",
+            "format version 1; this build reads version 3",
         ),
         (
-            "version = 3",
-            version_3,
-            "format version 3; this build reads version 2",
+            "version = 2",
+            version_2,
+            "format version 2; this build reads version 3",
+        ),
+        (
+            "version = 4",
+            version_4,
+            "format version 4; this build reads version 3",
         ),
         (
             "version missing",
             no_version,
-            "no checkpoint format version (written before version 1); this build reads version 2",
+            "no checkpoint format version (written before version 1); this build reads version 3",
         ),
         (
-            "planned.pages one short",
-            ragged_planned,
-            "planned has ragged columns",
-        ),
-        (
-            "planned.users[0] = 99,999,999",
-            planned_unknown_user,
-            "names account",
-        ),
-        (
-            "planned.pages[0] = 99,999,999",
-            planned_unknown_page,
-            "names page",
-        ),
-        (
-            "planned.times[0] = now - 1 s",
-            planned_before_the_clock,
+            "planned_next = 0",
+            planned_next_at_the_start,
             "a planned like at",
         ),
         (
-            "planned.times first and last swapped",
-            planned_out_of_order,
-            "planned likes are out of time order",
+            "planned_next = plan length + 1",
+            planned_next_past_the_end,
+            "is past the end of the",
         ),
+        (
+            "plan.fnv1a + 1",
+            plan_hash_plus_one,
+            "differs from set-up's",
+        ),
+        ("plan.len - 1", plan_len_minus_one, "differs from set-up's"),
         (
             "a Sweep queued at 2^64 - 1",
             sweep_at_the_end_of_the_clock,
@@ -518,16 +551,15 @@ fn a_checkpoint_queue_with_colliding_seqs_is_a_structured_error() {
         refused(what, &doc, needle, &log);
     }
 
-    // The config lives in the header of world.log. An edit there moves
-    // every frame after it, so the pin moves by the change in the
-    // header's length. A header is the 4-byte magic, a 2-byte version, 2
-    // reserved bytes, the 4-byte length of its meta document, then that
-    // document.
+    // The config lives in the header of world.log (see `with_header`).
     fn zero_sweep_interval(config: &mut Value) {
         *field(config, "sweep_interval") = Value::UInt(0);
     }
     fn endless_termination_check(config: &mut Value) {
         *field(config, "termination_check_after") = Value::UInt(u64::MAX);
+    }
+    fn zero_scale(config: &mut Value) {
+        *field(config, "scale") = Value::Float(0.0);
     }
     for (what, edit, needle) in [
         (
@@ -540,20 +572,48 @@ fn a_checkpoint_queue_with_colliding_seqs_is_a_structured_error() {
             endless_termination_check,
             "ends past the end of the clock",
         ),
+        (
+            "header scale = 0",
+            zero_scale,
+            "header config makes set-up panic",
+        ),
     ] {
-        let meta_len = u32::from_le_bytes(log[8..12].try_into().unwrap()) as usize;
-        let meta = std::str::from_utf8(&log[12..12 + meta_len]).unwrap();
-        let mut meta: Value = serde_json::from_str(meta).unwrap();
-        edit(field(&mut meta, "config"));
-        let meta = serde_json::to_string(&meta).unwrap();
-        let mut edited = log[..8].to_vec();
-        edited.extend_from_slice(&(meta.len() as u32).to_le_bytes());
-        edited.extend_from_slice(meta.as_bytes());
-        edited.extend_from_slice(&log[12 + meta_len..]);
-        let mut doc: Value = serde_json::from_str(&json).unwrap();
-        shift(&mut doc, "log_bytes", meta.len() as i64 - meta_len as i64);
+        let (doc, edited) = with_header(&json, &log, edit);
         refused(what, &doc, needle, &edited);
     }
+
+    // A header config that set-up plans from differently: at scale 0.03 it
+    // builds a bigger world than the one the log pins, at 0.02. Given that
+    // plan's fingerprint, and a cursor at its end so that no planned like
+    // runs the clock back, the checkpoint passes every other check.
+    let other = scratch("other-scale");
+    let crashed = run_study_opts(
+        &StudyConfig::paper(3, 0.03),
+        &RunOptions {
+            checkpoint_dir: Some(other.clone()),
+            checkpoint_every: 5_000,
+            crash_after_checkpoints: Some(1),
+            ..RunOptions::default()
+        },
+    );
+    assert!(matches!(crashed, Err(StudyError::SimulatedCrash { .. })));
+    let other_json = std::fs::read_to_string(other.join("checkpoint.json")).unwrap();
+    let mut other_doc: Value = serde_json::from_str(&other_json).unwrap();
+    let mut plan = field(&mut other_doc, "plan").clone();
+    let len = field(&mut plan, "len").clone();
+    fn scale_0_03(config: &mut Value) {
+        *field(config, "scale") = Value::Float(0.03);
+    }
+    let (mut doc, edited) = with_header(&json, &log, scale_0_03);
+    *field(&mut doc, "planned_next") = len;
+    *field(&mut doc, "plan") = plan;
+    refused(
+        "header scale = 0.03 with that plan's fingerprint",
+        &doc,
+        "set-up on the header config builds (accounts, pages)",
+        &edited,
+    );
+    std::fs::remove_dir_all(&other).ok();
 
     // Pinned to the log prefix before the first launch record, the
     // checkpoint continues that prefix, but the campaigns it polls were
@@ -590,6 +650,40 @@ fn a_checkpoint_queue_with_colliding_seqs_is_a_structured_error() {
     }
     std::fs::remove_dir_all(&late).ok();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The field `name` of the object `doc`.
+fn field<'a>(doc: &'a mut serde::Value, name: &str) -> &'a mut serde::Value {
+    let serde::Value::Object(fields) = doc else {
+        panic!("{name}'s parent is an object")
+    };
+    let (_, value) = fields.iter_mut().find(|(k, _)| k == name).unwrap();
+    value
+}
+
+/// The checkpoint `json` and the log `log` with the log header's config
+/// edited by `edit`. An edit there moves every frame after it, so the pin
+/// moves by the change in the header's length. A header is the 4-byte
+/// magic, a 2-byte version, 2 reserved bytes, the 4-byte length of its meta
+/// document, then that document.
+fn with_header(json: &str, log: &[u8], edit: fn(&mut serde::Value)) -> (serde::Value, Vec<u8>) {
+    let meta_len = u32::from_le_bytes(log[8..12].try_into().unwrap()) as usize;
+    let meta = std::str::from_utf8(&log[12..12 + meta_len]).unwrap();
+    let mut meta: serde::Value = serde_json::from_str(meta).unwrap();
+    edit(field(&mut meta, "config"));
+    let meta = serde_json::to_string(&meta).unwrap();
+    let mut edited = log[..8].to_vec();
+    edited.extend_from_slice(&(meta.len() as u32).to_le_bytes());
+    edited.extend_from_slice(meta.as_bytes());
+    edited.extend_from_slice(&log[12 + meta_len..]);
+    let mut doc: serde::Value = serde_json::from_str(json).unwrap();
+    let serde::Value::UInt(bytes) = field(&mut doc, "log_bytes") else {
+        panic!("log_bytes is a number")
+    };
+    *bytes = bytes
+        .checked_add_signed(meta.len() as i64 - meta_len as i64)
+        .unwrap();
+    (doc, edited)
 }
 
 /// The study window `(launch, end)` of `StudyConfig::paper(3, 0.02)`, in
