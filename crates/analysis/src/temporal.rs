@@ -6,6 +6,7 @@
 //! two-hour window, stealth farms and legitimate ads climb near-linearly.
 
 use likelab_honeypot::{CampaignData, Dataset};
+use likelab_osn::densest::densest_window;
 use likelab_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -51,19 +52,12 @@ fn daily_series(offsets: &[SimDuration], days: u64) -> Vec<(f64, usize)> {
         .collect()
 }
 
+/// Share of a sorted offset stream inside its densest `window`.
 fn peak_share(offsets: &[SimDuration], window: SimDuration) -> f64 {
     if offsets.is_empty() {
         return 0.0;
     }
-    let mut best = 1usize;
-    let mut lo = 0usize;
-    for hi in 0..offsets.len() {
-        while offsets[hi].saturating_sub(offsets[lo]) > window {
-            lo += 1;
-        }
-        best = best.max(hi - lo + 1);
-    }
-    best as f64 / offsets.len() as f64
+    densest_window(offsets, window) as f64 / offsets.len() as f64
 }
 
 /// Coefficient of variation and Gini coefficient of the inter-arrival gaps

@@ -82,6 +82,12 @@ pub(crate) struct CheckpointState {
 /// The `checkpoint.json` format this build writes and reads.
 pub(crate) const CHECKPOINT_VERSION: u64 = 3;
 
+/// The shortest frame the log writer produces for an account's
+/// `AccountCreated` record, and for a page's `PageCreated` record: every
+/// number 0, every string empty, each enum at its shortest variant.
+const MIN_ACCOUNT_FRAME: u64 = 218;
+const MIN_PAGE_FRAME: u64 = 113;
+
 /// Just the format version of a `checkpoint.json`, read before the rest:
 /// another version's fields may not parse at all.
 #[derive(Deserialize)]
@@ -221,6 +227,23 @@ pub(crate) fn resume_study(opts: &RunOptions) -> Result<StudyOutcome, StudyError
                 )));
             }
         }
+    }
+
+    // Set-up journals a frame for every account and page it creates, the
+    // scaled population's organic accounts and background pages among
+    // them, before the first checkpoint. A header asking for a population
+    // whose frames cannot fit in the pinned prefix is refused before set-up
+    // builds it.
+    let (accounts, pages) = config.population.scaled_sizes(config.scale);
+    let floor = (accounts as u64)
+        .saturating_mul(MIN_ACCOUNT_FRAME)
+        .saturating_add((pages as u64).saturating_mul(MIN_PAGE_FRAME));
+    if floor > cp.log_bytes {
+        return Err(refuse_header(format!(
+            "config asks for {accounts} organic accounts and {pages} background pages, \
+             at least {floor} bytes of frames, but the checkpoint pins {} bytes",
+            cp.log_bytes
+        )));
     }
 
     // Set-up re-derives the plan, the window and the master RNG. Its world
@@ -374,4 +397,73 @@ pub(crate) fn resume_study(opts: &RunOptions) -> Result<StudyOutcome, StudyError
     };
     event_loop(&mut state, &mut capture, &opts)?;
     collect(state, capture, opts.exec)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::record::StudyRecord;
+    use likelab_osn::{
+        ActorClass, Country, Gender, PageCategory, PrivacySettings, Profile, WorldEvent,
+    };
+    use likelab_sim::event::{FrameWriter, LogHeader};
+
+    /// The bytes the log writer frames `ev` in.
+    fn framed(ev: WorldEvent) -> u64 {
+        let mut w = FrameWriter::new(Vec::new(), &LogHeader::new(serde::Value::Null)).unwrap();
+        let header = w.bytes_written();
+        w.append(0, &StudyRecord::World(ev)).unwrap();
+        w.bytes_written() - header
+    }
+
+    #[test]
+    fn the_shortest_frames_are_pinned() {
+        let flags = [false, true];
+        let mut accounts = Vec::new();
+        for gender in [Gender::Female, Gender::Male] {
+            for country in Country::ALL {
+                for class in [
+                    ActorClass::Organic,
+                    ActorClass::ClickProne,
+                    ActorClass::Bot(0),
+                    ActorClass::StealthSybil(0),
+                ] {
+                    for (friend_list_public, likes_public, searchable) in flags
+                        .iter()
+                        .flat_map(|&a| flags.iter().flat_map(move |&b| flags.map(|c| (a, b, c))))
+                    {
+                        accounts.push(framed(WorldEvent::AccountCreated {
+                            profile: Profile {
+                                gender,
+                                age: 0,
+                                country,
+                                home_region: 0,
+                            },
+                            class,
+                            privacy: PrivacySettings {
+                                friend_list_public,
+                                likes_public,
+                                searchable,
+                            },
+                            at: SimTime::EPOCH,
+                        }));
+                    }
+                }
+            }
+        }
+        let mut pages = Vec::new();
+        for owner in [None, Some(likelab_graph::UserId(0))] {
+            for category in [PageCategory::Background, PageCategory::Honeypot] {
+                pages.push(framed(WorldEvent::PageCreated {
+                    name: String::new(),
+                    description: String::new(),
+                    owner,
+                    category,
+                    at: SimTime::EPOCH,
+                }));
+            }
+        }
+        assert_eq!(accounts.into_iter().min(), Some(MIN_ACCOUNT_FRAME));
+        assert_eq!(pages.into_iter().min(), Some(MIN_PAGE_FRAME));
+    }
 }

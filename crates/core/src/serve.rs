@@ -23,10 +23,11 @@
 use crate::record::{io_err, parse_record, StudyError, StudyRecord};
 use crate::replay::LogFold;
 use crate::study::StudyConfig;
-use likelab_detect::online::{organic_seeds, score_online, OnlineDetectors};
+use likelab_detect::online::{organic_seeds, score_online, LiveDetectors, OnlineDetectors};
 use likelab_detect::{BurstConfig, LockstepConfig, ScorerWeights, SybilRankConfig};
 use likelab_graph::{PageId, UserId};
 use likelab_obs::Histogram;
+use likelab_osn::WorldEvent;
 use likelab_sim::event::{LogHeader, LogRecord};
 use likelab_sim::{FollowReader, SimTime};
 use serde::Value;
@@ -112,6 +113,9 @@ impl ServeEngine {
 
     /// Fold one study record into the live state.
     pub fn ingest(&mut self, seq: u64, record: StudyRecord) -> Result<(), StudyError> {
+        if let StudyRecord::World(WorldEvent::LikeBatch { likes }) = &record {
+            self.detectors.lockstep_mut().reserve(likes.len());
+        }
         let detectors = &mut self.detectors;
         self.fold
             .apply(seq, record, |update| detectors.apply(update))?;
@@ -134,9 +138,10 @@ impl ServeEngine {
         &self.fold.world
     }
 
-    /// The online detector suite (for direct, non-protocol access).
-    pub fn detectors_mut(&mut self) -> &mut OnlineDetectors {
-        &mut self.detectors
+    /// The online detector suite paired with the live world replica its
+    /// burst verdicts read (for direct, non-protocol access).
+    pub fn detectors_mut(&mut self) -> LiveDetectors<'_> {
+        self.detectors.with_world(&self.fold.world)
     }
 
     /// Records folded so far.
@@ -219,7 +224,7 @@ impl ServeEngine {
         }
         let u = UserId(user as u32);
         let score = self.online_score(u);
-        let verdict = self.detectors.burst_mut().user_verdict(u);
+        let verdict = self.detectors.burst_mut().user_verdict(&self.fold.world, u);
         let world = &self.fold.world;
         Ok(obj(vec![
             ("user", Value::UInt(user)),
@@ -242,7 +247,7 @@ impl ServeEngine {
             return Err(format!("unknown page {page}"));
         }
         let p = PageId(page as u32);
-        let verdict = self.detectors.burst_mut().page_verdict(p);
+        let verdict = self.detectors.burst_mut().page_verdict(&self.fold.world, p);
         Ok(obj(vec![
             ("page", Value::UInt(page)),
             (
@@ -947,6 +952,47 @@ mod tests {
         assert_eq!((fn_, tn), (0, 0), "threshold 0 predicts everyone positive");
         assert!(tp > 0, "ground truth includes farm accounts");
         assert_eq!(resp.get("recall"), Some(&Value::Float(1.0)));
+    }
+
+    #[test]
+    fn a_folded_like_batch_sizes_the_lockstep_column_once() {
+        // Fed one by one, 37 cells would sit in a 64-cell buffer.
+        let n = 37u32;
+        let log = StudyLog::in_memory(&StudyConfig::paper(1, 0.01)).unwrap();
+        let mut engine = ServeEngine::new(log.header(), ServeConfig::default()).unwrap();
+        let mut events = vec![WorldEvent::AccountCreated {
+            profile: likelab_osn::Profile {
+                gender: likelab_osn::Gender::Female,
+                age: 30,
+                country: likelab_osn::Country::Usa,
+                home_region: 0,
+            },
+            class: likelab_osn::ActorClass::Organic,
+            privacy: likelab_osn::PrivacySettings {
+                friend_list_public: true,
+                likes_public: true,
+                searchable: true,
+            },
+            at: SimTime::EPOCH,
+        }];
+        events.extend((0..n).map(|i| WorldEvent::PageCreated {
+            name: format!("p{i}"),
+            description: String::new(),
+            owner: None,
+            category: likelab_osn::PageCategory::Background,
+            at: SimTime::EPOCH,
+        }));
+        let rows: Vec<_> = (0..n)
+            .map(|i| (UserId(0), PageId(i), SimTime::at_day(1)))
+            .collect();
+        events.push(WorldEvent::LikeBatch {
+            likes: likelab_osn::LikeColumns::from_rows(&rows),
+        });
+        for (seq, ev) in events.into_iter().enumerate() {
+            engine.ingest(seq as u64, StudyRecord::World(ev)).unwrap();
+        }
+        let lockstep = engine.detectors_mut().lockstep_mut();
+        assert_eq!((lockstep.likes_seen(), lockstep.capacity()), (37, 37));
     }
 
     #[test]

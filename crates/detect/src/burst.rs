@@ -7,6 +7,7 @@
 //! of events inside the densest window.
 
 use likelab_graph::{PageId, UserId};
+use likelab_osn::densest::{densest_window, Densest};
 use likelab_osn::OsnWorld;
 use likelab_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -45,9 +46,10 @@ pub struct BurstVerdict {
 
 /// The densest-window share of a sorted-or-not time stream.
 ///
-/// Sorts `times` in place, then slides a two-pointer window. This is the
-/// single statistic both the batch judges and the online detector
-/// ([`crate::online::OnlineBurst`]) are defined in terms of, which is what
+/// Sorts `times` in place, then runs the ledger's two-pointer kernel
+/// ([`densest_window`]). The online detector ([`crate::online::OnlineBurst`])
+/// runs the same kernel through the ledger's densest-window memo and
+/// divides in the same float expression ([`Densest::share`]), which is what
 /// makes their parity contract bitwise rather than approximate.
 ///
 /// ```
@@ -68,16 +70,11 @@ pub fn peak_share(times: &mut [SimTime], window: SimDuration) -> f64 {
         return 0.0;
     }
     times.sort_unstable();
-    let mut best = 1usize;
-    let mut lo = 0usize;
-    for hi in 0..times.len() {
-        // lint:allow(panic-reachable-from-serve): lo <= hi < times.len() throughout the sweep
-        while times[hi].since(times[lo]) > window {
-            lo += 1;
-        }
-        best = best.max(hi - lo + 1);
+    Densest {
+        likes: times.len(),
+        peak: densest_window(times, window),
     }
-    best as f64 / times.len() as f64
+    .share()
 }
 
 /// Judge a time stream.

@@ -43,6 +43,8 @@ pub use burst::{judge_account, judge_page, BurstConfig, BurstVerdict};
 pub use eval::{confusion_at, roc, Confusion, PositiveClass, Roc};
 pub use features::{extract, AccountFeatures};
 pub use lockstep::{detect, LockstepConfig, LockstepReport};
-pub use online::{OnlineBurst, OnlineDetectors, OnlineLockstep, OnlineSybilRank};
+pub use online::{
+    LiveBurst, LiveDetectors, OnlineBurst, OnlineDetectors, OnlineLockstep, OnlineSybilRank,
+};
 pub use scorer::{score, ScorerWeights};
 pub use sybilrank::{sybil_rank, SybilRankConfig, TrustScores};

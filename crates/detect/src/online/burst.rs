@@ -1,105 +1,32 @@
-//! Online burst detection: per-entity like streams maintained
-//! incrementally, with verdicts on demand.
+//! Online burst detection: verdicts on demand from the live world's like
+//! ledger, through its densest-window memo.
 //!
 //! ## Parity contract
 //!
 //! [`judge`](crate::burst::judge) is a pure function of the *sorted
 //! multiset* of timestamps: it sorts its input and takes the densest-window
 //! share. So an online variant is bitwise-equal to the batch one iff, at
-//! query time, it evaluates the same statistic over the same multiset. This
-//! implementation keeps the full per-entity timestamp vector (windows never
-//! expire — neither do the batch detector's) and keeps it sorted:
+//! query time, it evaluates the same statistic over the same multiset. The
+//! replica's ledger holds exactly the accepted likes, with every like's
+//! time per account and per page, so this detector keeps no times of its
+//! own: one [`DensestWindows`] memo per side (pages and accounts) settles
+//! a stream when a verdict asks for it.
 //!
-//! - an in-order arrival (`at >=` the current maximum — the overwhelmingly
-//!   common case for a page's live stream) appends and advances the
-//!   two-pointer densest-window scan in amortized O(1);
-//! - an out-of-order arrival (farm accounts backfill camouflage histories
-//!   with past timestamps) marks the stream dirty; the next verdict
-//!   re-sorts and re-scans, exactly as the batch path would.
+//! - a stream whose likes arrived in time order (the overwhelmingly common
+//!   case for a page's live stream) continues its two-pointer scan over
+//!   the likes since the last verdict, at O(new likes + window);
+//! - a stream that took a like out of order (farm accounts backfill
+//!   camouflage histories with past timestamps) is sorted and scanned in
+//!   full, as the batch judge does, once per change of its like count.
 //!
-//! Either way the verdict is computed from the same sorted timestamps with
-//! the same float expression, so equality is exact, not approximate.
+//! Either way the verdict is the same kernel's count over the same sorted
+//! timestamps, divided in the same float expression, so equality is exact,
+//! not approximate.
 
-use crate::burst::{peak_share, BurstConfig, BurstVerdict};
+use crate::burst::{BurstConfig, BurstVerdict};
 use likelab_graph::{PageId, UserId};
-use likelab_sim::SimTime;
-
-/// One entity's timestamp stream plus incremental scan state.
-#[derive(Clone, Debug, Default)]
-struct Stream {
-    /// Timestamps, kept sorted while `dirty` is false.
-    times: Vec<SimTime>,
-    /// Two-pointer window start (valid while clean).
-    lo: usize,
-    /// Densest-window event count seen so far (valid while clean).
-    best: usize,
-    /// An out-of-order arrival invalidates the incremental state.
-    dirty: bool,
-}
-
-impl Stream {
-    fn push(&mut self, at: SimTime, window: likelab_sim::SimDuration) {
-        if self.dirty {
-            self.times.push(at);
-            return;
-        }
-        if let Some(&last) = self.times.last() {
-            if at < last {
-                // Backfill: fall back to batch behaviour at next query.
-                self.times.push(at);
-                self.dirty = true;
-                return;
-            }
-        }
-        self.times.push(at);
-        let hi = self.times.len() - 1;
-        while self.times[hi].since(self.times[self.lo]) > window {
-            self.lo += 1;
-        }
-        self.best = self.best.max(hi - self.lo + 1);
-    }
-
-    fn verdict(&mut self, config: &BurstConfig) -> BurstVerdict {
-        let events = self.times.len();
-        if events < config.min_events || events == 0 {
-            // The batch judge reports an empty stream (reachable only with
-            // `min_events == 0`) as share 0.0; `flagged` mirrors its
-            // threshold comparison on that same value.
-            return BurstVerdict {
-                peak_share: 0.0,
-                events,
-                flagged: events == 0 && config.min_events == 0 && 0.0 >= config.share_threshold,
-            };
-        }
-        let share = if self.dirty {
-            // Same code path as the batch judge: sort + full scan.
-            let share = peak_share(&mut self.times, config.window);
-            // The vector is sorted again; rebuild the incremental state.
-            self.dirty = false;
-            self.lo = 0;
-            self.best = 0;
-            let mut lo = 0usize;
-            let mut best = 1usize;
-            for hi in 0..self.times.len() {
-                // lint:allow(panic-reachable-from-serve): lo <= hi < times.len() throughout the sweep
-                while self.times[hi].since(self.times[lo]) > config.window {
-                    lo += 1;
-                }
-                best = best.max(hi - lo + 1);
-            }
-            self.lo = lo;
-            self.best = best;
-            share
-        } else {
-            self.best.max(1) as f64 / events as f64
-        };
-        BurstVerdict {
-            peak_share: share,
-            events,
-            flagged: share >= config.share_threshold,
-        }
-    }
-}
+use likelab_osn::densest::{Densest, DensestWindows};
+use likelab_osn::OsnWorld;
 
 /// Incremental burst detector over page and account like streams. See the
 /// module docs for the parity contract.
@@ -107,24 +34,32 @@ impl Stream {
 /// ```
 /// use likelab_detect::online::OnlineBurst;
 /// use likelab_detect::BurstConfig;
-/// use likelab_graph::{PageId, UserId};
+/// use likelab_graph::PageId;
+/// use likelab_osn::{ActorClass, Country, Gender, OsnWorld, PageCategory, PrivacySettings, Profile};
 /// use likelab_sim::{SimDuration, SimTime};
 ///
-/// let config = BurstConfig { min_events: 4, ..BurstConfig::default() };
-/// let mut online = OnlineBurst::new(config);
+/// let mut world = OsnWorld::new();
+/// let page = world.create_page("p", "", None, PageCategory::Background, SimTime::EPOCH);
 /// // 4 likes inside one 2-hour window: a full-share burst.
 /// for i in 0..4 {
-///     let at = SimTime::at_day(3) + SimDuration::minutes(i);
-///     online.record_like(UserId(i as u32), PageId(0), at);
+///     let user = world.create_account(
+///         Profile { gender: Gender::Male, age: 30, country: Country::Usa, home_region: 0 },
+///         ActorClass::Bot(0),
+///         PrivacySettings { friend_list_public: true, likes_public: true, searchable: true },
+///         SimTime::EPOCH,
+///     );
+///     world.record_like(user, page, SimTime::at_day(3) + SimDuration::minutes(i));
 /// }
-/// let v = online.page_verdict(PageId(0));
+/// let config = BurstConfig { min_events: 4, ..BurstConfig::default() };
+/// let mut online = OnlineBurst::new(config);
+/// let v = online.page_verdict(&world, PageId(0));
 /// assert!(v.flagged && v.peak_share == 1.0);
 /// ```
 #[derive(Debug)]
 pub struct OnlineBurst {
     config: BurstConfig,
-    pages: Vec<Stream>,
-    users: Vec<Stream>,
+    pages: DensestWindows<PageId>,
+    users: DensestWindows<UserId>,
 }
 
 impl OnlineBurst {
@@ -132,8 +67,8 @@ impl OnlineBurst {
     pub fn new(config: BurstConfig) -> Self {
         OnlineBurst {
             config,
-            pages: Vec::new(),
-            users: Vec::new(),
+            pages: DensestWindows::new(config.window),
+            users: DensestWindows::new(config.window),
         }
     }
 
@@ -142,34 +77,38 @@ impl OnlineBurst {
         &self.config
     }
 
-    fn stream(streams: &mut Vec<Stream>, idx: usize) -> &mut Stream {
-        if idx >= streams.len() {
-            streams.resize_with(idx + 1, Stream::default);
-        }
-        // lint:allow(panic-reachable-from-serve): resize_with above guarantees idx is in bounds
-        &mut streams[idx]
-    }
-
-    /// Feed one **accepted** like (feed rejected likes nowhere — the batch
-    /// detector never sees them either).
-    pub fn record_like(&mut self, user: UserId, page: PageId, at: SimTime) {
-        let window = self.config.window;
-        Self::stream(&mut self.pages, page.idx()).push(at, window);
-        Self::stream(&mut self.users, user.idx()).push(at, window);
-    }
-
-    /// The page's burst verdict over everything recorded so far — equal to
-    /// [`crate::burst::judge_page`] with `since = None` on a world holding
-    /// the same accepted likes.
-    pub fn page_verdict(&mut self, page: PageId) -> BurstVerdict {
-        Self::stream(&mut self.pages, page.idx()).verdict(&self.config)
+    /// The page's burst verdict over every like `world` holds — equal to
+    /// [`crate::burst::judge_page`] with `since = None`. `world` is the
+    /// replica every earlier verdict read, grown since.
+    pub fn page_verdict(&mut self, world: &OsnWorld, page: PageId) -> BurstVerdict {
+        verdict(self.pages.settle(world.likes(), page), &self.config)
     }
 
     /// The account's burst verdict — equal to
-    /// [`crate::burst::judge_account`] on a world holding the same accepted
-    /// likes.
-    pub fn user_verdict(&mut self, user: UserId) -> BurstVerdict {
-        Self::stream(&mut self.users, user.idx()).verdict(&self.config)
+    /// [`crate::burst::judge_account`] on `world`.
+    pub fn user_verdict(&mut self, world: &OsnWorld, user: UserId) -> BurstVerdict {
+        verdict(self.users.settle(world.likes(), user), &self.config)
+    }
+}
+
+/// The batch judge's verdict on a stream's densest-window statistic.
+fn verdict(densest: Densest, config: &BurstConfig) -> BurstVerdict {
+    let events = densest.likes;
+    if events < config.min_events || events == 0 {
+        // The batch judge reports an empty stream (reachable only with
+        // `min_events == 0`) as share 0.0; `flagged` mirrors its threshold
+        // comparison on that same value.
+        return BurstVerdict {
+            peak_share: 0.0,
+            events,
+            flagged: events == 0 && config.min_events == 0 && 0.0 >= config.share_threshold,
+        };
+    }
+    let share = densest.share();
+    BurstVerdict {
+        peak_share: share,
+        events,
+        flagged: share >= config.share_threshold,
     }
 }
 
@@ -177,18 +116,81 @@ impl OnlineBurst {
 mod tests {
     use super::*;
     use crate::burst::judge;
-    use likelab_sim::Rng;
+    use likelab_osn::{ActorClass, Country, Gender, PageCategory, PrivacySettings, Profile};
+    use likelab_sim::{Rng, SimTime};
+
+    /// A world in which one account and one page take the same like
+    /// stream: the first like joins them, and every later time is both a
+    /// like of the page by a fresh account and a like of a fresh page by
+    /// the account.
+    struct Mirror {
+        world: OsnWorld,
+        user: UserId,
+        page: PageId,
+        fed: u32,
+    }
+
+    impl Mirror {
+        fn new(user: u32, page: u32, likes: u32) -> Self {
+            let mut world = OsnWorld::new();
+            for _ in 0..user + likes {
+                world.create_account(
+                    Profile {
+                        gender: Gender::Male,
+                        age: 30,
+                        country: Country::Usa,
+                        home_region: 0,
+                    },
+                    ActorClass::Bot(0),
+                    PrivacySettings {
+                        friend_list_public: true,
+                        likes_public: true,
+                        searchable: true,
+                    },
+                    SimTime::EPOCH,
+                );
+            }
+            for i in 0..page + likes {
+                world.create_page(
+                    format!("p{i}"),
+                    "",
+                    None,
+                    PageCategory::Background,
+                    SimTime::EPOCH,
+                );
+            }
+            Mirror {
+                world,
+                user: UserId(user),
+                page: PageId(page),
+                fed: 0,
+            }
+        }
+
+        fn feed(&mut self, at: SimTime) {
+            let (user, page, i) = (self.user, self.page, self.fed);
+            if i == 0 {
+                assert!(self.world.record_like(user, page, at));
+            } else {
+                assert!(self.world.record_like(UserId(user.0 + i), page, at));
+                assert!(self.world.record_like(user, PageId(page.0 + i), at));
+            }
+            self.fed += 1;
+        }
+    }
 
     /// Compare every intermediate verdict (not just end-of-stream) against
     /// the batch judge on the same prefix.
     fn assert_prefix_parity(times: &[SimTime], config: &BurstConfig) {
+        let mut mirror = Mirror::new(0, 0, times.len() as u32);
         let mut online = OnlineBurst::new(*config);
         for (i, &at) in times.iter().enumerate() {
-            online.record_like(UserId(0), PageId(0), at);
+            mirror.feed(at);
             let batch_page = judge(times[..=i].to_vec(), config);
             let batch_user = judge(times[..=i].to_vec(), config);
-            assert_eq!(online.page_verdict(PageId(0)), batch_page, "prefix {i}");
-            assert_eq!(online.user_verdict(UserId(0)), batch_user, "prefix {i}");
+            let w = &mirror.world;
+            assert_eq!(online.page_verdict(w, PageId(0)), batch_page, "prefix {i}");
+            assert_eq!(online.user_verdict(w, UserId(0)), batch_user, "prefix {i}");
         }
     }
 
@@ -226,20 +228,21 @@ mod tests {
             .map(|_| SimTime::from_secs(rng.below(5 * 86_400)))
             .collect();
         let config = BurstConfig::default();
-        let mut online = OnlineBurst::new(config);
+        let mut mirror = Mirror::new(3, 7, times.len() as u32);
         for &at in &times {
-            online.record_like(UserId(3), PageId(7), at);
+            mirror.feed(at);
         }
+        let mut online = OnlineBurst::new(config);
         let batch = judge(times, &config);
-        let v = online.page_verdict(PageId(7));
+        let v = online.page_verdict(&mirror.world, PageId(7));
         assert_eq!(v.peak_share.to_bits(), batch.peak_share.to_bits());
-        assert_eq!(online.user_verdict(UserId(3)), batch);
+        assert_eq!(online.user_verdict(&mirror.world, UserId(3)), batch);
     }
 
     #[test]
     fn unseen_entities_judge_as_empty_streams() {
         let mut online = OnlineBurst::new(BurstConfig::default());
-        let v = online.page_verdict(PageId(40));
+        let v = online.page_verdict(&OsnWorld::new(), PageId(40));
         assert_eq!(v.events, 0);
         assert!(!v.flagged);
         assert_eq!(v.peak_share, 0.0);
@@ -252,17 +255,18 @@ mod tests {
             ..BurstConfig::default()
         };
         let mut online = OnlineBurst::new(config);
-        online.record_like(UserId(0), PageId(0), SimTime::at_day(5));
-        online.record_like(UserId(0), PageId(0), SimTime::at_day(1)); // backfill
-        let first = online.page_verdict(PageId(0));
-        let second = online.page_verdict(PageId(0));
+        let mut mirror = Mirror::new(0, 0, 3);
+        mirror.feed(SimTime::at_day(5));
+        mirror.feed(SimTime::at_day(1)); // backfill
+        let first = online.page_verdict(&mirror.world, PageId(0));
+        let second = online.page_verdict(&mirror.world, PageId(0));
         assert_eq!(first, second);
         // And further in-order appends extend the rebuilt state correctly.
-        online.record_like(UserId(0), PageId(0), SimTime::at_day(5));
+        mirror.feed(SimTime::at_day(5));
         let batch = judge(
             vec![SimTime::at_day(5), SimTime::at_day(1), SimTime::at_day(5)],
             &config,
         );
-        assert_eq!(online.page_verdict(PageId(0)), batch);
+        assert_eq!(online.page_verdict(&mirror.world, PageId(0)), batch);
     }
 }

@@ -7,8 +7,8 @@
 //! world state (friend count, like count, age, clustering) — on a replica
 //! rebuilt from the same accepted events they are identical by
 //! construction. The fifth, burstiness, is the account's
-//! [`OnlineBurst`](super::OnlineBurst) verdict, which is bitwise-equal to
-//! the batch judge (see that module's contract). So
+//! [`OnlineBurst`](super::OnlineBurst) verdict on the same replica, which
+//! is bitwise-equal to the batch judge (see that module's contract). So
 //! [`extract_online`] == [`extract`](crate::features::extract) exactly,
 //! and feeding either vector to [`crate::scorer::score`] yields the same
 //! fraud score bit for bit.
@@ -21,9 +21,10 @@ use likelab_osn::OsnWorld;
 use likelab_sim::SimTime;
 
 /// Extract one account's features at time `now`, reading world state from
-/// the live replica and burstiness from the online burst detector.
+/// the live replica and burstiness from the online burst detector's
+/// verdict on it.
 ///
-/// `world` and `burst` must have been fed the same accepted event stream;
+/// `burst` must have read no other world than `world` (grown since);
 /// `now` is the stream watermark (at end-of-stream, the same study-end
 /// clock the batch pipeline evaluates at).
 ///
@@ -56,7 +57,7 @@ pub fn extract_online(
 ) -> AccountFeatures {
     let acct = world.account(user);
     AccountFeatures {
-        burstiness: burst.user_verdict(user).peak_share,
+        burstiness: burst.user_verdict(world, user).peak_share,
         friend_count: world.total_friend_count(user) as f64,
         like_count: world.likes().user_like_count(user) as f64,
         age_days: now.saturating_since(acct.created_at).as_days_f64(),
@@ -85,8 +86,8 @@ mod tests {
     use likelab_osn::{ActorClass, Country, Gender, PageCategory, PrivacySettings, Profile};
     use likelab_sim::Rng;
 
-    /// Build one world two ways — batch-style mutation and an online feed —
-    /// and check the feature vectors and scores agree bitwise.
+    /// Build one world and check the batch and online feature vectors and
+    /// scores over it agree bitwise.
     #[test]
     fn online_features_and_scores_match_batch_bitwise() {
         let mut w = OsnWorld::new();
@@ -135,9 +136,7 @@ mod tests {
             let u = users[rng.index(users.len())];
             let p = PageId(rng.below(10) as u32);
             let at = SimTime::from_secs(rng.below(40 * 86_400));
-            if w.record_like(u, p, at) {
-                online.record_like(u, p, at);
-            }
+            w.record_like(u, p, at);
         }
         let now = SimTime::at_day(41);
         let weights = ScorerWeights::default();

@@ -63,9 +63,21 @@ impl OnlineLockstep {
         self.cells.push(cell(user, page, at, &self.config));
     }
 
+    /// Make room for `likes` more cells at once, before a batch of that
+    /// many likes is fed one by one: the column then grows once per batch,
+    /// as the ledger's columns do, instead of doubling past it.
+    pub fn reserve(&mut self, likes: usize) {
+        self.cells.reserve(likes);
+    }
+
     /// Number of likes folded in so far.
     pub fn likes_seen(&self) -> usize {
         self.cells.len()
+    }
+
+    /// Cells the column has room for, fed or not.
+    pub fn capacity(&self) -> usize {
+        self.cells.capacity()
     }
 
     /// Sort the cells recorded since the last report into place.

@@ -3,11 +3,12 @@
 //!
 //! Each batch detector in this crate is a pure function of world state; the
 //! serve path instead sees an *event stream* and must answer queries while
-//! ingest continues. The modules here hold per-detector incremental state
+//! ingest continues. The modules here hold per-detector incremental state,
 //! fed by [`DetectorUpdate`]s (one per accepted mutation, from
 //! [`OsnWorld::apply_event`](likelab_osn::OsnWorld::apply_event) as the
-//! serve engine folds the log) and promise the **online-vs-batch
-//! equivalence contract** documented in `SERVING.md`:
+//! serve engine folds the log) or read from the live world replica the
+//! same fold builds, and promise the **online-vs-batch equivalence
+//! contract** documented in `SERVING.md`:
 //!
 //! > At end-of-stream — and for burst/lockstep at *every* prefix — a query
 //! > answered from online state is bitwise equal to the batch detector run
@@ -15,9 +16,11 @@
 //!
 //! How each detector honors it:
 //!
-//! - [`OnlineBurst`] keeps per-entity sorted timestamp vectors: in-order
-//!   arrivals advance a two-pointer scan in O(1); backfills fall back to
-//!   the batch sort-and-scan lazily at the next query.
+//! - [`OnlineBurst`] keeps no times: a verdict settles the stream's
+//!   densest-window memo over the replica's like ledger
+//!   ([`likelab_osn::densest`]). A stream whose likes arrived in time order
+//!   continues its two-pointer scan over the likes since the last verdict;
+//!   one that took a backfill falls back to the batch sort-and-scan.
 //! - [`OnlineLockstep`] appends one `(window, page, user)` cell per like
 //!   to a flat column, sorts the new cells into place at the next report,
 //!   and runs the batch lockstep kernel over it.
@@ -28,7 +31,8 @@
 //!   from the live world replica plus the online burst verdict.
 //!
 //! [`OnlineDetectors`] bundles all of the above behind a single
-//! [`apply`](OnlineDetectors::apply) fanout.
+//! [`apply`](OnlineDetectors::apply) fanout, and [`LiveDetectors`] pairs
+//! the bundle with the replica its verdicts read.
 //!
 //! [`DetectorUpdate`]: likelab_osn::DetectorUpdate
 
@@ -42,23 +46,28 @@ pub use features::{extract_online, score_online};
 pub use lockstep::OnlineLockstep;
 pub use sybilrank::{organic_seeds, OnlineSybilRank};
 
-use crate::burst::BurstConfig;
+use crate::burst::{BurstConfig, BurstVerdict};
 use crate::lockstep::LockstepConfig;
 use crate::sybilrank::SybilRankConfig;
-use likelab_osn::DetectorUpdate;
+use likelab_graph::{PageId, UserId};
+use likelab_osn::{DetectorUpdate, OsnWorld};
 
 /// The full online detector suite behind one update fanout.
 ///
 /// Feed it every [`DetectorUpdate`] `OsnWorld::apply_event` emits; query the
 /// individual detectors through the accessors. Updates that only change
-/// world state the detectors read on demand (off-network counts,
-/// termination status) are no-ops here — the world replica carries them.
+/// world state the detectors read on demand (like times, off-network
+/// counts, termination status) are no-ops here — the world replica carries
+/// them, and [`with_world`](Self::with_world) pairs the suite with it.
 ///
 /// ```
 /// use likelab_detect::online::OnlineDetectors;
 /// use likelab_detect::{BurstConfig, LockstepConfig, SybilRankConfig};
 /// use likelab_graph::{PageId, UserId};
-/// use likelab_osn::DetectorUpdate;
+/// use likelab_osn::{
+///     ActorClass, Country, Gender, LikeColumns, OsnWorld, PageCategory, PrivacySettings,
+///     Profile, WorldEvent,
+/// };
 /// use likelab_sim::SimTime;
 ///
 /// let mut suite = OnlineDetectors::new(
@@ -66,12 +75,30 @@ use likelab_osn::DetectorUpdate;
 ///     LockstepConfig::default(),
 ///     SybilRankConfig::default(),
 /// );
-/// suite.apply(DetectorUpdate::LikeAccepted {
-///     user: UserId(0),
-///     page: PageId(0),
-///     at: SimTime::at_day(1),
-/// });
-/// assert_eq!(suite.burst_mut().page_verdict(PageId(0)).events, 1);
+/// let mut world = OsnWorld::new();
+/// let events = [
+///     WorldEvent::AccountCreated {
+///         profile: Profile { gender: Gender::Male, age: 30, country: Country::Usa, home_region: 0 },
+///         class: ActorClass::Organic,
+///         privacy: PrivacySettings { friend_list_public: true, likes_public: true, searchable: true },
+///         at: SimTime::EPOCH,
+///     },
+///     WorldEvent::PageCreated {
+///         name: "p".into(),
+///         description: String::new(),
+///         owner: None,
+///         category: PageCategory::Background,
+///         at: SimTime::EPOCH,
+///     },
+///     WorldEvent::LikeBatch {
+///         likes: LikeColumns::from_rows(&[(UserId(0), PageId(0), SimTime::at_day(1))]),
+///     },
+/// ];
+/// for ev in events {
+///     world.apply_event(ev, |update| suite.apply(update)).unwrap();
+/// }
+/// assert_eq!(suite.lockstep_mut().likes_seen(), 1);
+/// assert_eq!(suite.with_world(&world).burst_mut().page_verdict(PageId(0)).events, 1);
 /// assert!(suite.sybilrank().is_dirty());
 /// ```
 #[derive(Debug)]
@@ -98,7 +125,6 @@ impl OnlineDetectors {
         self.updates_seen += 1;
         match update {
             DetectorUpdate::LikeAccepted { user, page, at } => {
-                self.burst.record_like(user, page, at);
                 self.lockstep.record_like(user, page, at);
             }
             DetectorUpdate::AccountAdded { .. } | DetectorUpdate::FriendshipAdded { .. } => {
@@ -117,7 +143,15 @@ impl OnlineDetectors {
         self.updates_seen
     }
 
-    /// The online burst detector (queries need `&mut` for lazy re-sorts).
+    /// The suite paired with `world`, the replica its updates came from.
+    pub fn with_world<'a>(&'a mut self, world: &'a OsnWorld) -> LiveDetectors<'a> {
+        LiveDetectors {
+            detectors: self,
+            world,
+        }
+    }
+
+    /// The online burst detector (verdicts need `&mut` to settle memos).
     pub fn burst_mut(&mut self) -> &mut OnlineBurst {
         &mut self.burst
     }
@@ -138,10 +172,64 @@ impl OnlineDetectors {
     }
 }
 
+/// The detector suite paired with the world replica its burst verdicts
+/// read. Two references: each accessor consumes the view, and
+/// [`OnlineDetectors::with_world`] gives another.
+pub struct LiveDetectors<'a> {
+    detectors: &'a mut OnlineDetectors,
+    world: &'a OsnWorld,
+}
+
+impl<'a> LiveDetectors<'a> {
+    /// The burst detector, judging the paired world.
+    pub fn burst_mut(self) -> LiveBurst<'a> {
+        LiveBurst {
+            burst: &mut self.detectors.burst,
+            world: self.world,
+        }
+    }
+
+    /// The online lockstep detector.
+    pub fn lockstep_mut(self) -> &'a mut OnlineLockstep {
+        &mut self.detectors.lockstep
+    }
+
+    /// The online SybilRank detector, read-only.
+    pub fn sybilrank(self) -> &'a OnlineSybilRank {
+        &self.detectors.sybil
+    }
+
+    /// The online SybilRank detector (refreshes need `&mut`).
+    pub fn sybilrank_mut(self) -> &'a mut OnlineSybilRank {
+        &mut self.detectors.sybil
+    }
+}
+
+/// [`OnlineBurst`] judging one world.
+pub struct LiveBurst<'a> {
+    burst: &'a mut OnlineBurst,
+    world: &'a OsnWorld,
+}
+
+impl LiveBurst<'_> {
+    /// [`OnlineBurst::page_verdict`] on the paired world.
+    pub fn page_verdict(&mut self, page: PageId) -> BurstVerdict {
+        self.burst.page_verdict(self.world, page)
+    }
+
+    /// [`OnlineBurst::user_verdict`] on the paired world.
+    pub fn user_verdict(&mut self, user: UserId) -> BurstVerdict {
+        self.burst.user_verdict(self.world, user)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use likelab_graph::{PageId, UserId};
+    use likelab_osn::{
+        ActorClass, Country, Gender, LikeColumns, PageCategory, PrivacySettings, Profile,
+        WorldEvent,
+    };
     use likelab_sim::SimTime;
 
     #[test]
@@ -155,16 +243,44 @@ mod tests {
             SybilRankConfig::default(),
         );
         assert!(suite.sybilrank().is_dirty(), "dirty until first refresh");
-        suite.apply(DetectorUpdate::AccountAdded { user: UserId(0) });
-        suite.apply(DetectorUpdate::PageAdded { page: PageId(0) });
-        suite.apply(DetectorUpdate::LikeAccepted {
-            user: UserId(0),
-            page: PageId(0),
-            at: SimTime::at_day(2),
-        });
-        suite.apply(DetectorUpdate::AccountTerminated { user: UserId(0) });
+        let mut world = OsnWorld::new();
+        let events = [
+            WorldEvent::AccountCreated {
+                profile: Profile {
+                    gender: Gender::Female,
+                    age: 30,
+                    country: Country::Usa,
+                    home_region: 0,
+                },
+                class: ActorClass::Organic,
+                privacy: PrivacySettings {
+                    friend_list_public: true,
+                    likes_public: true,
+                    searchable: true,
+                },
+                at: SimTime::EPOCH,
+            },
+            WorldEvent::PageCreated {
+                name: "p".into(),
+                description: String::new(),
+                owner: None,
+                category: PageCategory::Background,
+                at: SimTime::EPOCH,
+            },
+            WorldEvent::LikeBatch {
+                likes: LikeColumns::from_rows(&[(UserId(0), PageId(0), SimTime::at_day(2))]),
+            },
+            WorldEvent::Terminated {
+                user: UserId(0),
+                at: SimTime::at_day(3),
+            },
+        ];
+        for ev in events {
+            world.apply_event(ev, |u| suite.apply(u)).unwrap();
+        }
         assert_eq!(suite.updates_seen(), 4);
-        assert_eq!(suite.burst_mut().user_verdict(UserId(0)).events, 1);
+        let mut live = suite.with_world(&world).burst_mut();
+        assert_eq!(live.user_verdict(UserId(0)).events, 1);
         assert_eq!(suite.lockstep_mut().likes_seen(), 1);
     }
 }

@@ -10,6 +10,7 @@
 //!   during the observation period and no abrupt changes are observed",
 //!   visually indistinguishable from a legitimate ad campaign.
 
+use likelab_osn::densest::densest_window;
 use likelab_sim::{Rng, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -116,15 +117,7 @@ pub fn peak_window_share(times: &[SimTime], window: SimDuration) -> f64 {
     }
     let mut sorted = times.to_vec();
     sorted.sort_unstable();
-    let mut best = 1usize;
-    let mut lo = 0usize;
-    for hi in 0..sorted.len() {
-        while sorted[hi].since(sorted[lo]) > window {
-            lo += 1;
-        }
-        best = best.max(hi - lo + 1);
-    }
-    best as f64 / sorted.len() as f64
+    densest_window(&sorted, window) as f64 / sorted.len() as f64
 }
 
 #[cfg(test)]

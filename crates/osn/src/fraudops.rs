@@ -14,6 +14,7 @@
 //! gradual accounts do not. The weights are calibrated so the monthly
 //! termination rates land in the paper's regime.
 
+use crate::densest::{densest_window, Densest, DensestWindows};
 use crate::world::OsnWorld;
 use likelab_graph::UserId;
 use likelab_sim::{Rng, SimDuration, SimTime};
@@ -66,32 +67,30 @@ impl Default for FraudOpsConfig {
 
 /// Fraction of an account's likes that fall inside its densest
 /// `window`-length stretch (0 when the account has fewer than `min_likes`).
-/// A bot that fires its whole job list in two hours scores near 1. The
-/// sweep keeps the same value per account and folds new likes into it.
+/// A bot that fires its whole job list in two hours scores near 1.
+/// Computed from scratch (sort the account's like times, run the kernel);
+/// the sweep reads the same value from its memo.
 pub fn like_stream_burstiness(
     world: &OsnWorld,
     user: UserId,
     window: SimDuration,
     min_likes: usize,
 ) -> f64 {
-    let mut state = BurstState::default();
-    state.initialize(world, user, window, &mut Vec::new());
-    state.value(min_likes)
+    let mut times: Vec<SimTime> = world.likes().user_times(user).collect();
+    times.sort_unstable();
+    let densest = Densest {
+        likes: times.len(),
+        peak: densest_window(&times, window),
+    };
+    burstiness(densest, min_likes)
 }
 
-/// Likes inside the densest `window`-length stretch of a sorted time
-/// sequence (1 for the empty sequence, preserving the historical
-/// accumulator seed).
-fn densest_window(times: &[SimTime], window: SimDuration) -> usize {
-    let mut best = 1usize;
-    let mut lo = 0usize;
-    for hi in 0..times.len() {
-        while times[hi].since(times[lo]) > window {
-            lo += 1;
-        }
-        best = best.max(hi - lo + 1);
+/// The burstiness feature of a densest-window statistic.
+fn burstiness(densest: Densest, min_likes: usize) -> f64 {
+    if densest.likes < min_likes {
+        return 0.0;
     }
-    best
+    densest.share()
 }
 
 /// The hazard formula over precomputed features (the single definition both
@@ -131,125 +130,19 @@ fn hazard_value(
 pub struct FraudOps {
     config: FraudOpsConfig,
     rng: Rng,
-    /// Per-account incremental burstiness state. Sweeps fold only the
-    /// ledger tail appended since the previous sweep instead of re-walking
-    /// every changed account's full stream.
-    burst: Vec<BurstState>,
-    /// Ledger length already folded into `burst`.
-    seen_likes: u32,
-}
-
-/// State sentinel: no like count can reach `u32::MAX` — a ledger would need
-/// 2^32 records before any single account could, and its global `u32`
-/// indices overflow first — so this marks "never computed". (The posting
-/// codec itself now covers the full u32 domain; the bound comes from the
-/// ledger's record count, not the codec.)
-const BURST_UNCOMPUTED: u32 = u32::MAX;
-
-/// Incremental burstiness of one account: the sliding `window` over a
-/// time-sorted like stream, advanced append-by-append. Equivalent to the
-/// full two-pointer recomputation because event-loop likes arrive in
-/// monotonic time order per account; a rare out-of-order backfill flips
-/// `sorted` off and the account falls back to full recomputation (memoized
-/// on its like count) from then on.
-#[derive(Debug)]
-struct BurstState {
-    /// Likes folded into this state ([`BURST_UNCOMPUTED`] = never visited).
-    count: u32,
-    /// Likes inside the densest `window` stretch seen so far.
-    best: u32,
-    /// Timestamp of the last folded like.
-    last: SimTime,
-    /// True while every folded like arrived in non-decreasing time order.
-    sorted: bool,
-    /// The live window: folded times within `window` of `last`.
-    tail: std::collections::VecDeque<SimTime>,
-}
-
-impl Default for BurstState {
-    fn default() -> Self {
-        BurstState {
-            count: BURST_UNCOMPUTED,
-            best: 0,
-            last: SimTime::EPOCH,
-            sorted: true,
-            tail: std::collections::VecDeque::new(),
-        }
-    }
-}
-
-impl BurstState {
-    /// Fold one appended like. No-op until the state is initialized or
-    /// after an out-of-order append demoted it to recompute mode (the
-    /// stale `count` then forces [`initialize`][Self::initialize] on the
-    /// next sweep visit).
-    fn fold(&mut self, at: SimTime, window: SimDuration) {
-        if self.count == BURST_UNCOMPUTED || !self.sorted {
-            return;
-        }
-        if at < self.last {
-            self.sorted = false;
-            self.tail.clear();
-            return;
-        }
-        self.tail.push_back(at);
-        while at.since(self.tail[0]) > window {
-            self.tail.pop_front();
-        }
-        self.best = self.best.max(self.tail.len() as u32);
-        self.last = at;
-        self.count += 1;
-    }
-
-    /// Full rebuild from the account's stream — the two-pointer sweep the
-    /// incremental fold continues. Captures the final window suffix so
-    /// later appends resume exactly where the batch pass stopped.
-    fn initialize(
-        &mut self,
-        world: &OsnWorld,
-        user: UserId,
-        window: SimDuration,
-        times: &mut Vec<SimTime>,
-    ) {
-        times.clear();
-        times.extend(world.likes().user_times(user));
-        self.sorted = !times.windows(2).any(|w| w[0] > w[1]);
-        if !self.sorted {
-            // Equal bare timestamps are indistinguishable, so an unstable
-            // sort gives the sequence a stable sort of the likes would.
-            times.sort_unstable();
-        }
-        self.count = times.len() as u32;
-        self.best = densest_window(times, window) as u32;
-        self.tail.clear();
-        if self.sorted {
-            self.last = times.last().copied().unwrap_or(SimTime::EPOCH);
-            let mut lo = times.len();
-            while lo > 0 && self.last.since(times[lo - 1]) <= window {
-                lo -= 1;
-            }
-            self.tail.extend(times[lo..].iter().copied());
-        }
-    }
-
-    /// The burstiness value: `best / count`, or 0 below `min_likes` likes.
-    fn value(&self, min_likes: usize) -> f64 {
-        let n = self.count as usize;
-        if n < min_likes {
-            return 0.0;
-        }
-        self.best.max(1) as f64 / n as f64
-    }
+    /// Per-account densest-window memo over the ledger: a sweep settles
+    /// each active account's, at O(new likes + window) for an account
+    /// whose likes arrive in time order.
+    burst: DensestWindows<UserId>,
 }
 
 impl FraudOps {
     /// A sweep engine with its own RNG stream.
     pub fn new(config: FraudOpsConfig, rng: Rng) -> Self {
         FraudOps {
+            burst: DensestWindows::new(config.burst_window),
             config,
             rng,
-            burst: Vec::new(),
-            seen_likes: 0,
         }
     }
 
@@ -273,36 +166,14 @@ impl FraudOps {
     /// the same sweep cannot re-enter the candidate set, so the single pass
     /// draws the exact RNG sequence the old collect-then-score loop did.
     pub fn sweep(&mut self, world: &mut OsnWorld, now: SimTime) -> Vec<UserId> {
-        let n = world.account_count();
-        if self.burst.len() < n {
-            self.burst.resize_with(n, BurstState::default);
-        }
-        let window = self.config.burst_window;
-        // Fold the ledger tail appended since the previous sweep — O(new
-        // likes), not O(changed accounts × stream length). Zips the user
-        // and time columns directly; the page column is never touched.
-        let tail_users = world.likes().users_from(self.seen_likes);
-        let tail_times = world.likes().times_from(self.seen_likes);
-        for (&user, &at) in tail_users.iter().zip(tail_times) {
-            self.burst[user.idx()].fold(at, window);
-        }
-        self.seen_likes = world.likes().len() as u32;
         let c = &self.config;
         let mut terminated = Vec::new();
-        let mut times: Vec<SimTime> = Vec::new();
-        for i in 0..n as u32 {
+        for i in 0..world.account_count() as u32 {
             let u = UserId(i);
             if !world.is_active(u) {
                 continue;
             }
-            let count = world.likes().user_like_count(u) as u32;
-            let st = &mut self.burst[i as usize];
-            if st.count != count {
-                // First visit, or an out-of-order backfill demoted the
-                // state: rebuild from the full stream (memoized on count).
-                st.initialize(world, u, window, &mut times);
-            }
-            let burst = st.value(c.min_likes_for_burst);
+            let burst = burstiness(self.burst.settle(world.likes(), u), c.min_likes_for_burst);
             let h = hazard_value(c, world, u, now, burst);
             if self.rng.chance(h) {
                 world.terminate_account(u, now);
@@ -310,6 +181,13 @@ impl FraudOps {
             }
         }
         terminated
+    }
+
+    /// The burstiness the last sweep that reached `user` scored it with,
+    /// read from the memo without settling it (`None` before any sweep).
+    pub fn swept_burstiness(&self, user: UserId) -> Option<f64> {
+        let densest = self.burst.settled(user)?;
+        Some(burstiness(densest, self.config.min_likes_for_burst))
     }
 }
 
@@ -467,8 +345,7 @@ mod tests {
         let mut cold = FraudOps::new(FraudOpsConfig::default(), Rng::seed_from_u64(7));
         for week in 0..4u64 {
             let ta = warm.sweep(&mut wa, SimTime::at_day(403 + week * 7));
-            cold.burst.clear();
-            cold.seen_likes = 0;
+            cold.burst = DensestWindows::new(cold.config.burst_window);
             let tb = cold.sweep(&mut wb, SimTime::at_day(403 + week * 7));
             assert_eq!(ta, tb, "week {week}");
             for (w, ops_hazard) in [(&mut wa, &warm), (&mut wb, &cold)] {

@@ -16,7 +16,8 @@
 //! - the privacy-enforcing public crawl surface with fault injection
 //!   ([`crawl_api`]) and the public directory ([`directory`]);
 //! - the anti-fraud termination sweep that catches bursty, friend-poor
-//!   accounts far more often than embedded ones ([`fraudops`]);
+//!   accounts far more often than embedded ones ([`fraudops`]), scoring
+//!   burstiness through the ledger's densest-window memo ([`densest`]);
 //! - ongoing organic background activity ([`organic`]);
 //! - page posts and fan engagement — the economics that make bought likes
 //!   worthless ([`posts`]).
@@ -36,6 +37,7 @@ pub mod ads;
 pub mod auction;
 pub mod crawl_api;
 pub mod demographics;
+pub mod densest;
 pub mod directory;
 pub mod fanout;
 pub mod fraudops;

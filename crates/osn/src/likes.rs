@@ -22,7 +22,7 @@
 //! [`likelab_sim::parallel`], and report aggregation can walk shards
 //! independently. Nothing materializes a global intermediate `Vec` per
 //! page, and single-column accessors ([`page_users`](LikeLedger::page_users),
-//! [`users_from`](LikeLedger::users_from), …) let scan-heavy consumers read
+//! [`user_times`](LikeLedger::user_times), …) let scan-heavy consumers read
 //! just the fields they fold.
 //!
 //! Membership (has `user` already liked `page`?) is answered by a per-user
@@ -723,15 +723,33 @@ impl LikeLedger {
             .map(move |i| (self.users[i as usize], self.times[i as usize]))
     }
 
-    /// The user column from global index `start` on — the contiguous tail
-    /// appended since an incremental consumer's last look.
-    pub fn users_from(&self, start: u32) -> &[UserId] {
-        &self.users[start as usize..]
+    /// Accounts the ledger is sized for.
+    pub(crate) fn user_count(&self) -> usize {
+        self.by_user.len()
     }
 
-    /// The time column from global index `start` on.
-    pub fn times_from(&self, start: u32) -> &[SimTime] {
-        &self.times[start as usize..]
+    /// Pages the ledger is sized for.
+    pub(crate) fn page_count(&self) -> usize {
+        self.n_pages
+    }
+
+    /// A user's posting list (`None` past the accounts the ledger holds).
+    pub(crate) fn user_postings(&self, user: UserId) -> Option<&PostingList> {
+        self.by_user.get(user.idx())
+    }
+
+    /// A page's posting list (`None` past the pages the ledger holds).
+    pub(crate) fn page_postings(&self, page: PageId) -> Option<&PostingList> {
+        self.shards
+            .get(page.idx() / SHARD_PAGES)?
+            .by_page
+            .get(page.idx() % SHARD_PAGES)
+    }
+
+    /// The time column, in global record order: the times the posting
+    /// lists' indices name.
+    pub(crate) fn time_column(&self) -> &[SimTime] {
+        &self.times
     }
 
     /// How many pages `user` likes.
@@ -752,8 +770,8 @@ impl LikeLedger {
     }
 
     /// The records from global index `start` on, in insertion order — the
-    /// tail appended since a caller's last look. Incremental consumers (the
-    /// anti-fraud sweep) fold this instead of re-walking per-user streams.
+    /// tail appended since a caller's last look (a replayed like batch's
+    /// accepted likes).
     pub fn records_from(&self, start: u32) -> impl Iterator<Item = LikeRecord> + '_ {
         (start..self.users.len() as u32).map(move |i| self.record_at(i))
     }
@@ -921,7 +939,7 @@ mod tests {
             200
         );
         assert_eq!(
-            adopted.users_from(0).as_ptr(),
+            adopted.users.as_ptr(),
             column,
             "the empty ledger took the batch's column over"
         );
@@ -953,8 +971,8 @@ mod tests {
             owned.ingest_columns_owned(Cow::Owned(batch), Exec::Sequential),
             3
         );
-        assert_ne!(owned.users_from(0).as_ptr(), column);
-        assert_eq!(owned.users_from(0), &[u(0), u(1), u(1)]);
+        assert_ne!(owned.users.as_ptr(), column);
+        assert_eq!(owned.users, [u(0), u(1), u(1)]);
         assert_eq!(answers(&owned, 2, 2), answers(&copied, 2, 2));
     }
 

@@ -162,13 +162,7 @@ impl PopulationConfig {
     /// same factor in the study runner, so percentages survive.
     pub fn scaled(mut self, factor: f64) -> Self {
         assert!(factor > 0.0, "scale must be positive");
-        self.n_organic = ((self.n_organic as f64 * factor).round() as usize).max(100);
-        // The catalogue must stay much larger than the heaviest per-user like
-        // count, or Zipf dedup would silently compress everyone's history
-        // and Figure 5(a)'s similarities would saturate.
-        self.n_background_pages = ((self.n_background_pages as f64 * factor).round() as usize)
-            .max(12_000)
-            .max((self.click_prone_like_median * 8.0) as usize);
+        (self.n_organic, self.n_background_pages) = self.scaled_sizes(factor);
         // The in-world share of each friend list shrinks with the world so
         // the graph stays sparse at tiny scales; *total* friend counts (what
         // Table 3 reports) stay fixed via off-network top-up.
@@ -179,6 +173,20 @@ impl PopulationConfig {
                 (self.click_prone_in_world_fraction * factor.max(0.02).sqrt()).max(0.005);
         }
         self
+    }
+
+    /// `(n_organic, n_background_pages)` of [`scaled`](Self::scaled) at
+    /// `factor`, without its check: any factor, NaN and negative ones
+    /// included, gives at least the floors.
+    pub fn scaled_sizes(&self, factor: f64) -> (usize, usize) {
+        let n_organic = ((self.n_organic as f64 * factor).round() as usize).max(100);
+        // The catalogue must stay much larger than the heaviest per-user like
+        // count, or Zipf dedup would silently compress everyone's history
+        // and Figure 5(a)'s similarities would saturate.
+        let n_pages = ((self.n_background_pages as f64 * factor).round() as usize)
+            .max(12_000)
+            .max((self.click_prone_like_median * 8.0) as usize);
+        (n_organic, n_pages)
     }
 }
 

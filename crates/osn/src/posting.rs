@@ -29,7 +29,14 @@
 //!
 //! Decoding is allocation-free: [`PostingList::iter`] walks blocks through a
 //! fixed 64-slot buffer, so consumers (report aggregation, fanout, the
-//! sweep's burstiness feature) never materialize an index `Vec`.
+//! densest-window memo) never materialize an index `Vec`. An iterator's
+//! [`position`][PostingIter::position] names the value it yields next by
+//! its index and the byte offset and base of the block holding it. Blocks
+//! only append, and a value still in the raw tail lands, once its block
+//! fills, at the byte offset the packed section had when the position was
+//! taken, so a position stays valid as the list grows:
+//! [`PostingList::iter_from`] resumes there by decoding one block, not the
+//! list before it.
 //!
 //! Encoding allocates per list, not per value: one
 //! [`PostingList::extend_from_increasing`] call grows each buffer at most
@@ -231,16 +238,45 @@ impl PostingList {
 
     /// Iterate the values in increasing order, without allocating.
     pub fn iter(&self) -> PostingIter<'_> {
-        PostingIter {
+        self.iter_from(PostingPos::default())
+    }
+
+    /// Iterate the values from `pos` on: `iter().skip(k)` for the `k` an
+    /// iterator over this list had yielded when it gave `pos`, however
+    /// much the list grew since. Decodes at most the one block holding
+    /// `pos` before the first value.
+    pub fn iter_from(&self, pos: PostingPos) -> PostingIter<'_> {
+        let mut it = PostingIter {
             packed: &self.packed,
             tail: &self.tail,
             tail_pos: 0,
             buf: [0; BLOCK],
             buf_len: 0,
             buf_pos: 0,
-            base: 0,
-            remaining: self.len,
+            next_byte: pos.byte as usize,
+            block_byte: pos.byte,
+            block_base: pos.base,
+            base: pos.base,
+            index: pos.index,
+            len: self.len,
+        };
+        if pos.index >= self.len {
+            // The end: nothing left to decode or read.
+            it.index = self.len;
+            it.next_byte = self.packed.len();
+            it.tail_pos = self.tail.len();
+        } else if it.next_byte < self.packed.len() {
+            // Inside a packed block; one at a block's start decodes on the
+            // first `next`, as a fresh iterator does.
+            let skip = pos.index as usize % BLOCK;
+            if skip > 0 {
+                it.refill();
+                it.buf_pos = skip as u8;
+            }
+        } else {
+            it.tail_pos = self.tail.len() - (self.len - pos.index) as usize;
         }
+        it
     }
 
     /// Bytes of heap storage currently held (capacity, not length).
@@ -273,28 +309,81 @@ impl<'a> IntoIterator for &'a PostingList {
     }
 }
 
+/// Where a [`PostingIter`] stands in its list: the index of the value it
+/// yields next, and the byte offset of the block holding that value with
+/// the base its first gap is encoded against. Valid for the list it came
+/// from as long as that list lives, however much it grows (see the module
+/// docs).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PostingPos {
+    index: u32,
+    /// Fits `u32` for any list: a block of width `w` holds a gap of at
+    /// least `2^(w-1)`, the gaps of `u32` values sum below `2^32`, and
+    /// that budget packs into at most `2^26` blocks of width 7 (57 bytes
+    /// each, 3.8 GB in all).
+    byte: u32,
+    base: u64,
+}
+
+impl PostingPos {
+    /// The index of the value this position names.
+    pub fn index(self) -> usize {
+        self.index as usize
+    }
+}
+
 /// Allocation-free iterator over a [`PostingList`], one decoded block at a
 /// time.
 #[derive(Clone, Debug)]
 pub struct PostingIter<'a> {
+    /// The list's whole packed section.
     packed: &'a [u8],
     tail: &'a [u32],
     tail_pos: usize,
     buf: [u32; BLOCK],
     buf_len: u8,
     buf_pos: u8,
+    /// Byte offset of the next block to decode.
+    next_byte: usize,
+    /// Byte offset and base of the block in `buf`.
+    block_byte: u32,
+    block_base: u64,
     /// Last decoded value plus one (`u64`: reaches `2^32` after decoding
     /// `u32::MAX`).
     base: u64,
-    remaining: u32,
+    /// Index of the next value, and the list's length.
+    index: u32,
+    len: u32,
 }
 
 impl PostingIter<'_> {
+    /// The position of the value [`next`][Iterator::next] yields next (or
+    /// of the list's end), for [`PostingList::iter_from`].
+    pub fn position(&self) -> PostingPos {
+        if self.buf_pos < self.buf_len {
+            PostingPos {
+                index: self.index,
+                byte: self.block_byte,
+                base: self.block_base,
+            }
+        } else {
+            PostingPos {
+                index: self.index,
+                // lint:allow(cast): see `PostingPos::byte`.
+                byte: self.next_byte as u32,
+                base: self.base,
+            }
+        }
+    }
+
     /// Decode the next packed block into the buffer.
     fn refill(&mut self) {
-        let width = u32::from(self.packed[0]);
+        // lint:allow(panic-reachable-from-serve): `next_byte` starts a block this list's encoder wrote, a width byte and then its payload
+        let width = u32::from(self.packed[self.next_byte]);
         let payload = (BLOCK * width as usize).div_ceil(8);
-        let bytes = &self.packed[1..1 + payload];
+        let start = self.next_byte + 1;
+        // lint:allow(panic-reachable-from-serve): the payload of that same block
+        let bytes = &self.packed[start..start + payload];
         let mask = if width == 0 { 0 } else { (1u64 << width) - 1 };
         let mut acc = 0u64;
         let mut bits = 0u32;
@@ -302,6 +391,7 @@ impl PostingIter<'_> {
         let mut base = self.base;
         for slot in self.buf.iter_mut() {
             while bits < width {
+                // lint:allow(panic-reachable-from-serve): `BLOCK` fields of `width` bits take exactly `payload` bytes
                 acc |= u64::from(bytes[byte_i]) << bits;
                 byte_i += 1;
                 bits += 8;
@@ -313,8 +403,11 @@ impl PostingIter<'_> {
             *slot = v;
             base = u64::from(v) + 1;
         }
+        // lint:allow(cast): see `PostingPos::byte`.
+        self.block_byte = self.next_byte as u32;
+        self.block_base = self.base;
         self.base = base;
-        self.packed = &self.packed[1 + payload..];
+        self.next_byte += 1 + payload;
         self.buf_len = BLOCK as u8;
         self.buf_pos = 0;
     }
@@ -328,24 +421,25 @@ impl Iterator for PostingIter<'_> {
         if self.buf_pos < self.buf_len {
             let v = self.buf[self.buf_pos as usize];
             self.buf_pos += 1;
-            self.remaining -= 1;
+            self.index += 1;
             return Some(v);
         }
-        if !self.packed.is_empty() {
+        if self.next_byte < self.packed.len() {
             self.refill();
             return self.next();
         }
         if self.tail_pos < self.tail.len() {
             let v = self.tail[self.tail_pos];
             self.tail_pos += 1;
-            self.remaining -= 1;
+            self.index += 1;
             return Some(v);
         }
         None
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining as usize, Some(self.remaining as usize))
+        let remaining = (self.len - self.index) as usize;
+        (remaining, Some(remaining))
     }
 }
 

@@ -278,7 +278,8 @@ fn resume_without_a_checkpoint_is_a_hard_error() {
 /// sequence number zeroed, or one entry's pushed past it), a clock outside
 /// the study window, a header config with a zero sweep interval (it kept
 /// the sweep rescheduling itself forever), a window past the end of the
-/// clock or a zero scale (set-up's model asserts a positive one), a log
+/// clock, a zero scale (set-up's model asserts a positive one) or a
+/// population whose frames cannot fit in the pinned prefix, a log
 /// sequence number that does not continue the pinned log, a monitor list
 /// that does not match the campaigns, the queued polls or the launched
 /// pages, another format version (or none, or the previous one),
@@ -581,6 +582,24 @@ fn a_checkpoint_queue_with_colliding_seqs_is_a_structured_error() {
         let (doc, edited) = with_header(&json, &log, edit);
         refused(what, &doc, needle, &edited);
     }
+
+    // A header asking for the paper-size world: 60,000 organic accounts and
+    // 30,000 background pages, whose frames alone (218 and 113 bytes at the
+    // least) outgrow the pinned prefix. It is refused before set-up would
+    // synthesize that world.
+    fn scale_1(config: &mut Value) {
+        *field(config, "scale") = Value::Float(1.0);
+    }
+    let (mut doc, edited) = with_header(&json, &log, scale_1);
+    let Value::UInt(pinned) = *field(&mut doc, "log_bytes") else {
+        panic!("log_bytes is a number")
+    };
+    refused(
+        "header scale = 1.0",
+        &doc,
+        &format!("at least 16470000 bytes of frames, but the checkpoint pins {pinned} bytes"),
+        &edited,
+    );
 
     // A header config that set-up plans from differently: at scale 0.03 it
     // builds a bigger world than the one the log pins, at 0.02. Given that

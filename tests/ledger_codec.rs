@@ -7,8 +7,9 @@
 //! 1. **Codec round-trip** — property tests drive [`PostingList`] with
 //!    arbitrary strictly-increasing sequences (wide gaps, block-boundary
 //!    lengths, duplicates collapsed by the reference) and require the decoded
-//!    stream to equal the reference vector element-for-element, and a bulk
-//!    extend to hold no more heap than per-value pushes.
+//!    stream to equal the reference vector element-for-element, a bulk
+//!    extend to hold no more heap than per-value pushes, and a saved
+//!    iterator position to resume where it stood however the list grew.
 //! 2. **Ledger differential** — a naive reference ledger built on `Vec` and
 //!    linear scans (the positional first-wins model) answers every public
 //!    [`LikeLedger`] query on a generated world; the packed ledger, fed
@@ -121,6 +122,78 @@ proptest! {
             pushed.heap_bytes(),
             reference.len()
         );
+    }
+}
+
+proptest! {
+    /// A position saved at any index `k` of a list (inside a packed block,
+    /// at a block boundary, in the raw tail or at the end) resumes at
+    /// `iter().skip(k)` after the list grows across block boundaries,
+    /// by pushes or by a bulk append.
+    #[test]
+    fn posting_positions_resume_after_growth(
+        gaps in prop::collection::vec(0u32..100_000, 0..400),
+        split_frac in 0.0f64..1.0,
+        k_frac in 0.0f64..1.0,
+        bulk in any::<bool>(),
+    ) {
+        let reference = increasing_from_gaps(&gaps);
+        let split = ((reference.len() as f64) * split_frac) as usize;
+        let k = (((split + 1) as f64) * k_frac) as usize;
+        let mut list = PostingList::new();
+        list.extend_from_increasing(&reference[..split]);
+        let mut it = list.iter();
+        for _ in 0..k {
+            it.next();
+        }
+        let pos = it.position();
+        prop_assert_eq!(pos.index(), k);
+        if bulk {
+            list.extend_from_increasing(&reference[split..]);
+        } else {
+            for &v in &reference[split..] {
+                list.push(v);
+            }
+        }
+        let resumed: Vec<u32> = list.iter_from(pos).collect();
+        let skipped: Vec<u32> = list.iter().skip(k).collect();
+        prop_assert_eq!(&resumed, &skipped);
+        prop_assert_eq!(list.iter_from(pos).len(), reference.len() - k);
+    }
+}
+
+/// Every position of lists ending just before, at and after block
+/// boundaries resumes at `iter().skip(k)` once 200 more values are pushed,
+/// and a position taken from a resumed iterator resumes as well.
+#[test]
+fn posting_positions_resume_at_every_index() {
+    for saved_len in [0u32, 1, 63, 64, 65, 127, 128, 130] {
+        let values: Vec<u32> = (0..saved_len + 200).map(|i| i * 5 + i % 3).collect();
+        for k in 0..=saved_len as usize {
+            let mut list = PostingList::new();
+            list.extend_from_increasing(&values[..saved_len as usize]);
+            let mut it = list.iter();
+            for _ in 0..k {
+                it.next();
+            }
+            let pos = it.position();
+            for &v in &values[saved_len as usize..] {
+                list.push(v);
+            }
+            let skipped: Vec<u32> = list.iter().skip(k).collect();
+            assert_eq!(list.iter_from(pos).collect::<Vec<u32>>(), skipped, "k={k}");
+            let mut resumed = list.iter_from(pos);
+            for _ in 0..70 {
+                resumed.next();
+            }
+            let again = resumed.position();
+            let rest: Vec<u32> = skipped.iter().skip(70).copied().collect();
+            assert_eq!(
+                list.iter_from(again).collect::<Vec<u32>>(),
+                rest,
+                "k={k}+70"
+            );
+        }
     }
 }
 
