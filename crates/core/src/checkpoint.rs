@@ -24,7 +24,7 @@
 //! stream the uninterrupted run would have produced: same likes, same
 //! sweeps, same crawl faults, same report, byte for byte.
 
-use crate::record::{io_err, read_log_config, read_records, write_atomic, StudyError, StudyLog};
+use crate::record::{io_err, read_log_config, write_atomic, StudyError, StudyLog};
 use crate::replay::LogFold;
 use crate::study::{
     collect, event_loop, setup, Capture, Ev, LoopState, PlanFingerprint, RunOptions, StudyOutcome,
@@ -313,7 +313,8 @@ pub(crate) fn resume_study(opts: &RunOptions) -> Result<StudyOutcome, StudyError
     let queue = EventQueue::from_entries(cp.queue, cp.queue_next_seq)
         .map_err(|e| refuse(format!("queue: {e}")))?;
 
-    // Rebuild the world from the pinned log prefix.
+    // Rebuild the world from the pinned log prefix, folding each frame as
+    // it decodes.
     let file = File::open(&log_path).map_err(|e| io_err(&log_path, e))?;
     let len = file.metadata().map_err(|e| io_err(&log_path, e))?.len();
     if len < cp.log_bytes {
@@ -323,8 +324,7 @@ pub(crate) fn resume_study(opts: &RunOptions) -> Result<StudyOutcome, StudyError
             cp.log_bytes
         )));
     }
-    let (header, records) = read_records(file.take(cp.log_bytes))?;
-    let fold = LogFold::replay(&header, records)?;
+    let (header, fold) = LogFold::replay(file.take(cp.log_bytes))?;
     // The checkpoint must continue the log it pins: appending resumes at
     // `next_seq`.
     let pinned_last = cp.next_seq.checked_sub(1);

@@ -12,13 +12,15 @@
 //! [`StudyLog`] is the append side: it assigns monotone sequence numbers
 //! and either keeps the records in memory, for same-process replay, or
 //! streams them as binary frames to a file ([`FrameWriter`]) and keeps
-//! none. [`read_study_log`] is the read side: it streams the file through
-//! the log's one decoder, [`TailReader`].
+//! none. The read side streams a file through the log's one decoder,
+//! [`TailReader`], and folds each frame where it lies, before the next is
+//! decoded: replay and checkpoint resume build their world that way, and
+//! [`read_study_log`] collects the records.
 
 use likelab_graph::PageId;
 use likelab_honeypot::{BaselineRecord, CrawlCoverage, LikerRecord, Observation};
 use likelab_osn::{EventError, WorldEvent};
-use likelab_sim::event::{FrameWriter, LogError, LogHeader, LogRecord};
+use likelab_sim::event::{Frame, FrameWriter, LogError, LogHeader};
 use likelab_sim::tail::TailReader;
 use likelab_sim::SimTime;
 use serde::{Deserialize, Serialize, Value};
@@ -194,18 +196,7 @@ pub fn config_from_header(header: &LogHeader) -> Result<crate::StudyConfig, Stud
 /// resumed run goes on under, whatever the command line says.
 pub fn read_log_config(path: &Path) -> Result<crate::StudyConfig, StudyError> {
     let mut file = File::open(path).map_err(|e| io_err(path, e))?;
-    let mut tail = TailReader::new();
-    loop {
-        if let Some(header) = tail.header() {
-            return config_from_header(header);
-        }
-        if tail.read_from(&mut file, READ_CHUNK)? == 0 {
-            // Shorter than its own header: `finish` says where it ends.
-            tail.finish()?;
-        }
-        // Decoding the first record decodes the header before it.
-        tail.next_record()?;
-    }
+    config_from_header(&read_header(&mut TailReader::new(), &mut file)?)
 }
 
 /// The append side of a study log: monotone sequence numbers into one of
@@ -365,11 +356,11 @@ impl StudyLog {
     }
 }
 
-/// Read a decoded log frame's payload text into a study record; a failure
+/// Read a lent log frame's payload text into a study record; a failure
 /// (malformed JSON, a wrong or missing field) names the frame's sequence
 /// number.
-pub(crate) fn parse_record(frame: &LogRecord) -> Result<StudyRecord, StudyError> {
-    serde_json::from_str(&frame.payload).map_err(|e| StudyError::BadRecord {
+pub(crate) fn parse_record(frame: &Frame<'_>) -> Result<StudyRecord, StudyError> {
+    serde_json::from_str(frame.payload).map_err(|e| StudyError::BadRecord {
         seq: frame.seq,
         reason: e.to_string(),
     })
@@ -378,28 +369,61 @@ pub(crate) fn parse_record(frame: &LogRecord) -> Result<StudyRecord, StudyError>
 /// Bytes read from a log file per decode step.
 const READ_CHUNK: u64 = 1 << 16;
 
-/// Read a study log from disk. Strict end to end — truncation, corruption,
-/// version skew, or an unparseable record is a hard error, never a partial
-/// stream.
-pub fn read_study_log(path: &Path) -> Result<(LogHeader, Vec<(u64, StudyRecord)>), StudyError> {
-    let file = File::open(path).map_err(|e| io_err(path, e))?;
-    read_records(file)
-}
-
-/// Decode a whole study log from `source` a chunk at a time, parsing each
-/// frame as it completes, so neither the raw bytes nor the payload values
-/// of the whole log are held at once.
-pub(crate) fn read_records(
-    mut source: impl Read,
-) -> Result<(LogHeader, Vec<(u64, StudyRecord)>), StudyError> {
-    let mut tail = TailReader::new();
-    let mut records = Vec::new();
-    while tail.read_from(&mut source, READ_CHUNK)? > 0 {
-        while let Some(frame) = tail.next_record()? {
-            records.push((frame.seq, parse_record(&frame)?));
+/// Read from `source` into `tail` until the log header has arrived, and
+/// return it. A stream shorter than its own header is
+/// [`LogError::Truncated`].
+fn read_header(tail: &mut TailReader, source: &mut impl Read) -> Result<LogHeader, StudyError> {
+    loop {
+        if let Some(header) = tail.decode_header()? {
+            return Ok(header.clone());
+        }
+        if tail.read_from(&mut *source, READ_CHUNK)? == 0 {
+            // Shorter than its own header: `finish` says where it ends.
+            tail.finish()?;
         }
     }
-    Ok((tail.finish()?.clone(), records))
+}
+
+/// Decode a whole study log from `source` a chunk at a time and fold it:
+/// `start` opens the fold on the header, and `apply` takes each record,
+/// parsed, before the next frame is decoded, so neither the raw bytes nor
+/// the records of the whole log are held at once. Strict end to end —
+/// truncation, corruption, version skew, an unparseable record or one
+/// `apply` refuses is a hard error, never a partial stream; the first
+/// fault in stream order is the one reported.
+pub(crate) fn fold_log<S>(
+    mut source: impl Read,
+    start: impl FnOnce(&LogHeader) -> Result<S, StudyError>,
+    mut apply: impl FnMut(&mut S, u64, StudyRecord) -> Result<(), StudyError>,
+) -> Result<(LogHeader, S), StudyError> {
+    let mut tail = TailReader::new();
+    let header = read_header(&mut tail, &mut source)?;
+    let mut fold = start(&header)?;
+    loop {
+        while let Some(frame) = tail.next_record()? {
+            apply(&mut fold, frame.seq, parse_record(&frame)?)?;
+        }
+        if tail.read_from(&mut source, READ_CHUNK)? == 0 {
+            break;
+        }
+    }
+    tail.finish()?;
+    Ok((header, fold))
+}
+
+/// Read a study log from disk into its header and records. Strict end to
+/// end — truncation, corruption, version skew, or an unparseable record is
+/// a hard error, never a partial stream.
+pub fn read_study_log(path: &Path) -> Result<(LogHeader, Vec<(u64, StudyRecord)>), StudyError> {
+    let file = File::open(path).map_err(|e| io_err(path, e))?;
+    fold_log(
+        file,
+        |_| Ok(Vec::new()),
+        |records, seq, record| {
+            records.push((seq, record));
+            Ok(())
+        },
+    )
 }
 
 /// Write a text file atomically: write to a sibling `.tmp`, then rename.

@@ -12,7 +12,7 @@
 //! world and dataset, so the rendered report and checklist match the
 //! original run byte for byte at any worker count.
 
-use crate::record::{config_from_header, read_study_log, StudyError, StudyRecord};
+use crate::record::{config_from_header, fold_log, io_err, StudyError, StudyRecord};
 use crate::study::StudyConfig;
 use likelab_analysis::StudyReport;
 use likelab_graph::PageId;
@@ -22,6 +22,7 @@ use likelab_honeypot::{
 use likelab_osn::{AudienceReport, DetectorUpdate, EventError, OsnWorld};
 use likelab_sim::event::LogHeader;
 use likelab_sim::{Exec, SimTime};
+use std::io::Read;
 use std::path::Path;
 
 /// Knobs for [`replay_study`].
@@ -65,7 +66,8 @@ pub(crate) struct CampaignSlot {
 
 /// The fold of a study log, one record at a time: the rebuilt world, the
 /// campaign slots, the baseline sample, and the stream's position. Replay
-/// and checkpoint resume fold a whole log; serve folds it as it arrives.
+/// and checkpoint resume fold a whole log as they decode it; serve folds it
+/// as it arrives.
 pub(crate) struct LogFold {
     /// The configuration embedded in the log header.
     pub(crate) config: StudyConfig,
@@ -100,20 +102,16 @@ impl LogFold {
         })
     }
 
-    /// Fold a whole decoded log, timed as one replay.
-    pub(crate) fn replay(
-        header: &LogHeader,
-        records: Vec<(u64, StudyRecord)>,
-    ) -> Result<Self, StudyError> {
-        let mut fold = LogFold::new(header)?;
-        let record_count = records.len() as u64;
-        likelab_obs::metrics::timed("log.replay.ns", || {
-            records
-                .into_iter()
-                .try_for_each(|(seq, record)| fold.apply(seq, record, |_| {}))
+    /// Decode and fold a whole study log from `source`, each record as its
+    /// frame decodes, timed as one replay. Returns the log's header too.
+    pub(crate) fn replay(source: impl Read) -> Result<(LogHeader, Self), StudyError> {
+        let (header, fold) = likelab_obs::metrics::timed("log.replay.ns", || {
+            fold_log(source, LogFold::new, |fold, seq, record| {
+                fold.apply(seq, record, |_| {})
+            })
         })?;
-        likelab_obs::metrics::counter("log.replay", record_count);
-        Ok(fold)
+        likelab_obs::metrics::counter("log.replay", fold.records);
+        Ok((header, fold))
     }
 
     /// Fold the record at `seq`, handing `sink` every accepted world
@@ -200,8 +198,9 @@ impl LogFold {
 
 /// Replay a study log from disk. See the module docs.
 pub fn replay_study(path: &Path, opts: &ReplayOptions) -> Result<ReplayOutcome, StudyError> {
-    let (header, records) = read_study_log(path)?;
-    replay_records(&header, records, opts)
+    let file = std::fs::File::open(path).map_err(|e| io_err(path, e))?;
+    let (_, fold) = LogFold::replay(file)?;
+    outcome(fold, opts)
 }
 
 /// Replay an already-decoded record stream.
@@ -210,6 +209,19 @@ pub fn replay_records(
     records: Vec<(u64, StudyRecord)>,
     opts: &ReplayOptions,
 ) -> Result<ReplayOutcome, StudyError> {
+    let fold = likelab_obs::metrics::timed("log.replay.ns", || {
+        let mut fold = LogFold::new(header)?;
+        for (seq, record) in records {
+            fold.apply(seq, record, |_| {})?;
+        }
+        Ok::<_, StudyError>(fold)
+    })?;
+    likelab_obs::metrics::counter("log.replay", fold.records);
+    outcome(fold, opts)
+}
+
+/// Reassemble the dataset from a folded log and recompute its report.
+fn outcome(fold: LogFold, opts: &ReplayOptions) -> Result<ReplayOutcome, StudyError> {
     let LogFold {
         config,
         world,
@@ -217,7 +229,7 @@ pub fn replay_records(
         baseline,
         launch,
         ..
-    } = LogFold::replay(header, records)?;
+    } = fold;
     let campaigns = slots
         .into_iter()
         .zip(&config.campaigns)

@@ -4,8 +4,9 @@
 //! Replay ([`crate::replay`]) answers "what happened" after a run is over;
 //! serve answers "what is happening" while the log is still being written.
 //! The engine tails a `world.log` stream (file-follow via
-//! [`FollowReader`], or any already-decoded record feed), folds every
-//! record through the same log fold replay and checkpoint resume use — a
+//! [`FollowReader`], whose decode buffer is the ingest backlog, or any
+//! already-decoded record feed), folds every record where its frame lies,
+//! through the same log fold replay and checkpoint resume use — a
 //! live world replica built by
 //! [`OsnWorld::apply_event`](likelab_osn::OsnWorld::apply_event), plus
 //! per-campaign measurement slots — routes the
@@ -14,7 +15,8 @@
 //! line-delimited JSON protocol (stdin/stdout or TCP) with bounded
 //! latency: ingest happens in chunks of [`ServeConfig::chunk`] records,
 //! and all pending queries are answered between chunks, so a query never
-//! waits for the whole backlog.
+//! waits for the whole backlog; once the log is drained, a query is
+//! answered as soon as it arrives.
 //!
 //! The full architecture, the versioned protocol schema, windowing
 //! semantics, and the online-vs-batch equivalence contract live in
@@ -28,13 +30,13 @@ use likelab_detect::{BurstConfig, LockstepConfig, ScorerWeights, SybilRankConfig
 use likelab_graph::{PageId, UserId};
 use likelab_obs::Histogram;
 use likelab_osn::WorldEvent;
-use likelab_sim::event::{LogHeader, LogRecord};
+use likelab_sim::event::{Frame, LogHeader};
 use likelab_sim::{FollowReader, SimTime};
 use serde::Value;
-use std::collections::VecDeque;
-use std::io::BufRead;
+use std::io::{BufRead, Write as _};
 use std::path::PathBuf;
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 /// The protocol version this build speaks. Requests carrying any other
@@ -98,6 +100,9 @@ pub struct ServeEngine {
     serve: ServeConfig,
     fold: LogFold,
     detectors: OnlineDetectors,
+    /// Scratch for an account's merged neighbor list, which the clustering
+    /// feature reads: every `score` and every account of an `eval` reuse it.
+    neighbors: Vec<UserId>,
 }
 
 impl ServeEngine {
@@ -108,6 +113,7 @@ impl ServeEngine {
             fold: LogFold::new(header)?,
             detectors: OnlineDetectors::new(serve.burst, serve.lockstep, serve.sybil),
             serve,
+            neighbors: Vec::new(),
         })
     }
 
@@ -123,8 +129,8 @@ impl ServeEngine {
         Ok(())
     }
 
-    /// Parse a decoded log frame and fold it in.
-    pub fn ingest_frame(&mut self, frame: &LogRecord) -> Result<(), StudyError> {
+    /// Parse a lent log frame where it lies and fold it in.
+    pub fn ingest_frame(&mut self, frame: &Frame<'_>) -> Result<(), StudyError> {
         self.ingest(frame.seq, parse_record(frame)?)
     }
 
@@ -171,14 +177,15 @@ impl ServeEngine {
             user,
             self.fold.watermark,
             &self.serve.weights,
+            &mut self.neighbors,
         )
     }
 
     // --- query handlers ----------------------------------------------------
 
-    /// Answer one parsed query. `pending` is the ingest backlog (records
-    /// decoded but not yet folded) at the time the query is served; it is
-    /// echoed in `status` responses as the instantaneous ingest lag.
+    /// Answer one parsed query. `pending` is the ingest backlog (complete
+    /// records read but not yet folded) at the time the query is served; it
+    /// is echoed in `status` responses as the instantaneous ingest lag.
     pub fn query(&mut self, op: &str, params: &Value, pending: usize) -> Result<Value, String> {
         match op {
             "status" => Ok(self.q_status(pending)),
@@ -563,8 +570,9 @@ pub enum ServeTransport {
     /// Line-delimited JSON on stdin/stdout (the default). The server
     /// exits when stdin closes and the log backlog is drained.
     Stdio,
-    /// Line-delimited JSON over TCP on the given `host:port`. One client
-    /// at a time; the server exits on a `shutdown` request.
+    /// Line-delimited JSON over TCP on the given `host:port`. Each client
+    /// has its own reader, up to [`MAX_CONNECTIONS`] at once, so an idle
+    /// client delays no other; the server exits on a `shutdown` request.
     Tcp(String),
 }
 
@@ -582,7 +590,9 @@ pub struct ServeOptions {
     pub follow: bool,
     /// Query transport.
     pub transport: ServeTransport,
-    /// File poll interval while idle.
+    /// How long an idle loop (log drained, nothing to fold) waits for a
+    /// request before it polls the file again. A request that arrives
+    /// meanwhile is answered at once.
     pub poll_interval: Duration,
 }
 
@@ -706,16 +716,33 @@ fn spawn_stdio_pump(tx: mpsc::Sender<Request>) {
     std::thread::spawn(move || pump_lines(std::io::stdin().lock(), std::io::stdout(), &tx));
 }
 
+/// The most TCP clients served at once. A client that connects past it
+/// gets one `ok:false` reply naming the limit and is closed.
+pub const MAX_CONNECTIONS: usize = 32;
+
+/// Accept TCP clients and give each its own pump thread, all feeding the
+/// one request channel, while fewer than [`MAX_CONNECTIONS`] are live. The
+/// pump threads are not joined, as the stdio pump is not: each blocks
+/// reading its peer, and the serve loop ends without waiting for them.
 fn spawn_tcp_pump(listener: std::net::TcpListener, tx: mpsc::Sender<Request>) {
     std::thread::spawn(move || {
+        let live = Arc::new(AtomicUsize::new(0));
         for stream in listener.incoming() {
-            let Ok(stream) = stream else { continue };
-            let Ok(read_half) = stream.try_clone() else {
+            let Ok(mut stream) = stream else { continue };
+            if live.fetch_add(1, Ordering::SeqCst) >= MAX_CONNECTIONS {
+                live.fetch_sub(1, Ordering::SeqCst);
+                let msg = format!("too many connections (at most {MAX_CONNECTIONS} at once)");
+                // The client is closed whether or not the reply reaches it.
+                let _ = writeln!(stream, "{}", error_line(&Value::Null, &msg));
                 continue;
-            };
-            if !pump_lines(std::io::BufReader::new(read_half), stream, &tx) {
-                return;
             }
+            let (live, tx) = (Arc::clone(&live), tx.clone());
+            std::thread::spawn(move || {
+                if let Ok(read_half) = stream.try_clone() {
+                    pump_lines(std::io::BufReader::new(read_half), stream, &tx);
+                }
+                live.fetch_sub(1, Ordering::SeqCst);
+            });
         }
     });
 }
@@ -752,9 +779,11 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeSummary, StudyError> {
         }
     }
 
+    // The follower's decode buffer is the backlog: polls read file bytes
+    // into it, and frames are folded where they lie, never copied out.
     let mut follow = FollowReader::open(&opts.log);
+    let chunk = opts.config.chunk;
     let mut session: Option<ServeSession> = None;
-    let mut backlog: VecDeque<LogRecord> = VecDeque::new();
     let mut transport_closed = false;
     let mut shutdown = false;
     // The last poll read nothing: the file is read to its end, as it
@@ -762,46 +791,52 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeSummary, StudyError> {
     let mut at_eof = false;
 
     loop {
-        // Decode the file into the backlog one poll budget at a time, until
-        // it holds a chunk to fold or a poll reads nothing, so the backlog
-        // never holds more than a chunk plus one budget's records. A static
-        // file is polled no more once it is fully decoded.
-        if opts.follow || !(at_eof && follow.tail().pending_bytes() == 0) {
-            while backlog.len() < opts.config.chunk {
-                let read_before = follow.read_bytes();
-                let polled = likelab_obs::metrics::timed("serve.poll.ns", || follow.poll())?;
-                at_eof = follow.read_bytes() == read_before;
-                backlog.extend(polled);
-                if at_eof {
-                    break;
-                }
-            }
+        // Read one poll budget of the file while the backlog holds fewer
+        // than a chunk of complete frames, so it never holds more than a
+        // chunk plus one budget's bytes, and the frames read are folded
+        // before the next budget is. A static file is polled no more once
+        // it is fully read and folded.
+        let polling = opts.follow || !(at_eof && follow.tail().pending_bytes() == 0);
+        if polling && follow.tail().complete_frames(chunk)? < chunk {
+            let read = likelab_obs::metrics::timed("serve.poll.ns", || follow.poll())?;
+            at_eof = read == 0;
         }
-        // The header arrives with the first frame batch; the engine can
-        // only be sized once the embedded config is readable.
+        // The header arrives before the first frame; the engine can only
+        // be sized once the embedded config is readable.
         if session.is_none() {
-            if let Some(header) = follow.tail().header() {
+            if let Some(header) = follow.tail().decode_header()? {
                 let engine = ServeEngine::new(header, opts.config.clone())?;
                 session = Some(ServeSession::new(engine));
             }
         }
         // Fold a bounded chunk so queries never wait on the full backlog.
+        let tail = follow.tail();
         if let Some(s) = &mut session {
-            let take = opts.config.chunk.min(backlog.len());
+            let take = tail.complete_frames(chunk)?;
             if take > 0 {
                 likelab_obs::metrics::timed("serve.ingest.chunk.ns", || {
-                    for frame in backlog.drain(..take) {
+                    for _ in 0..take {
+                        let Some(frame) = tail.next_record()? else {
+                            break;
+                        };
                         s.engine_mut().ingest_frame(&frame)?;
                     }
                     Ok::<(), StudyError>(())
                 })?;
             }
         }
-        // Answer everything queued while we were ingesting.
+        let pending = tail.complete_frames(usize::MAX)?;
+        // Answer everything queued while we were ingesting. With the log
+        // drained and nothing to fold, wait up to a poll interval for the
+        // first request instead, and answer it the moment it arrives.
+        let mut wait = if pending == 0 && at_eof {
+            opts.poll_interval
+        } else {
+            Duration::ZERO
+        };
         loop {
-            match rx.try_recv() {
+            match rx.recv_timeout(wait) {
                 Ok(request) => {
-                    let pending = backlog.len();
                     let response = match &mut session {
                         Some(s) => {
                             let (response, stop) = s.handle_line(&request.line, pending);
@@ -814,9 +849,10 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeSummary, StudyError> {
                         ),
                     };
                     let _ = request.reply.send(response);
+                    wait = Duration::ZERO;
                 }
-                Err(mpsc::TryRecvError::Empty) => break,
-                Err(mpsc::TryRecvError::Disconnected) => {
+                Err(mpsc::RecvTimeoutError::Timeout) => break,
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
                     transport_closed = true;
                     break;
                 }
@@ -825,11 +861,8 @@ pub fn serve(opts: &ServeOptions) -> Result<ServeSummary, StudyError> {
         // Without --follow, a closed transport still waits for the rest of
         // the file: a poll reads one budget, so the end of the backlog is
         // not the end of the log.
-        if shutdown || (transport_closed && backlog.is_empty() && (opts.follow || at_eof)) {
+        if shutdown || (transport_closed && pending == 0 && (opts.follow || at_eof)) {
             break;
-        }
-        if backlog.is_empty() && at_eof {
-            std::thread::sleep(opts.poll_interval);
         }
     }
 
@@ -1196,5 +1229,75 @@ mod tests {
         assert_eq!(v.get("ok"), Some(&Value::Bool(false)));
         let error = v.get("error").and_then(Value::as_str).unwrap();
         assert!(error.contains("65536"), "{error}");
+    }
+
+    /// The TCP transport with the test standing in for the serve loop.
+    fn tcp_pump() -> (std::net::SocketAddr, mpsc::Receiver<Request>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (tx, rx) = mpsc::channel();
+        spawn_tcp_pump(listener, tx);
+        (addr, rx)
+    }
+
+    /// One reply line read from `stream`.
+    fn read_reply(stream: &std::net::TcpStream) -> String {
+        let mut line = String::new();
+        std::io::BufReader::new(stream)
+            .read_line(&mut line)
+            .unwrap();
+        line
+    }
+
+    #[test]
+    fn an_idle_tcp_client_does_not_delay_another() {
+        use std::net::TcpStream;
+        let (addr, rx) = tcp_pump();
+        // Connects first and sends nothing.
+        let _idle = TcpStream::connect(addr).unwrap();
+        let mut client = TcpStream::connect(addr).unwrap();
+        writeln!(client, r#"{{"v":1,"id":1,"op":"status"}}"#).unwrap();
+        let request = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the second client's request arrives while the first idles");
+        assert_eq!(request.line, r#"{"v":1,"id":1,"op":"status"}"#);
+        request.reply.send("answered".into()).unwrap();
+        assert_eq!(read_reply(&client), "answered\n");
+    }
+
+    #[test]
+    fn a_client_past_the_connection_cap_gets_one_error_line() {
+        use std::net::TcpStream;
+        let (addr, rx) = tcp_pump();
+        let held: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|_| TcpStream::connect(addr).unwrap())
+            .collect();
+        let extra = TcpStream::connect(addr).unwrap();
+        let reply = read_reply(&extra);
+        let v: Value = serde_json::from_str(reply.trim_end()).unwrap();
+        assert_eq!(v.get("ok"), Some(&Value::Bool(false)));
+        let error = v.get("error").and_then(Value::as_str).unwrap();
+        assert!(
+            error.contains(&format!("at most {MAX_CONNECTIONS}")),
+            "{error}"
+        );
+        assert_eq!(read_reply(&extra), "", "then the connection is closed");
+        assert!(rx.try_recv().is_err(), "nothing reaches the serve loop");
+
+        // Once the held clients leave, their slots free up.
+        drop(held);
+        for _ in 0..300 {
+            let mut client = TcpStream::connect(addr).unwrap();
+            // A client still turned away may find its connection closed.
+            if writeln!(client, r#"{{"v":1,"op":"status"}}"#).is_err() {
+                continue;
+            }
+            if let Ok(request) = rx.recv_timeout(Duration::from_millis(100)) {
+                request.reply.send("answered".into()).unwrap();
+                assert_eq!(read_reply(&client), "answered\n");
+                return;
+            }
+        }
+        panic!("no slot freed after the held clients closed");
     }
 }

@@ -60,7 +60,11 @@ pub fn extract(
         friend_count: world.total_friend_count(user) as f64,
         like_count: world.likes().user_like_count(user) as f64,
         age_days: now.saturating_since(acct.created_at).as_days_f64(),
-        clustering: likelab_graph::metrics::local_clustering(world.friends(), user),
+        clustering: likelab_graph::metrics::local_clustering(
+            world.friends(),
+            user,
+            &mut Vec::new(),
+        ),
     }
 }
 

@@ -26,7 +26,10 @@ use likelab_sim::SimTime;
 ///
 /// `burst` must have read no other world than `world` (grown since);
 /// `now` is the stream watermark (at end-of-stream, the same study-end
-/// clock the batch pipeline evaluates at).
+/// clock the batch pipeline evaluates at). `neighbors` is scratch for the
+/// clustering feature's neighbor list
+/// ([`local_clustering`](likelab_graph::metrics::local_clustering)): pass
+/// one buffer to every account scored.
 ///
 /// ```
 /// use likelab_detect::online::{extract_online, OnlineBurst};
@@ -45,7 +48,7 @@ use likelab_sim::SimTime;
 ///     SimTime::EPOCH,
 /// );
 /// let mut burst = OnlineBurst::new(BurstConfig::default());
-/// let f = extract_online(&world, &mut burst, u, SimTime::at_day(30));
+/// let f = extract_online(&world, &mut burst, u, SimTime::at_day(30), &mut Vec::new());
 /// assert_eq!(f.age_days, 30.0);
 /// assert_eq!(f.like_count, 0.0);
 /// ```
@@ -54,6 +57,7 @@ pub fn extract_online(
     burst: &mut OnlineBurst,
     user: UserId,
     now: SimTime,
+    neighbors: &mut Vec<UserId>,
 ) -> AccountFeatures {
     let acct = world.account(user);
     AccountFeatures {
@@ -61,7 +65,7 @@ pub fn extract_online(
         friend_count: world.total_friend_count(user) as f64,
         like_count: world.likes().user_like_count(user) as f64,
         age_days: now.saturating_since(acct.created_at).as_days_f64(),
-        clustering: likelab_graph::metrics::local_clustering(world.friends(), user),
+        clustering: likelab_graph::metrics::local_clustering(world.friends(), user, neighbors),
     }
 }
 
@@ -73,8 +77,9 @@ pub fn score_online(
     user: UserId,
     now: SimTime,
     weights: &ScorerWeights,
+    neighbors: &mut Vec<UserId>,
 ) -> f64 {
-    score(&extract_online(world, burst, user, now), weights)
+    score(&extract_online(world, burst, user, now, neighbors), weights)
 }
 
 #[cfg(test)]
@@ -140,9 +145,10 @@ mod tests {
         }
         let now = SimTime::at_day(41);
         let weights = ScorerWeights::default();
+        let mut neighbors = Vec::new();
         for &u in &users {
             let batch_f = extract(&w, u, now, &burst_cfg);
-            let online_f = extract_online(&w, &mut online, u, now);
+            let online_f = extract_online(&w, &mut online, u, now, &mut neighbors);
             assert_eq!(
                 batch_f.burstiness.to_bits(),
                 online_f.burstiness.to_bits(),
@@ -153,7 +159,7 @@ mod tests {
             assert_eq!(batch_f.age_days.to_bits(), online_f.age_days.to_bits());
             assert_eq!(batch_f.clustering.to_bits(), online_f.clustering.to_bits());
             let batch_score = score(&batch_f, &weights);
-            let online_score = score_online(&w, &mut online, u, now, &weights);
+            let online_score = score_online(&w, &mut online, u, now, &weights, &mut neighbors);
             assert_eq!(batch_score.to_bits(), online_score.to_bits());
         }
     }

@@ -7,16 +7,18 @@
 //! representation — one offset array plus one flat edge array, sorted per
 //! node — with a small per-node overlay absorbing incremental inserts.
 //!
-//! The overlay keeps `add_edge` cheap while generators build the graph;
-//! once it grows past a fraction of the CSR body the graph re-compacts,
-//! amortizing to `O(E)` total work. Steady-state queries (`has_edge`,
-//! `neighbors`, `degree`) hit the flat arrays: `O(log d)` membership tests,
-//! zero-allocation `O(d)` neighbor scans, and cache-friendly edge iteration
-//! for the social-graph analyses.
+//! The overlay keeps `add_edge` cheap, during generation and while a live
+//! replica folds friendships from the log; once it grows past a fraction
+//! of the CSR body the graph re-compacts, amortizing to `O(E)` total work.
+//! Between compactions some nodes keep overlay entries, and no caller is
+//! asked to compact first. Queries (`has_edge`, `neighbors`, `degree`)
+//! read both parts: `O(log d)` membership tests, and `O(d)` neighbor scans
+//! that lend the CSR slice of a node without overlay entries and merge the
+//! others into a buffer the caller owns and reuses, so a scan over every
+//! node allocates only as that buffer grows.
 
 use crate::ids::UserId;
 use serde::{Deserialize, Serialize};
-use std::ops::Deref;
 
 /// Compaction triggers when the overlay holds at least this many directed
 /// entries *and* at least a quarter of the CSR body's size. The floor keeps
@@ -44,20 +46,6 @@ impl Default for FriendGraph {
     }
 }
 
-/// The neighbor list of one node, as returned by [`FriendGraph::neighbors`].
-///
-/// Dereferences to a sorted `[UserId]` slice. When the node has no pending
-/// overlay entries this borrows the CSR body directly (zero-copy); otherwise
-/// it holds the merged list. Call [`FriendGraph::compact`] after bulk
-/// construction to guarantee the zero-copy path.
-#[derive(Debug)]
-pub enum Neighbors<'a> {
-    /// Borrowed directly from the CSR edge array.
-    Slice(&'a [UserId]),
-    /// Merged CSR + overlay entries (node had pending inserts).
-    Owned(Vec<UserId>),
-}
-
 /// Append the merge of two sorted, disjoint neighbor lists to `out`.
 fn merge_into(out: &mut Vec<UserId>, a: &[UserId], b: &[UserId]) {
     let (mut i, mut j) = (0, 0);
@@ -75,64 +63,6 @@ fn merge_into(out: &mut Vec<UserId>, a: &[UserId], b: &[UserId]) {
     out.extend_from_slice(&a[i..]);
     // lint:allow(panic-reachable-from-serve): j <= b.len() after the merge loop
     out.extend_from_slice(&b[j..]);
-}
-
-impl Deref for Neighbors<'_> {
-    type Target = [UserId];
-
-    fn deref(&self) -> &[UserId] {
-        match self {
-            Neighbors::Slice(s) => s,
-            Neighbors::Owned(v) => v,
-        }
-    }
-}
-
-impl<'a> IntoIterator for &'a Neighbors<'a> {
-    type Item = &'a UserId;
-    type IntoIter = std::slice::Iter<'a, UserId>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
-/// By-value iterator over a [`Neighbors`] list.
-pub enum NeighborsIter<'a> {
-    /// Iterating a borrowed CSR slice.
-    Slice(std::iter::Copied<std::slice::Iter<'a, UserId>>),
-    /// Iterating a merged (owned) list.
-    Owned(std::vec::IntoIter<UserId>),
-}
-
-impl Iterator for NeighborsIter<'_> {
-    type Item = UserId;
-
-    fn next(&mut self) -> Option<UserId> {
-        match self {
-            NeighborsIter::Slice(it) => it.next(),
-            NeighborsIter::Owned(it) => it.next(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            NeighborsIter::Slice(it) => it.size_hint(),
-            NeighborsIter::Owned(it) => it.size_hint(),
-        }
-    }
-}
-
-impl<'a> IntoIterator for Neighbors<'a> {
-    type Item = UserId;
-    type IntoIter = NeighborsIter<'a>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        match self {
-            Neighbors::Slice(s) => NeighborsIter::Slice(s.iter().copied()),
-            Neighbors::Owned(v) => NeighborsIter::Owned(v.into_iter()),
-        }
-    }
 }
 
 impl FriendGraph {
@@ -295,26 +225,31 @@ impl FriendGraph {
         self.csr_range(u).len() + self.extra[u.idx()].len()
     }
 
-    /// The sorted neighbor list of `u`. Zero-copy when the graph is
-    /// [compact][Self::is_compact]; otherwise merges the node's overlay.
-    pub fn neighbors(&self, u: UserId) -> Neighbors<'_> {
+    /// The sorted neighbor list of `u`. A node with no overlay entries
+    /// lends its CSR slice and copies nothing; otherwise its CSR slice and
+    /// overlay are merged into `buf`, which the caller owns and reuses
+    /// across nodes, so a scan over many nodes allocates at most as often
+    /// as `buf` grows.
+    pub fn neighbors<'a>(&'a self, u: UserId, buf: &'a mut Vec<UserId>) -> &'a [UserId] {
         let base = self.csr_range(u);
         // lint:allow(panic-reachable-from-serve): extra is kept at length n by ensure_node
         let over = &self.extra[u.idx()];
         if over.is_empty() {
-            return Neighbors::Slice(base);
+            return base;
         }
-        let mut merged = Vec::with_capacity(base.len() + over.len());
-        merge_into(&mut merged, base, over);
-        Neighbors::Owned(merged)
+        buf.clear();
+        buf.reserve_exact(base.len() + over.len());
+        merge_into(buf, base, over);
+        buf
     }
 
     /// Iterate all undirected edges as `(a, b)` with `a < b`, in ascending
     /// `(a, b)` order.
     pub fn edges(&self) -> impl Iterator<Item = (UserId, UserId)> + '_ {
+        let mut buf = Vec::new();
         self.nodes().flat_map(move |a| {
             let larger: Vec<UserId> = self
-                .neighbors(a)
+                .neighbors(a, &mut buf)
                 .iter()
                 .copied()
                 .filter(|b| a < *b)
@@ -330,7 +265,8 @@ impl FriendGraph {
 
     /// Number of common neighbors of `a` and `b` (sorted-merge intersection).
     pub fn common_neighbors(&self, a: UserId, b: UserId) -> usize {
-        let (xs, ys) = (self.neighbors(a), self.neighbors(b));
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
+        let (xs, ys) = (self.neighbors(a, &mut xs), self.neighbors(b, &mut ys));
         let (mut i, mut j, mut c) = (0, 0, 0);
         while i < xs.len() && j < ys.len() {
             match xs[i].cmp(&ys[j]) {
@@ -392,8 +328,8 @@ mod tests {
         assert_eq!(bulk.edge_count(), incremental.edge_count());
         for i in 0..6 {
             assert_eq!(
-                *bulk.neighbors(u(i)),
-                *incremental.neighbors(u(i)),
+                bulk.neighbors(u(i), &mut Vec::new()),
+                incremental.neighbors(u(i), &mut Vec::new()),
                 "neighbors of {i}"
             );
         }
@@ -417,7 +353,7 @@ mod tests {
         for b in [5, 1, 3, 2] {
             g.add_edge(u(0), u(b));
         }
-        assert_eq!(*g.neighbors(u(0)), [u(1), u(2), u(3), u(5)]);
+        assert_eq!(g.neighbors(u(0), &mut Vec::new()), [u(1), u(2), u(3), u(5)]);
     }
 
     #[test]
@@ -472,11 +408,11 @@ mod tests {
         assert_eq!(edges, g.edges().collect::<Vec<_>>());
         assert!(g.has_edge(u(0), u(3)));
         assert!(!g.has_edge(u(0), u(1)));
-        assert_eq!(*g.neighbors(u(0)), [u(3), u(5)]);
+        assert_eq!(g.neighbors(u(0), &mut Vec::new()), [u(3), u(5)]);
         // Inserting after compaction lands in the overlay and still queries.
         assert!(g.add_edge(u(0), u(1)));
         assert!(!g.is_compact());
-        assert_eq!(*g.neighbors(u(0)), [u(1), u(3), u(5)]);
+        assert_eq!(g.neighbors(u(0), &mut Vec::new()), [u(1), u(3), u(5)]);
         assert_eq!(g.degree(u(0)), 3);
     }
 
@@ -490,10 +426,10 @@ mod tests {
         assert!(g.add_edge(u(4), u(5)));
         assert!(g.add_edge(u(0), u(4)));
         assert_eq!(g.edge_count(), 3);
-        assert_eq!(*g.neighbors(u(0)), [u(1), u(4)]);
-        assert_eq!(*g.neighbors(u(4)), [u(0), u(5)]);
+        assert_eq!(g.neighbors(u(0), &mut Vec::new()), [u(1), u(4)]);
+        assert_eq!(g.neighbors(u(4), &mut Vec::new()), [u(0), u(5)]);
         g.compact();
-        assert_eq!(*g.neighbors(u(4)), [u(0), u(5)]);
+        assert_eq!(g.neighbors(u(4), &mut Vec::new()), [u(0), u(5)]);
         assert_eq!(g.degree(u(3)), 0);
     }
 
@@ -504,5 +440,43 @@ mod tests {
         assert_eq!(g.edge_count(), 0);
         assert_eq!(g.edges().count(), 0);
         assert!(g.is_compact());
+    }
+
+    #[test]
+    fn neighbors_through_a_reused_buffer_match_the_merged_list() {
+        // 0 and 1 sit in the CSR body; 0 and 2 then gain overlay edges.
+        let mut g = FriendGraph::from_pairs(6, [(u(0), u(3)), (u(0), u(5)), (u(1), u(4))]);
+        g.add_edge(u(0), u(1));
+        g.add_edge(u(0), u(4));
+        g.add_edge(u(2), u(5));
+        let want: [&[UserId]; 6] = [
+            &[u(1), u(3), u(4), u(5)],
+            &[u(0), u(4)],
+            &[u(5)],
+            &[u(0)],
+            &[u(0), u(1)],
+            &[u(0), u(2)],
+        ];
+        // One buffer for every node, in both orders, so it always holds an
+        // earlier node's list, longer or shorter, when the next merges.
+        let mut buf = vec![u(9); 7];
+        for order in [[0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0]] {
+            for i in order {
+                assert_eq!(g.neighbors(u(i), &mut buf), want[i as usize], "node {i}");
+            }
+        }
+        // A node without overlay entries lends its CSR slice: the buffer
+        // keeps what the last merge left in it.
+        assert_eq!(g.neighbors(u(2), &mut buf), [u(5)]);
+        assert_eq!(g.neighbors(u(3), &mut buf), [u(0)]);
+        assert_eq!(buf, [u(5)]);
+        g.compact();
+        for (i, list) in want.iter().enumerate() {
+            assert_eq!(
+                g.neighbors(u(i as u32), &mut buf),
+                *list,
+                "node {i}, compacted"
+            );
+        }
     }
 }

@@ -69,8 +69,9 @@ impl UnionFind {
 pub fn components(graph: &FriendGraph, members: &[UserId]) -> Vec<Vec<UserId>> {
     let member_set: std::collections::HashSet<UserId> = members.iter().copied().collect();
     let mut uf = UnionFind::new(members);
+    let mut buf = Vec::new();
     for &u in members {
-        for v in graph.neighbors(u) {
+        for &v in graph.neighbors(u, &mut buf) {
             if member_set.contains(&v) {
                 uf.union(u, v);
             }

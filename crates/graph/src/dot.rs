@@ -44,8 +44,9 @@ pub fn induced_dot(
 
     let mut induced_edges: Vec<(UserId, UserId)> = Vec::new();
     let mut has_edge: std::collections::HashSet<UserId> = std::collections::HashSet::new();
+    let mut buf = Vec::new();
     for &u in members {
-        for v in graph.neighbors(u) {
+        for &v in graph.neighbors(u, &mut buf) {
             if u < v && member_set.contains(&v) {
                 induced_edges.push((u, v));
                 has_edge.insert(u);

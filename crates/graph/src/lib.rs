@@ -29,7 +29,7 @@ pub mod metrics;
 pub mod renumber;
 pub mod twohop;
 
-pub use adjacency::{FriendGraph, Neighbors};
+pub use adjacency::FriendGraph;
 pub use components::{components, ComponentCensus, UnionFind};
 pub use ids::{PageId, UserId};
 pub use metrics::SummaryStats;

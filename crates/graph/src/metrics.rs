@@ -53,9 +53,12 @@ impl SummaryStats {
     }
 }
 
-/// Local clustering coefficient of one node.
-pub fn local_clustering(graph: &FriendGraph, u: UserId) -> f64 {
-    let ns = graph.neighbors(u);
+/// Local clustering coefficient of one node. `buf` takes the node's
+/// neighbor list when it must be merged
+/// ([`FriendGraph::neighbors`]); a caller that scores many nodes passes
+/// the same buffer to each.
+pub fn local_clustering(graph: &FriendGraph, u: UserId, buf: &mut Vec<UserId>) -> f64 {
+    let ns = graph.neighbors(u, buf);
     let d = ns.len();
     if d < 2 {
         return 0.0;
@@ -117,7 +120,7 @@ mod tests {
         g.add_edge(u(0), u(1));
         g.add_edge(u(1), u(2));
         g.add_edge(u(0), u(2));
-        assert!((local_clustering(&g, u(0)) - 1.0).abs() < 1e-12);
+        assert!((local_clustering(&g, u(0), &mut Vec::new()) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -126,14 +129,18 @@ mod tests {
         for i in 1..5 {
             g.add_edge(u(0), u(i));
         }
-        assert_eq!(local_clustering(&g, u(0)), 0.0);
-        assert_eq!(local_clustering(&g, u(1)), 0.0, "degree-1 node");
+        assert_eq!(local_clustering(&g, u(0), &mut Vec::new()), 0.0);
+        assert_eq!(
+            local_clustering(&g, u(1), &mut Vec::new()),
+            0.0,
+            "degree-1 node"
+        );
     }
 
     #[test]
     fn clustering_mixed_graph() {
         let g = triangle_plus_tail();
         // Node 2's neighbors {0,1,3}: one link (0-1) of three possible.
-        assert!((local_clustering(&g, u(2)) - 1.0 / 3.0).abs() < 1e-12);
+        assert!((local_clustering(&g, u(2), &mut Vec::new()) - 1.0 / 3.0).abs() < 1e-12);
     }
 }

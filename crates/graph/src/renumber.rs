@@ -157,10 +157,11 @@ impl RenumberedCsr {
         let mut offsets = Vec::with_capacity(n + 1);
         let mut targets = Vec::with_capacity(2 * graph.edge_count());
         offsets.push(0u64);
+        let mut buf = Vec::new();
         for new in 0..n as u32 {
             let old = map.old_of(UserId(new));
             // `neighbors` yields ascending old ids; keep that order.
-            for w in graph.neighbors(old).iter() {
+            for w in graph.neighbors(old, &mut buf) {
                 targets.push(map.new_of(*w).0);
             }
             offsets.push(targets.len() as u64);
@@ -252,7 +253,7 @@ mod tests {
         for new in 0..7usize {
             let old = csr.map().old_of(u(new as u32));
             let expect: Vec<u32> = g
-                .neighbors(old)
+                .neighbors(old, &mut Vec::new())
                 .iter()
                 .map(|w| csr.map().new_of(*w).0)
                 .collect();

@@ -14,8 +14,9 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 pub fn direct_edges_within(graph: &FriendGraph, members: &[UserId]) -> usize {
     let set: HashSet<UserId> = members.iter().copied().collect();
     let mut count = 0;
+    let mut buf = Vec::new();
     for &u in members {
-        for v in graph.neighbors(u) {
+        for &v in graph.neighbors(u, &mut buf) {
             if u < v && set.contains(&v) {
                 count += 1;
             }
@@ -39,8 +40,9 @@ pub fn two_hop_pairs(
     // containers keep the whole computation order-deterministic without a
     // final sort.
     let mut via: BTreeMap<UserId, Vec<UserId>> = BTreeMap::new();
+    let mut buf = Vec::new();
     for &m in members {
-        for mid in graph.neighbors(m) {
+        for &mid in graph.neighbors(m, &mut buf) {
             via.entry(mid).or_default().push(m);
         }
     }

@@ -35,9 +35,10 @@ proptest! {
             .map(|(a, b)| (*a.min(b), *a.max(b)))
             .collect();
         prop_assert_eq!(g.edge_count(), distinct.len());
+        let mut buf = Vec::new();
         for u in g.nodes() {
             prop_assert!(!g.has_edge(u, u));
-            for v in g.neighbors(u) {
+            for &v in g.neighbors(u, &mut buf) {
                 prop_assert!(g.has_edge(v, u), "symmetry");
             }
         }
@@ -124,6 +125,8 @@ proptest! {
     /// built from the same random edge list: identical neighbor lists
     /// (sorted), degrees, membership answers, and canonical edge iteration —
     /// with or without explicit mid-build compaction of the CSR overlay.
+    /// Each graph's neighbor lists are read through one reused buffer, so
+    /// a merge always lands on an earlier node's list.
     #[test]
     fn csr_round_trips_against_reference(
         (n, es) in edges(30, 160),
@@ -148,12 +151,13 @@ proptest! {
         }
         compacted.compact();
         prop_assert!(compacted.is_compact());
+        let (mut buf, mut buf_c) = (Vec::new(), Vec::new());
         for u in 0..n {
             let want: Vec<UserId> = reference[u as usize].iter().map(|v| UserId(*v)).collect();
-            let got: Vec<UserId> = g.neighbors(UserId(u)).iter().copied().collect();
-            prop_assert_eq!(&got, &want, "neighbors of {} (overlay)", u);
-            let got_c: Vec<UserId> = compacted.neighbors(UserId(u)).iter().copied().collect();
-            prop_assert_eq!(&got_c, &want, "neighbors of {} (compacted)", u);
+            let got = g.neighbors(UserId(u), &mut buf);
+            prop_assert_eq!(got, &want[..], "neighbors of {} (overlay)", u);
+            let got_c = compacted.neighbors(UserId(u), &mut buf_c);
+            prop_assert_eq!(got_c, &want[..], "neighbors of {} (compacted)", u);
             prop_assert_eq!(g.degree(UserId(u)), want.len());
             for v in 0..n {
                 let expect = reference[u as usize].contains(&v);

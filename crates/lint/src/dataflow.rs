@@ -405,13 +405,15 @@ pub fn indexing_on_line(line: &str) -> bool {
         let prev = bytes[j - 1];
         if prev.is_ascii_alphanumeric() || prev == b'_' || prev == b')' || prev == b']' {
             // `vec![`-style macros end with `!` which already fails this
-            // test. A keyword before `[` means a slice TYPE (`&mut [T]`,
-            // `dyn [T]`, `as [u8; 4]`), not an indexing expression.
+            // test. A keyword or a lifetime before `[` means a slice TYPE
+            // (`&mut [T]`, `&'a [T]`, `dyn [T]`, `as [u8; 4]`), not an
+            // indexing expression.
             let mut s = j - 1;
             while s > 0 && (bytes[s - 1].is_ascii_alphanumeric() || bytes[s - 1] == b'_') {
                 s -= 1;
             }
-            if matches!(&line[s..j], "mut" | "dyn" | "as" | "in" | "impl") {
+            let lifetime = s > 0 && bytes[s - 1] == b'\'';
+            if lifetime || matches!(&line[s..j], "mut" | "dyn" | "as" | "in" | "impl") {
                 continue;
             }
             return true;
@@ -681,6 +683,14 @@ fn leaf(stream: &Rng, items: &[u32]) -> Vec<u64> {\n\
             None
         );
         assert_eq!(panic_kind_on_line("let b = x as [u8; 2];"), None);
+        assert_eq!(
+            panic_kind_on_line("fn h<'a>(xs: &'a mut Vec<u8>) -> &'a [u8] {"),
+            None
+        );
+        assert_eq!(
+            panic_kind_on_line("let c = 'x'; let d = c_s[0];"),
+            Some("indexing")
+        );
         assert_eq!(panic_kind_on_line("#[derive(Debug)]"), None);
         assert_eq!(panic_kind_on_line("x.unwrap_or(0);"), None);
         assert_eq!(

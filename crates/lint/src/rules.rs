@@ -92,12 +92,13 @@ pub const RULES: &[RuleInfo] = &[
         id: "panic-reachable-from-serve",
         summary: "panic/unwrap/expect/indexing reachable from the serve/tail entry points",
         explain: "The scoring service (ServeEngine::{ingest, ingest_frame, query,\n\
-                  online_score}, ServeSession::handle_line, serve) and the log followers\n\
-                  (TailReader::{next_record, drain}, FollowReader::poll) are long-running:\n\
-                  one panic anywhere in their call graph kills the session and loses tail\n\
-                  state. This rule walks the workspace call graph from those entry points\n\
-                  and reports every .unwrap()/.expect(…)/panic!/unreachable!/indexing site\n\
-                  it can reach, with the chain: reachable via a → b → c.\n\
+                  online_score}, ServeSession::handle_line, serve) and the log decoder it\n\
+                  folds from (TailReader::{next_record, complete_frames},\n\
+                  FollowReader::poll) are long-running: one panic anywhere in their call\n\
+                  graph kills the session and loses tail state. This rule walks the\n\
+                  workspace call graph from those entry points and reports every\n\
+                  .unwrap()/.expect(…)/panic!/unreachable!/indexing site it can reach,\n\
+                  with the chain: reachable via a → b → c.\n\
                   Fix: return the error to the serve loop (it already degrades per-line),\n\
                   use .get(…) for lookups, or prove the invariant and add a pragma.\n\
                   Suppress: // lint:allow(panic-reachable-from-serve): <the invariant>",
@@ -636,7 +637,7 @@ pub const SERVE_ENTRY_POINTS: &[(&str, Option<&str>, &str)] = &[
     ("/serve.rs", Some("ServeSession"), "handle_line"),
     ("/serve.rs", None, "serve"),
     ("/tail.rs", Some("TailReader"), "next_record"),
-    ("/tail.rs", Some("TailReader"), "drain"),
+    ("/tail.rs", Some("TailReader"), "complete_frames"),
     ("/tail.rs", Some("FollowReader"), "poll"),
 ];
 

@@ -431,7 +431,7 @@ impl CrawlApi {
         let (friends, total_friend_count) = if acct.privacy.friend_list_public {
             let visible: Vec<UserId> = world
                 .friends()
-                .neighbors(user)
+                .neighbors(user, &mut Vec::new())
                 .iter()
                 .copied()
                 // Friends who are terminated disappear from the list too.

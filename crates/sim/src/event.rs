@@ -4,7 +4,8 @@
 //! format version and a caller-defined metadata document (the study config
 //! and RNG provenance live there); each record is a monotone sequence
 //! number plus a JSON payload. A writer renders any `Serialize` payload
-//! straight into its frame; the decoder hands the payload back as text.
+//! straight into its frame; the decoder lends the payload back as text
+//! ([`Frame`]), in place in its buffer.
 //! Payload *semantics* belong to higher layers (`likelab_osn::log` defines
 //! the world-mutation vocabulary, `likelab_core` the study records, which
 //! read the text directly into their own types) — this module only
@@ -68,6 +69,28 @@ pub struct LogRecord {
     pub seq: u64,
     /// The payload's JSON text, exactly as framed.
     pub payload: String,
+}
+
+impl LogRecord {
+    /// The record as the decoder would lend it.
+    pub fn as_frame(&self) -> Frame<'_> {
+        Frame {
+            seq: self.seq,
+            payload: &self.payload,
+        }
+    }
+}
+
+/// One decoded record, lent by the decoder that holds its bytes
+/// ([`TailReader::next_record`](crate::tail::TailReader::next_record)):
+/// reading it copies nothing, and it lives until the decoder takes more
+/// bytes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Frame<'a> {
+    /// Strictly increasing within a stream (gaps allowed, repeats not).
+    pub seq: u64,
+    /// The payload's JSON text, exactly as framed.
+    pub payload: &'a str,
 }
 
 /// Why a log could not be decoded (or written). Every variant is a hard

@@ -58,7 +58,7 @@ pub mod time;
 pub mod trace;
 
 pub use engine::Engine;
-pub use event::{LogError, LogHeader, LogRecord};
+pub use event::{Frame, LogError, LogHeader, LogRecord};
 pub use parallel::{parallel_jobs, parallel_map, parallel_owned, split_spans, Exec};
 pub use queue::{EventQueue, SeqCollision};
 pub use rng::{derive_stream_seed, Rng};

@@ -700,11 +700,12 @@ fn ablation_privacy_rate(w: &mut String) {
         let truth = direct_edges_within(world.friends(), &likers);
         let members: BTreeSet<UserId> = likers.iter().copied().collect();
         let mut observed = BTreeSet::new();
+        let mut buf = Vec::new();
         for &u in &likers {
             if !world.account(u).privacy.friend_list_public {
                 continue;
             }
-            for v in world.friends().neighbors(u) {
+            for &v in world.friends().neighbors(u, &mut buf) {
                 if members.contains(&v) {
                     observed.insert((u.min(v), u.max(v)));
                 }

@@ -50,6 +50,7 @@ fn sybil_rank_reference(graph: &FriendGraph, seeds: &[UserId], iterations: usize
         trust[s.idx()] += seed_share;
     }
     let mut next = vec![0.0f64; n];
+    let mut buf = Vec::new();
     for _ in 0..iterations {
         next.iter_mut().for_each(|v| *v = 0.0);
         for u in graph.nodes() {
@@ -63,7 +64,7 @@ fn sybil_rank_reference(graph: &FriendGraph, seeds: &[UserId], iterations: usize
                 continue;
             }
             let share = t / d as f64;
-            for v in graph.neighbors(u) {
+            for v in graph.neighbors(u, &mut buf) {
                 next[v.idx()] += share;
             }
         }
@@ -210,6 +211,7 @@ proptest! {
         let csr = RenumberedCsr::degree_ordered(&g);
         let map = csr.map();
         prop_assert_eq!(csr.node_count(), g.node_count());
+        let mut buf = Vec::new();
         for old in 0..g.node_count() as u32 {
             let new = map.new_of(UserId(old)).idx();
             prop_assert_eq!(csr.degree(new), g.degree(UserId(old)));
@@ -220,7 +222,7 @@ proptest! {
             let mut sorted = row_olds.clone();
             sorted.sort_unstable();
             prop_assert_eq!(&row_olds, &sorted, "row order must be ascending old id");
-            let neigh: Vec<u32> = g.neighbors(UserId(old)).into_iter().map(|v| v.0).collect();
+            let neigh: Vec<u32> = g.neighbors(UserId(old), &mut buf).iter().map(|v| v.0).collect();
             prop_assert_eq!(row_olds, neigh);
         }
     }

@@ -190,10 +190,10 @@ fn a_frame_naming_an_unknown_account_is_a_structured_error() {
         let mut engine = ServeEngine::new(&c.header, ServeConfig::default()).unwrap();
         let (bad, good) = frames.split_last().unwrap();
         for frame in good {
-            engine.ingest_frame(frame).expect("valid frame");
+            engine.ingest_frame(&frame.as_frame()).expect("valid frame");
         }
         let (watermark, last_seq) = (engine.watermark(), engine.last_seq());
-        match engine.ingest_frame(bad) {
+        match engine.ingest_frame(&bad.as_frame()) {
             Err(StudyError::BadRecord { seq, reason }) => {
                 assert_eq!(seq, bad_seq);
                 assert!(reason.contains(want), "{reason}");

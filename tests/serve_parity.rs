@@ -37,34 +37,27 @@ fn logged_run(workers: usize) -> (StudyOutcome, StudyLog) {
 }
 
 /// Feed the log's binary encoding through the tail decoder in `chunk`-byte
-/// slices and fold every frame into a fresh serve engine.
+/// slices and fold every frame into a fresh serve engine where it lies,
+/// before the next slice goes in.
 fn engine_from_bytes(log: &StudyLog, chunk: usize) -> ServeEngine {
     let bytes = log.to_binary().expect("encode");
     let mut tail = TailReader::new();
     let mut engine: Option<ServeEngine> = None;
-    let mut pending = Vec::new();
     for slice in bytes.chunks(chunk.max(1)) {
         tail.extend(slice);
-        while let Some(frame) = tail.next_record().expect("clean stream") {
-            pending.push(frame);
-        }
         if engine.is_none() {
-            if let Some(header) = tail.header() {
+            if let Some(header) = tail.decode_header().expect("clean stream") {
                 engine = Some(ServeEngine::new(header, ServeConfig::default()).expect("header"));
             }
         }
         if let Some(e) = &mut engine {
-            for frame in pending.drain(..) {
+            while let Some(frame) = tail.next_record().expect("clean stream") {
                 e.ingest_frame(&frame).expect("valid record");
             }
         }
     }
     tail.finish().expect("no partial frame");
-    let mut engine = engine.expect("header arrived");
-    for frame in pending.drain(..) {
-        engine.ingest_frame(&frame).expect("valid record");
-    }
-    engine
+    engine.expect("header arrived")
 }
 
 /// Assert every end-of-stream online answer is bitwise equal to batch.
