@@ -720,10 +720,95 @@ fn spawn_stdio_pump(tx: mpsc::Sender<Request>) {
 /// gets one `ok:false` reply naming the limit and is closed.
 pub const MAX_CONNECTIONS: usize = 32;
 
+/// How long a read or write on a TCP client's socket may stall before the
+/// pump asks whether the server is full. While a slot is free the call is
+/// retried, so no client is dropped for being quiet; once every one of the
+/// [`MAX_CONNECTIONS`] slots is taken, a client that has sent nothing (or
+/// read none of its replies) for this long is closed, which frees its slot.
+pub const CLIENT_IDLE_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// One TCP client's socket, read or written by its pump. A call that runs
+/// out its timeout is retried while the server has a free slot and fails
+/// once the server is full, which ends the pump.
+struct ClientSocket {
+    stream: std::net::TcpStream,
+    /// Clients now connected, this one included.
+    live: Arc<AtomicUsize>,
+}
+
+impl ClientSocket {
+    /// Whether every slot is taken, so a stalled client should go.
+    fn full(&self) -> bool {
+        self.live.load(Ordering::SeqCst) >= MAX_CONNECTIONS
+    }
+}
+
+/// Whether `e` is a socket timeout running out.
+fn timed_out(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
+
+impl std::io::Read for ClientSocket {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        loop {
+            match self.stream.read(buf) {
+                Err(e) if timed_out(&e) && !self.full() => {}
+                result => return result,
+            }
+        }
+    }
+}
+
+impl std::io::Write for ClientSocket {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        loop {
+            match self.stream.write(buf) {
+                Err(e) if timed_out(&e) && !self.full() => {}
+                // A blocking send returns short only when its timeout runs
+                // out with part of `buf` taken: a peer that reads too little
+                // stalls its pump this way as well.
+                Ok(n) if n < buf.len() && self.full() => {
+                    return Err(std::io::ErrorKind::TimedOut.into());
+                }
+                result => return result,
+            }
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
+    }
+}
+
+/// An accepted client's read and write halves, both directions of its
+/// socket timing out after [`CLIENT_IDLE_TIMEOUT`].
+fn client_halves(
+    stream: std::net::TcpStream,
+    live: &Arc<AtomicUsize>,
+) -> std::io::Result<(std::io::BufReader<ClientSocket>, ClientSocket)> {
+    // Timeouts belong to the socket, so the clone shares them.
+    stream.set_read_timeout(Some(CLIENT_IDLE_TIMEOUT))?;
+    stream.set_write_timeout(Some(CLIENT_IDLE_TIMEOUT))?;
+    let read_half = ClientSocket {
+        stream: stream.try_clone()?,
+        live: Arc::clone(live),
+    };
+    let write_half = ClientSocket {
+        stream,
+        live: Arc::clone(live),
+    };
+    Ok((std::io::BufReader::new(read_half), write_half))
+}
+
 /// Accept TCP clients and give each its own pump thread, all feeding the
-/// one request channel, while fewer than [`MAX_CONNECTIONS`] are live. The
-/// pump threads are not joined, as the stdio pump is not: each blocks
-/// reading its peer, and the serve loop ends without waiting for them.
+/// one request channel, while fewer than [`MAX_CONNECTIONS`] are live.
+/// Once all are live, a client stalled for [`CLIENT_IDLE_TIMEOUT`] is
+/// closed ([`ClientSocket`]). The pump threads are not joined, as the
+/// stdio pump is not: each blocks reading its peer, and the serve loop
+/// ends without waiting for them.
 fn spawn_tcp_pump(listener: std::net::TcpListener, tx: mpsc::Sender<Request>) {
     std::thread::spawn(move || {
         let live = Arc::new(AtomicUsize::new(0));
@@ -738,8 +823,8 @@ fn spawn_tcp_pump(listener: std::net::TcpListener, tx: mpsc::Sender<Request>) {
             }
             let (live, tx) = (Arc::clone(&live), tx.clone());
             std::thread::spawn(move || {
-                if let Ok(read_half) = stream.try_clone() {
-                    pump_lines(std::io::BufReader::new(read_half), stream, &tx);
+                if let Ok((reader, writer)) = client_halves(stream, &live) {
+                    pump_lines(reader, writer, &tx);
                 }
                 live.fetch_sub(1, Ordering::SeqCst);
             });
@@ -1263,6 +1348,152 @@ mod tests {
         assert_eq!(request.line, r#"{"v":1,"id":1,"op":"status"}"#);
         request.reply.send("answered".into()).unwrap();
         assert_eq!(read_reply(&client), "answered\n");
+    }
+
+    /// A connected pair: the client's end, and the server's end set up as
+    /// [`spawn_tcp_pump`] sets it up, counted in `live`.
+    fn client_and_halves(
+        live: &Arc<AtomicUsize>,
+    ) -> (
+        std::net::TcpStream,
+        (std::io::BufReader<ClientSocket>, ClientSocket),
+    ) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        // A reply that never comes fails the test instead of hanging it.
+        client
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let halves = client_halves(stream, live).unwrap();
+        let socket = &halves.1.stream;
+        assert_eq!(socket.read_timeout().unwrap(), Some(CLIENT_IDLE_TIMEOUT));
+        assert_eq!(socket.write_timeout().unwrap(), Some(CLIENT_IDLE_TIMEOUT));
+        (client, halves)
+    }
+
+    /// Run `pump_lines` over `halves` on a thread of its own; the receiver
+    /// gets its result when it ends.
+    fn spawn_pump(
+        (reader, writer): (std::io::BufReader<ClientSocket>, ClientSocket),
+        tx: mpsc::Sender<Request>,
+    ) -> mpsc::Receiver<bool> {
+        let (done_tx, done) = mpsc::channel();
+        std::thread::spawn(move || done_tx.send(pump_lines(reader, writer, &tx)));
+        done
+    }
+
+    /// Whether the pump behind `done` ends within `within` with `client`'s
+    /// end still open. Either way `client` is then closed, unread replies
+    /// and all, so the pump does end, and it must end its own peer, not
+    /// the serve loop.
+    fn ends_by_itself(
+        done: &mpsc::Receiver<bool>,
+        within: Duration,
+        client: std::net::TcpStream,
+    ) -> bool {
+        let by_itself = done.recv_timeout(within).ok();
+        drop(client);
+        let serving = by_itself.unwrap_or_else(|| done.recv().unwrap());
+        assert!(serving, "the serve loop is not told to stop");
+        by_itself.is_some()
+    }
+
+    #[test]
+    fn a_silent_client_keeps_its_slot_until_the_server_is_full() {
+        let live = Arc::new(AtomicUsize::new(1));
+        let (mut client, halves) = client_and_halves(&live);
+        // A short timeout in place of the constant; the halves share it.
+        halves
+            .1
+            .stream
+            .set_read_timeout(Some(Duration::from_millis(20)))
+            .unwrap();
+        let (tx, rx) = mpsc::channel::<Request>();
+        let done = spawn_pump(halves, tx);
+        // With a slot free, silences of several timeouts, before a request
+        // and inside one, cost the client nothing.
+        for id in 1..=2 {
+            std::thread::sleep(Duration::from_millis(100));
+            write!(client, r#"{{"v":1,"id":{id},"#).unwrap();
+            std::thread::sleep(Duration::from_millis(100));
+            writeln!(client, r#""op":"status"}}"#).unwrap();
+            let request = rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("a quiet client's request still arrives");
+            assert_eq!(
+                request.line,
+                format!(r#"{{"v":1,"id":{id},"op":"status"}}"#)
+            );
+            request.reply.send(format!("answered {id}")).unwrap();
+            assert_eq!(read_reply(&client), format!("answered {id}\n"));
+        }
+        // Every slot taken: the next timed-out read ends the pump, though
+        // the client's end stays open.
+        live.store(MAX_CONNECTIONS, Ordering::SeqCst);
+        assert!(
+            ends_by_itself(&done, Duration::from_secs(30), client),
+            "the pump outlived a full server"
+        );
+        assert!(
+            rx.try_recv().is_err(),
+            "nothing more reached the serve loop"
+        );
+    }
+
+    #[test]
+    fn a_client_that_reads_no_replies_keeps_its_slot_until_the_server_is_full() {
+        const REPLY: usize = 1 << 20;
+        let live = Arc::new(AtomicUsize::new(1));
+        let (mut client, halves) = client_and_halves(&live);
+        let server_end = halves.1.stream.try_clone().unwrap();
+        server_end
+            .set_write_timeout(Some(Duration::from_millis(20)))
+            .unwrap();
+        let (tx, rx) = mpsc::channel::<Request>();
+        let done = spawn_pump(halves, tx);
+        let loop_side = std::thread::spawn(move || {
+            let reply = "x".repeat(REPLY);
+            let mut answered = 0;
+            while let Ok(request) = rx.recv_timeout(Duration::from_secs(30)) {
+                answered += 1;
+                // The last reply may find the pump gone.
+                let _ = request.reply.send(reply.clone());
+            }
+            answered
+        });
+        // With a slot free, replies left unread for several timeouts, far
+        // more of them than the socket buffers hold, all arrive whole.
+        for id in 0..64 {
+            writeln!(client, r#"{{"v":1,"id":{id},"op":"status"}}"#).unwrap();
+        }
+        std::thread::sleep(Duration::from_millis(300));
+        {
+            let mut replies = std::io::BufReader::new(&client);
+            let mut line = String::new();
+            for _ in 0..64 {
+                line.clear();
+                replies.read_line(&mut line).unwrap();
+                assert_eq!(line.len(), REPLY + 1, "a whole reply line");
+            }
+        }
+        // Every slot taken: the first send that runs out its timeout ends
+        // the pump, whether it took part of its reply or none. Here that is
+        // 2 s on the clock; a pump that waited out a second one would take
+        // 4 s.
+        server_end
+            .set_write_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        live.store(MAX_CONNECTIONS, Ordering::SeqCst);
+        for id in 64..320 {
+            writeln!(client, r#"{{"v":1,"id":{id},"op":"status"}}"#).unwrap();
+        }
+        assert!(
+            ends_by_itself(&done, Duration::from_millis(3500), client),
+            "one stalled send ends the pump within 3.5 s, not two"
+        );
+        let answered = loop_side.join().unwrap();
+        assert!(answered < 320, "the pump stopped before the last request");
     }
 
     #[test]

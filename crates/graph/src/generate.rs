@@ -22,6 +22,7 @@
 
 use crate::adjacency::FriendGraph;
 use crate::ids::UserId;
+use likelab_sim::dist::WeightedIndex;
 use likelab_sim::Rng;
 
 /// Erdős–Rényi G(n, m): exactly `m` distinct edges among `members`
@@ -126,24 +127,15 @@ pub fn chung_lu(
     if n < 2 {
         return Vec::new();
     }
-    // Cumulative weights for O(log n) endpoint sampling.
-    let mut cumulative = Vec::with_capacity(n);
-    let mut total = 0.0;
-    for (i, t) in target_degrees.iter().enumerate() {
-        assert!(t.is_finite() && *t >= 0.0, "bad target degree at {i}: {t}");
-        total += *t;
-        cumulative.push(total);
-    }
+    // Endpoints are drawn by inverse CDF over the targets, O(log n) each.
+    let endpoints = WeightedIndex::new(target_degrees.iter().enumerate().map(|(i, &t)| {
+        assert!(t.is_finite() && t >= 0.0, "bad target degree at {i}: {t}");
+        t
+    }));
+    let total = endpoints.total();
     if total <= 0.0 {
         return Vec::new();
     }
-    let pick = |rng: &mut Rng, cumulative: &[f64]| -> usize {
-        let target = rng.f64() * total;
-        match cumulative.binary_search_by(|c| c.total_cmp(&target)) {
-            Ok(i) => (i + 1).min(n - 1),
-            Err(i) => i.min(n - 1),
-        }
-    };
     let m = (total / 2.0).round() as usize;
     let max_possible = n * (n - 1) / 2;
     let m = m.min(max_possible);
@@ -152,8 +144,8 @@ pub fn chung_lu(
     let budget = m.saturating_mul(20).max(1000);
     while edges.len() < m && attempts < budget {
         attempts += 1;
-        let a = pick(rng, &cumulative);
-        let b = pick(rng, &cumulative);
+        let a = endpoints.sample(rng);
+        let b = endpoints.sample(rng);
         if a != b && g.add_edge(members[a], members[b]) {
             edges.push((members[a], members[b]));
         }

@@ -49,7 +49,7 @@ pub fn plan_background_activity(
         if appetite <= 0.0 {
             continue;
         }
-        let country = world.account(user).profile.country;
+        let pages = sampler.for_country(world.account(user).profile.country);
         // Poisson process via exponential inter-arrivals.
         let mut t = from;
         loop {
@@ -61,7 +61,7 @@ pub fn plan_background_activity(
             }
             plan.push(OrganicLike {
                 user,
-                page: sampler.sample(pop, country, &mut rng),
+                page: pages.sample(&mut rng),
                 at: t,
             });
         }

@@ -212,40 +212,64 @@ pub struct Population {
 }
 
 /// Samples background pages with the global-head/country-slice mixture.
-pub struct BackgroundSampler {
-    global_zipf: Zipf,
-    slice_zipfs: BTreeMap<Country, Zipf>,
+///
+/// It hands out one [`CountrySampler`] per user, so the draws of a user's
+/// like history look nothing up by country.
+pub struct BackgroundSampler<'a> {
+    global: (&'a [PageId], Zipf),
+    slices: BTreeMap<Country, (&'a [PageId], Zipf)>,
     global_like_fraction: f64,
 }
 
-impl BackgroundSampler {
+impl<'a> BackgroundSampler<'a> {
     /// Build a sampler over the population's catalogue.
-    pub fn new(pop: &Population, config: &PopulationConfig) -> Self {
+    pub fn new(pop: &'a Population, config: &PopulationConfig) -> Self {
+        let zipf = |pages: &[PageId]| Zipf::new(pages.len().max(1), config.zipf_exponent);
         BackgroundSampler {
-            global_zipf: Zipf::new(pop.global_pages.len().max(1), config.zipf_exponent),
-            slice_zipfs: pop
+            global: (&pop.global_pages, zipf(&pop.global_pages)),
+            slices: pop
                 .country_slices
                 .iter()
-                .map(|(c, pages)| (*c, Zipf::new(pages.len().max(1), config.zipf_exponent)))
+                .filter(|(_, pages)| !pages.is_empty())
+                .map(|(c, pages)| (*c, (pages.as_slice(), zipf(pages))))
                 .collect(),
             global_like_fraction: config.global_like_fraction,
         }
     }
 
-    /// One background page draw for a user from `country`.
-    pub fn sample(&self, pop: &Population, country: Country, rng: &mut Rng) -> PageId {
-        let use_global = pop
-            .country_slices
-            .get(&country)
-            .map(|s| s.is_empty())
-            .unwrap_or(true)
-            || rng.chance(self.global_like_fraction);
-        if use_global {
-            pop.global_pages[self.global_zipf.sample(rng)]
-        } else {
-            let slice = &pop.country_slices[&country];
-            slice[self.slice_zipfs[&country].sample(rng)]
+    /// The sampler for users from `country`.
+    pub fn for_country(&self, country: Country) -> CountrySampler<'_> {
+        let (global_pages, global_zipf) = &self.global;
+        CountrySampler {
+            global: (global_pages, global_zipf),
+            slice: self
+                .slices
+                .get(&country)
+                .map(|(pages, zipf)| (*pages, zipf)),
+            global_like_fraction: self.global_like_fraction,
         }
+    }
+}
+
+/// Background page draws for users from one country: its slice and the
+/// global head, each with its Zipf, resolved once.
+pub struct CountrySampler<'a> {
+    global: (&'a [PageId], &'a Zipf),
+    /// The country's slice; `None` when it has none or an empty one.
+    slice: Option<(&'a [PageId], &'a Zipf)>,
+    global_like_fraction: f64,
+}
+
+impl CountrySampler<'_> {
+    /// One background page draw. A country without slice pages always
+    /// draws from the global head and spends no draw on the choice.
+    #[inline]
+    pub fn sample(&self, rng: &mut Rng) -> PageId {
+        let (pages, zipf) = match self.slice {
+            Some(slice) if !rng.chance(self.global_like_fraction) => slice,
+            _ => self.global,
+        };
+        pages[zipf.sample(rng)]
     }
 }
 
@@ -524,6 +548,7 @@ pub fn synthesize_with(
             }
             for j in range.clone() {
                 let (id, country, _, _) = jobs[j];
+                let pages = sampler.for_country(country);
                 let mut user_rng = likes_rng.split(j as u64);
                 let n_likes = like_target(&mut user_rng, jobs[j]);
                 *epoch += 1;
@@ -534,7 +559,7 @@ pub fn synthesize_with(
                 let (mut accepted, mut attempts) = (0usize, 0usize);
                 while accepted < n_likes && attempts < n_likes * 8 + 16 {
                     attempts += 1;
-                    let page = sampler.sample(&pop, country, &mut user_rng);
+                    let page = pages.sample(&mut user_rng);
                     let slot = &mut stamps[page.idx()];
                     if *slot != *epoch {
                         *slot = *epoch;
@@ -589,11 +614,11 @@ fn bucket_count(rows: usize) -> usize {
 /// `[0, window_secs)`), and splitting that window into `buckets` equal
 /// slices splits the rows into balanced runs whose order is the order of
 /// the slices. One pass scatters the rows straight into their bucket's
-/// region of the columns; then each bucket's region is sorted on its own.
-/// Both run through `exec`. The result is exactly the columns of
-/// the sorted rows, for any bucket count and any `exec` — the key
-/// determines the whole row, so the unstable sort's order among equal keys
-/// is moot.
+/// region of the columns; then each bucket's region is sorted on its own
+/// ([`sort_bucket`]). Both run through `exec`. The result is exactly the
+/// columns of the sorted rows, for any monotone bucket map, any bucket
+/// count and any `exec`: the key determines the whole row, so no order
+/// among equal keys is left to chance.
 fn sort_into_columns(
     draws: Vec<Vec<Row>>,
     window_secs: u64,
@@ -601,10 +626,7 @@ fn sort_into_columns(
     exec: Exec,
 ) -> LikeColumns {
     let partition_span = likelab_obs::span::enter("population.likes.partition");
-    let bucket_of = |at: SimTime| {
-        let b = u128::from(at.as_secs()) * buckets as u128 / u128::from(window_secs);
-        (b as usize).min(buckets - 1)
-    };
+    let bucket_of = bucket_map(window_secs, buckets);
     // Consecutive draw buffers holding about equal shares of the rows form
     // one scatter job each.
     let total: usize = draws.iter().map(Vec::len).sum();
@@ -663,8 +685,8 @@ fn sort_into_columns(
     let spans = split_spans(&mut cols.times, lens.iter().copied())
         .zip(split_spans(&mut cols.users, lens.iter().copied()))
         .zip(split_spans(&mut cols.pages, lens.iter().copied()));
-    // Consecutive buckets share a job, and a job one scratch buffer for
-    // its largest bucket's rows.
+    // Consecutive buckets share a job, and a job one key scratch for its
+    // largest bucket's rows.
     let per_job = buckets.div_ceil(exec.job_count());
     let mut groups: Vec<Vec<_>> = Vec::new();
     for (b, span) in spans.enumerate() {
@@ -677,25 +699,126 @@ fn sort_into_columns(
     }
     parallel_owned(exec, groups, |_, group| {
         let largest = group.iter().map(|((t, _), _)| t.len()).max().unwrap_or(0);
-        let mut scratch: Vec<Row> = Vec::with_capacity(largest);
+        let mut keys = vec![0u128; largest];
         for ((times, users), pages) in group {
-            scratch.clear();
-            scratch.extend(
-                times
-                    .iter()
-                    .zip(users.iter())
-                    .zip(pages.iter())
-                    .map(|((&at, &user), &page)| (at, user, page)),
-            );
-            scratch.sort_unstable();
-            for (k, &(at, user, page)) in scratch.iter().enumerate() {
-                times[k] = at;
-                users[k] = user;
-                pages[k] = page;
-            }
+            let n = times.len();
+            sort_bucket(times, users, pages, &mut keys[..n]);
         }
     });
     cols
+}
+
+/// The time-bucket map of [`sort_into_columns`]: about
+/// `at * buckets / window_secs`, as one multiply and a shift by a 64.64
+/// fixed-point factor computed once. It is monotone in `at`, and below
+/// `buckets` for every `at < window_secs`: `at * factor <= (window_secs -
+/// 1) * buckets * 2^64 / window_secs < buckets * 2^64`, which also keeps
+/// the product inside a `u128`.
+fn bucket_map(window_secs: u64, buckets: usize) -> impl Fn(SimTime) -> usize + Copy {
+    let factor = ((buckets as u128) << 64) / u128::from(window_secs);
+    move |at: SimTime| ((u128::from(at.as_secs()) * factor) >> 64) as usize
+}
+
+/// Bits per radix digit of [`sort_bucket`]: 2 Ki counters per pass.
+const RADIX_BITS: u32 = 11;
+
+/// The most radix passes a bucket takes: enough digits for a 64-bit span.
+const MAX_PASSES: usize = u64::BITS.div_ceil(RADIX_BITS) as usize;
+
+/// A row packed as one integer whose order is the row's `(at, user, page)`
+/// order.
+#[inline]
+fn row_key(at: SimTime, user: UserId, page: PageId) -> u128 {
+    u128::from(at.as_secs()) << 64 | u128::from(user.0) << 32 | u128::from(page.0)
+}
+
+/// The row [`row_key`] packs.
+#[inline]
+fn row_of_key(key: u128) -> Row {
+    (
+        SimTime::from_secs((key >> 64) as u64),
+        UserId((key >> 32) as u32),
+        PageId(key as u32),
+    )
+}
+
+/// Sort one bucket's rows by `(at, user, page)` in place, with `keys` (as
+/// long as the bucket) as its only buffer.
+///
+/// An LSD radix sort on `at - min_at` in [`RADIX_BITS`]-bit digits, with
+/// as many passes as the bucket's own time span needs: none when every
+/// `at` is equal, six for a 64-bit span. Each pass scatters the rows
+/// stably by one digit, from the columns into `keys` or back, so after the
+/// last pass (and a copy back when the count is odd) the columns are in
+/// `at` order. Each run of equal `at` is then ordered by `(user, page)`.
+fn sort_bucket(
+    times: &mut [SimTime],
+    users: &mut [UserId],
+    pages: &mut [PageId],
+    keys: &mut [u128],
+) {
+    let Some(&first) = times.first() else {
+        return;
+    };
+    let (min, max) = times
+        .iter()
+        .fold((first, first), |(lo, hi), &at| (lo.min(at), hi.max(at)));
+    let span = max.as_secs() - min.as_secs();
+    let passes = (u64::BITS - span.leading_zeros()).div_ceil(RADIX_BITS) as usize;
+    let digit = |at: SimTime, pass: usize| {
+        ((at.as_secs() - min.as_secs()) >> (pass as u32 * RADIX_BITS)) as usize
+            & ((1 << RADIX_BITS) - 1)
+    };
+    // Every pass's digit counts in one read of the times, then turned into
+    // each digit's first slot.
+    let mut slots = [[0usize; 1 << RADIX_BITS]; MAX_PASSES];
+    for &at in times.iter() {
+        for (pass, counts) in slots[..passes].iter_mut().enumerate() {
+            counts[digit(at, pass)] += 1;
+        }
+    }
+    for counts in &mut slots[..passes] {
+        let mut next = 0;
+        for slot in counts.iter_mut() {
+            (*slot, next) = (next, next + *slot);
+        }
+    }
+    for (pass, next) in slots[..passes].iter_mut().enumerate() {
+        if pass % 2 == 0 {
+            for ((&at, &user), &page) in times.iter().zip(users.iter()).zip(pages.iter()) {
+                let slot = &mut next[digit(at, pass)];
+                keys[*slot] = row_key(at, user, page);
+                *slot += 1;
+            }
+        } else {
+            for &key in keys.iter() {
+                let row = row_of_key(key);
+                let slot = &mut next[digit(row.0, pass)];
+                (times[*slot], users[*slot], pages[*slot]) = row;
+                *slot += 1;
+            }
+        }
+    }
+    if passes % 2 == 1 {
+        for (k, &key) in keys.iter().enumerate() {
+            (times[k], users[k], pages[k]) = row_of_key(key);
+        }
+    }
+    let mut start = 0;
+    for run in times.chunk_by(|a, b| a == b) {
+        let (at, end) = (run[0], start + run.len());
+        if run.len() > 1 {
+            let keys = &mut keys[..run.len()];
+            for (k, key) in (start..end).zip(keys.iter_mut()) {
+                *key = row_key(at, users[k], pages[k]);
+            }
+            keys.sort_unstable();
+            for (k, &key) in (start..end).zip(keys.iter()) {
+                (_, users[k], pages[k]) = row_of_key(key);
+            }
+        }
+        start = end;
+    }
 }
 
 /// Age distribution (fractions over the six brackets) of a set of accounts —
@@ -903,32 +1026,52 @@ mod tests {
         }
     }
 
+    /// The windows [`bucketed_sort_equals_a_plain_sort`] draws from. With
+    /// one bucket and rows at both ends of the window, they need 0 (every
+    /// `at` equal), 1, 2, 3, 3, 4, 5 and 6 radix passes; 5,000,000 is not
+    /// a power of two, so its bucket factor rounds.
+    const SORT_WINDOWS: [u64; 8] = [
+        1,
+        1 << 11,
+        1 << 22,
+        5_000_000,
+        1 << 33,
+        1 << 40,
+        1 << 55,
+        u64::MAX - 1,
+    ];
+
     proptest::proptest! {
         /// The time-bucketed sort is a plain sort: for rows split over any
         /// number of draw buffers (empty ones included, even after the
         /// last row), every bucket count — one bucket, more buckets than
-        /// distinct times, the derived default — and any worker count
-        /// give the columns of `sort_unstable` over all the rows.
+        /// distinct times, the derived default — any worker count and any
+        /// window from one second to a 64-bit span give the columns of
+        /// `sort_unstable` over all the rows. The windows and bucket counts
+        /// make buckets that need every radix pass count from 0 to 6.
         /// `narrow` packs every time into the window's first few seconds,
         /// so all rows share one bucket and the others stay empty; the
-        /// edges of the window and ties on `at` are drawn on purpose.
+        /// edges of the window and ties on `at`, one user's included, are
+        /// drawn on purpose.
         #[test]
         fn bucketed_sort_equals_a_plain_sort(
-            raw in proptest::prop::collection::vec((0u32..6, 0u32..40, 0u32..40, 0u64..1_000_000), 0..400),
+            raw in proptest::prop::collection::vec((0u32..7, 0u32..40, 0u32..40, proptest::prelude::any::<u64>()), 0..400),
             buffers in 1usize..6,
             narrow in proptest::prelude::any::<bool>(),
             workers in 1usize..4,
+            window in 0usize..SORT_WINDOWS.len(),
         ) {
-            let window = 5_000_000u64;
+            let window = SORT_WINDOWS[window];
             let rows: Vec<Row> = raw
                 .iter()
                 .map(|&(edge, user, page, x)| {
-                    let at = match edge {
-                        0 => 0,
-                        1 => window - 1,
-                        2 => 1_234, // a shared time: ties on `at`
-                        _ if narrow => x % 4,
-                        _ => x * 5 % window,
+                    let (user, at) = match edge {
+                        0 => (user, 0),
+                        1 => (user, window - 1),
+                        2 => (user, 1_234 % window), // a shared time: ties on `at`
+                        3 => (0, 1_234 % window), // one user on several pages at it
+                        _ if narrow => (user, x % 4 % window),
+                        _ => (user, x % window),
                     };
                     (SimTime::from_secs(at), UserId(user), PageId(page))
                 })
@@ -946,7 +1089,107 @@ mod tests {
                     draws[1 + i * 7 % buffers].push(row);
                 }
                 let got = sort_into_columns(draws, window, buckets, Exec::workers(workers));
-                proptest::prop_assert_eq!(&got, &want, "buckets={}", buckets);
+                proptest::prop_assert_eq!(&got, &want, "buckets={} window={}", buckets, window);
+            }
+        }
+
+        /// The multiply-shift bucket map is monotone in `at` and below
+        /// `buckets` for every `at` in the window, for windows from one
+        /// second to `u64::MAX` and every bucket count the sort uses:
+        /// checked at random times, the window's ends and both sides of
+        /// every slice edge.
+        #[test]
+        fn bucket_map_is_monotone_and_below_the_bucket_count(
+            window in 0usize..5,
+            buckets in 1usize..=MAX_BUCKETS,
+            xs in proptest::prop::collection::vec(proptest::prelude::any::<u64>(), 0..64),
+        ) {
+            let window = [1, 2, 1 << 32, 1 << 62, u64::MAX][window];
+            let bucket_of = bucket_map(window, buckets);
+            let edges = (1..buckets as u128).flat_map(|k| {
+                let edge = (k * u128::from(window)).div_ceil(buckets as u128) as u64;
+                [edge.saturating_sub(1), edge]
+            });
+            let mut ats: Vec<u64> = xs.iter().map(|x| x % window).chain(edges).collect();
+            ats.retain(|&at| at < window);
+            ats.extend([0, window - 1]);
+            ats.sort_unstable();
+            let mut last = 0;
+            for at in ats {
+                let b = bucket_of(SimTime::from_secs(at));
+                proptest::prop_assert!(b >= last && b < buckets, "at={} bucket={} after {}", at, b, last);
+                last = b;
+            }
+        }
+    }
+
+    /// The reference page draw: it looks the user's country up on every
+    /// draw.
+    struct LookupPerDraw {
+        global_zipf: Zipf,
+        slice_zipfs: BTreeMap<Country, Zipf>,
+        global_like_fraction: f64,
+    }
+
+    impl LookupPerDraw {
+        fn sample(&self, pop: &Population, country: Country, rng: &mut Rng) -> PageId {
+            let use_global = pop
+                .country_slices
+                .get(&country)
+                .map(|s| s.is_empty())
+                .unwrap_or(true)
+                || rng.chance(self.global_like_fraction);
+            if use_global {
+                pop.global_pages[self.global_zipf.sample(rng)]
+            } else {
+                let slice = &pop.country_slices[&country];
+                slice[self.slice_zipfs[&country].sample(rng)]
+            }
+        }
+    }
+
+    #[test]
+    fn country_sampler_draws_as_a_lookup_per_draw() {
+        let pop = Population {
+            global_pages: (0..300).map(PageId).collect(),
+            country_slices: BTreeMap::from([
+                (Country::Usa, (300..700).map(PageId).collect()),
+                (Country::France, Vec::new()),
+            ]),
+            ..Population::default()
+        };
+        for global_like_fraction in [0.0, 0.3, 1.0] {
+            let config = PopulationConfig {
+                global_like_fraction,
+                ..PopulationConfig::default()
+            };
+            let zipf = |pages: &[PageId]| Zipf::new(pages.len().max(1), config.zipf_exponent);
+            let reference = LookupPerDraw {
+                global_zipf: zipf(&pop.global_pages),
+                slice_zipfs: pop
+                    .country_slices
+                    .iter()
+                    .map(|(c, p)| (*c, zipf(p)))
+                    .collect(),
+                global_like_fraction,
+            };
+            let sampler = BackgroundSampler::new(&pop, &config);
+            // A country with a slice, one with an empty slice, one with none.
+            for country in [Country::Usa, Country::France, Country::India] {
+                let pages = sampler.for_country(country);
+                let (mut got, mut want) = (Rng::seed_from_u64(5), Rng::seed_from_u64(5));
+                for draw in 0..2_000 {
+                    assert_eq!(
+                        pages.sample(&mut got),
+                        reference.sample(&pop, country, &mut want),
+                        "{country} at fraction {global_like_fraction}, draw {draw}"
+                    );
+                }
+                assert_eq!(
+                    got.next_u64(),
+                    want.next_u64(),
+                    "{country} at fraction {global_like_fraction}: the streams part"
+                );
             }
         }
     }

@@ -57,96 +57,99 @@ pub fn log_normal_median(rng: &mut Rng, median: f64, sigma: f64) -> f64 {
     log_normal(rng, median.ln(), sigma)
 }
 
-/// A Zipf sampler over ranks `1..=n` with exponent `s`, built once and reused
-/// (rejection-free inverse-CDF over precomputed cumulative weights).
-///
-/// Page popularity in the background catalogue follows this law: a few pages
-/// are liked by everyone, most are liked by almost no one.
+/// Draws an index with probability proportional to its weight, by
+/// inverse-CDF search over the cumulative weights. It is the one search
+/// behind [`Zipf`], [`Categorical`] and the Chung–Lu graph generator's
+/// endpoint draws.
 ///
 /// Large samplers carry an equi-spaced bucket index over the cumulative
 /// range, narrowing each draw's binary search from the full array to a
-/// handful of elements — the background-page sampler is hit once per
-/// synthesized like, so this is a hot path at scale. The index only engages
-/// when the cumulative array is strictly increasing (every bucket bound is
-/// runtime-checked against the actual target before use), so the returned
-/// rank is always exactly the one the plain full-range search yields.
+/// handful of elements: the background-page sampler is hit once per
+/// synthesized like, so this is a hot path at scale. A target's bucket is
+/// one multiply away. The index only engages when the cumulative array is
+/// strictly increasing, and every bucket bound is checked against the
+/// actual target before use, so the returned index is always exactly the
+/// one the plain full-range search yields.
 #[derive(Clone, Debug)]
-pub struct Zipf {
+pub struct WeightedIndex {
     cumulative: Vec<f64>,
-    /// The last cumulative weight: the sum of all rank weights.
+    /// The last cumulative weight: the sum of all weights.
     total: f64,
+    /// `INDEX_BUCKETS / total`: a target times this is its bucket.
+    bucket_scale: f64,
     /// `buckets[k]` = first index whose cumulative weight reaches
-    /// `total * k / ZIPF_BUCKETS`; empty when the index is disabled.
+    /// `total * k / INDEX_BUCKETS`; empty when the index is disabled.
     buckets: Vec<u32>,
-    /// Cumulative weights are strictly increasing (no denormal-flat runs),
-    /// which licenses the `partition_point` formulation.
+    /// Cumulative weights are strictly increasing (no zero weights, no
+    /// weight lost to rounding), which licenses the `partition_point`
+    /// formulation.
     strict: bool,
 }
 
-/// Ranks below this search the full array directly — the index only pays
-/// for itself once the array outgrows a few cache lines.
-const ZIPF_INDEX_MIN_RANKS: usize = 256;
+/// Arrays shorter than this search the full array directly: the index
+/// only pays for itself once the array outgrows a few cache lines.
+const INDEX_MIN_WEIGHTS: usize = 256;
 
 /// Bucket count of the sampler's acceleration index.
-const ZIPF_BUCKETS: usize = 2048;
+const INDEX_BUCKETS: usize = 2048;
 
-impl Zipf {
-    /// Build a sampler over `n` ranks with exponent `s`.
+impl WeightedIndex {
+    /// Build from the weights, in index order. Callers check the weights
+    /// themselves (finite and non-negative), each with its own message.
     ///
     /// # Panics
-    /// Panics when `n == 0` or `s` is negative/non-finite.
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "Zipf over zero ranks");
-        assert!(s.is_finite() && s >= 0.0, "Zipf exponent must be >= 0");
-        let mut cumulative = Vec::with_capacity(n);
+    /// Panics when there are no weights.
+    pub fn new(weights: impl IntoIterator<Item = f64>) -> Self {
         let mut total = 0.0;
-        for rank in 1..=n {
-            total += 1.0 / (rank as f64).powf(s);
-            cumulative.push(total);
-        }
+        let cumulative: Vec<f64> = weights
+            .into_iter()
+            .map(|w| {
+                total += w;
+                total
+            })
+            .collect();
+        assert!(!cumulative.is_empty(), "weighted index over no weights");
         let strict = cumulative.windows(2).all(|w| w[0] < w[1]);
         let mut buckets = Vec::new();
-        if strict && n >= ZIPF_INDEX_MIN_RANKS {
-            buckets = (0..=ZIPF_BUCKETS)
+        if strict && cumulative.len() >= INDEX_MIN_WEIGHTS {
+            buckets = (0..=INDEX_BUCKETS)
                 .map(|k| {
-                    let thr = total * (k as f64 / ZIPF_BUCKETS as f64);
+                    let thr = total * (k as f64 / INDEX_BUCKETS as f64);
                     cumulative.partition_point(|c| *c < thr) as u32
                 })
                 .collect();
         }
-        Zipf {
+        WeightedIndex {
             cumulative,
             total,
+            bucket_scale: INDEX_BUCKETS as f64 / total,
             buckets,
             strict,
         }
     }
 
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cumulative.len()
+    /// The sum of all weights.
+    pub fn total(&self) -> f64 {
+        self.total
     }
 
-    /// True when there is exactly one rank (degenerate sampler).
-    pub fn is_empty(&self) -> bool {
-        false // construction guarantees n > 0
-    }
-
-    /// Sample a 0-based rank (0 is the most popular).
+    /// Sample an index.
+    #[inline]
     pub fn sample(&self, rng: &mut Rng) -> usize {
-        self.rank_for(rng.f64() * self.total)
+        self.index_for(rng.f64() * self.total)
     }
 
-    /// The rank for an inverse-CDF target in `[0, total)`.
-    fn rank_for(&self, target: f64) -> usize {
+    /// The index for an inverse-CDF target in `[0, total)`: the first
+    /// cumulative weight strictly above the target, clamped to the last
+    /// index.
+    fn index_for(&self, target: f64) -> usize {
         let n = self.cumulative.len();
-        // With strictly increasing weights, the historical
-        // `binary_search_by(total_cmp)` + Ok/Err mapping reduces to
-        // "number of weights <= target" (clamped): an exact hit at `i`
-        // mapped to `i + 1`, a miss to its insertion point — both equal
-        // that count.
+        // With strictly increasing weights, the `binary_search_by(total_cmp)`
+        // + Ok/Err mapping of the non-strict path below reduces to "number
+        // of weights <= target" (clamped): an exact hit at `i` maps to
+        // `i + 1`, a miss to its insertion point — both equal that count.
         if !self.buckets.is_empty() {
-            let k = (((target / self.total) * ZIPF_BUCKETS as f64) as usize).min(ZIPF_BUCKETS - 1);
+            let k = ((target * self.bucket_scale) as usize).min(INDEX_BUCKETS - 1);
             let (lo, hi) = (self.buckets[k] as usize, self.buckets[k + 1] as usize);
             // Guard the narrowed range against float slop at bucket
             // boundaries: everything before `lo` must be <= target and
@@ -162,11 +165,50 @@ impl Zipf {
         if self.strict {
             return self.cumulative.partition_point(|c| *c <= target).min(n - 1);
         }
-        // First cumulative weight strictly above the target.
         match self.cumulative.binary_search_by(|c| c.total_cmp(&target)) {
             Ok(i) => (i + 1).min(n - 1),
             Err(i) => i.min(n - 1),
         }
+    }
+}
+
+/// A Zipf sampler over ranks `1..=n` with exponent `s`, built once and reused
+/// (rejection-free inverse-CDF over precomputed cumulative weights).
+///
+/// Page popularity in the background catalogue follows this law: a few pages
+/// are liked by everyone, most are liked by almost no one.
+#[derive(Clone, Debug)]
+pub struct Zipf {
+    index: WeightedIndex,
+}
+
+impl Zipf {
+    /// Build a sampler over `n` ranks with exponent `s`.
+    ///
+    /// # Panics
+    /// Panics when `n == 0` or `s` is negative/non-finite.
+    pub fn new(n: usize, s: f64) -> Self {
+        assert!(n > 0, "Zipf over zero ranks");
+        assert!(s.is_finite() && s >= 0.0, "Zipf exponent must be >= 0");
+        Zipf {
+            index: WeightedIndex::new((1..=n).map(|rank| 1.0 / (rank as f64).powf(s))),
+        }
+    }
+
+    /// Number of ranks.
+    pub fn len(&self) -> usize {
+        self.index.cumulative.len()
+    }
+
+    /// True when there is exactly one rank (degenerate sampler).
+    pub fn is_empty(&self) -> bool {
+        false // construction guarantees n > 0
+    }
+
+    /// Sample a 0-based rank (0 is the most popular).
+    #[inline]
+    pub fn sample(&self, rng: &mut Rng) -> usize {
+        self.index.sample(rng)
     }
 }
 
@@ -175,9 +217,7 @@ impl Zipf {
 #[derive(Clone, Debug)]
 pub struct Categorical<T: Clone> {
     outcomes: Vec<T>,
-    cumulative: Vec<f64>,
-    /// The last cumulative weight: the sum of all weights.
-    total: f64,
+    index: WeightedIndex,
 }
 
 impl<T: Clone> Categorical<T> {
@@ -188,31 +228,20 @@ impl<T: Clone> Categorical<T> {
     /// weights are zero.
     pub fn new(pairs: &[(T, f64)]) -> Self {
         assert!(!pairs.is_empty(), "categorical over no outcomes");
-        let mut outcomes = Vec::with_capacity(pairs.len());
-        let mut cumulative = Vec::with_capacity(pairs.len());
-        let mut total = 0.0;
-        for (o, w) in pairs {
-            assert!(w.is_finite() && *w >= 0.0, "invalid weight {w}");
-            total += *w;
-            outcomes.push(o.clone());
-            cumulative.push(total);
-        }
-        assert!(total > 0.0, "categorical weights sum to zero");
+        let index = WeightedIndex::new(pairs.iter().map(|&(_, w)| {
+            assert!(w.is_finite() && w >= 0.0, "invalid weight {w}");
+            w
+        }));
+        assert!(index.total() > 0.0, "categorical weights sum to zero");
         Categorical {
-            outcomes,
-            cumulative,
-            total,
+            outcomes: pairs.iter().map(|(o, _)| o.clone()).collect(),
+            index,
         }
     }
 
     /// Sample an outcome.
     pub fn sample(&self, rng: &mut Rng) -> T {
-        let target = rng.f64() * self.total;
-        let idx = match self.cumulative.binary_search_by(|c| c.total_cmp(&target)) {
-            Ok(i) => i + 1,
-            Err(i) => i,
-        };
-        self.outcomes[idx.min(self.outcomes.len() - 1)].clone()
+        self.outcomes[self.index.sample(rng)].clone()
     }
 
     /// The outcomes, in construction order.
@@ -222,8 +251,9 @@ impl<T: Clone> Categorical<T> {
 
     /// The probability of outcome `i`.
     pub fn probability(&self, i: usize) -> f64 {
-        let prev = if i == 0 { 0.0 } else { self.cumulative[i - 1] };
-        (self.cumulative[i] - prev) / self.total
+        let cumulative = &self.index.cumulative;
+        let prev = if i == 0 { 0.0 } else { cumulative[i - 1] };
+        (cumulative[i] - prev) / self.index.total
     }
 }
 
@@ -311,6 +341,44 @@ mod tests {
         }
     }
 
+    /// The historical inverse-CDF mapping every sampler used: the first
+    /// cumulative weight strictly above the target, clamped.
+    fn reference_index(cumulative: &[f64], target: f64) -> usize {
+        let n = cumulative.len();
+        match cumulative.binary_search_by(|c| c.total_cmp(&target)) {
+            Ok(i) => (i + 1).min(n - 1),
+            Err(i) => i.min(n - 1),
+        }
+    }
+
+    /// Checks `index_for` against [`reference_index`] on random targets,
+    /// every `stride`-th cumulative weight, and the neighborhoods of the
+    /// index's bucket boundaries.
+    fn assert_matches_reference(w: &WeightedIndex, stride: usize, r: &mut Rng) {
+        let total = w.total();
+        assert_eq!(
+            w.cumulative.last().map(|c| c.to_bits()),
+            Some(total.to_bits())
+        );
+        let mut targets: Vec<f64> = (0..20_000).map(|_| r.f64() * total).collect();
+        for k in 0..=64 {
+            let thr = total * (k as f64 / 64.0);
+            targets.extend([thr, thr.next_down(), thr.next_up()]);
+        }
+        for c in w.cumulative.iter().step_by(stride) {
+            targets.extend([*c, c.next_down(), c.next_up()]);
+        }
+        for target in targets {
+            let target = target.clamp(0.0, total);
+            assert_eq!(
+                w.index_for(target),
+                reference_index(&w.cumulative, target),
+                "n={} t={target}",
+                w.cumulative.len()
+            );
+        }
+    }
+
     #[test]
     fn zipf_index_matches_plain_binary_search() {
         // The bucket index must return exactly the rank the historical
@@ -318,22 +386,31 @@ mod tests {
         // cumulative values and bucket-boundary neighborhoods.
         for (n, s) in [(300usize, 1.0), (1_000, 0.8), (50_000, 1.0), (255, 1.2)] {
             let z = Zipf::new(n, s);
-            let total = *z.cumulative.last().unwrap();
-            assert_eq!(z.total.to_bits(), total.to_bits());
-            let mut r = rng();
-            let mut targets: Vec<f64> = (0..20_000).map(|_| r.f64() * total).collect();
-            for k in 0..=64 {
-                let thr = total * (k as f64 / 64.0);
-                targets.extend([thr, thr.next_down(), thr.next_up()]);
-            }
-            targets.extend(z.cumulative.iter().step_by(7).copied());
-            for target in targets {
-                let target = target.clamp(0.0, total);
-                let reference = match z.cumulative.binary_search_by(|c| c.total_cmp(&target)) {
-                    Ok(i) => (i + 1).min(n - 1),
-                    Err(i) => i.min(n - 1),
-                };
-                assert_eq!(z.rank_for(target), reference, "n={n} s={s} t={target}");
+            assert_eq!(z.index.buckets.is_empty(), n < INDEX_MIN_WEIGHTS);
+            assert_matches_reference(&z.index, 7, &mut rng());
+        }
+        // 322 unit weights put the cumulative sum 161 exactly on bucket
+        // 1024's threshold, while 161 * (2048 / 322) rounds below 1024: the
+        // target's bucket is one too low, and only the guard keeps the
+        // index exact.
+        assert_matches_reference(&WeightedIndex::new([1.0; 322]), 1, &mut rng());
+    }
+
+    proptest::proptest! {
+        /// Any weights, zero weights included (anywhere: first, last, in
+        /// runs), map every target to the index the historical search
+        /// picked. Arrays long enough for the bucket index and free of
+        /// zeros exercise the indexed path; the others the full searches.
+        #[test]
+        fn weighted_index_matches_the_historical_search(
+            raw in proptest::prop::collection::vec((0u32..4, 0.0f64..10.0), 1..700),
+            zeros in proptest::prelude::any::<bool>(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let weights = raw.iter().map(|&(pick, w)| if zeros && pick == 0 { 0.0 } else { w + 1e-3 });
+            let w = WeightedIndex::new(weights);
+            if w.total() > 0.0 {
+                assert_matches_reference(&w, 1, &mut Rng::seed_from_u64(seed));
             }
         }
     }
