@@ -10,6 +10,9 @@
 //! The overlay keeps `add_edge` cheap, during generation and while a live
 //! replica folds friendships from the log; once it grows past a fraction
 //! of the CSR body the graph re-compacts, amortizing to `O(E)` total work.
+//! The overlay's per-node lists share one [`ListArena`] buffer, so an
+//! insert allocates only when that buffer grows, not once per node, and a
+//! compaction empties the lists and keeps the buffer for the next ones.
 //! Between compactions some nodes keep overlay entries, and no caller is
 //! asked to compact first. Queries (`has_edge`, `neighbors`, `degree`)
 //! read both parts: `O(log d)` membership tests, and `O(d)` neighbor scans
@@ -18,7 +21,7 @@
 //! node allocates only as that buffer grows.
 
 use crate::ids::UserId;
-use serde::{Deserialize, Serialize};
+use likelab_sim::ListArena;
 
 /// Compaction triggers when the overlay holds at least this many directed
 /// entries *and* at least a quarter of the CSR body's size. The floor keeps
@@ -27,14 +30,15 @@ use serde::{Deserialize, Serialize};
 const COMPACT_FLOOR: usize = 4_096;
 
 /// An undirected simple graph over dense [`UserId`]s.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FriendGraph {
     /// CSR row offsets; `offsets[u]..offsets[u+1]` indexes `csr`.
     offsets: Vec<u64>,
     /// CSR edge array, sorted within each node's range.
     csr: Vec<UserId>,
-    /// Per-node sorted overlay of edges added since the last compaction.
-    extra: Vec<Vec<UserId>>,
+    /// Per-node sorted overlay of edges added since the last compaction,
+    /// as raw ids, one list per node.
+    extra: ListArena<u32>,
     /// Total directed entries currently in `extra`.
     extra_len: usize,
     edges: usize,
@@ -46,23 +50,24 @@ impl Default for FriendGraph {
     }
 }
 
-/// Append the merge of two sorted, disjoint neighbor lists to `out`.
-fn merge_into(out: &mut Vec<UserId>, a: &[UserId], b: &[UserId]) {
+/// Append the merge of two sorted, disjoint neighbor lists to `out`: a
+/// CSR slice and an overlay list.
+fn merge_into(out: &mut Vec<UserId>, a: &[UserId], b: &[u32]) {
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         // lint:allow(panic-reachable-from-serve): loop condition bounds i and j
-        if a[i] < b[j] {
+        if a[i].0 < b[j] {
             out.push(a[i]); // lint:allow(panic-reachable-from-serve): i < a.len() here
             i += 1;
         } else {
-            out.push(b[j]); // lint:allow(panic-reachable-from-serve): j < b.len() here
+            out.push(UserId(b[j])); // lint:allow(panic-reachable-from-serve): j < b.len() here
             j += 1;
         }
     }
     // lint:allow(panic-reachable-from-serve): i <= a.len() after the merge loop
     out.extend_from_slice(&a[i..]);
     // lint:allow(panic-reachable-from-serve): j <= b.len() after the merge loop
-    out.extend_from_slice(&b[j..]);
+    out.extend(b[j..].iter().map(|&v| UserId(v)));
 }
 
 impl FriendGraph {
@@ -71,7 +76,7 @@ impl FriendGraph {
         FriendGraph {
             offsets: vec![0; n + 1],
             csr: Vec::new(),
-            extra: vec![Vec::new(); n],
+            extra: ListArena::with_lists(n),
             extra_len: 0,
             edges: 0,
         }
@@ -114,7 +119,7 @@ impl FriendGraph {
         FriendGraph {
             offsets,
             csr,
-            extra: vec![Vec::new(); n],
+            extra: ListArena::with_lists(n),
             extra_len: 0,
             edges: directed.len() / 2,
         }
@@ -135,7 +140,7 @@ impl FriendGraph {
         if n > self.node_count() {
             let last = self.offsets.last().copied().unwrap_or_default();
             self.offsets.resize(n + 1, last);
-            self.extra.resize(n, Vec::new());
+            self.extra.ensure_lists(n);
         }
     }
 
@@ -162,22 +167,20 @@ impl FriendGraph {
         if self.csr_range(a).binary_search(&b).is_ok() {
             return false;
         }
-        // lint:allow(panic-reachable-from-serve): a < node_count() = extra.len(), asserted above
-        let pos = match self.extra[a.idx()].binary_search(&b) {
+        let pos = match self.extra.get(a.idx()).binary_search(&b.0) {
             Ok(_) => return false,
             Err(pos) => pos,
         };
-        // lint:allow(panic-reachable-from-serve): a < node_count() = extra.len(), asserted above
-        self.extra[a.idx()].insert(pos, b);
-        // lint:allow(panic-reachable-from-serve): b < node_count() = extra.len(), asserted above
-        let list_b = &mut self.extra[b.idx()];
+        self.extra.insert(a.idx(), pos, b.0);
+        let list_b = self.extra.get(b.idx());
         // The overlay lists both directions of every edge: a is absent from
         // b's list, as b was from a's.
         debug_assert!(
-            list_b.binary_search(&a).is_err(),
+            list_b.binary_search(&a.0).is_err(),
             "symmetric edge must be absent"
         );
-        list_b.insert(list_b.partition_point(|&x| x < a), a);
+        let at = list_b.partition_point(|&x| x < a.0);
+        self.extra.insert(b.idx(), at, a.0);
         self.extra_len += 2;
         self.edges += 1;
         if self.extra_len >= COMPACT_FLOOR && self.extra_len * 4 >= self.csr.len() {
@@ -196,15 +199,17 @@ impl FriendGraph {
         let mut csr = Vec::with_capacity(self.csr.len() + self.extra_len);
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0u64);
-        for (u, new) in self.extra.iter().enumerate() {
-            merge_into(&mut csr, self.csr_range(UserId(u as u32)), new);
+        for u in 0..n {
+            merge_into(
+                &mut csr,
+                self.csr_range(UserId(u as u32)),
+                self.extra.get(u),
+            );
             offsets.push(csr.len() as u64);
         }
         self.csr = csr;
         self.offsets = offsets;
-        for v in &mut self.extra {
-            v.clear();
-        }
+        self.extra.clear();
         self.extra_len = 0;
     }
 
@@ -217,12 +222,12 @@ impl FriendGraph {
     pub fn has_edge(&self, a: UserId, b: UserId) -> bool {
         a.idx() < self.node_count()
             && (self.csr_range(a).binary_search(&b).is_ok()
-                || self.extra[a.idx()].binary_search(&b).is_ok())
+                || self.extra.get(a.idx()).binary_search(&b.0).is_ok())
     }
 
     /// Degree of `u` (number of friends).
     pub fn degree(&self, u: UserId) -> usize {
-        self.csr_range(u).len() + self.extra[u.idx()].len()
+        self.csr_range(u).len() + self.extra.get(u.idx()).len()
     }
 
     /// The sorted neighbor list of `u`. A node with no overlay entries
@@ -232,8 +237,7 @@ impl FriendGraph {
     /// as `buf` grows.
     pub fn neighbors<'a>(&'a self, u: UserId, buf: &'a mut Vec<UserId>) -> &'a [UserId] {
         let base = self.csr_range(u);
-        // lint:allow(panic-reachable-from-serve): extra is kept at length n by ensure_node
-        let over = &self.extra[u.idx()];
+        let over = self.extra.get(u.idx());
         if over.is_empty() {
             return base;
         }

@@ -532,9 +532,9 @@ fn trailing_ident(s: &str) -> Option<&str> {
 // ---------------------------------------------------------------------------
 
 /// Files whose every function counts as hot, by basename — the posting
-/// list, like-ledger, event-queue, and columnar kernels that dominate the
+/// list, like-ledger, event-queue, and list-arena kernels that dominate the
 /// ≥10x scale profile. Other functions opt in with `// lint:hot`.
-pub const HOT_FILE_BASENAMES: &[&str] = &["posting.rs", "likes.rs", "queue.rs", "columns.rs"];
+pub const HOT_FILE_BASENAMES: &[&str] = &["posting.rs", "likes.rs", "queue.rs", "arena.rs"];
 
 /// Allocation spellings worth flagging in a hot loop.
 const ALLOC_PATTERNS: &[&str] = &[

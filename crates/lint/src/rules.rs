@@ -121,9 +121,9 @@ pub const RULES: &[RuleInfo] = &[
         id: "alloc-in-hot-loop",
         summary: "per-iteration allocation inside loops of hot-path functions",
         explain: "The ≥10x scale campaign budgets the posting-list, like-ledger, event-queue\n\
-                  and columnar kernels by allocations per event; a Vec::new/collect/format!\n\
+                  and list-arena kernels by allocations per event; a Vec::new/collect/format!\n\
                   /to_vec inside a loop there turns O(1) scratch into O(n) allocator\n\
-                  traffic. Hot scope = functions in posting.rs/likes.rs/queue.rs/columns.rs\n\
+                  traffic. Hot scope = functions in posting.rs/likes.rs/queue.rs/arena.rs\n\
                   plus any function annotated `// lint:hot`.\n\
                   Fix: hoist the allocation out of the loop, reuse a scratch buffer\n\
                   (clear() instead of new), or extend_from_slice into a preallocated Vec.\n\

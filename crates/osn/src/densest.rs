@@ -29,7 +29,7 @@
 //! is sorted once per question, not once per batch.
 
 use crate::likes::LikeLedger;
-use crate::posting::{PostingList, PostingPos};
+use crate::posting::{PostingPos, Postings};
 use likelab_graph::{PageId, UserId};
 use likelab_sim::{SimDuration, SimTime};
 use std::marker::PhantomData;
@@ -101,7 +101,7 @@ pub trait LedgerSide: Copy {
     fn side_len(ledger: &LikeLedger) -> usize;
     /// The stream's posting list of global record indices, in arrival
     /// order (`None` for an id the ledger does not know).
-    fn postings(self, ledger: &LikeLedger) -> Option<&PostingList>;
+    fn postings(self, ledger: &LikeLedger) -> Option<Postings<'_>>;
 }
 
 impl LedgerSide for UserId {
@@ -111,7 +111,7 @@ impl LedgerSide for UserId {
     fn side_len(ledger: &LikeLedger) -> usize {
         ledger.user_count()
     }
-    fn postings(self, ledger: &LikeLedger) -> Option<&PostingList> {
+    fn postings(self, ledger: &LikeLedger) -> Option<Postings<'_>> {
         ledger.user_postings(self)
     }
 }
@@ -123,7 +123,7 @@ impl LedgerSide for PageId {
     fn side_len(ledger: &LikeLedger) -> usize {
         ledger.page_count()
     }
-    fn postings(self, ledger: &LikeLedger) -> Option<&PostingList> {
+    fn postings(self, ledger: &LikeLedger) -> Option<Postings<'_>> {
         ledger.page_postings(self)
     }
 }
@@ -234,7 +234,7 @@ impl Memo {
 /// Bring `memo` up to the end of `list`, whose values index `times`.
 fn settle(
     memo: &mut Memo,
-    list: &PostingList,
+    list: Postings<'_>,
     times: &[SimTime],
     window: SimDuration,
     scratch: &mut Vec<SimTime>,

@@ -8,7 +8,7 @@
 //!
 //! At million-account scale the ledger holds tens of millions of records, so
 //! storage is struct-of-arrays (`users`/`pages`/`times` columns in global
-//! insertion order) and both indexes are bit-packed [`PostingList`]s of
+//! insertion order) and both indexes are bit-packed posting lists ([`PostingLists`]) of
 //! global record indices — strictly increasing by construction, so they
 //! delta-encode to a fraction of a raw `Vec<u32>` and decode through
 //! allocation-free iterators. The per-page index is **sharded by page-id
@@ -25,30 +25,36 @@
 //! [`user_times`](LikeLedger::user_times), …) let scan-heavy consumers read
 //! just the fields they fold.
 //!
+//! The per-user index is sharded too, by account id: each shard owns
+//! [`SHARD_USERS`] consecutive accounts' posting lists and page sets.
 //! Membership (has `user` already liked `page`?) is answered by a per-user
 //! sorted page list. Every like arrives in a batch, so each list is rebuilt
 //! by one sorted merge per batch that names its user — the heavy likers the
 //! paper describes (median 600–1000 page likes) never pay a memmove per
 //! like.
 //!
-//! Ingest allocates per list, not per value. Each posting list a batch
-//! extends grows at most once per buffer (see [`crate::posting`]), and a
-//! page set that a merge outgrows gets the capacity push growth would
-//! reach, `max(4, n.next_power_of_two())` for `n` pages, so the event
-//! loop's single-page inserts that follow do not reallocate at once. The
-//! sparse kernel's working arrays belong to the ledger and are cleared,
-//! not freed, between batches; the dense kernel's batch-sized arrays are
-//! freed when its call returns, so the population batch leaves no scratch
-//! behind.
+//! Ingest allocates per shard, not per list. A shard keeps all its lists
+//! in a few shared buffers ([`likelab_sim::ListArena`]: packed blocks, raw
+//! tails and, on the user side, page sets), and a batch sizes each buffer
+//! it touches once, before any list moves; the population batch into an
+//! empty ledger costs one exact reservation per buffer. A list that
+//! outgrows its slot moves, with push-growth room, into a hole another
+//! list left or to the end of its buffer (see [`likelab_sim::arena`]). The sparse kernel's working arrays belong
+//! to the ledger and are cleared, not freed, between batches; the dense
+//! kernel's batch-sized arrays are freed when its call returns, so the
+//! population batch leaves no scratch behind. Each ingest adds what the
+//! buffers did to make room to the `ledger.list.moves`,
+//! `ledger.buffer.compactions` and `ledger.buffer.growths` counters.
 //!
 //! Every accessor hands out [`LikeRecord`]s **by value** (assembled from the
 //! columns on demand), so iteration reads the same as it did when records
 //! were stored as an array of structs.
 
-use crate::posting::PostingList;
+use crate::posting::{PostingLists, Postings};
 use likelab_graph::{PageId, UserId};
 use likelab_sim::parallel::{parallel_owned, split_spans, Exec};
 use likelab_sim::SimTime;
+use likelab_sim::{ArenaStats, ListArena};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -136,38 +142,59 @@ impl LikeColumns {
     }
 }
 
-/// Pages per index shard. Small enough that a study's background-page count
-/// spreads over many shards, large enough that a shard's posting lists
-/// amortize per-shard bookkeeping.
+/// Pages per page-side index shard. Small enough that a study's
+/// background-page count spreads over many shards, large enough that a
+/// shard's posting lists amortize per-shard bookkeeping.
 pub const SHARD_PAGES: usize = 4096;
 
-/// One page-range shard of the per-page index: packed posting lists (global
-/// record indices, in insertion order) for the pages in this shard's range.
-#[derive(Clone, Debug, Default)]
-struct Shard {
-    by_page: Vec<PostingList>,
+/// Accounts per user-side index shard. The dense kernel's user stages run
+/// whole shards as jobs, so shards must be narrow enough that a paper
+/// world (3,468 accounts: 14 shards) still fills a 2-worker pool's 8 jobs;
+/// a world that fits in one shard runs its user stages on one thread.
+pub const SHARD_USERS: usize = 256;
+
+/// One account-range shard of the per-user index: the posting lists and
+/// the page sets of [`SHARD_USERS`] consecutive accounts, every list in
+/// the shard's buffers.
+#[derive(Clone, Debug)]
+struct UserShard {
+    postings: PostingLists,
+    /// Each account's liked pages, sorted (membership checks).
+    pages: ListArena<u32>,
 }
 
-/// Merge one user's batch candidates into their sorted page set. `cand`
-/// holds `(page, pos)` pairs sorted ascending (so equal pages are adjacent,
-/// earliest batch position first). For each page run: if the page is
-/// already in the set every occurrence is rejected; otherwise exactly the
-/// first occurrence is accepted (`accept(pos)`) — the decisions a
-/// positional first-wins loop would make. `merged` is reusable scratch.
+impl UserShard {
+    fn new() -> Self {
+        UserShard {
+            postings: PostingLists::with_lists(SHARD_USERS),
+            pages: ListArena::with_lists(SHARD_USERS),
+        }
+    }
+}
+
+/// Merge one user's batch candidates into their sorted page set, list
+/// `list` of `sets`. `cand` holds `(page, pos)` pairs sorted ascending (so
+/// equal pages are adjacent, earliest batch position first). For each page
+/// run: if the page is already in the set every occurrence is rejected;
+/// otherwise exactly the first occurrence is accepted (`accept(pos)`) — the
+/// decisions a positional first-wins loop would make. `merged` is reusable
+/// scratch.
 ///
 /// A batch that names one page — the event loop's like runs, nearly
 /// always — inserts it in place instead of rebuilding the set.
 fn absorb_sorted(
-    set: &mut Vec<u32>,
+    sets: &mut ListArena<u32>,
+    list: usize,
     cand: &[(u32, u32)],
     mut accept: impl FnMut(u32),
     merged: &mut Vec<u32>,
 ) {
+    let set = sets.get(list);
     if let (Some(&(page, pos)), Some(&(last, _))) = (cand.first(), cand.last()) {
         if page == last {
             if let Err(at) = set.binary_search(&page) {
                 accept(pos);
-                set.insert(at, page);
+                sets.insert(list, at, page);
             }
             return;
         }
@@ -187,17 +214,49 @@ fn absorb_sorted(
         }
     }
     // `merged` holds `set[..i]` plus the accepted pages; when nothing was
-    // accepted the set is unchanged. A set that outgrows its buffer gets
-    // the capacity push growth would reach, so the single-page inserts
-    // that follow do not reallocate at once.
+    // accepted the set is unchanged.
     if merged.len() > i {
         merged.extend_from_slice(set.get(i..).unwrap_or_default());
-        set.clear();
-        if set.capacity() < merged.len() {
-            set.reserve_exact(merged.len().next_power_of_two().max(4));
-        }
-        set.extend_from_slice(merged);
+        sets.replace(list, merged);
     }
+}
+
+/// Room the page sets of `users` (the accounts from `first` on, in one
+/// shard) may take from their buffer for a batch that gives each user
+/// `rows(user)` candidates: every candidate accepted, the most a merge can
+/// add. Exact when the batch repeats no like.
+fn page_set_room(
+    sets: &ListArena<u32>,
+    first: usize,
+    users: impl IntoIterator<Item = (usize, usize)>,
+) -> usize {
+    users
+        .into_iter()
+        .filter(|&(_, rows)| rows > 0)
+        .map(|(user, rows)| {
+            let list = user - first;
+            sets.room_for(list, sets.get(list).len() + rows)
+        })
+        .sum()
+}
+
+/// Each `(list, start, end)` of `lists` beside its values in `values`.
+fn list_values<'v>(
+    lists: &'v [(u32, u32, u32)],
+    values: &'v [u32],
+) -> impl Iterator<Item = (usize, &'v [u32])> + Clone {
+    lists.iter().map(move |&(list, start, end)| {
+        // lint:allow(panic-reachable-from-serve): the sparse kernel pushes ranges of `values` it gathered
+        (list as usize, &values[start as usize..end as usize])
+    })
+}
+
+/// Publish what the index buffers did to make room during one ingest.
+fn report(stats: ArenaStats) {
+    use likelab_obs::metrics::counter;
+    counter("ledger.list.moves", stats.moves);
+    counter("ledger.buffer.compactions", stats.compactions);
+    counter("ledger.buffer.growths", stats.growths);
 }
 
 /// The sparse kernel's working arrays. The ledger keeps them between
@@ -217,8 +276,12 @@ struct SparseScratch {
     cand: Vec<(u32, u32)>,
     /// [`absorb_sorted`]'s merge buffer.
     merged: Vec<u32>,
-    /// One posting list's new indices.
-    idxs: Vec<u32>,
+    /// Posting lists' new values, list after list: one user shard's
+    /// lists, then every page list the batch extends.
+    values: Vec<u32>,
+    /// `(list, start, end)` of one shard's lists: where each list's new
+    /// values lie in `values`.
+    lists: Vec<(u32, u32, u32)>,
 }
 
 /// The append-only like ledger with both-side indexes. See the module docs
@@ -228,10 +291,12 @@ pub struct LikeLedger {
     users: Vec<UserId>,
     pages: Vec<PageId>,
     times: Vec<SimTime>,
-    by_user: Vec<PostingList>,
-    /// Each user's liked pages as one sorted `Vec` (membership checks).
-    user_pages: Vec<Vec<u32>>,
-    shards: Vec<Shard>,
+    /// The per-user index, [`SHARD_USERS`] accounts a shard.
+    user_shards: Vec<UserShard>,
+    n_users: usize,
+    /// The per-page index, [`SHARD_PAGES`] pages a shard: each shard's
+    /// posting lists, one per page of its range.
+    page_shards: Vec<PostingLists>,
     n_pages: usize,
     sparse: SparseScratch,
 }
@@ -239,42 +304,33 @@ pub struct LikeLedger {
 impl LikeLedger {
     /// An empty ledger sized for `users` and `pages`.
     pub fn new(users: usize, pages: usize) -> Self {
-        let mut ledger = LikeLedger {
-            by_user: vec![PostingList::new(); users],
-            user_pages: vec![Vec::new(); users],
-            ..LikeLedger::default()
-        };
-        ledger.grow_shards(pages);
+        let mut ledger = LikeLedger::default();
+        ledger.ensure_users(users);
+        ledger.ensure_pages(pages);
         ledger
     }
 
     /// Grow the user side.
     pub fn ensure_users(&mut self, n: usize) {
-        if n > self.by_user.len() {
-            self.by_user.resize(n, PostingList::new());
-            self.user_pages.resize(n, Vec::new());
+        if n > self.n_users {
+            self.n_users = n;
+            self.user_shards
+                .resize_with(n.div_ceil(SHARD_USERS), UserShard::new);
         }
     }
 
-    /// Grow the page side.
+    /// Grow the page side: size the shard list, and each shard's posting
+    /// lists, for `n` pages.
     pub fn ensure_pages(&mut self, n: usize) {
-        self.grow_shards(n);
-    }
-
-    /// Size the shard list (and the tail shard's posting lists) for `n`
-    /// pages.
-    fn grow_shards(&mut self, n: usize) {
         if n <= self.n_pages {
             return;
         }
         self.n_pages = n;
         let shard_count = n.div_ceil(SHARD_PAGES);
-        self.shards.resize_with(shard_count, Shard::default);
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            let covered = (n - s * SHARD_PAGES).min(SHARD_PAGES);
-            if covered > shard.by_page.len() {
-                shard.by_page.resize(covered, PostingList::new());
-            }
+        self.page_shards
+            .resize_with(shard_count, PostingLists::default);
+        for (s, shard) in self.page_shards.iter_mut().enumerate() {
+            shard.ensure_lists((n - s * SHARD_PAGES).min(SHARD_PAGES));
         }
     }
 
@@ -291,10 +347,10 @@ impl LikeLedger {
     ///
     /// The resulting ledger bytes do not depend on `exec`: acceptance and
     /// global order are decided per user and by sequential passes; the
-    /// parallel stages split disjoint state — contiguous user ranges for
-    /// the page sets and per-user posting lists, page shards for the
-    /// per-page ones — and each posting list's content is fully determined
-    /// by the global order.
+    /// parallel stages split disjoint state — runs of user shards for the
+    /// page sets and per-user posting lists, page shards for the per-page
+    /// ones — and each posting list's content is fully determined by the
+    /// global order.
     pub fn ingest_columns(&mut self, batch: &LikeColumns, exec: Exec) -> usize {
         // lint:allow(log-bypass): the ledger's public entry point runs its own kernel.
         self.ingest_columns_owned(Cow::Borrowed(batch), exec)
@@ -333,7 +389,7 @@ impl LikeLedger {
         if n == 0 {
             return 0;
         }
-        let n_users = self.by_user.len();
+        let n_users = self.n_users;
         if n < n_users / 8 {
             // Batches far smaller than the account table (the event loop's
             // like runs, single likes) pay for the dense kernel's O(accounts)
@@ -362,39 +418,62 @@ impl LikeLedger {
             *c += 1;
         }
         drop(cursor);
-        // Contiguous user ranges holding about equal shares of the batch:
-        // each user's page set and posting list is disjoint state, so the
-        // ranges run as independent jobs.
-        let n_ranges = exec.job_count();
+        // Runs of consecutive user shards holding about equal shares of the
+        // batch: each shard's page sets and posting lists are disjoint
+        // state, so the runs go out as independent jobs.
+        let n_shards = self.user_shards.len();
+        // Batch rows before each shard.
+        let shard_rows: Vec<u32> = (0..n_shards)
+            // lint:allow(panic-reachable-from-serve): s < n_shards, so its first account is below n_users, and counts holds n_users + 1 running totals
+            .map(|s| counts[s * SHARD_USERS])
+            .collect();
+        let n_jobs = exec.job_count();
         let bound = |r: usize| match r {
-            r if r == n_ranges => n_users,
-            r => counts.partition_point(|&c| c as usize * n_ranges < n * r),
+            r if r == n_jobs => n_shards,
+            r => shard_rows.partition_point(|&c| c as usize * n_jobs < n * r),
         };
-        let ranges = || (0..n_ranges).map(|r| bound(r)..bound(r + 1));
+        let spans = || (0..n_jobs).map(|r| bound(r)..bound(r + 1));
         // lint:allow(panic-reachable-from-serve): u < n_users; counts holds n_users + 1 running totals up to n
         let user_rows = |u: usize| &by_user_pos[counts[u] as usize..counts[u + 1] as usize];
+        let shard_users = |s: usize| s * SHARD_USERS..((s + 1) * SHARD_USERS).min(n_users);
         // Each position belongs to one user, so exactly one job may set its
         // flag.
         let accept: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-        let jobs = ranges().zip(split_spans(&mut self.user_pages, ranges().map(|r| r.len())));
-        parallel_owned(exec, jobs, |_, (users, sets)| {
+        let jobs = spans().zip(split_spans(&mut self.user_shards, spans().map(|r| r.len())));
+        let mut stats = ArenaStats::default();
+        for job in parallel_owned(exec, jobs, |_, (span, shards)| {
             // Per-user dedup against history + within the batch.
             let mut cand: Vec<(u32, u32)> = Vec::new();
             let mut merged: Vec<u32> = Vec::new();
-            for (u, set) in users.zip(sets.iter_mut()) {
-                let rows = user_rows(u);
-                if rows.is_empty() {
-                    continue;
+            let mut stats = ArenaStats::default();
+            for (s, shard) in span.zip(shards.iter_mut()) {
+                let users = shard_users(s);
+                let first = users.start;
+                // Size the page-set buffer once for every set the batch
+                // may grow.
+                let sized = users.clone().map(|u| (u, user_rows(u).len()));
+                shard
+                    .pages
+                    .reserve(page_set_room(&shard.pages, first, sized));
+                for u in users {
+                    let rows = user_rows(u);
+                    if rows.is_empty() {
+                        continue;
+                    }
+                    cand.clear();
+                    // lint:allow(panic-reachable-from-serve): by_user_pos holds batch positions, below n
+                    cand.extend(rows.iter().map(|&pos| (b_pages[pos as usize].0, pos)));
+                    cand.sort_unstable();
+                    // lint:allow(panic-reachable-from-serve): accept has a flag per batch position
+                    let mark = |pos: u32| accept[pos as usize].store(true, Ordering::Relaxed);
+                    absorb_sorted(&mut shard.pages, u - first, &cand, mark, &mut merged);
                 }
-                cand.clear();
-                // lint:allow(panic-reachable-from-serve): by_user_pos holds batch positions, below n
-                cand.extend(rows.iter().map(|&pos| (b_pages[pos as usize].0, pos)));
-                cand.sort_unstable();
-                // lint:allow(panic-reachable-from-serve): accept has a flag per batch position
-                let mark = |pos: u32| accept[pos as usize].store(true, Ordering::Relaxed);
-                absorb_sorted(set, &cand, mark, &mut merged);
+                stats += shard.pages.take_stats();
             }
-        });
+            stats
+        }) {
+            stats += job;
+        }
         // lint:allow(panic-reachable-from-serve): accept has a flag per batch position
         let accepted_at = |pos: usize| accept[pos].load(Ordering::Relaxed);
         // Positional pass: append accepted records to the columns in batch
@@ -437,43 +516,60 @@ impl LikeLedger {
             }
             (next - start) as usize
         };
-        // Per-user posting extends, by the same user ranges: batch order
-        // within a user means the accepted global indices come out strictly
-        // increasing.
-        let jobs = ranges().zip(split_spans(&mut self.by_user, ranges().map(|r| r.len())));
-        parallel_owned(exec, jobs, |_, (users, lists)| {
-            let mut idxs: Vec<u32> = Vec::new();
-            for (u, list) in users.zip(lists.iter_mut()) {
-                let rows = user_rows(u);
-                if rows.is_empty() {
-                    continue;
-                }
-                idxs.clear();
-                if all_accepted {
-                    idxs.extend(rows.iter().map(|&pos| start + pos));
-                } else {
-                    idxs.extend(rows.iter().filter_map(|&pos| {
-                        // lint:allow(panic-reachable-from-serve): global_idx has an entry per batch position
-                        let g = global_idx[pos as usize];
-                        (g != u32::MAX).then_some(g)
-                    }));
-                }
-                if !idxs.is_empty() {
-                    list.extend_from_increasing(&idxs);
+        // Turn each user's batch positions into the global indices of
+        // their accepted likes, in place: batch order within a user means
+        // they come out strictly increasing. A rejected like leaves its
+        // user's run, so the runs close up and `counts` follows them.
+        if all_accepted {
+            by_user_pos.iter_mut().for_each(|pos| *pos += start);
+        } else {
+            let mut kept = 0u32;
+            for u in 0..n_users {
+                // lint:allow(panic-reachable-from-serve): u < n_users; counts holds n_users + 1 running totals up to n
+                let (lo, hi) = (counts[u] as usize, counts[u + 1] as usize);
+                counts[u] = kept; // lint:allow(panic-reachable-from-serve): u < n_users, as above
+                for i in lo..hi {
+                    // lint:allow(panic-reachable-from-serve): i < n, and by_user_pos holds batch positions, below n, which global_idx has an entry for
+                    let g = global_idx[by_user_pos[i] as usize];
+                    if g != u32::MAX {
+                        by_user_pos[kept as usize] = g; // lint:allow(panic-reachable-from-serve): kept <= i < n
+                        kept += 1;
+                    }
                 }
             }
-        });
+            counts[n_users] = kept; // lint:allow(panic-reachable-from-serve): counts holds n_users + 1 entries
+        }
+        // lint:allow(panic-reachable-from-serve): u < n_users; counts holds n_users + 1 running totals up to n
+        let user_values = |u: usize| &by_user_pos[counts[u] as usize..counts[u + 1] as usize];
+        // Per-user posting extends, by the same shard runs. Each shard's
+        // buffers are sized once for all its lists.
+        let jobs = spans().zip(split_spans(&mut self.user_shards, spans().map(|r| r.len())));
+        for job in parallel_owned(exec, jobs, |_, (span, shards)| {
+            let mut stats = ArenaStats::default();
+            for (s, shard) in span.zip(shards.iter_mut()) {
+                let users = shard_users(s);
+                let first = users.start;
+                let lists = users.map(|u| (u - first, user_values(u)));
+                shard
+                    .postings
+                    .extend_each(lists.filter(|(_, values)| !values.is_empty()));
+                stats += shard.postings.take_stats();
+            }
+            stats
+        }) {
+            stats += job;
+        }
         drop(by_user_pos);
         drop(global_idx);
         drop(accept);
         // Group the appended records per shard with one flat counting sort
         // over the fresh page-column tail (stable, so each shard's pairs
         // keep global order) — no per-shard Vec growth.
-        let n_shards = self.shards.len();
-        let mut shard_counts = vec![0u32; n_shards + 1];
+        let n_page_shards = self.page_shards.len();
+        let mut shard_counts = vec![0u32; n_page_shards + 1];
         let new_pages = &self.pages[start as usize..]; // lint:allow(panic-reachable-from-serve): start was the column length
         for &page in new_pages {
-            // lint:allow(panic-reachable-from-serve): ids accepted by `OsnWorld::check_event`: page < n_pages, so its shard < n_shards
+            // lint:allow(panic-reachable-from-serve): ids accepted by `OsnWorld::check_event`: page < n_pages, so its shard < n_page_shards
             shard_counts[page.idx() / SHARD_PAGES + 1] += 1;
         }
         for i in 1..shard_counts.len() {
@@ -482,7 +578,7 @@ impl LikeLedger {
         let mut flat_pairs: Vec<(u32, u32)> = vec![(0, 0); accepted];
         let mut cursor = shard_counts.clone();
         for (k, &page) in new_pages.iter().enumerate() {
-            // lint:allow(panic-reachable-from-serve): shard < n_shards, as above
+            // lint:allow(panic-reachable-from-serve): shard < n_page_shards, as above
             let c = &mut cursor[page.idx() / SHARD_PAGES];
             // lint:allow(panic-reachable-from-serve): arrays the kernel sized: a shard's cursor stays below its end offset, at most `accepted`
             flat_pairs[*c as usize] = ((page.idx() % SHARD_PAGES) as u32, start + k as u32);
@@ -493,13 +589,13 @@ impl LikeLedger {
         // page, index) pairs into a flat value array plus per-page offsets
         // (stable, so each page's slice keeps global order), then extend
         // the shard's own posting lists from it.
-        let jobs = self.shards.iter_mut().enumerate().map(|(s, shard)| {
-            // lint:allow(panic-reachable-from-serve): s < n_shards; shard_counts holds n_shards + 1 running totals up to `accepted`
+        let jobs = self.page_shards.iter_mut().enumerate().map(|(s, shard)| {
+            // lint:allow(panic-reachable-from-serve): s < n_page_shards; shard_counts holds n_page_shards + 1 running totals up to `accepted`
             let pairs = &flat_pairs[shard_counts[s] as usize..shard_counts[s + 1] as usize];
             (shard, pairs)
         });
-        parallel_owned(exec, jobs, |_, (shard, pairs)| {
-            let width = shard.by_page.len();
+        for job in parallel_owned(exec, jobs, |_, (shard, pairs)| {
+            let width = shard.list_count();
             let mut counts = vec![0u32; width + 1];
             for &(local, _) in pairs {
                 // lint:allow(panic-reachable-from-serve): page < n_pages, so its local index is below the shard's width
@@ -515,14 +611,18 @@ impl LikeLedger {
                 flat[cursor[local as usize] as usize] = idx;
                 cursor[local as usize] += 1; // lint:allow(panic-reachable-from-serve): local < width
             }
-            for (local, list) in shard.by_page.iter_mut().enumerate() {
-                // lint:allow(panic-reachable-from-serve): local < width; counts holds width + 1 running totals
+            let lists = (0..width).filter_map(|local| {
+                // lint:allow(panic-reachable-from-serve): local < width; counts holds width + 1 running totals up to flat.len()
                 let (lo, hi) = (counts[local] as usize, counts[local + 1] as usize);
-                if lo < hi {
-                    list.extend_from_increasing(&flat[lo..hi]); // lint:allow(panic-reachable-from-serve): lo < hi <= flat.len()
-                }
-            }
-        });
+                // lint:allow(panic-reachable-from-serve): lo < hi <= flat.len()
+                (lo < hi).then(|| (local, &flat[lo..hi]))
+            });
+            shard.extend_each(lists);
+            shard.take_stats()
+        }) {
+            stats += job;
+        }
+        report(stats);
         accepted
     }
 
@@ -532,7 +632,8 @@ impl LikeLedger {
     /// and shards the batch mentions — no O(accounts) arrays, no walk over
     /// every posting list. Fully sequential (the dense kernel's parallel
     /// shard stage would be pure overhead at this size), and its working
-    /// arrays are the ledger's [`SparseScratch`].
+    /// arrays are the ledger's [`SparseScratch`]. Like the dense kernel, it
+    /// sizes each shard buffer it touches once for the batch.
     fn ingest_columns_sparse(&mut self, batch: &LikeColumns) -> usize {
         likelab_obs::span!("ledger.ingest.sparse");
         let SparseScratch {
@@ -542,9 +643,11 @@ impl LikeLedger {
             by_page,
             cand,
             merged,
-            idxs,
+            values,
+            lists,
         } = &mut self.sparse;
         let n = batch.len();
+        let mut stats = ArenaStats::default();
         // (user, page, pos): user groups come out adjacent, and within a
         // user the (page, pos) order is exactly the candidate ordering
         // `absorb_sorted` expects.
@@ -552,20 +655,32 @@ impl LikeLedger {
         triples.clear();
         triples.extend(positions.map(|((user, page), pos)| (user.0, page.0, pos)));
         triples.sort_unstable();
-        let user_runs = || triples.chunk_by(|a, b| a.0 == b.0);
+        let shard_of = |&(user, ..): &(u32, u32, u32)| user as usize / SHARD_USERS;
+        let shard_runs = || triples.chunk_by(|a, b| shard_of(a) == shard_of(b));
+        let user_runs = |group| <[_]>::chunk_by(group, |a: &(u32, u32, u32), b| a.0 == b.0);
         accept.clear();
         accept.resize(n, false);
-        for run in user_runs() {
-            let &[(user, ..), ..] = run else { continue };
-            cand.clear();
-            cand.extend(run.iter().map(|&(_, page, pos)| (page, pos)));
-            absorb_sorted(
-                // lint:allow(panic-reachable-from-serve): ids accepted by `OsnWorld::check_event`, below the account count the world sized the ledger to
-                &mut self.user_pages[user as usize],
-                cand,
-                |pos| accept[pos as usize] = true, // lint:allow(panic-reachable-from-serve): pos < n
-                merged,
-            );
+        for group in shard_runs() {
+            let Some(first) = group.first() else { continue };
+            // lint:allow(panic-reachable-from-serve): ids accepted by `OsnWorld::check_event`, below the account count the world sized the ledger to
+            let sets = &mut self.user_shards[shard_of(first)].pages;
+            let base = shard_of(first) * SHARD_USERS;
+            let sized =
+                user_runs(group).filter_map(|run| Some((run.first()?.0 as usize, run.len())));
+            sets.reserve(page_set_room(sets, base, sized));
+            for run in user_runs(group) {
+                let &[(user, ..), ..] = run else { continue };
+                cand.clear();
+                cand.extend(run.iter().map(|&(_, page, pos)| (page, pos)));
+                absorb_sorted(
+                    sets,
+                    user as usize - base,
+                    cand,
+                    |pos| accept[pos as usize] = true, // lint:allow(panic-reachable-from-serve): pos < n
+                    merged,
+                );
+            }
+            stats += sets.take_stats();
         }
         // Positional pass: append accepted records in batch order.
         let start = self.users.len() as u32;
@@ -583,39 +698,60 @@ impl LikeLedger {
             }
         }
         let accepted = (next - start) as usize;
-        // Per-user posting extends over the same user runs. The gathered
-        // indices arrive page-sorted, so re-sort into the strictly
-        // increasing (= batch position) order the posting list needs.
-        for run in user_runs() {
-            let &[(user, ..), ..] = run else { continue };
-            idxs.clear();
-            idxs.extend(run.iter().filter_map(|&(_, _, pos)| {
-                let g = global_idx[pos as usize]; // lint:allow(panic-reachable-from-serve): pos < n
-                (g != u32::MAX).then_some(g)
-            }));
-            idxs.sort_unstable();
-            if !idxs.is_empty() {
-                // lint:allow(panic-reachable-from-serve): user < the account count, as above
-                self.by_user[user as usize].extend_from_increasing(idxs);
+        // Per-user posting extends over the same runs, one shard at a time.
+        // The gathered indices arrive page-sorted, so re-sort each user's
+        // into the strictly increasing (= batch position) order the posting
+        // list needs.
+        for group in shard_runs() {
+            let Some(first) = group.first() else { continue };
+            let base = shard_of(first) * SHARD_USERS;
+            values.clear();
+            lists.clear();
+            for run in user_runs(group) {
+                let &[(user, ..), ..] = run else { continue };
+                let lo = values.len();
+                values.extend(run.iter().filter_map(|&(_, _, pos)| {
+                    let g = global_idx[pos as usize]; // lint:allow(panic-reachable-from-serve): pos < n
+                    (g != u32::MAX).then_some(g)
+                }));
+                if values.len() > lo {
+                    // lint:allow(panic-reachable-from-serve): lo <= values.len()
+                    values[lo..].sort_unstable();
+                    lists.push((user - base as u32, lo as u32, values.len() as u32));
+                }
             }
+            // lint:allow(panic-reachable-from-serve): user < the account count, as above
+            let postings = &mut self.user_shards[shard_of(first)].postings;
+            postings.extend_each(list_values(lists, values));
+            stats += postings.take_stats();
         }
         // Per-page posting extends: sorting (page, index) pairs makes page
         // runs adjacent with indices ascending (the sort's tie-break *is*
         // global order), so each run extends its list directly — only the
-        // pages actually present in the batch are touched.
+        // pages and shards actually present in the batch are touched.
         by_page.clear();
         // lint:allow(panic-reachable-from-serve): start..next are the records this call appended
         by_page.extend((start..next).map(|g| (self.pages[g as usize].0, g)));
         by_page.sort_unstable();
-        for run in by_page.chunk_by(|a, b| a.0 == b.0) {
-            let &[(page, _), ..] = run else { continue };
-            let page = page as usize;
-            idxs.clear();
-            idxs.extend(run.iter().map(|&(_, g)| g));
+        values.clear();
+        values.extend(by_page.iter().map(|&(_, g)| g));
+        let page_shard = |&(page, _): &(u32, u32)| page as usize / SHARD_PAGES;
+        let mut at = 0u32;
+        for group in by_page.chunk_by(|a, b| page_shard(a) == page_shard(b)) {
+            let Some(first) = group.first() else { continue };
+            lists.clear();
+            for run in group.chunk_by(|a, b| a.0 == b.0) {
+                let &[(page, _), ..] = run else { continue };
+                let end = at + run.len() as u32;
+                lists.push((page % SHARD_PAGES as u32, at, end));
+                at = end;
+            }
             // lint:allow(panic-reachable-from-serve): ids accepted by `OsnWorld::check_event`: page < n_pages, and the world sized the shards to it
-            self.shards[page / SHARD_PAGES].by_page[page % SHARD_PAGES]
-                .extend_from_increasing(idxs);
+            let postings = &mut self.page_shards[page_shard(first)];
+            postings.extend_each(list_values(lists, values));
+            stats += postings.take_stats();
         }
+        report(stats);
         accepted
     }
 
@@ -629,21 +765,69 @@ impl LikeLedger {
         self.users.is_empty()
     }
 
+    /// The shard of `user` and its list there, for an account the ledger
+    /// holds.
+    fn user_shard(&self, user: UserId) -> Option<(&UserShard, usize)> {
+        let u = user.idx();
+        let shard = self
+            .user_shards
+            .get(u / SHARD_USERS)
+            .filter(|_| u < self.n_users)?;
+        Some((shard, u % SHARD_USERS))
+    }
+
+    /// The shard of `user` and its list there.
+    ///
+    /// # Panics
+    /// Panics past the accounts the ledger holds.
+    fn held_user(&self, user: UserId) -> (&UserShard, usize) {
+        let u = user.idx();
+        // lint:allow(panic-reachable-from-serve): documented panic; serve checks user < account_count, and the world sizes the ledger on every account insert
+        assert!(
+            u < self.n_users,
+            "{user:?} is past the ledger's {} accounts",
+            self.n_users
+        );
+        // lint:allow(panic-reachable-from-serve): u < n_users, and the shards cover n_users accounts
+        (&self.user_shards[u / SHARD_USERS], u % SHARD_USERS)
+    }
+
+    /// The posting list of `user`.
+    ///
+    /// # Panics
+    /// Panics past the accounts the ledger holds.
+    fn user_list(&self, user: UserId) -> Postings<'_> {
+        let (shard, list) = self.held_user(user);
+        shard.postings.get(list)
+    }
+
+    /// The posting list of `page`.
+    ///
+    /// # Panics
+    /// Panics past the pages the ledger holds.
+    fn page_list(&self, page: PageId) -> Postings<'_> {
+        // lint:allow(panic-reachable-from-serve): serve checks page < page_count, and the world sizes the ledger on every page insert
+        self.page_shards[page.idx() / SHARD_PAGES].get(page.idx() % SHARD_PAGES)
+    }
+
     /// True when `user` likes `page` (membership query).
     pub fn likes_page(&self, user: UserId, page: PageId) -> bool {
-        self.user_pages
-            .get(user.idx())
-            .is_some_and(|set| set.binary_search(&page.0).is_ok())
+        self.user_shard(user)
+            .is_some_and(|(shard, list)| shard.pages.get(list).binary_search(&page.0).is_ok())
     }
 
     /// The pages `user` likes, in ascending page-id order (allocation-free).
+    ///
+    /// # Panics
+    /// Panics past the accounts the ledger holds.
     pub fn user_pages(&self, user: UserId) -> impl Iterator<Item = PageId> + '_ {
-        self.user_pages[user.idx()].iter().map(|&p| PageId(p))
+        let (shard, list) = self.held_user(user);
+        shard.pages.get(list).iter().map(|&p| PageId(p))
     }
 
     /// Number of page-range index shards.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.page_shards.len()
     }
 
     /// The page ids covered by shard `s` (a `s * SHARD_PAGES ..` range
@@ -665,9 +849,7 @@ impl LikeLedger {
 
     /// Like records of a page, in arrival order.
     pub fn of_page(&self, page: PageId) -> impl Iterator<Item = LikeRecord> + '_ {
-        self.shards[page.idx() / SHARD_PAGES].by_page[page.idx() % SHARD_PAGES]
-            .iter()
-            .map(move |i| self.record_at(i))
+        self.page_list(page).iter().map(move |i| self.record_at(i))
     }
 
     /// Like records of a page, sorted by time (stable on arrival order).
@@ -686,23 +868,21 @@ impl LikeLedger {
 
     /// Like records of a user, in recording order.
     pub fn of_user(&self, user: UserId) -> impl Iterator<Item = LikeRecord> + '_ {
-        self.by_user[user.idx()]
-            .iter()
-            .map(move |i| self.record_at(i))
+        self.user_list(user).iter().map(move |i| self.record_at(i))
     }
 
     /// Like timestamps of a user, in recording order (reads only the time
     /// column — the anti-fraud sweep's burstiness feature walks this for
     /// every account without assembling records).
     pub fn user_times(&self, user: UserId) -> impl Iterator<Item = SimTime> + '_ {
-        self.by_user[user.idx()]
+        self.user_list(user)
             .iter()
             .map(move |i| self.times[i as usize])
     }
 
     /// Like timestamps of a page, in arrival order (time column only).
     pub fn page_times(&self, page: PageId) -> impl Iterator<Item = SimTime> + '_ {
-        self.shards[page.idx() / SHARD_PAGES].by_page[page.idx() % SHARD_PAGES]
+        self.page_list(page)
             .iter()
             .map(move |i| self.times[i as usize])
     }
@@ -710,7 +890,7 @@ impl LikeLedger {
     /// The users liking a page, in arrival order (user column only — the
     /// poll snapshot and the audience report need no other field).
     pub fn page_users(&self, page: PageId) -> impl Iterator<Item = UserId> + '_ {
-        self.shards[page.idx() / SHARD_PAGES].by_page[page.idx() % SHARD_PAGES]
+        self.page_list(page)
             .iter()
             .map(move |i| self.users[i as usize])
     }
@@ -718,14 +898,14 @@ impl LikeLedger {
     /// `(user, timestamp)` pairs of a page's likes, in arrival order (two
     /// column reads, no record assembly).
     pub fn page_user_times(&self, page: PageId) -> impl Iterator<Item = (UserId, SimTime)> + '_ {
-        self.shards[page.idx() / SHARD_PAGES].by_page[page.idx() % SHARD_PAGES]
+        self.page_list(page)
             .iter()
             .map(move |i| (self.users[i as usize], self.times[i as usize]))
     }
 
     /// Accounts the ledger is sized for.
     pub(crate) fn user_count(&self) -> usize {
-        self.by_user.len()
+        self.n_users
     }
 
     /// Pages the ledger is sized for.
@@ -734,16 +914,14 @@ impl LikeLedger {
     }
 
     /// A user's posting list (`None` past the accounts the ledger holds).
-    pub(crate) fn user_postings(&self, user: UserId) -> Option<&PostingList> {
-        self.by_user.get(user.idx())
+    pub(crate) fn user_postings(&self, user: UserId) -> Option<Postings<'_>> {
+        self.user_shard(user)
+            .map(|(shard, list)| shard.postings.get(list))
     }
 
     /// A page's posting list (`None` past the pages the ledger holds).
-    pub(crate) fn page_postings(&self, page: PageId) -> Option<&PostingList> {
-        self.shards
-            .get(page.idx() / SHARD_PAGES)?
-            .by_page
-            .get(page.idx() % SHARD_PAGES)
+    pub(crate) fn page_postings(&self, page: PageId) -> Option<Postings<'_>> {
+        (page.idx() < self.n_pages).then(|| self.page_list(page))
     }
 
     /// The time column, in global record order: the times the posting
@@ -754,14 +932,14 @@ impl LikeLedger {
 
     /// How many pages `user` likes.
     pub fn user_like_count(&self, user: UserId) -> usize {
-        // lint:allow(panic-reachable-from-serve): serve checks user < account_count, and the world sizes the ledger on every account insert
-        self.by_user[user.idx()].len()
+        let (shard, list) = self.held_user(user);
+        shard.postings.list_len(list)
     }
 
     /// How many users like `page`.
     pub fn page_like_count(&self, page: PageId) -> usize {
-        // lint:allow(panic-reachable-from-serve): serve checks page < page_count, and the world sizes the ledger on every page insert
-        self.shards[page.idx() / SHARD_PAGES].by_page[page.idx() % SHARD_PAGES].len()
+        // lint:allow(panic-reachable-from-serve): as in `page_list`
+        self.page_shards[page.idx() / SHARD_PAGES].list_len(page.idx() % SHARD_PAGES)
     }
 
     /// All records, in global chronological (= insertion) order.
@@ -793,7 +971,12 @@ mod tests {
 
     /// Ingest `rows` as one batch; returns how many were new.
     fn ingest(l: &mut LikeLedger, rows: &[(UserId, PageId, SimTime)]) -> usize {
-        l.ingest_columns(&LikeColumns::from_rows(rows), Exec::Sequential)
+        ingest_with(l, rows, Exec::Sequential)
+    }
+
+    /// [`ingest`] under `exec`.
+    fn ingest_with(l: &mut LikeLedger, rows: &[(UserId, PageId, SimTime)], exec: Exec) -> usize {
+        l.ingest_columns(&LikeColumns::from_rows(rows), exec)
     }
 
     #[test]
@@ -974,6 +1157,54 @@ mod tests {
         assert_ne!(owned.users.as_ptr(), column);
         assert_eq!(owned.users, [u(0), u(1), u(1)]);
         assert_eq!(answers(&owned, 2, 2), answers(&copied, 2, 2));
+    }
+
+    #[test]
+    fn a_dense_batch_into_an_empty_ledger_reserves_each_buffer_once() {
+        // 1,000 accounts in four user shards, 9,000 pages in three page
+        // shards. Account i likes i % 150 distinct pages: first the even
+        // pages 0, 128, .., which hundreds of accounts share, then odd
+        // ones. Lists of every size, up to past two packed blocks, fill
+        // every kind of buffer.
+        let (users, pages) = (1_000u32, 9_000u32);
+        let page = |i: u32, k: u32| match k {
+            0..70 => k * 128,
+            _ => 2 * ((i * 37 + k * 61) % 4_000) + 1,
+        };
+        let rows: Vec<_> = (0..users)
+            .flat_map(|i| (0..i % 150).map(move |k| (u(i), p(page(i, k)), t(u64::from(k)))))
+            .collect();
+        for exec in [Exec::Sequential, Exec::workers(2)] {
+            let mut l = LikeLedger::new(users as usize, pages as usize);
+            assert_eq!(ingest_with(&mut l, &rows, exec), rows.len());
+            let mut sizes: Vec<(usize, usize)> = Vec::new();
+            for shard in &l.user_shards {
+                sizes.extend(shard.postings.buffer_sizes());
+                sizes.push((shard.pages.buffer_len(), shard.pages.buffer_capacity()));
+            }
+            for shard in &l.page_shards {
+                sizes.extend(shard.buffer_sizes());
+            }
+            assert_eq!(sizes.len(), 4 * 3 + 3 * 2);
+            for (len, capacity) in sizes {
+                assert!(len > 0);
+                assert_eq!(capacity, len, "one exact reservation per buffer");
+            }
+        }
+        // A paper world's 3,468 accounts fill a 2-worker pool's jobs.
+        assert!(3_468usize.div_ceil(SHARD_USERS) >= Exec::workers(2).job_count());
+    }
+
+    #[test]
+    #[should_panic(expected = "past the ledger's 10 accounts")]
+    fn a_like_count_past_the_accounts_panics_inside_the_last_shard() {
+        LikeLedger::new(10, 5).user_like_count(u(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "past the ledger's 10 accounts")]
+    fn a_page_set_past_the_accounts_panics_inside_the_last_shard() {
+        let _ = LikeLedger::new(10, 5).user_pages(u(11));
     }
 
     #[test]

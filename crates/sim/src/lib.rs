@@ -4,7 +4,9 @@
 //! ([`SimTime`]/[`SimDuration`]), a stable-ordered event queue wrapped in a
 //! driver ([`Engine`]), a reproducible random source ([`Rng`], xoshiro256**
 //! pinned by golden tests), the distribution samplers the generative models
-//! need ([`dist`]), and a run journal ([`Trace`]).
+//! need ([`dist`]), a run journal ([`Trace`]), and [`ListArena`], many
+//! growable lists in one buffer for stores that would otherwise allocate
+//! per entity.
 //!
 //! ## Why synchronous and single-threaded?
 //!
@@ -47,6 +49,7 @@
     clippy::dbg_macro
 )]
 
+pub mod arena;
 pub mod dist;
 pub mod engine;
 pub mod event;
@@ -57,6 +60,7 @@ pub mod tail;
 pub mod time;
 pub mod trace;
 
+pub use arena::{ArenaStats, ListArena};
 pub use engine::Engine;
 pub use event::{Frame, LogError, LogHeader, LogRecord};
 pub use parallel::{parallel_jobs, parallel_map, parallel_owned, split_spans, Exec};

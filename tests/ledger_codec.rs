@@ -98,9 +98,10 @@ proptest! {
     }
 
     /// One bulk extend into a fresh list holds no more heap than the same
-    /// values pushed one at a time (the two encode the same bytes): its
-    /// tail gets the capacity push growth would reach, and its packed
-    /// section the exact bytes of its blocks. Gaps mix dense runs with wide
+    /// values pushed one at a time (the two encode the same bytes): the
+    /// bulk extend's first slots hold exactly its blocks' bytes and its
+    /// tail, while pushes grow the tail through 1, 4, 8, … 64 values and
+    /// the packed section to powers of two. Gaps mix dense runs with wide
     /// jumps, so lists span several blocks of different widths.
     #[test]
     fn posting_bulk_extend_holds_no_more_than_pushes(
@@ -266,18 +267,28 @@ fn pages_of_interest(reference: &RefLedger) -> BTreeSet<u32> {
 }
 
 /// Run every public query against both ledgers and demand exact agreement,
-/// including iteration order of the streaming accessors.
+/// including iteration order of the streaming accessors, for the accounts
+/// below `n_users`.
 fn assert_ledgers_agree(
     ledger: &LikeLedger,
     reference: &RefLedger,
     n_users: u32,
+) -> Result<(), String> {
+    assert_ledgers_agree_on(ledger, reference, 0..n_users)
+}
+
+/// [`assert_ledgers_agree`] for the accounts `users`.
+fn assert_ledgers_agree_on(
+    ledger: &LikeLedger,
+    reference: &RefLedger,
+    users: impl Iterator<Item = u32> + Clone,
 ) -> Result<(), String> {
     prop_assert_eq!(ledger.len(), reference.log.len());
     let all: Vec<_> = ledger.records().map(as_tuple).collect();
     prop_assert_eq!(&all, &reference.log);
     let pages = pages_of_interest(reference);
 
-    for u in 0..n_users {
+    for u in users.clone() {
         let user = UserId(u);
         let of_user: Vec<_> = ledger.of_user(user).map(as_tuple).collect();
         prop_assert_eq!(&of_user, &reference.of_user(u));
@@ -315,11 +326,12 @@ fn assert_ledgers_agree(
         prop_assert_eq!(&of_page_sorted, &sorted);
     }
 
-    for u in 0..n_users {
+    for u in users {
+        let held = reference.user_pages(u);
         for &p in &pages {
             prop_assert_eq!(
                 ledger.likes_page(UserId(u), PageId(p)),
-                reference.user_pages(u).contains(&p),
+                held.contains(&p),
                 "likes_page({}, {})",
                 u,
                 p
@@ -441,5 +453,63 @@ proptest! {
             prop_assert_eq!(accepted, want, "batch {} of {} likes diverged", k, batch.len());
         }
         assert_ledgers_agree(&ledger, &reference, 64)?;
+    }
+}
+
+/// Accounts spread over three 256-account user shards.
+fn spread_user(raw: u32) -> u32 {
+    raw * 6 + raw % 5
+}
+
+/// Twelve pages on either side of the 4096- and 8192-page shard
+/// boundaries, so they fall in three page shards.
+fn edge_page(raw: u32) -> u32 {
+    match raw {
+        0..=5 => 4093 + raw,
+        _ => 8183 + raw,
+    }
+}
+
+proptest! {
+    /// Lists that outgrow their slots, in several user and page shards. A
+    /// dense batch gives 96 accounts, across three user shards, and twelve
+    /// pages, across three page shards, their first slots, sized exactly;
+    /// a trickle of one- to three-like batches (the sparse kernel, under
+    /// 600 / 8 likes) then grows the same lists one like at a time, so
+    /// they move to the ends of their shard buffers, leave holes and make
+    /// the buffers squeeze and grow; a second dense batch extends them
+    /// again, past 64 likes a page for typical draws, so packed sections
+    /// move too. At 1 and 2 workers the ledger answers as the reference
+    /// does.
+    #[test]
+    fn ledger_lists_that_outgrow_their_slots_match_vec_reference(
+        dense_a in prop::collection::vec((0u32..96, 0u32..12, 0u64..50_000), 400..600),
+        trickle in prop::collection::vec(
+            prop::collection::vec((0u32..96, 0u32..12, 50_000u64..60_000), 1..4),
+            100..200,
+        ),
+        dense_b in prop::collection::vec((0u32..96, 0u32..12, 60_000u64..70_000), 400..600),
+    ) {
+        let batches: Vec<&Vec<(u32, u32, u64)>> = std::iter::once(&dense_a)
+            .chain(&trickle)
+            .chain(std::iter::once(&dense_b))
+            .collect();
+        for workers in [1, 2] {
+            let mut ledger = LikeLedger::new(600, 8200);
+            let mut reference = RefLedger::default();
+            for (k, batch) in batches.iter().enumerate() {
+                let mut cols = LikeColumns::with_capacity(batch.len());
+                for &(u, raw, t) in batch.iter() {
+                    cols.push(UserId(spread_user(u)), PageId(edge_page(raw)), SimTime::from_secs(t));
+                }
+                let accepted = ledger.ingest_columns(&cols, Exec::workers(workers));
+                let want: usize = batch
+                    .iter()
+                    .map(|&(u, raw, t)| reference.record(spread_user(u), edge_page(raw), t) as usize)
+                    .sum();
+                prop_assert_eq!(accepted, want, "batch {} at {} workers diverged", k, workers);
+            }
+            assert_ledgers_agree_on(&ledger, &reference, (0..96).map(spread_user))?;
+        }
     }
 }
