@@ -27,7 +27,7 @@ use crate::presets::{paper_campaigns, paper_farms};
 use crate::record::{io_err, StudyError, StudyLog, StudyRecord};
 use likelab_analysis::StudyReport;
 use likelab_farms::{DeliveryStyle, FarmOrder, FarmRoster, FarmSpec, TimedLike};
-use likelab_graph::PageId;
+use likelab_graph::{PageId, UserId};
 use likelab_honeypot::{
     check_terminations, collect_profiles, deploy_honeypot, BaselineRecord, CampaignData,
     CampaignSpec, CollectionConfig, CrawlOutcome, CrawlerConfig, Dataset, PageMonitor, Promotion,
@@ -247,6 +247,12 @@ impl PlannedLikes {
             len: c.len() as u64,
             fnv1a: fnv1a(bytes),
         }
+    }
+
+    /// The users and pages of the likes still to fire.
+    fn unfired(&self) -> (&[UserId], &[PageId]) {
+        let likes = &self.likes;
+        (&likes.users[self.next..], &likes.pages[self.next..])
     }
 
     /// Copy the next run into `run`: at most `cap` likes, none later than
@@ -767,6 +773,13 @@ pub(crate) fn event_loop(
     let every = opts.checkpoint_every;
     let mut cp_bucket = state.engine.fired().checked_div(every).unwrap_or(0);
     let mut plan = None;
+    {
+        // Room for every like still to fire, so no run moves a ledger list
+        // or grows a buffer.
+        let _reserve_span = likelab_obs::span::enter("study.reserve_likes");
+        let (users, pages) = state.planned.unfired();
+        state.world.reserve_likes(users, pages);
+    }
     // Reused columnar buffer for like runs.
     let mut like_run = LikeColumns::with_capacity(0);
     while let Some(dispatch) = next_dispatch(
@@ -780,6 +793,7 @@ pub(crate) fn event_loop(
             // events (which end the run), so a run ingests exactly as its
             // likes would one by one.
             Dispatch::Likes => {
+                let _ingest_span = likelab_obs::span::enter("study.ingest");
                 state.world.ingest_like_columns(&like_run, Exec::Sequential);
             }
             Dispatch::Event(now, Ev::Poll(i)) => {
@@ -995,7 +1009,6 @@ pub(crate) fn collect(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use likelab_graph::UserId;
     use likelab_sim::EventQueue;
 
     /// An event of the schedule before planned likes left the queue, when

@@ -162,7 +162,18 @@ enum Frame {
     Impl { depth: i32 },
     Fn { depth: i32, idx: usize },
     Loop { depth: i32, start: usize },
-    Anon { depth: i32 },
+    Anon { depth: i32, outside: Outside },
+}
+
+/// What any other brace ([`Frame::Anon`]: a block, a struct literal, a
+/// closure body) gives back when it closes: the paren depth outside it,
+/// and whether a loop header was waiting for its body there. Paren depth
+/// counts from zero inside the brace, so a loop in a closure passed as an
+/// argument is found like any other.
+#[derive(Clone, Copy)]
+struct Outside {
+    paren: i32,
+    in_loop_header: bool,
 }
 
 /// Parse one masked file into its item tree.
@@ -316,23 +327,33 @@ pub fn parse(file: &MaskedFile) -> FileItems {
                         continue;
                     }
                     Tok::P(b'{') => {
-                        // A closure body inside the loop header's parens.
-                        frames.push(Frame::Anon { depth });
+                        // A closure body inside the loop header's parens:
+                        // parsed as code, loops and all, until it closes
+                        // and the header goes on.
+                        frames.push(Frame::Anon {
+                            depth,
+                            outside: Outside {
+                                paren,
+                                in_loop_header: true,
+                            },
+                        });
                         depth += 1;
-                        pending = Some(Pending::Loop);
+                        paren = 0;
                         k += 1;
                         continue;
                     }
                     Tok::P(b'}') => {
                         depth -= 1;
-                        close_frames(
+                        if let Some(outside) = close_frames(
                             &mut frames,
                             depth,
                             line_idx,
                             &mut items,
                             &mut mod_path,
                             &mut impl_stack,
-                        );
+                        ) {
+                            paren = outside.paren;
+                        }
                         pending = Some(Pending::Loop);
                         k += 1;
                         continue;
@@ -404,19 +425,31 @@ pub fn parse(file: &MaskedFile) -> FileItems {
                 Tok::P(b'(') | Tok::P(b'[') => paren += 1,
                 Tok::P(b')') | Tok::P(b']') => paren -= 1,
                 Tok::P(b'{') => {
-                    frames.push(Frame::Anon { depth });
+                    frames.push(Frame::Anon {
+                        depth,
+                        outside: Outside {
+                            paren,
+                            in_loop_header: false,
+                        },
+                    });
                     depth += 1;
+                    paren = 0;
                 }
                 Tok::P(b'}') => {
                     depth -= 1;
-                    close_frames(
+                    if let Some(outside) = close_frames(
                         &mut frames,
                         depth,
                         line_idx,
                         &mut items,
                         &mut mod_path,
                         &mut impl_stack,
-                    );
+                    ) {
+                        paren = outside.paren;
+                        if outside.in_loop_header {
+                            pending = Some(Pending::Loop);
+                        }
+                    }
                 }
                 _ => {}
             }
@@ -436,7 +469,8 @@ pub fn parse(file: &MaskedFile) -> FileItems {
     items
 }
 
-/// Close every frame whose opening depth is ≥ the new depth.
+/// Close every frame whose opening depth is ≥ the new depth. Returns
+/// what the outermost [`Frame::Anon`] it closed kept of its outside.
 fn close_frames(
     frames: &mut Vec<Frame>,
     depth: i32,
@@ -444,14 +478,15 @@ fn close_frames(
     items: &mut FileItems,
     mod_path: &mut Vec<String>,
     impl_stack: &mut Vec<String>,
-) {
+) -> Option<Outside> {
+    let mut outside = None;
     while let Some(top) = frames.last() {
         let open = match top {
             Frame::Mod { depth }
             | Frame::Impl { depth }
             | Frame::Fn { depth, .. }
             | Frame::Loop { depth, .. }
-            | Frame::Anon { depth } => *depth,
+            | Frame::Anon { depth, .. } => *depth,
         };
         if open < depth {
             break;
@@ -478,9 +513,11 @@ fn close_frames(
                     }
                 }
             }
-            _ => {}
+            Some(Frame::Anon { outside: o, .. }) => outside = Some(o),
+            None => {}
         }
     }
+    outside
 }
 
 /// Append a token to accumulated signature/header text with one space of
@@ -838,6 +875,23 @@ mod tests {
         let items = parsed(src);
         let f = &items.functions[0];
         assert_eq!(f.loops, vec![(1, 3)], "{:?}", f.loops);
+    }
+
+    #[test]
+    fn loops_in_closures_passed_as_arguments_belong_to_the_fn() {
+        // A closure argument; a closure in a loop header, whose own loop
+        // closes before the header's loop opens; a closure nested in a
+        // closure's call.
+        let src = "fn f(xs: &[u32]) {\n    helper(xs, |ys| {\n        for y in ys {\n            use_it(y);\n        }\n    });\n    for job in pool(xs, |_, ys| {\n        while go() {\n            step();\n        }\n    }) {\n        use_it(job);\n    }\n    cell.with(|c| run(c, |d| {\n        loop {\n            break;\n        }\n    }));\n}\n";
+        let items = parsed(src);
+        let f = &items.functions[0];
+        assert_eq!(
+            f.loops,
+            vec![(2, 4), (7, 9), (10, 12), (14, 16)],
+            "{:?}",
+            f.loops
+        );
+        assert_eq!(f.body_end, 18);
     }
 
     #[test]

@@ -411,6 +411,83 @@ fn hoisted_alloc_outside_the_loop_is_silent() {
     );
 }
 
+/// Hot loops inside closures passed as arguments: to a helper, to the
+/// worker pool inside a `for` loop's header (the ledger kernels' job
+/// shape), and to a thread-local cell. Each loop belongs to the function
+/// that holds the closure, so its per-iteration `Vec::new()` is found on
+/// line 6 as in a plain loop.
+const ALLOC_IN_CLOSURES: [(&str, &str); 3] = [
+    (
+        "helper",
+        "\
+// lint:hot — ledger kernel
+pub fn scatter(xs: &[u32]) -> u64 {
+    helper(xs, |ys| {
+        let mut acc = 0u64;
+        for y in ys {
+            let mut buf = Vec::new();
+            buf.push(*y);
+            acc += buf.len() as u64;
+        }
+        acc
+    })
+}
+
+fn helper(xs: &[u32], f: impl Fn(&[u32]) -> u64) -> u64 {
+    f(xs)
+}
+",
+    ),
+    (
+        "pool-in-loop-header",
+        "\
+// lint:hot — ledger kernel
+pub fn scatter(exec: Exec, jobs: Vec<Vec<u32>>) -> u64 {
+    let mut total = 0;
+    for job in parallel_owned(exec, jobs, |_, ys| {
+        for y in ys {
+            let mut buf = Vec::new();
+            buf.push(y);
+        }
+        1u64
+    }) {
+        total += job;
+    }
+    total
+}
+",
+    ),
+    (
+        "thread-local",
+        "\
+// lint:hot — ledger kernel
+pub fn scatter(xs: &[u32]) {
+    CELL.with_borrow_mut(|live| {
+        live.clear();
+        for x in xs {
+            let mut buf = Vec::new();
+            buf.push(*x);
+            live.push(buf.len());
+        }
+    });
+}
+",
+    ),
+];
+
+#[test]
+fn alloc_inside_a_hot_loop_in_a_closure_argument_fires() {
+    for (tag, src) in ALLOC_IN_CLOSURES {
+        let fx = Fixture::new(&format!("alloc-closure-{tag}"));
+        fx.add_crate("ledger", src);
+        let report = run(fx.path()).expect("lint run");
+        let hits = findings_for(&report, "alloc-in-hot-loop");
+        assert_eq!(hits.len(), 1, "{tag}: {:?}", report.findings);
+        assert_eq!(hits[0].line, 6, "{tag}");
+        assert!(hits[0].snippet.contains("Vec::new"), "{tag}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // pragmas for workspace rules
 // ---------------------------------------------------------------------------

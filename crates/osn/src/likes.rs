@@ -39,12 +39,25 @@
 //! it touches once, before any list moves; the population batch into an
 //! empty ledger costs one exact reservation per buffer. A list that
 //! outgrows its slot moves, with push-growth room, into a hole another
-//! list left or to the end of its buffer (see [`likelab_sim::arena`]). The sparse kernel's working arrays belong
+//! list left or to the end of its buffer (see [`likelab_sim::arena`]).
+//! The columns and the shard buffers grow by one rule,
+//! [`likelab_sim::reserve_eighth`]: by the larger of the need and an
+//! eighth of their length, never by doubling.
+//!
+//! A caller that knows which likes are coming can say so first:
+//! [`LikeLedger::reserve`] gives the columns exactly their room and every
+//! shard buffer that holds a list they name one in-place relayout, after
+//! which ingesting them, in batches of any size, moves no list and grows
+//! no buffer. A study's event loop reserves its plan's unfired likes this
+//! way; replay and serve fold a log with no plan to read ahead, and grow
+//! batch by batch. The sparse kernel's working arrays belong
 //! to the ledger and are cleared, not freed, between batches; the dense
 //! kernel's batch-sized arrays are freed when its call returns, so the
-//! population batch leaves no scratch behind. Each ingest adds what the
-//! buffers did to make room to the `ledger.list.moves`,
-//! `ledger.buffer.compactions` and `ledger.buffer.growths` counters.
+//! population batch leaves no scratch behind. Each ingest and each
+//! reservation adds what the buffers did to make room to the
+//! `ledger.list.moves`, `ledger.buffer.compactions` and
+//! `ledger.buffer.growths` counters, and to
+//! [`LikeLedger::buffer_stats`].
 //!
 //! Every accessor hands out [`LikeRecord`]s **by value** (assembled from the
 //! columns on demand), so iteration reads the same as it did when records
@@ -54,7 +67,7 @@ use crate::posting::{PostingLists, Postings};
 use likelab_graph::{PageId, UserId};
 use likelab_sim::parallel::{parallel_owned, split_spans, Exec};
 use likelab_sim::SimTime;
-use likelab_sim::{ArenaStats, ListArena};
+use likelab_sim::{reserve_eighth, ArenaStats, ListArena};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -251,12 +264,25 @@ fn list_values<'v>(
     })
 }
 
-/// Publish what the index buffers did to make room during one ingest.
+/// Publish what the index buffers did to make room during one ingest or
+/// reservation.
 fn report(stats: ArenaStats) {
     use likelab_obs::metrics::counter;
     counter("ledger.list.moves", stats.moves);
     counter("ledger.buffer.compactions", stats.compactions);
     counter("ledger.buffer.growths", stats.growths);
+}
+
+/// Grow each column, by [`reserve_eighth`], to take `n` more rows.
+fn reserve_rows(
+    users: &mut Vec<UserId>,
+    pages: &mut Vec<PageId>,
+    times: &mut Vec<SimTime>,
+    n: usize,
+) {
+    reserve_eighth(users, n);
+    reserve_eighth(pages, n);
+    reserve_eighth(times, n);
 }
 
 /// The sparse kernel's working arrays. The ledger keeps them between
@@ -299,6 +325,8 @@ pub struct LikeLedger {
     page_shards: Vec<PostingLists>,
     n_pages: usize,
     sparse: SparseScratch,
+    /// What the index buffers did to make room, over the ledger's life.
+    stats: ArenaStats,
 }
 
 impl LikeLedger {
@@ -492,6 +520,7 @@ impl LikeLedger {
                     self.times = cols.times;
                 }
                 batch => {
+                    reserve_rows(&mut self.users, &mut self.pages, &mut self.times, n);
                     self.users.extend_from_slice(&batch.users);
                     self.pages.extend_from_slice(&batch.pages);
                     self.times.extend_from_slice(&batch.times);
@@ -501,9 +530,7 @@ impl LikeLedger {
         } else {
             global_idx = vec![u32::MAX; n];
             let mut next = start;
-            self.users.reserve(n);
-            self.pages.reserve(n);
-            self.times.reserve(n);
+            reserve_rows(&mut self.users, &mut self.pages, &mut self.times, n);
             for (i, ((user, page, at), idx)) in batch.rows().zip(&mut global_idx).enumerate() {
                 if !accepted_at(i) {
                     continue;
@@ -622,6 +649,7 @@ impl LikeLedger {
         }) {
             stats += job;
         }
+        self.stats += stats;
         report(stats);
         accepted
     }
@@ -684,6 +712,7 @@ impl LikeLedger {
         }
         // Positional pass: append accepted records in batch order.
         let start = self.users.len() as u32;
+        reserve_rows(&mut self.users, &mut self.pages, &mut self.times, n);
         global_idx.clear();
         global_idx.resize(n, u32::MAX);
         let mut next = start;
@@ -751,8 +780,77 @@ impl LikeLedger {
             postings.extend_each(list_values(lists, values));
             stats += postings.take_stats();
         }
+        self.stats += stats;
         report(stats);
         accepted
+    }
+
+    /// Make room for likes still to come, `users[i]` liking `pages[i]`, so
+    /// that ingesting them, in batches of any size, moves no list and
+    /// grows no buffer. The columns get exactly room for every like. Each
+    /// shard buffer that holds a list the likes name makes one
+    /// [`ListArena::relayout`]: a page set gets room for one page per like,
+    /// a posting tail for its likes up to a block, and a packed section for
+    /// the blocks its likes complete, at the most bytes a block of record
+    /// indices below the ledger's length plus the likes can take. Likes that
+    /// come to be rejected leave their room unused. Accounts and pages past
+    /// the ledger's are skipped: no ingest accepts them.
+    pub fn reserve(&mut self, users: &[UserId], pages: &[PageId]) {
+        let n = users.len();
+        self.users.reserve_exact(n);
+        self.pages.reserve_exact(n);
+        self.times.reserve_exact(n);
+        // The largest record index any of the likes can take.
+        let max = u32::try_from((self.users.len() + n).saturating_sub(1)).unwrap_or(u32::MAX);
+        let mut per_user = vec![0u32; self.n_users];
+        for &user in users {
+            if let Some(k) = per_user.get_mut(user.idx()) {
+                *k += 1;
+            }
+        }
+        let mut stats = ArenaStats::default();
+        for (shard, likes) in self
+            .user_shards
+            .iter_mut()
+            .zip(per_user.chunks(SHARD_USERS))
+        {
+            if likes.iter().all(|&k| k == 0) {
+                continue;
+            }
+            let extra = |list: usize| likes.get(list).map_or(0, |&k| k as usize);
+            shard.pages.relayout(|list, len| len + extra(list));
+            shard.postings.relayout(extra, max);
+            stats += shard.pages.take_stats();
+            stats += shard.postings.take_stats();
+        }
+        drop(per_user);
+        let mut per_page = vec![0u32; self.n_pages];
+        for &page in pages {
+            if let Some(k) = per_page.get_mut(page.idx()) {
+                *k += 1;
+            }
+        }
+        for (shard, likes) in self
+            .page_shards
+            .iter_mut()
+            .zip(per_page.chunks(SHARD_PAGES))
+        {
+            if likes.iter().all(|&k| k == 0) {
+                continue;
+            }
+            shard.relayout(|list| likes.get(list).map_or(0, |&k| k as usize), max);
+            stats += shard.take_stats();
+        }
+        self.stats += stats;
+        report(stats);
+    }
+
+    /// What the index buffers did to make room — list moves, buffer
+    /// squeezes and growths — summed over every ingest and reservation
+    /// since the ledger was made: the totals of the `ledger.list.moves`,
+    /// `ledger.buffer.compactions` and `ledger.buffer.growths` counters.
+    pub fn buffer_stats(&self) -> ArenaStats {
+        self.stats
     }
 
     /// Total number of likes ever recorded.
@@ -1193,6 +1291,31 @@ mod tests {
         }
         // A paper world's 3,468 accounts fill a 2-worker pool's jobs.
         assert!(3_468usize.div_ceil(SHARD_USERS) >= Exec::workers(2).job_count());
+    }
+
+    #[test]
+    fn small_batches_after_a_dense_one_keep_each_column_within_an_eighth() {
+        // 4,000 accounts like one of 50 pages each: one dense batch, whose
+        // columns the empty ledger takes over at their exact size. Then
+        // 300 batches of three new likes each take the sparse kernel.
+        let rows: Vec<_> = (0..4_000u32).map(|i| (u(i), p(i % 50), t(0))).collect();
+        let mut l = LikeLedger::new(4_000, 50);
+        let batch = Cow::Owned(LikeColumns::from_rows(&rows));
+        assert_eq!(l.ingest_columns_owned(batch, Exec::Sequential), 4_000);
+        assert_eq!(l.users.capacity(), 4_000);
+        for k in 0..300u32 {
+            let more: Vec<_> = (3 * k..3 * k + 3)
+                .map(|i| (u(i), p((i + 1) % 50), t(1)))
+                .collect();
+            assert_eq!(ingest(&mut l, &more), 3);
+            let len = l.len();
+            for capacity in [l.users.capacity(), l.pages.capacity(), l.times.capacity()] {
+                assert!(
+                    capacity - len <= len / 8,
+                    "{capacity} rows of room for {len} after batch {k}"
+                );
+            }
+        }
     }
 
     #[test]

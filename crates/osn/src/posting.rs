@@ -54,6 +54,12 @@
 //! `n` values, so a list built by one bulk call never holds more than the
 //! same values pushed one at a time. [`PostingLists::extend_each`] extends
 //! a batch of lists after reserving each buffer once for all of them.
+//! [`PostingLists::relayout`] makes room ahead for values still to come,
+//! when the store's owner knows how many each list gets and how large
+//! they can be: a tail's slot for all of them up to a block, and a packed
+//! section's for every block they complete at the most bytes a block of
+//! values that large can take (`1 + 8 * w` for values of `w` bits). No
+//! extend within that moves a list or grows a buffer.
 
 use likelab_sim::{ArenaStats, ListArena};
 
@@ -277,6 +283,21 @@ impl PostingLists {
         for (list, values) in batch {
             self.extend_from_increasing(list, values);
         }
+    }
+
+    /// Make room for `extra(list)` more values in every list, none of them
+    /// above `max`, by one [`ListArena::relayout`] of each buffer: a tail
+    /// gets room for all of them up to a block, a packed section for the
+    /// blocks they complete at the most bytes a block of values up to
+    /// `max` can take. Extends that stay within that then move no list and
+    /// grow neither buffer, however they split the values.
+    pub fn relayout(&mut self, extra: impl Fn(usize) -> usize, max: u32) {
+        let block = 1 + (BLOCK * (32 - max.leading_zeros()) as usize).div_ceil(8);
+        let tails = &self.tails;
+        self.packed
+            .relayout(|list, len| len + (tails.get(list).len() + extra(list)) / BLOCK * block);
+        self.tails
+            .relayout(|list, len| (len + extra(list)).min(BLOCK));
     }
 
     /// What an [`extend_from_increasing`] call that tops the tail of
@@ -866,6 +887,36 @@ mod tests {
         assert_eq!(store.take_stats().growths, 2, "one reservation per buffer");
         for (l, want) in lists.iter().enumerate() {
             assert_eq!(store.get(l).iter().collect::<Vec<u32>>(), *want);
+        }
+    }
+
+    #[test]
+    fn a_relayout_holds_every_extend_it_was_sized_for() {
+        // Lists with a part-full tail, a block, two blocks and a tail, or
+        // nothing, are given room for what they get next: a tail's worth, a
+        // block and a half, none, or a block and a tail. Each list's new
+        // values end at `max`, so its first new block packs a gap almost as
+        // wide as `max`: as many bytes as the room allows.
+        let max = (1u32 << 20) - 1;
+        let start: [u32; 4] = [5, 64, 130, 0];
+        let more: [u32; 4] = [40, 96, 0, 70];
+        let mut store = PostingLists::with_lists(4);
+        let gap = |k: u32| k * 4_000;
+        for (list, &n) in start.iter().enumerate() {
+            let values: Vec<u32> = (0..n).map(gap).collect();
+            store.extend_from_increasing(list, &values);
+        }
+        store.relayout(|list| more[list] as usize, max);
+        store.take_stats();
+        for (list, &k) in more.iter().enumerate() {
+            let values: Vec<u32> = (max + 1 - k..=max).collect();
+            for chunk in values.chunks(7) {
+                store.extend_from_increasing(list, chunk);
+            }
+        }
+        assert_eq!(store.take_stats(), ArenaStats::default());
+        for (list, (&n, &k)) in start.iter().zip(&more).enumerate() {
+            assert_eq!(store.list_len(list), (n + k) as usize);
         }
     }
 

@@ -438,6 +438,15 @@ impl OsnWorld {
         self.ledger.ingest_columns_owned(batch, exec)
     }
 
+    /// Make room in the like ledger for likes still to come, `users[i]`
+    /// liking `pages[i]` (a study's unfired plan), so that ingesting them
+    /// moves no list and grows no buffer (see [`LikeLedger::reserve`]).
+    /// Changes no like and journals nothing: where a ledger's lists lie is
+    /// not part of the world's state.
+    pub fn reserve_likes(&mut self, users: &[UserId], pages: &[PageId]) {
+        self.ledger.reserve(users, pages);
+    }
+
     /// The like ledger (read-only).
     pub fn likes(&self) -> &LikeLedger {
         &self.ledger

@@ -35,10 +35,22 @@
 //!   it is about to fill, and reserves that, sizes the buffer once. Into an
 //!   empty arena that reservation is exact: every first slot holds exactly
 //!   its list, so the buffer's capacity ends equal to its length.
+//! - The eighth is one rule, [`reserve_eighth`], which other buffers that
+//!   grow by many small appends (the like ledger's columns) share.
+//! - [`relayout`](ListArena::relayout) makes room for what many lists are
+//!   still to be given, when an owner knows it ahead: every slot gets the
+//!   capacity asked of it in one pass over the buffer. The holes are
+//!   squeezed out, the allocation grows once, to exactly the new total,
+//!   and the slots spread out: those that land lower move first, front to
+//!   back, then those that land higher, from the back. Each value moves at
+//!   most once and no second buffer is allocated. Appends that stay inside
+//!   the asked capacities then move no list and grow no buffer.
 //!
-//! Moves, compactions and growths change only where lists lie: every list
-//! reads back the values written to it, in order. [`ArenaStats`] counts
-//! all three, so an owner can report where its growth happens.
+//! Moves, compactions, growths and relayouts change only where lists lie:
+//! every list reads back the values written to it, in order.
+//! [`ArenaStats`] counts moves, compactions and growths (a relayout that
+//! grows the allocation counts one growth), so an owner can report where
+//! its growth happens.
 
 /// Set in the first field of a [`ListArena`]'s `placed` entry for a hole;
 /// the other bits then hold the next hole of its size class, as an index
@@ -117,6 +129,20 @@ fn grown(cap: usize, n: usize) -> usize {
     }
 }
 
+/// Make room in `buf` for `additional` more elements: when its spare
+/// capacity falls short, grow it by the larger of the need and an eighth of
+/// its length, not by doubling, so a large buffer that takes a few more
+/// elements at a time holds at most an eighth of itself idle. Returns
+/// whether it grew. Every [`ListArena`] buffer grows by this rule, and so
+/// do the like ledger's columns.
+pub fn reserve_eighth<T>(buf: &mut Vec<T>, additional: usize) -> bool {
+    if buf.capacity() - buf.len() >= additional {
+        return false;
+    }
+    buf.reserve_exact(additional.max(buf.len() / 8));
+    true
+}
+
 impl<T: Copy + Default> ListArena<T> {
     /// An arena of `n` empty lists, with no buffer yet.
     pub fn with_lists(n: usize) -> Self {
@@ -179,8 +205,7 @@ impl<T: Copy + Default> ListArena<T> {
 
     /// Make room for `additional` more elements at the end of the buffer:
     /// squeeze out the holes first when they hold a sixteenth of the
-    /// buffer, then grow if that is not enough, by the larger of
-    /// `additional` and an eighth of the buffer.
+    /// buffer, then grow if that is not enough, by [`reserve_eighth`].
     ///
     /// # Panics
     /// Panics when the buffer would pass `u32::MAX` elements.
@@ -191,16 +216,110 @@ impl<T: Copy + Default> ListArena<T> {
         if self.holes > 0 && self.holes >= self.buf.len() / 16 {
             self.compact();
         }
-        if self.buf.capacity() - self.buf.len() < additional {
-            let step = additional.max(self.buf.len() / 8);
-            // lint:allow(panic-reachable-from-serve): documented panic; slots address the buffer with u32 offsets, and a ledger shard holds far fewer values than the u32 record indices it stores
-            assert!(
-                self.buf.len() + step <= u32::MAX as usize,
-                "a list arena holds at most u32::MAX elements"
-            );
-            self.buf.reserve_exact(step);
+        // lint:allow(panic-reachable-from-serve): documented panic; slots address the buffer with u32 offsets, and a ledger shard holds far fewer values than the u32 record indices it stores
+        assert!(
+            self.buf.len() + additional <= u32::MAX as usize,
+            "a list arena holds at most u32::MAX elements"
+        );
+        if reserve_eighth(&mut self.buf, additional) {
             self.stats.growths += 1;
         }
+    }
+
+    /// Give every list the capacity `want(list, len)` asks for, where that
+    /// is more than its slot holds, in one pass over the buffer (see the
+    /// module docs): the holes are squeezed out, the allocation grows once
+    /// to exactly the slots' new total, and the slots spread out in place.
+    /// A list that holds no slot yet gets one after the others. When no
+    /// list asks for more, the buffer stays as it is.
+    ///
+    /// # Panics
+    /// Panics when the buffer would pass `u32::MAX` elements.
+    pub fn relayout(&mut self, mut want: impl FnMut(usize, usize) -> usize) {
+        let (mut raised, mut first_slots) = (false, 0);
+        for (list, slot) in self.slots.iter_mut().enumerate() {
+            let cap = want(list, slot.len as usize);
+            if cap > slot.cap as usize {
+                // lint:allow(panic-reachable-from-serve): documented panic; a ledger shard's lists hold far fewer values than the u32 record indices they store
+                assert!(
+                    cap <= u32::MAX as usize,
+                    "a list arena holds at most u32::MAX elements"
+                );
+                if slot.cap == 0 {
+                    // No slot yet: the start marks it for `placed` below.
+                    slot.start = u32::MAX;
+                    first_slots += 1;
+                }
+                slot.cap = cap as u32;
+                raised = true;
+            }
+        }
+        if !raised {
+            return;
+        }
+        let new_total: usize = self.slots.iter().map(|slot| slot.cap as usize).sum();
+        // lint:allow(panic-reachable-from-serve): documented panic; as above
+        assert!(
+            new_total <= u32::MAX as usize,
+            "a list arena holds at most u32::MAX elements"
+        );
+        self.placed.reserve_exact(first_slots);
+        for (list, slot) in self.slots.iter().enumerate() {
+            if slot.start == u32::MAX {
+                // Empty, so nothing moves from its `u32::MAX` start.
+                self.placed.push((list as u32, u32::MAX));
+            }
+        }
+        // Every slot's new start, in buffer order. A slot whose new start
+        // is below its old one moves down now, front to back: what lies
+        // below it has moved already or ends below its new start.
+        let mut at = 0u32;
+        for &(list, old) in &self.placed {
+            if list & HOLE != 0 {
+                continue;
+            }
+            // lint:allow(panic-reachable-from-serve): `placed` names only lists below slots.len()
+            let slot = &mut self.slots[list as usize];
+            if slot.len > 0 && at < old {
+                let from = old as usize;
+                self.buf
+                    .copy_within(from..from + slot.len as usize, at as usize);
+            }
+            slot.start = at;
+            at += slot.cap;
+        }
+        if new_total > self.buf.capacity() {
+            self.buf.reserve_exact(new_total - self.buf.len());
+            self.stats.growths += 1;
+        }
+        // A value still to move up lies below its slot's new end, so below
+        // `new_total`.
+        self.buf.resize(new_total, T::default());
+        // The slots whose new start is above their old one move up, back to
+        // front: what lies above them has moved already.
+        for &(list, old) in self.placed.iter().rev() {
+            if list & HOLE != 0 {
+                continue;
+            }
+            // lint:allow(panic-reachable-from-serve): as above
+            let slot = self.slots[list as usize];
+            if slot.len > 0 && slot.start > old {
+                let from = old as usize;
+                self.buf
+                    .copy_within(from..from + slot.len as usize, slot.start as usize);
+            }
+        }
+        let slots = &self.slots;
+        self.placed.retain_mut(|(list, start)| {
+            let live = *list & HOLE == 0;
+            if live {
+                // lint:allow(panic-reachable-from-serve): as above
+                *start = slots[*list as usize].start;
+            }
+            live
+        });
+        self.free = [0; CLASSES];
+        self.holes = 0;
     }
 
     /// Squeeze the holes out of the buffer, moving every live slot down
@@ -511,6 +630,64 @@ mod tests {
     }
 
     #[test]
+    fn a_relayout_spreads_the_slots_in_one_pass() {
+        let mut lists = ListArena::<u32>::with_lists(4);
+        // Slots 0..2, 2..4 and 4..7; list 0 then moves behind them and
+        // leaves a hole of 2 at the front. List 3 holds no slot.
+        lists.extend_from_slice(0, &[1, 2]);
+        lists.extend_from_slice(1, &[3, 4]);
+        lists.extend_from_slice(2, &[5, 6, 7]);
+        lists.extend_from_slice(0, &[8]);
+        assert_eq!((lists.slot(0).start, lists.holes), (7, 2));
+        lists.take_stats();
+        // List 1 moves down into the hole, list 2 stays, list 0 moves up
+        // and list 3 gets its first slot at the end: 2 + 3 + 6 + 5.
+        let more = [3, 0, 0, 5];
+        lists.relayout(|l, len| len + more[l]);
+        let starts: Vec<u32> = (0..4).map(|l| lists.slot(l).start).collect();
+        assert_eq!(starts, [5, 0, 2, 11]);
+        assert_eq!((lists.buffer_len(), lists.buffer_capacity()), (16, 16));
+        assert_eq!(lists.holes, 0);
+        assert_eq!(
+            lists.take_stats(),
+            ArenaStats {
+                moves: 0,
+                compactions: 0,
+                growths: 1
+            }
+        );
+        assert_eq!(lists.get(0), [1, 2, 8]);
+        assert_eq!(lists.get(1), [3, 4]);
+        assert_eq!(lists.get(2), [5, 6, 7]);
+        assert_eq!(lists.get(3), []);
+        // The asked room takes the appends in place.
+        lists.extend_from_slice(0, &[9, 10]);
+        lists.extend_from_slice(3, &[11, 12, 13, 14, 15]);
+        assert_eq!(lists.take_stats(), ArenaStats::default());
+        assert_eq!(lists.get(0), [1, 2, 8, 9, 10]);
+        assert_eq!(lists.get(3), [11, 12, 13, 14, 15]);
+        // A list that asks for no more than it holds leaves the buffer be.
+        lists.relayout(|_, len| len);
+        assert_eq!((lists.buffer_len(), lists.buffer_capacity()), (16, 16));
+        // The slots stay in buffer order: the next move goes to the end.
+        lists.extend_from_slice(2, &[16]);
+        assert_eq!(lists.slot(2).start, 16);
+        assert_eq!(lists.get(2), [5, 6, 7, 16]);
+    }
+
+    #[test]
+    fn reserve_eighth_grows_by_an_eighth_or_the_need() {
+        let mut buf = vec![0u8; 800];
+        assert_eq!(buf.capacity(), 800);
+        assert!(!reserve_eighth(&mut buf, 0));
+        assert!(reserve_eighth(&mut buf, 1));
+        assert_eq!(buf.capacity(), 900);
+        assert!(!reserve_eighth(&mut buf, 100));
+        assert!(reserve_eighth(&mut buf, 101));
+        assert_eq!(buf.capacity(), 901);
+    }
+
+    #[test]
     fn clear_keeps_the_allocation() {
         let mut lists = ListArena::<u32>::with_lists(4);
         for list in 0..4 {
@@ -526,7 +703,7 @@ mod tests {
     }
 
     /// Random extends, inserts, replaces and clears over many lists, through
-    /// moves, compactions and growths, against a `Vec<Vec<T>>`.
+    /// moves, compactions, growths and relayouts, against a `Vec<Vec<T>>`.
     #[test]
     fn matches_a_vec_of_vecs() {
         for seed in 0..40u64 {
@@ -535,6 +712,7 @@ mod tests {
             let mut lists = ListArena::<u32>::with_lists(n);
             let mut reference: Vec<Vec<u32>> = vec![Vec::new(); n];
             let mut stats = ArenaStats::default();
+            let mut relayouts = 0;
             for step in 0..600u32 {
                 if rng.chance(0.02) {
                     let more = n + rng.below(4) as usize;
@@ -544,7 +722,7 @@ mod tests {
                 let list = rng.below(reference.len() as u64) as usize;
                 let values: Vec<u32> = (0..rng.below(12)).map(|i| step * 16 + i as u32).collect();
                 let want = &mut reference[list];
-                match rng.below(9) {
+                match rng.below(10) {
                     0..=3 => {
                         lists.extend_from_slice(list, &values);
                         want.extend_from_slice(&values);
@@ -559,10 +737,6 @@ mod tests {
                         *want = values;
                     }
                     7 => {
-                        lists.clear_list(list);
-                        want.clear();
-                    }
-                    _ => {
                         // A batch: size the buffer once for several lists.
                         let mut batch: Vec<usize> = (0..4)
                             .map(|_| rng.below(reference.len() as u64) as usize)
@@ -581,6 +755,36 @@ mod tests {
                         }
                         assert_eq!(lists.stats.growths, growths, "the reservation held");
                     }
+                    8 => {
+                        lists.clear_list(list);
+                        want.clear();
+                    }
+                    _ => {
+                        // Room asked ahead for some lists, then given in
+                        // two appends each: nothing moves or grows.
+                        let extra: Vec<u32> = (0..reference.len())
+                            .map(|_| {
+                                if rng.chance(0.4) {
+                                    rng.below(14) as u32
+                                } else {
+                                    0
+                                }
+                            })
+                            .collect();
+                        lists.relayout(|l, len| len + extra[l] as usize);
+                        stats += lists.take_stats();
+                        let capacity = lists.buffer_capacity();
+                        for (l, &k) in extra.iter().enumerate() {
+                            let values: Vec<u32> = (0..k).map(|i| step * 16 + i).collect();
+                            let (a, b) = values.split_at(values.len() / 2);
+                            lists.extend_from_slice(l, a);
+                            lists.extend_from_slice(l, b);
+                            reference[l].extend_from_slice(&values);
+                        }
+                        assert_eq!(lists.take_stats(), ArenaStats::default(), "seed {seed}");
+                        assert_eq!(lists.buffer_capacity(), capacity);
+                        relayouts += 1;
+                    }
                 }
                 if rng.chance(0.01) {
                     lists.clear();
@@ -598,7 +802,7 @@ mod tests {
                 assert!(lists.buffer_len() <= lists.buffer_capacity());
             }
             assert!(
-                stats.moves > 0 && stats.growths > 0,
+                stats.moves > 0 && stats.growths > 0 && relayouts > 0,
                 "seed {seed}: {stats:?}"
             );
         }

@@ -60,7 +60,7 @@ pub mod tail;
 pub mod time;
 pub mod trace;
 
-pub use arena::{ArenaStats, ListArena};
+pub use arena::{reserve_eighth, ArenaStats, ListArena};
 pub use engine::Engine;
 pub use event::{Frame, LogError, LogHeader, LogRecord};
 pub use parallel::{parallel_jobs, parallel_map, parallel_owned, split_spans, Exec};

@@ -15,8 +15,9 @@
 //!    [`LikeLedger`] query on a generated world; the packed ledger, fed
 //!    through `ingest_columns`, must agree exactly, including iteration
 //!    order, across shard boundaries, for both ingest kernels, for any
-//!    batch size down to one like, and for batch sequences that make the
-//!    sparse kernel reuse its working arrays.
+//!    batch size down to one like, for batch sequences that make the
+//!    sparse kernel reuse its working arrays, and for a ledger that
+//!    reserved room for the likes it is then fed.
 
 use std::collections::BTreeSet;
 
@@ -510,6 +511,71 @@ proptest! {
                 prop_assert_eq!(accepted, want, "batch {} at {} workers diverged", k, workers);
             }
             assert_ledgers_agree_on(&ledger, &reference, (0..96).map(spread_user))?;
+        }
+    }
+}
+
+proptest! {
+    /// A ledger that reserved room for a batch of likes, then is fed that
+    /// batch in runs, as a study's event loop reserves its plan and then
+    /// fires it. A dense batch of history first gives lists in three user
+    /// and three page shards their slots; the plan repeats likes of the
+    /// history and of itself (rejected), and accounts terminated between
+    /// runs lose their later likes, as the world's filter drops them before
+    /// the ledger sees them, so some reserved room is never used. Runs of
+    /// up to 119 likes take the sparse kernel under 75 likes and the dense
+    /// one from there. At 1 and 2 workers, the reserved ledger and an
+    /// unreserved one fed the same runs both answer as the reference
+    /// does, and while the runs go in the reserved one moves no list and
+    /// squeezes or grows no buffer.
+    #[test]
+    fn a_reserved_ledger_takes_its_runs_in_place(
+        history in prop::collection::vec((0u32..96, 0u32..12, 0u64..50_000), 100..300),
+        plan in prop::collection::vec((0u32..96, 0u32..12, 50_000u64..60_000), 100..700),
+        run_len in 1usize..120,
+        terminated in prop::collection::vec(0u32..96, 0..6),
+    ) {
+        let row = |&(u, raw, t): &(u32, u32, u64)| {
+            (UserId(spread_user(u)), PageId(edge_page(raw)), SimTime::from_secs(t))
+        };
+        let users: Vec<UserId> = plan.iter().map(|like| row(like).0).collect();
+        let pages: Vec<PageId> = plan.iter().map(|like| row(like).1).collect();
+        for workers in [1, 2] {
+            let exec = Exec::workers(workers);
+            let mut reserved = LikeLedger::new(600, 8200);
+            let mut unreserved = LikeLedger::new(600, 8200);
+            let mut reference = RefLedger::default();
+            let first = LikeColumns::from_rows(&history.iter().map(row).collect::<Vec<_>>());
+            reserved.ingest_columns(&first, exec);
+            unreserved.ingest_columns(&first, exec);
+            for like in &history {
+                let (u, p, t) = row(like);
+                reference.record(u.0, p.0, t.as_secs());
+            }
+            reserved.reserve(&users, &pages);
+            let before = reserved.buffer_stats();
+            let mut gone = BTreeSet::new();
+            for (k, run) in plan.chunks(run_len).enumerate() {
+                if let Some(&u) = terminated.get(k) {
+                    gone.insert(spread_user(u));
+                }
+                let kept: Vec<_> = run.iter().map(row).filter(|(u, ..)| !gone.contains(&u.0)).collect();
+                let cols = LikeColumns::from_rows(&kept);
+                let want: usize = kept
+                    .iter()
+                    .map(|&(u, p, t)| reference.record(u.0, p.0, t.as_secs()) as usize)
+                    .sum();
+                prop_assert_eq!(reserved.ingest_columns(&cols, exec), want, "run {}", k);
+                prop_assert_eq!(unreserved.ingest_columns(&cols, exec), want, "run {}", k);
+            }
+            prop_assert_eq!(
+                reserved.buffer_stats(),
+                before,
+                "the runs made room at {} workers",
+                workers
+            );
+            assert_ledgers_agree_on(&reserved, &reference, (0..96).map(spread_user))?;
+            assert_ledgers_agree_on(&unreserved, &reference, (0..96).map(spread_user))?;
         }
     }
 }
